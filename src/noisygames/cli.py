@@ -31,18 +31,15 @@ def _json_default(obj):
 
 
 def _emit(doc, args):
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, default=_json_default)
-            fh.write("\n")
-    else:
-        json.dump(doc, sys.stdout, indent=2, default=_json_default)
-        sys.stdout.write("\n")
+    # render once and write once: json.dump would issue one write per chunk
+    text = json.dumps(doc, indent=2, default=_json_default)
+    _write(text + "\n", getattr(args, "out", None))
 
 
-def _emit_csv(text: str, args):
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+def _write(text: str, path):
+    """Write text to the file at `path`, or to stdout if `path` is None."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -147,7 +144,7 @@ def cmd_selftest(args) -> int:
         rows = _theta_sweep_rows(args)
         text = "theta,epsV,maxDistance\n" + "".join(
             f"{t},{e},{d}\n" for t, e, d in rows)
-        _emit_csv(text, args)
+        _write(text, args.out)
         return EXIT_OK
     strategy = _load_strategy(args)
     if args.channel == "bit-phase-flip":
@@ -169,8 +166,7 @@ def cmd_simulate(args) -> int:
     params = ProtocolParams(args.game, args.t, args.p, args.seed, args.rho)
     transcript = run_protocol(params, strategy)
     if args.export_csv:
-        with open(args.export_csv, "w") as fh:
-            fh.write(transcript_rounds_csv(transcript))
+        _write(transcript_rounds_csv(transcript), args.export_csv)
     _emit(serialize.transcript_to_json(transcript, include_rounds=args.include_rounds),
           args)
     return EXIT_OK
@@ -287,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="noisygames",
         description="Evaluate, certify, self-test and simulate quantum strategies "
                     "for noisy nonlocal games.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS thread pools (best effort; set before heavy work)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, game_required=True):
@@ -355,20 +349,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resolve_seed(seed):
+    """--seed, else NOISYGAMES_SEED, else 0; it keys a uint64 Philox stream."""
+    if seed is None:
+        text = os.environ.get("NOISYGAMES_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"NOISYGAMES_SEED must be an integer, got {text!r}") from None
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = int(os.environ.get("NOISYGAMES_SEED", "0"))
     try:
+        if hasattr(args, "seed"):
+            args.seed = _resolve_seed(args.seed)
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .games import (
     ChshStrategy,
@@ -319,6 +318,8 @@ def lp_min_closed_form(a, t1: float, t2: float) -> float:
 
 def lp_min_bruteforce(a, t1: float, t2: float) -> float:
     """Independent oracle: solve the same LP numerically."""
+    from scipy.optimize import linprog  # only this oracle needs scipy; keep it off import
+
     a = np.asarray(a, dtype=float)
     res = linprog(c=a, A_eq=np.vstack([np.ones_like(a), a ** 2]),
                   b_eq=[t1, t2], bounds=[(0, None)] * a.size, method="highs")

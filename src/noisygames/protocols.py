@@ -617,9 +617,7 @@ def estimate_noise_rate(game: str, statistic: float | None = None,
 def transcript_rounds_csv(transcript: ProtocolTranscript) -> str:
     """Per-round records as CSV text (header + one line per round)."""
     cols = transcript.rounds
-    names = list(cols)
-    lines = [",".join(["round"] + names)]
     length = len(next(iter(cols.values())))
-    for r in range(length):
-        lines.append(",".join([str(r)] + [str(int(cols[c][r])) for c in names]))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([np.arange(length)] + list(cols.values())).astype(np.int64)
+    row = ",".join(["%d"] * table.shape[1]) + "\n"
+    return ",".join(["round", *cols]) + "\n" + (row * length) % tuple(table.ravel().tolist())

@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisygames
 from noisygames.cli import main
 
 
@@ -197,3 +203,81 @@ def test_unknown_constructor_rejected(capsys):
     code, _, err = run_cli(capsys, "eval", "--strategy", "mystery", "--rho", "0.5")
     assert code == 2
     assert "neither a file nor a known constructor" in err
+
+
+# sha256 of `simulate --include-rounds` stdout for one (game, n, t, rho)
+# fixture per game at seed 11; pins the JSON rendering and the round stream.
+GOLDEN_SIMULATE = {
+    ("chsh", 1, 500, 0.8): "a4e5fa8eca50c9fec6513b2987c6ae0df2883a6cc5d4c098aef10ec37b04c775",
+    ("magic_square", 1, 200, 0.9):
+        "8ae1d4f53d2d38dfd4c6de4138dddc3b9d8884ebf441c7f6bc1f16d6788ad252",
+    ("two_out_of_n", 3, 40, 0.9):
+        "94a6dbf401905685a0ae3225cee352a603779ab1e574a5c924ed3a5f7314d679",
+}
+
+
+@pytest.mark.parametrize("game, n, t, rho", list(GOLDEN_SIMULATE))
+def test_simulate_include_rounds_golden_digest(tmp_path, capsys, game, n, t, rho):
+    argv = ["simulate", "--game", game, "--n", str(n), "--rho", str(rho), "--t", str(t),
+            "--p", "0.05", "--seed", "11", "--include-rounds"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SIMULATE[(game, n, t, rho)]
+    out_path = tmp_path / "transcript.json"
+    code, stdout, _ = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and stdout == ""
+    assert out_path.read_text() == out
+
+
+def _fresh_python(*args):
+    src = str(Path(noisygames.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_cold_import_leaves_scipy_unloaded():
+    proc = _fresh_python("-c", "import sys, noisygames.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_lemma_check_fresh_interpreter_loads_linprog():
+    proc = _fresh_python("-m", "noisygames.cli", "lemma-check", "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert all(c["pass"] for c in checks)
+    assert "lp_closed_form_vs_linear_program" in {c["name"] for c in checks}
+
+
+SIMULATE = ["simulate", "--game", "chsh", "--rho", "0.8", "--t", "50", "--p", "0.1"]
+
+
+@pytest.mark.parametrize("extra, env_seed, message", [
+    (["--seed", "-1"], None, "seed must be in [0, 2**64), got -1"),
+    (["--seed", str(2 ** 64)], None, f"seed must be in [0, 2**64), got {2 ** 64}"),
+    ([], "abc", "NOISYGAMES_SEED must be an integer, got 'abc'"),
+    ([], "-5", "seed must be in [0, 2**64), got -5"),
+    ([], "1.5", "NOISYGAMES_SEED must be an integer, got '1.5'"),
+], ids=["negative", "above-uint64", "env-not-int", "env-negative", "env-float"])
+def test_bad_seed_is_a_validation_error(capsys, monkeypatch, extra, env_seed, message):
+    if env_seed is None:
+        monkeypatch.delenv("NOISYGAMES_SEED", raising=False)
+    else:
+        monkeypatch.setenv("NOISYGAMES_SEED", env_seed)
+    code, out, err = run_cli(capsys, *SIMULATE, *extra)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_largest_seed_accepted(capsys):
+    code, out, _ = run_cli(capsys, *SIMULATE, "--seed", str(2 ** 64 - 1))
+    assert code == 0
+    assert json.loads(out)["params"]["seed"] == 2 ** 64 - 1
+
+
+def test_threads_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "eval", "--rho", "0.5"])
+    assert exc.value.code == 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -276,6 +278,28 @@ def test_transcript_csv():
     lines = text.strip().split("\n")
     assert lines[0] == "round,x,y,a,b"
     assert len(lines) == tr.t_prime + 1
+
+
+# sha256 of transcript_rounds_csv for one (game, seed, t) fixture per game.
+# A change that moves one of these changes transcripts: bump the transcript
+# schema version and say so in CHANGES.md.
+GOLDEN_CSV = {
+    ("chsh", 1, 500, 0.8): "be9e79b0d90f9d255ccb4e1f5c11dd76ce5fe52d8dbe63ee2e1a26b7cf3e2f80",
+    ("magic_square", 1, 200, 0.9):
+        "911dbfeff583f506acf3126bef33db30478f925d03b2962a2a65b2eeba82c176",
+    ("two_out_of_n", 3, 40, 0.9):
+        "4d1da5aebfbe06af6372742003119985f5e0b9c1beccd19f42be5532025a0cb6",
+}
+
+
+@pytest.mark.parametrize("game, n, t, rho", list(GOLDEN_CSV))
+def test_transcript_csv_golden_digest(game, n, t, rho):
+    strategy = {"chsh": canonical_chsh_strategy,
+                "magic_square": canonical_magic_square_strategy,
+                "two_out_of_n": canonical_two_out_of_n_strategy}[game](n)
+    tr = run_protocol(ProtocolParams(game, t, 0.05, seed=11, rho=rho), strategy)
+    text = transcript_rounds_csv(tr)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CSV[(game, n, t, rho)]
 
 
 def test_block_streams_independent_of_order():
