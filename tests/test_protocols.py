@@ -278,6 +278,12 @@ def test_transcript_csv():
     lines = text.strip().split("\n")
     assert lines[0] == "round,x,y,a,b"
     assert len(lines) == tr.t_prime + 1
+    # reference: one Python-formatted line per round
+    cols = tr.rounds
+    expected = ["round," + ",".join(cols)] + [
+        ",".join([str(r)] + [str(int(v[r])) for v in cols.values()])
+        for r in range(tr.t_prime)]
+    assert text == "\n".join(expected) + "\n"
 
 
 # sha256 of transcript_rounds_csv for one (game, seed, t) fixture per game.
