@@ -23,6 +23,7 @@ from .games import (
     derived_observable,
     ms_question_variables,
     ms_parity_target,
+    variable_slot,
 )
 from .pauli import (
     ValidationError,
@@ -123,7 +124,7 @@ def ms_consistency_certificate(strategy: MagicSquareStrategy, rho: float,
         raise ValidationError("certificates are undefined at rho = 0")
     i, j = variable
     question = f"r{i}"
-    slot = [v for v in ms_question_variables(question)].index((i, j)) + 1
+    slot = variable_slot(question, i, j)
     p_row = derived_observable(strategy.alice_povms[question], slot)
     q = strategy.bob_observables[(i, j)]
     ev = PairEvaluator(rho, m=4)

@@ -103,8 +103,10 @@ def cmd_certify(args) -> int:
     strategy = _load_strategy(args)
     variable = None
     if args.variable:
-        i, j = (int(v) for v in args.variable.split(","))
-        variable = (i, j)
+        parts = [v.strip() for v in args.variable.split(",")]
+        if len(parts) != 2 or not set(parts) <= {"1", "2", "3"}:
+            raise ValueError(f"--variable must be i,j with i and j in 1..3, got {args.variable!r}")
+        variable = (int(parts[0]), int(parts[1]))
     cert = certify(strategy, args.rho, variable)
     _emit(serialize.certificate_to_json(cert, eps_tr=trace_error(strategy)), args)
     return EXIT_OK
@@ -180,10 +182,15 @@ def cmd_estimate_rho(args) -> int:
     if args.transcript:
         with open(args.transcript) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict) or not {"game", "tPrime"} <= doc.keys():
+            raise ValueError(f"--transcript {args.transcript}: need a simulate JSON "
+                             "object with 'game' and 'tPrime' keys")
         statistic = doc.get("empiricalConsistencyRate"
                             if doc["game"] == "magic_square" else "empiricalWinRate")
         est = estimate_noise_rate(doc["game"], statistic=statistic,
                                   n_rounds=doc["tPrime"], confidence=args.confidence)
+    elif args.rounds < 1:
+        raise ValueError(f"--rounds must be at least 1, got {args.rounds}")
     elif args.statistic is not None:
         est = estimate_noise_rate(args.game, statistic=args.statistic,
                                   n_rounds=args.rounds, confidence=args.confidence)

@@ -66,9 +66,27 @@ def _rng_for_block(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(block))))
 
 
-def _sample_categories(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF draw: cum_rows is (rounds, categories)."""
-    return (u[:, None] > cum_rows).sum(axis=1)
+def _sample_categories(cum: np.ndarray, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Vectorized inverse-CDF draw: per round, the number of cumulative bounds
+    of row ctx[r] of cum that u[r] exceeds, counted one category at a time
+    into uint8 (no rounds x categories array is formed)."""
+    idx = ctx.astype(np.intp)  # take() would convert narrow ids once per column
+    out = np.zeros(len(u), dtype=np.uint8)
+    for col in cum.T:
+        out += u > col.take(idx)
+    return out
+
+
+def _cumulative_table(tables) -> np.ndarray:
+    """Row-wise CDFs of per-context answer distributions.  Each row must be a
+    probability vector to 1e-9; round-off negatives are clipped and the row
+    renormalized before the cumulative sum."""
+    tables = np.asarray(tables, dtype=float)
+    if tables.min() < -1e-9 or np.abs(tables.sum(axis=1) - 1).max() > 1e-9:
+        raise ValidationError("answer distribution is not a probability vector")
+    np.clip(tables, 0.0, None, out=tables)
+    tables /= tables.sum(axis=1, keepdims=True)
+    return np.cumsum(tables, axis=1)
 
 
 @dataclass
@@ -86,14 +104,9 @@ class ProtocolTranscript:
     note: str = TRACE_TEST_NOTE
 
 
-def _first_t_frequency(mask: np.ndarray, plus: np.ndarray, t: int) -> float:
-    """Frequency of +1 answers over the first t rounds matching the mask."""
-    pos = np.flatnonzero(mask)[:t]
-    return float(plus[pos].mean())
-
-
 # ---------------------------------------------------------------------------
-# samplers (joint outcome tables per question context)
+# samplers (joint outcome tables per question context); draw(ctx, u) returns
+# uint8 outcome categories
 
 
 class ChshSampler:
@@ -113,15 +126,7 @@ class ChshSampler:
                     for b in (1, -1):
                         row.append((1 + a * tr_p[x] + b * tr_q[y] + a * b * corr) / 4)
                 tables[2 * x + y] = row
-        self._check(tables)
-        self.cum = np.cumsum(tables, axis=1)
-
-    @staticmethod
-    def _check(tables):
-        if tables.min() < -1e-9 or np.abs(tables.sum(axis=1) - 1).max() > 1e-9:
-            raise ValidationError("answer distribution is not a probability vector")
-        np.clip(tables, 0.0, None, out=tables)
-        tables /= tables.sum(axis=1, keepdims=True)
+        self.cum = _cumulative_table(tables)
 
     def exact_table(self) -> np.ndarray:
         """(4 contexts, 4 outcomes); context 2x+y, outcome 2 bit(a)+bit(b)."""
@@ -129,87 +134,7 @@ class ChshSampler:
         return out
 
     def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _sample_categories(self.cum[ctx], u)
-
-
-def sample_round(strategy, noise, questions, rng: np.random.Generator):
-    """Draw one round of joint answers for the given questions.
-
-    CHSH: questions (x, y), answers (a, b) in {-1, 1}; the closed-form
-    two-outcome distribution is used and matches the explicit POVM-trace
-    distribution exactly.  Magic square: questions (question string, slot),
-    answers ((a1, a2, a3), b).  2-out-of-n: questions
-    (role, i, j, x, y, z) with role 0 when the first player holds the single
-    index; answers (a, (b_shared, b_other)).
-    """
-    rho = float(noise)
-    if isinstance(strategy, ChshStrategy):
-        sampler = ChshSampler(strategy, rho)
-        x, y = questions
-        out = sampler.draw(np.array([2 * x + y]), rng.random(1))[0]
-        return 1 - 2 * (out // 2), 1 - 2 * (out % 2)
-    if isinstance(strategy, MagicSquareStrategy):
-        sampler = MagicSquareSampler(strategy, rho)
-        question, slot = questions
-        ctx = 3 * MS_QUESTIONS.index(question) + (slot - 1)
-        out = sampler.draw(np.array([ctx]), rng.random(1))[0]
-        return ms_outcomes()[out // 2], 1 - 2 * (out % 2)
-    if isinstance(strategy, TwoOutOfNStrategy):
-        sampler = TwoOutOfNSampler(strategy, rho)
-        role, i, j, x, y, z = questions
-        ctx = sampler.context_index[(role, i, j, x, y, z)]
-        out = sampler.draw(np.array([ctx]), rng.random(1))[0]
-        a = 1 - 2 * (out // 4)
-        eidx = out % 4
-        b_first, b_second = 1 - 2 * (eidx // 2), 1 - 2 * (eidx % 2)
-        return a, ((b_first, b_second) if i < j else (b_second, b_first))
-    raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
-
-
-def _run_chsh_protocol(params: ProtocolParams, strategy: ChshStrategy) -> ProtocolTranscript:
-    sampler = ChshSampler(strategy, params.rho)
-    t = params.t
-    keys = [("A", 0), ("A", 1), ("B", 0), ("B", 1)]
-    xs, ys, outs = [], [], []
-    counts = np.zeros(4, dtype=np.int64)  # A0 A1 B0 B1
-    block = 0
-    est = int(2.2 * t) + 64
-    while True:
-        size = max(est, _BLOCK) if block == 0 else _BLOCK
-        rng = _rng_for_block(params.seed, block)
-        q = rng.integers(0, 4, size=size)
-        u = rng.random(size)
-        x, y = q // 2, q % 2
-        out = sampler.draw(q, u)
-        xs.append(x)
-        ys.append(y)
-        outs.append(out)
-        counts += np.array([(x == 0).sum(), (x == 1).sum(), (y == 0).sum(), (y == 1).sum()])
-        block += 1
-        if counts.min() >= t:
-            break
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    out = np.concatenate(outs)
-    key_masks = [x == 0, x == 1, y == 0, y == 1]
-    stop = max(int(np.flatnonzero(mask)[t - 1]) for mask in key_masks)
-    x, y, out = x[: stop + 1], y[: stop + 1], out[: stop + 1]
-    a = 1 - 2 * (out // 2)
-    b = 1 - 2 * (out % 2)
-    freqs, reasons = {}, []
-    for (label, question), mask, plus in zip(
-            keys, [x == 0, x == 1, y == 0, y == 1],
-            [a == 1, a == 1, b == 1, b == 1]):
-        f = _first_t_frequency(mask, plus, t)
-        freqs[f"{label}{question}"] = f
-        if abs(f - 0.5) >= params.delta:
-            reasons.append(f"player {label} question {question}: |{f:.4f} - 1/2| >= delta")
-    wins = ((a != b).astype(int) == (x & y)).mean()
-    return ProtocolTranscript(
-        "chsh", params, len(x),
-        {"x": x, "y": y, "a": a, "b": b},
-        {f"{l}{q}": int(m.sum()) for (l, q), m in zip(keys, [x == 0, x == 1, y == 0, y == 1])},
-        freqs, not reasons, reasons, float(wins))
+        return _sample_categories(self.cum, ctx, u)
 
 
 class MagicSquareSampler:
@@ -232,110 +157,10 @@ class MagicSquareSampler:
                     row[2 * ai + 1] = (masses[ai] - corr) / 2  # b = -1
                 self.contexts.append((xi, slot))
                 tables.append(row)
-        tables = np.array(tables)
-        if tables.min() < -1e-9 or np.abs(tables.sum(axis=1) - 1).max() > 1e-9:
-            raise ValidationError("answer distribution is not a probability vector")
-        np.clip(tables, 0.0, None, out=tables)
-        tables /= tables.sum(axis=1, keepdims=True)
-        self.cum = np.cumsum(tables, axis=1)
+        self.cum = _cumulative_table(tables)
 
     def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _sample_categories(self.cum[ctx], u)
-
-
-_MS_OUTCOME_SIGNS = np.array(ms_outcomes())  # (8, 3) of +-1
-_MS_PARITY = np.array([int(np.prod(a)) for a in ms_outcomes()])
-
-
-def _run_ms_protocol(params: ProtocolParams, strategy: MagicSquareStrategy) -> ProtocolTranscript:
-    sampler = MagicSquareSampler(strategy, params.rho)
-    t = params.t
-    var_of = {}  # (question index, slot) -> variable label
-    for xi, q in enumerate(MS_QUESTIONS):
-        for slot, (i, j) in enumerate(ms_question_variables(q), start=1):
-            var_of[(xi, slot)] = f"s{i}{j}"
-    qs, slots, outs = [], [], []
-    alice_counts = np.zeros(6, dtype=np.int64)
-    bob_counts = np.zeros(18, dtype=np.int64)  # per (question, slot) context
-    block = 0
-    est = int(9.3 * t) + 128
-    while True:
-        size = max(est, _BLOCK) if block == 0 else _BLOCK
-        rng = _rng_for_block(params.seed, block)
-        q = rng.integers(0, 6, size=size)
-        slot = rng.integers(1, 4, size=size)
-        ctx = 3 * q + (slot - 1)
-        out = sampler.draw(ctx, rng.random(size))
-        qs.append(q)
-        slots.append(slot)
-        outs.append(out)
-        alice_counts += np.bincount(q, minlength=6)
-        bob_counts += np.bincount(ctx, minlength=18)
-        block += 1
-        # Bob's per-variable counts aggregate the two contexts of a variable
-        bob_var = _ms_bob_variable_counts(bob_counts, var_of)
-        if alice_counts.min() >= t and min(bob_var.values()) >= t:
-            break
-    q = np.concatenate(qs)
-    slot = np.concatenate(slots)
-    out = np.concatenate(outs)
-    ctx = 3 * q + (slot - 1)
-    # exact stopping round: alice per question, bob per variable
-    stops = [int(np.flatnonzero(q == xi)[t - 1]) for xi in range(6)]
-    for label in set(var_of.values()):
-        mask = np.zeros(len(q), dtype=bool)
-        for (xi, sl), lab in var_of.items():
-            if lab == label:
-                mask |= ctx == 3 * xi + (sl - 1)
-        stops.append(int(np.flatnonzero(mask)[t - 1]))
-    stop = max(stops)
-    q, slot, out, ctx = q[: stop + 1], slot[: stop + 1], out[: stop + 1], ctx[: stop + 1]
-    a_idx = out // 2
-    b = 1 - 2 * (out % 2)
-    a_slot = _MS_OUTCOME_SIGNS[a_idx, slot - 1]
-    parity_target = np.array([ms_parity_target(x) for x in MS_QUESTIONS])[q]
-    parity_ok = _MS_PARITY[a_idx] == parity_target
-    consistent = a_slot == b
-    wins = (parity_ok & consistent).mean()
-
-    freqs, reasons = {}, []
-    for xi, question in enumerate(MS_QUESTIONS):
-        mask = q == xi
-        pos = np.flatnonzero(mask)[:t]
-        for sl in (1, 2, 3):
-            i, j = ms_question_variables(question)[sl - 1]
-            f = float((_MS_OUTCOME_SIGNS[a_idx[pos], sl - 1] == 1).mean())
-            freqs[f"A:{question}:s{i}{j}"] = f
-            if abs(f - 0.5) >= params.delta:
-                reasons.append(f"Alice {question} variable s{i}{j}: bias {f:.4f}")
-    for (i, j) in [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]:
-        mask = np.zeros(len(q), dtype=bool)
-        for (xi, sl), lab in var_of.items():
-            if lab == f"s{i}{j}":
-                mask |= ctx == 3 * xi + (sl - 1)
-        f = _first_t_frequency(mask, b == 1, t)
-        freqs[f"B:s{i}{j}"] = f
-        if abs(f - 0.5) >= params.delta:
-            reasons.append(f"Bob variable s{i}{j}: bias {f:.4f}")
-    counts = {f"A:{question}": int((q == xi).sum()) for xi, question in enumerate(MS_QUESTIONS)}
-    for (i, j) in [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]:
-        mask = np.zeros(len(q), dtype=bool)
-        for (xi, sl), lab in var_of.items():
-            if lab == f"s{i}{j}":
-                mask |= ctx == 3 * xi + (sl - 1)
-        counts[f"B:s{i}{j}"] = int(mask.sum())
-    return ProtocolTranscript(
-        "magic_square", params, len(q),
-        {"question": q, "slot": slot, "alice_outcome": a_idx, "b": b},
-        counts, freqs, not reasons, reasons, float(wins),
-        empirical_consistency_rate=float(consistent.mean()))
-
-
-def _ms_bob_variable_counts(bob_counts: np.ndarray, var_of: dict) -> dict:
-    agg: dict[str, int] = {}
-    for (xi, sl), lab in var_of.items():
-        agg[lab] = agg.get(lab, 0) + int(bob_counts[3 * xi + (sl - 1)])
-    return agg
+        return _sample_categories(self.cum, ctx, u)
 
 
 class TwoOutOfNSampler:
@@ -343,6 +168,8 @@ class TwoOutOfNSampler:
     (role, ordered index pair, questions); 8 categories each."""
 
     def __init__(self, strategy: TwoOutOfNStrategy, rho: float):
+        if strategy.n < 2:
+            raise ValidationError(f"2-out-of-n rounds need n >= 2 indices, got n = {strategy.n}")
         ev = PairEvaluator(rho)
         self.n = strategy.n
         self.strategy = strategy
@@ -372,29 +199,187 @@ class TwoOutOfNSampler:
                                     row[4 + ei] = (mass - corr) / 2  # a = -1
                                 self.context_index[(role, i, j, x, y, z)] = len(tables)
                                 tables.append(row)
-        tables = np.array(tables)
-        if tables.min() < -1e-9 or np.abs(tables.sum(axis=1) - 1).max() > 1e-9:
-            raise ValidationError("answer distribution is not a probability vector")
-        np.clip(tables, 0.0, None, out=tables)
-        tables /= tables.sum(axis=1, keepdims=True)
-        self.cum = np.cumsum(tables, axis=1)
-        self.ctx_map = np.full((2, self.n + 1, self.n + 1, 2, 2, 2), -1, dtype=np.int64)
-        for key, idx in self.context_index.items():
-            self.ctx_map[key] = idx
-
-    def contexts_for(self, role, i, j, x, y, z) -> np.ndarray:
-        return self.ctx_map[role, i, j, x, y, z]
+        self.cum = _cumulative_table(tables)
 
     def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _sample_categories(self.cum[ctx], u)
+        return _sample_categories(self.cum, ctx, u)
+
+
+def sample_round(strategy, noise, questions, rng: np.random.Generator):
+    """Draw one round of joint answers for the given questions.
+
+    CHSH: questions (x, y), answers (a, b) in {-1, 1}; the closed-form
+    two-outcome distribution is used and matches the explicit POVM-trace
+    distribution exactly.  Magic square: questions (question string, slot),
+    answers ((a1, a2, a3), b).  2-out-of-n: questions
+    (role, i, j, x, y, z) with role 0 when the first player holds the single
+    index; answers (a, (b_shared, b_other)).
+    """
+    rho = float(noise)
+    if isinstance(strategy, ChshStrategy):
+        sampler = ChshSampler(strategy, rho)
+        x, y = questions
+        out = int(sampler.draw(np.array([2 * x + y]), rng.random(1))[0])
+        return 1 - 2 * (out // 2), 1 - 2 * (out % 2)
+    if isinstance(strategy, MagicSquareStrategy):
+        sampler = MagicSquareSampler(strategy, rho)
+        question, slot = questions
+        ctx = 3 * MS_QUESTIONS.index(question) + (slot - 1)
+        out = int(sampler.draw(np.array([ctx]), rng.random(1))[0])
+        return ms_outcomes()[out // 2], 1 - 2 * (out % 2)
+    if isinstance(strategy, TwoOutOfNStrategy):
+        sampler = TwoOutOfNSampler(strategy, rho)
+        role, i, j, x, y, z = questions
+        ctx = sampler.context_index[(role, i, j, x, y, z)]
+        out = int(sampler.draw(np.array([ctx]), rng.random(1))[0])
+        a = 1 - 2 * (out // 4)
+        eidx = out % 4
+        b_first, b_second = 1 - 2 * (eidx // 2), 1 - 2 * (eidx % 2)
+        return a, ((b_first, b_second) if i < j else (b_second, b_first))
+    raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# protocol runners: blocks of (context, outcome) rounds, one stable sort per
+# player's key set for the stopping round, first-t positions and counts
 
 
 def _key_positions(ids: np.ndarray, n_keys: int) -> list:
-    """Round indices per key id, in round order, via one stable sort."""
+    """Round indices per key id, in round order, via one stable sort (a radix
+    sort for ids of 16 bits or fewer)."""
     order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    bounds = np.searchsorted(sorted_ids, np.arange(n_keys + 1))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=n_keys))))
     return [order[bounds[k]: bounds[k + 1]] for k in range(n_keys)]
+
+
+def _play_blocks(params: ProtocolParams, est: int, draw_block, key_tables: list):
+    """Draw blocks of rounds until every key of every table has come up t times.
+
+    draw_block(rng, size) returns one block's context ids and outcome
+    categories; each key table maps a context id to one player's key id.
+    Returns the context ids and outcomes up to the exact stopping round and,
+    per table and key, the number of its rounds up to that round and the
+    histogram of outcome categories over its first t rounds."""
+    t = params.t
+    ctxs, outs = [], []
+    ctx_counts = np.zeros(len(key_tables[0]), dtype=np.int64)
+    block = 0
+    while True:
+        size = max(est, _BLOCK) if block == 0 else _BLOCK
+        ctx, out = draw_block(_rng_for_block(params.seed, block), size)
+        ctxs.append(ctx)
+        outs.append(out)
+        ctx_counts += np.bincount(ctx, minlength=len(ctx_counts))
+        block += 1
+        if all(np.bincount(keys, weights=ctx_counts).min() >= t for keys in key_tables):
+            break
+    ctx, out = np.concatenate(ctxs), np.concatenate(outs)
+    positions = [_key_positions(keys.take(ctx), int(keys.max()) + 1) for keys in key_tables]
+    t_prime = max(int(p[t - 1]) for pos in positions for p in pos) + 1
+    return ctx[:t_prime], out[:t_prime], [
+        [(int(np.searchsorted(p, t_prime)), np.bincount(out[p[:t]])) for p in pos]
+        for pos in positions]
+
+
+def _plus_frequency(hist: np.ndarray, bit: int) -> float:
+    """Share of +1 answers among a key's first t rounds, given the histogram
+    of their outcome categories; the answer held in `bit` of a category is -1
+    where that bit is set."""
+    t = int(hist.sum())
+    return (t - int(hist[np.arange(len(hist)) & bit != 0].sum())) / t
+
+
+def _transcript(game, params, ctx, out, tables, counts, tests):
+    """Assemble a transcript.  tables: per (context, outcome) values of each
+    round column, plus a bool "win" table and, for the magic square, a bool
+    "consistent" one; tests: (label, first-t frequency of +1, reject reason)
+    per tracked answer."""
+    flat = ctx.astype(np.intp) * tables["win"].shape[1] + out
+    rounds = {name: table.ravel().take(flat) for name, table in tables.items()}
+    wins = rounds.pop("win").mean()
+    consistent = rounds.pop("consistent", None)
+    freqs = {label: f for label, f, _ in tests}
+    reasons = [reason for _, f, reason in tests if abs(f - 0.5) >= params.delta]
+    return ProtocolTranscript(
+        game, params, len(out), rounds, counts, freqs, not reasons, reasons, float(wins),
+        empirical_consistency_rate=None if consistent is None else float(consistent.mean()))
+
+
+def _id_table(values) -> np.ndarray:
+    values = np.asarray(values)
+    return values.astype(np.min_scalar_type(values.max()))
+
+
+def _run_chsh_protocol(params: ProtocolParams, strategy: ChshStrategy) -> ProtocolTranscript:
+    sampler = ChshSampler(strategy, params.rho)
+    t = params.t
+
+    def draw_block(rng, size):
+        q = rng.integers(0, 4, size=size).astype(np.uint8)
+        return q, sampler.draw(q, rng.random(size))
+
+    # context q = 2x + y; Alice's key is x, Bob's is y
+    q, out, (alice, bob) = _play_blocks(params, int(2.2 * t) + 64, draw_block,
+                                        [_id_table([0, 0, 1, 1]), _id_table([0, 1, 0, 1])])
+    counts, tests = {}, []
+    for label, keys, bit in (("A", alice, 2), ("B", bob, 1)):
+        for question, (count, hist) in enumerate(keys):
+            counts[f"{label}{question}"] = count
+            f = _plus_frequency(hist, bit)
+            tests.append((f"{label}{question}", f,
+                          f"player {label} question {question}: |{f:.4f} - 1/2| >= delta"))
+    qq, oo = np.indices((4, 4))
+    x, y = qq // 2, qq % 2
+    a = 1 - 2 * (oo // 2)
+    b = 1 - 2 * (oo % 2)
+    tables = {"x": x, "y": y, "a": a, "b": b, "win": (a != b).astype(int) == (x & y)}
+    return _transcript("chsh", params, q, out, tables, counts, tests)
+
+
+_MS_OUTCOME_SIGNS = np.array(ms_outcomes())  # (8, 3) of +-1
+_MS_PARITY = np.array([int(np.prod(a)) for a in ms_outcomes()])
+_MS_PARITY_TARGET = np.array([ms_parity_target(q) for q in MS_QUESTIONS])
+_MS_VARIABLES = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+# context 3 * question + slot - 1 -> index of its variable in _MS_VARIABLES
+_MS_CTX_VARIABLE = _id_table([_MS_VARIABLES.index(v) for q in MS_QUESTIONS
+                              for v in ms_question_variables(q)])
+
+
+def _run_ms_protocol(params: ProtocolParams, strategy: MagicSquareStrategy) -> ProtocolTranscript:
+    sampler = MagicSquareSampler(strategy, params.rho)
+    t = params.t
+
+    def draw_block(rng, size):
+        q = rng.integers(0, 6, size=size).astype(np.uint8)
+        slot = rng.integers(1, 4, size=size).astype(np.uint8)
+        ctx = 3 * q + slot - 1
+        return ctx, sampler.draw(ctx, rng.random(size))
+
+    # Alice's key is the question, Bob's the variable of (question, slot)
+    ctx, out, (alice, bob) = _play_blocks(params, int(9.3 * t) + 128, draw_block,
+                                          [_id_table(np.arange(18) // 3), _MS_CTX_VARIABLE])
+    counts, tests = {}, []
+    for question, (count, hist) in zip(MS_QUESTIONS, alice):
+        counts[f"A:{question}"] = count
+        for sl, (i, j) in enumerate(ms_question_variables(question), start=1):
+            # outcome = 2 a_idx + bit(b), and a_idx holds Alice's answer bits in
+            # slot order (ms_outcomes): slot sl is the bit 16 >> sl
+            f = _plus_frequency(hist, 16 >> sl)
+            tests.append((f"A:{question}:s{i}{j}", f,
+                          f"Alice {question} variable s{i}{j}: bias {f:.4f}"))
+    for (i, j), (count, hist) in zip(_MS_VARIABLES, bob):
+        counts[f"B:s{i}{j}"] = count
+        f = _plus_frequency(hist, 1)
+        tests.append((f"B:s{i}{j}", f, f"Bob variable s{i}{j}: bias {f:.4f}"))
+    cc, oo = np.indices((18, 16))
+    q, slot = cc // 3, cc % 3 + 1
+    a_idx = oo // 2
+    b = 1 - 2 * (oo % 2)
+    consistent = _MS_OUTCOME_SIGNS[a_idx, slot - 1] == b
+    tables = {"question": q, "slot": slot, "alice_outcome": a_idx, "b": b,
+              "win": (_MS_PARITY[a_idx] == _MS_PARITY_TARGET[q]) & consistent,
+              "consistent": consistent}
+    return _transcript("magic_square", params, ctx, out, tables, counts, tests)
 
 
 def _run_two_out_of_n_protocol(params: ProtocolParams,
@@ -403,7 +388,6 @@ def _run_two_out_of_n_protocol(params: ProtocolParams,
     n = strategy.n
     t = params.t
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    npairs = len(pairs)
     # tracked keys per player: single (i, x) and pair questions in canonical form
     single_keys = [(pl, i, x) for pl in "AB" for i in range(1, n + 1) for x in (0, 1)]
     pair_keys = [(pl, *pair_key(i, y, j, z)) for pl in "AB"
@@ -411,85 +395,52 @@ def _run_two_out_of_n_protocol(params: ProtocolParams,
                  for y in (0, 1) for z in (0, 1)]
     single_index = {key: k for k, key in enumerate(single_keys)}
     pair_index = {key: k for k, key in enumerate(pair_keys)}
-    # context -> tracked key ids (the single player holds (i, x); the other
-    # player holds the canonical pair question)
-    n_ctx = len(sampler.context_index)
-    ctx_single = np.empty(n_ctx, dtype=np.int64)
-    ctx_pair = np.empty(n_ctx, dtype=np.int64)
-    for (rl, ii, jj, xx, yy, zz), cidx in sampler.context_index.items():
-        single_pl, pair_pl = ("A", "B") if rl == 0 else ("B", "A")
-        ctx_single[cidx] = single_index[(single_pl, ii, xx)]
-        ctx_pair[cidx] = pair_index[(pair_pl, *pair_key(ii, yy, jj, zz))]
+    # per context: its (role, i, j, x, y, z) and the tracked key ids (the
+    # single player holds (i, x); the other the canonical pair question)
+    ctx_keys = sorted(sampler.context_index, key=sampler.context_index.get)
+    ctx_single = _id_table([single_index[("AB"[rl], ii, xx)]
+                            for rl, ii, _, xx, _, _ in ctx_keys])
+    ctx_pair = _id_table([pair_index[("BA"[rl], *pair_key(ii, yy, jj, zz))]
+                          for rl, ii, jj, _, yy, zz in ctx_keys])
+    ctx_of = _id_table([[[sampler.context_index[(role, i, j, xyz // 4, (xyz // 2) % 2, xyz % 2)]
+                          for xyz in range(8)] for i, j in pairs] for role in (0, 1)])
 
-    blocks = []
-    single_counts = np.zeros(len(single_keys), dtype=np.int64)
-    pair_counts = np.zeros(len(pair_keys), dtype=np.int64)
-    block = 0
-    est = int(4 * npairs * t * 1.25) + 256
-    while True:
-        size = max(est, _BLOCK) if block == 0 else _BLOCK
-        rng = _rng_for_block(params.seed, block)
+    def draw_block(rng, size):
         role = rng.integers(0, 2, size=size)
-        pr = rng.integers(0, npairs, size=size)
+        pr = rng.integers(0, len(pairs), size=size)
         xyz = rng.integers(0, 8, size=size)
-        u = rng.random(size)
-        i = np.array([p[0] for p in pairs])[pr]
-        j = np.array([p[1] for p in pairs])[pr]
-        x, y, z = xyz // 4, (xyz // 2) % 2, xyz % 2
-        ctx = sampler.contexts_for(role, i, j, x, y, z)
-        out = sampler.draw(ctx, u)
-        blocks.append((role, i, j, x, y, z, out, ctx))
-        single_counts += np.bincount(ctx_single[ctx], minlength=len(single_keys))
-        pair_counts += np.bincount(ctx_pair[ctx], minlength=len(pair_keys))
-        block += 1
-        if single_counts.min() >= t and pair_counts.min() >= t:
-            break
-    role, i, j, x, y, z, out, ctx = (np.concatenate([b[k] for b in blocks])
-                                     for k in range(8))
-    single_pos = _key_positions(ctx_single[ctx], len(single_keys))
-    pair_pos = _key_positions(ctx_pair[ctx], len(pair_keys))
-    stop = max(max(int(p[t - 1]) for p in single_pos),
-               max(int(p[t - 1]) for p in pair_pos))
-    keep = slice(0, stop + 1)
-    role, i, j, x, y, z, out, ctx = (arr[keep] for arr in (role, i, j, x, y, z, out, ctx))
-    single_pos = [p[p <= stop] for p in single_pos]
-    pair_pos = [p[p <= stop] for p in pair_pos]
+        ctx = ctx_of[role, pr, xyz]
+        return ctx, sampler.draw(ctx, rng.random(size))
 
-    a = 1 - 2 * (out // 4)          # single player's answer
-    eidx = out % 4
+    ctx, out, (single_seen, pair_seen) = _play_blocks(
+        params, int(4 * len(pairs) * t * 1.25) + 256, draw_block, [ctx_single, ctx_pair])
+    counts, tests = {}, []
+    for (pl, idx, xx), (count, hist) in zip(single_keys, single_seen):
+        counts[f"{pl}:single({idx},{xx})"] = count
+        f = _plus_frequency(hist, 4)
+        tests.append((f"{pl}:single({idx},{xx})", f,
+                      f"player {pl} single question ({idx},{xx}): bias {f:.4f}"))
+    for (pl, i1, y1, j1, z1), (count, hist) in zip(pair_keys, pair_seen):
+        counts[f"{pl}:pair({i1},{y1},{j1},{z1})"] = count
+        # outcome & 2 holds the answer for index i1, outcome & 1 the one for j1
+        for slot_label, bit in ((f"({i1},{y1})", 2), (f"({j1},{z1})", 1)):
+            f = _plus_frequency(hist, bit)
+            tests.append((f"{pl}:pair{i1}{y1}{j1}{z1}:{slot_label}", f,
+                          f"player {pl} pair ({i1},{y1},{j1},{z1}) slot {slot_label}: "
+                          f"bias {f:.4f}"))
+    cc, oo = np.indices((len(ctx_keys), 8))
+    role, i, j, x, y, z = np.moveaxis(np.array(ctx_keys)[cc], -1, 0)
+    a = 1 - 2 * (oo // 4)           # single player's answer
+    eidx = oo % 4
     b_first = 1 - 2 * (eidx // 2)   # pair player's answer for the first key slot
     b_second = 1 - 2 * (eidx % 2)
     # answer of the pair player for the SHARED index i (keys are i<j canonical)
     b_shared = np.where(i < j, b_first, b_second)
     b_other = np.where(i < j, b_second, b_first)
-    wins = ((a != b_shared).astype(int) == (x & y)).mean()
-
-    freqs, reasons = {}, []
-    counts = {}
-    for k, (pl, idx, xx) in enumerate(single_keys):
-        pos = single_pos[k][:t]
-        f = float((a[pos] == 1).mean())
-        freqs[f"{pl}:single({idx},{xx})"] = f
-        counts[f"{pl}:single({idx},{xx})"] = len(single_pos[k])
-        if abs(f - 0.5) >= params.delta:
-            reasons.append(f"player {pl} single question ({idx},{xx}): bias {f:.4f}")
-    for k, (pl, i1, y1, j1, z1) in enumerate(pair_keys):
-        pos = pair_pos[k][:t]
-        shared_is_first = i[pos] == i1
-        counts[f"{pl}:pair({i1},{y1},{j1},{z1})"] = len(pair_pos[k])
-        for slot_label, ans in (
-                (f"({i1},{y1})", np.where(shared_is_first, b_shared[pos], b_other[pos])),
-                (f"({j1},{z1})", np.where(shared_is_first, b_other[pos], b_shared[pos]))):
-            f = float((ans == 1).mean())
-            freqs[f"{pl}:pair{i1}{y1}{j1}{z1}:{slot_label}"] = f
-            if abs(f - 0.5) >= params.delta:
-                reasons.append(f"player {pl} pair ({i1},{y1},{j1},{z1}) slot {slot_label}: "
-                               f"bias {f:.4f}")
-    return ProtocolTranscript(
-        "two_out_of_n", params, len(role),
-        {"role": role, "i": i, "j": j, "x": x, "y": y, "z": z,
-         "a": a, "b_shared": b_shared, "b_other": b_other},
-        counts, freqs, not reasons, reasons, float(wins))
+    tables = {"role": role, "i": i, "j": j, "x": x, "y": y, "z": z,
+              "a": a, "b_shared": b_shared, "b_other": b_other,
+              "win": (a != b_shared).astype(int) == (x & y)}
+    return _transcript("two_out_of_n", params, ctx, out, tables, counts, tests)
 
 
 def run_protocol(params: ProtocolParams, strategy) -> ProtocolTranscript:
@@ -514,10 +465,16 @@ def run_protocol(params: ProtocolParams, strategy) -> ProtocolTranscript:
 # lean fixed-round statistics (for estimation experiments)
 
 
+def _check_round_count(n_rounds) -> None:
+    if isinstance(n_rounds, bool) or not isinstance(n_rounds, (int, np.integer)) or n_rounds < 1:
+        raise ValidationError(f"the round count must be an integer >= 1, got {n_rounds!r}")
+
+
 def play_chsh_rounds(strategy: ChshStrategy, rho: float, n_rounds: int,
                      seed: int) -> float:
     """Empirical CHSH win rate over a fixed number of rounds (vectorized:
     multinomial question counts, then multinomial outcomes per context)."""
+    _check_round_count(n_rounds)
     sampler = ChshSampler(strategy, rho)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     per_q = rng.multinomial(n_rounds, np.full(4, 0.25))
@@ -536,6 +493,7 @@ def play_chsh_rounds(strategy: ChshStrategy, rho: float, n_rounds: int,
 def play_ms_rounds(strategy: MagicSquareStrategy, rho: float, n_rounds: int,
                    seed: int) -> tuple[float, float]:
     """(win rate, consistency rate) over a fixed number of rounds."""
+    _check_round_count(n_rounds)
     sampler = MagicSquareSampler(strategy, rho)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     per_ctx = rng.multinomial(n_rounds, np.full(18, 1.0 / 18))

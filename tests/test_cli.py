@@ -229,6 +229,26 @@ def test_simulate_include_rounds_golden_digest(tmp_path, capsys, game, n, t, rho
     assert out_path.read_text() == out
 
 
+# Multi-block runs recorded before the sampling and stopping layers were
+# rewritten; see GOLDEN_CSV_MULTI_BLOCK in test_protocols.py.
+GOLDEN_SIMULATE_MULTI_BLOCK = {
+    ("two_out_of_n", 5, 100, 3, 0.9):
+        "d570a2027c981a2840ca3111c87390f596112f3eb309a8e89a11a5244ad2aa36",
+    ("magic_square", 1, 1000, 1, 0.9):
+        "bd348d68805b2834365a4a2f43d77271217d706a512d138039dd0c9b93bd151d",
+}
+
+
+@pytest.mark.parametrize("game, n, t, seed, rho", list(GOLDEN_SIMULATE_MULTI_BLOCK))
+def test_simulate_include_rounds_golden_digest_multi_block(capsys, game, n, t, seed, rho):
+    code, out, _ = run_cli(capsys, "simulate", "--game", game, "--n", str(n), "--rho", str(rho),
+                           "--t", str(t), "--p", "0.05", "--seed", str(seed),
+                           "--include-rounds")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_SIMULATE_MULTI_BLOCK[(game, n, t, seed, rho)]
+
+
 def _fresh_python(*args):
     src = str(Path(noisygames.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -281,3 +301,35 @@ def test_threads_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "eval", "--rho", "0.5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["estimate-rho", "--rho-true", "0.7", "--rounds", "0"], "--rounds must be at least 1, got 0"),
+    (["estimate-rho", "--rho-true", "0.7", "--rounds", "-5"],
+     "--rounds must be at least 1, got -5"),
+    (["estimate-rho", "--game", "magic_square", "--rho-true", "0.7", "--rounds", "0"],
+     "--rounds must be at least 1, got 0"),
+    (["estimate-rho", "--statistic", "0.8", "--rounds", "0"], "--rounds must be at least 1, got 0"),
+    (["certify", "--game", "magic_square", "--rho", "0.8", "--variable", "9,9"],
+     "--variable must be i,j with i and j in 1..3, got '9,9'"),
+    (["certify", "--game", "magic_square", "--rho", "0.8", "--variable", "a"],
+     "--variable must be i,j with i and j in 1..3, got 'a'"),
+    (["estimate-rho", "--transcript", "{no_game}"],
+     "--transcript {no_game}: need a simulate JSON object with 'game' and 'tPrime' keys"),
+    (["estimate-rho", "--transcript", "{a_list}"],
+     "--transcript {a_list}: need a simulate JSON object with 'game' and 'tPrime' keys"),
+    (["simulate", "--game", "two_out_of_n", "--n", "1", "--rho", "0.8", "--t", "5"],
+     "2-out-of-n rounds need n >= 2 indices, got n = 1"),
+], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
+        "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
+        "transcript-not-an-object", "two-out-of-one"])
+def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
+    files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json"}
+    files["no_game"].write_text(json.dumps({"tPrime": 10, "empiricalWinRate": 0.8}))
+    files["a_list"].write_text("[1, 2]")
+    names = {key: str(path) for key, path in files.items()}
+    code, out, err = run_cli(capsys, *[a.format(**names) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message.format(**names)}\n"

@@ -15,6 +15,8 @@ from noisygames.pauli import SIGMA_X, SIGMA_Z, ValidationError
 from noisygames.protocols import (
     ChshSampler,
     ProtocolParams,
+    TwoOutOfNSampler,
+    _sample_categories,
     derive_delta,
     estimate_noise_rate,
     play_chsh_rounds,
@@ -306,6 +308,78 @@ def test_transcript_csv_golden_digest(game, n, t, rho):
     tr = run_protocol(ProtocolParams(game, t, 0.05, seed=11, rho=rho), strategy)
     text = transcript_rounds_csv(tr)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CSV[(game, n, t, rho)]
+
+
+# Runs whose rounds span more than the first block (t' is above the first
+# block's size), recorded before the sampling and stopping layers were
+# rewritten: (game, n, t, seed, rho) -> (t', sha256 of transcript_rounds_csv).
+GOLDEN_CSV_MULTI_BLOCK = {
+    ("two_out_of_n", 5, 100, 3, 0.9):
+        (10756, "fcef04e23b18397210ec40222a7552917e564efb8c02afbf370f748d47d5f435"),
+    ("magic_square", 1, 1000, 1, 0.9):
+        (9648, "26d0501248aa279144de1b2ee08709861f1c8941e542dd8a244fa436558f0337"),
+}
+
+
+@pytest.mark.parametrize("game, n, t, seed, rho", list(GOLDEN_CSV_MULTI_BLOCK))
+def test_transcript_csv_golden_digest_multi_block(game, n, t, seed, rho):
+    strategy = {"magic_square": canonical_magic_square_strategy,
+                "two_out_of_n": canonical_two_out_of_n_strategy}[game](n)
+    tr = run_protocol(ProtocolParams(game, t, 0.05, seed=seed, rho=rho), strategy)
+    first_block = {"magic_square": int(9.3 * t) + 128,
+                   "two_out_of_n": int(4 * n * (n - 1) * t * 1.25) + 256}[game]
+    t_prime, digest = GOLDEN_CSV_MULTI_BLOCK[(game, n, t, seed, rho)]
+    assert tr.t_prime == t_prime > first_block
+    assert hashlib.sha256(transcript_rounds_csv(tr).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("game, n", [("chsh", 1), ("magic_square", 1), ("two_out_of_n", 3)])
+def test_round_columns_are_int64(game, n):
+    strategy = {"chsh": canonical_chsh_strategy,
+                "magic_square": canonical_magic_square_strategy,
+                "two_out_of_n": canonical_two_out_of_n_strategy}[game](n)
+    tr = run_protocol(ProtocolParams(game, 30, 0.05, seed=2, rho=0.8), strategy)
+    for name, column in tr.rounds.items():
+        assert column.dtype == np.int64, name
+        assert column.shape == (tr.t_prime,), name
+
+
+@pytest.mark.parametrize("n_cat", [4, 8, 16])
+def test_sample_categories_matches_full_gather(n_cat):
+    rng = np.random.default_rng(n_cat)
+    n_ctx, rounds = 7, 5000
+    tables = rng.random((n_ctx, n_cat))
+    tables[rng.random((n_ctx, n_cat)) < 0.3] = 0.0  # zero-mass categories
+    tables[:, 0] = 0.0
+    tables[1, :] = 0.0
+    tables[1, -1] = 1.0
+    tables /= tables.sum(axis=1, keepdims=True)
+    cum = np.cumsum(tables, axis=1)
+    ctx = rng.integers(0, n_ctx, size=rounds).astype(np.uint8)
+    u = rng.random(rounds)
+    u[:200] = cum[ctx[:200], rng.integers(0, n_cat, size=200)]  # ties with a bound
+    u[200:300] = np.nextafter(cum[ctx[200:300], -1], 2.0)       # above the last bound
+    u[300:310] = 0.0
+    out = _sample_categories(cum, ctx, u)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, (u[:, None] > cum[ctx]).sum(axis=1))
+    assert (out[200:300] == n_cat).all()
+
+
+def test_two_out_of_n_needs_two_indices():
+    strategy = canonical_two_out_of_n_strategy(1)
+    with pytest.raises(ValidationError, match="n >= 2"):
+        run_protocol(ProtocolParams("two_out_of_n", 5, 0.05, seed=0, rho=0.8), strategy)
+    with pytest.raises(ValidationError, match="n >= 2"):
+        TwoOutOfNSampler(strategy, 0.8)
+
+
+@pytest.mark.parametrize("n_rounds", [0, -5, 2.5, True])
+def test_play_rounds_reject_bad_round_counts(n_rounds):
+    with pytest.raises(ValidationError, match="round count"):
+        play_chsh_rounds(canonical_chsh_strategy(1), 0.7, n_rounds, seed=1)
+    with pytest.raises(ValidationError, match="round count"):
+        play_ms_rounds(canonical_magic_square_strategy(1), 0.7, n_rounds, seed=1)
 
 
 def test_block_streams_independent_of_order():
