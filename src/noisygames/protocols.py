@@ -241,7 +241,7 @@ def sample_round(strategy, noise, questions, rng: np.random.Generator):
 
 # ---------------------------------------------------------------------------
 # protocol runners: blocks of (context, outcome) rounds, one stable sort per
-# player's key set for the stopping round, first-t positions and counts
+# player's key set for the stopping round, the counts and first-t histograms
 
 
 def _key_positions(ids: np.ndarray, n_keys: int) -> list:
@@ -306,6 +306,8 @@ def _transcript(game, params, ctx, out, tables, counts, tests):
 
 
 def _id_table(values) -> np.ndarray:
+    """Integer ids in the narrowest dtype that holds them: a stable argsort
+    over 16-bit or narrower ids is a radix sort."""
     values = np.asarray(values)
     return values.astype(np.min_scalar_type(values.max()))
 
