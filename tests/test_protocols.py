@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from scipy import stats
 
 from noisygames.games import (
     ChshStrategy,
+    MagicSquareStrategy,
+    TwoOutOfNStrategy,
     add_trace_bias,
     canonical_chsh_strategy,
     canonical_magic_square_strategy,
@@ -26,6 +29,7 @@ from noisygames.protocols import (
     trace_soundness_bound,
     transcript_rounds_csv,
 )
+from noisygames.serialize import transcript_to_json
 from noisygames.states import make_depolarized_epr
 
 
@@ -398,3 +402,105 @@ def test_unknown_game_rejected():
     with pytest.raises(ValidationError):
         run_protocol(ProtocolParams("ghz", 10, 0.1, seed=0, rho=0.5),
                      canonical_chsh_strategy(1))
+
+
+# Values recorded before the three games shared one runner and one player:
+# (seed, rounds) -> play_chsh_rounds and play_ms_rounds at rho 0.7.
+GOLDEN_PLAY = {
+    (21, 1000): (0.746, (0.839, 0.839)),
+    (21, 100000): (0.74379, (0.84865, 0.84865)),
+    (5, 1000): (0.759, (0.826, 0.826)),
+    (5, 100000): (0.7478, (0.85026, 0.85026)),
+}
+
+
+@pytest.mark.parametrize("seed, n_rounds", list(GOLDEN_PLAY))
+def test_play_rounds_golden_values(seed, n_rounds):
+    chsh, ms = GOLDEN_PLAY[(seed, n_rounds)]
+    assert play_chsh_rounds(canonical_chsh_strategy(1), 0.7, n_rounds, seed) == chsh
+    assert play_ms_rounds(canonical_magic_square_strategy(1), 0.7, n_rounds, seed) == ms
+
+
+def _signs(answer) -> str:
+    """A sample_round answer flattened to '+'/'-', one per Python int."""
+    if isinstance(answer, tuple):
+        return "".join(_signs(v) for v in answer)
+    assert type(answer) is int
+    return "+" if answer == 1 else "-"
+
+
+def test_sample_round_golden_answers():
+    # one rng over every context of each game, in this order; recorded before
+    # sample_round decoded answers from the runner's column tables
+    rng = np.random.default_rng(17)
+    chsh = [sample_round(canonical_chsh_strategy(1), 0.8, (x, y), rng)
+            for x in (0, 1) for y in (0, 1)]
+    ms = [sample_round(canonical_magic_square_strategy(1), 0.8, (q, slot), rng)
+          for q in ("r1", "r2", "r3", "c1", "c2", "c3") for slot in (1, 2, 3)]
+    two = canonical_two_out_of_n_strategy(2)
+    pairs = [sample_round(two, 0.8, (role, i, j, x, y, z), rng)
+             for role in (0, 1) for i, j in ((1, 2), (2, 1))
+             for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    assert " ".join(map(_signs, chsh)) == "-- ++ -+ +-"
+    assert " ".join(map(_signs, ms)) == (
+        "++++ +--- +--- -+-- -+-- ++++ +--+ -+-+ ++++ --+- --+- ++++ -+-- -+-+ ++++ "
+        "++-+ ++-+ +-++")
+    assert " ".join(map(_signs, pairs)) == (
+        "-+- +-- --- --- +-+ ++- +-- -+- ++- --- --+ +-+ --+ --+ -++ ++- "
+        "--+ +-- --+ -++ +++ --- +++ +-- +++ ++- --+ -++ --+ +-- -+- +--")
+
+
+def _biased_povm(povm, weight):
+    """The POVM mixed toward answering outcome 0 (every answer +1)."""
+    out = (1 - weight) * povm
+    out[0] = out[0] + weight * np.eye(povm.shape[1])
+    return out
+
+
+def _rejected_strategy(game):
+    if game == "chsh":
+        base = canonical_chsh_strategy(1)
+        return ChshStrategy(1, (add_trace_bias(base.alice[0], 0.2), base.alice[1]),
+                            (base.bob[0], add_trace_bias(base.bob[1], -0.2)))
+    if game == "magic_square":
+        base = canonical_magic_square_strategy(1)
+        povms, bob = dict(base.alice_povms), dict(base.bob_observables)
+        povms["c2"] = _biased_povm(povms["c2"], 0.5)
+        bob[(2, 3)] = add_trace_bias(bob[(2, 3)], 0.5)
+        return MagicSquareStrategy(1, povms, bob)
+    base = canonical_two_out_of_n_strategy(2)
+    singles, pairs = dict(base.bob_singles), dict(base.alice_pair_povms)
+    singles[(1, 0)] = add_trace_bias(singles[(1, 0)], 0.5)
+    pairs[(1, 1, 2, 0)] = _biased_povm(pairs[(1, 1, 2, 0)], 0.5)
+    return TwoOutOfNStrategy(2, 2, base.alice_singles, singles, pairs, base.bob_pair_povms)
+
+
+# Rejecting runs, recorded before the three runners became one:
+# (game, t, seed) -> (reject reasons, sha256 of json.dumps(transcript_to_json)
+# with rounds).  These pin the reason strings and the order of the counts and
+# trace frequencies as well as the rounds.
+GOLDEN_REJECTED = {
+    ("chsh", 2000, 0): (
+        ["player A question 0: |0.6015 - 1/2| >= delta",
+         "player B question 1: |0.4185 - 1/2| >= delta"],
+        "254f5abf53a45cc15a36c23ea4a63bfc2762f2b9383ffa8e14a61210a78184cf"),
+    ("magic_square", 800, 1): (
+        ["Alice c2 variable s12: bias 0.7188", "Alice c2 variable s22: bias 0.7412",
+         "Alice c2 variable s32: bias 0.7600", "Bob variable s23: bias 0.7662"],
+        "115b39388929456b49e8805788a55052d33e26f4860c9cb4d73197a061d12325"),
+    ("two_out_of_n", 800, 3): (
+        ["player B single question (1,0): bias 0.7188",
+         "player A pair (1,1,2,0) slot (1,1): bias 0.7450",
+         "player A pair (1,1,2,0) slot (2,0): bias 0.7625"],
+        "8443cff226cf17cb492310f668f74852473229b0e1fa8cf95339667e375ac310"),
+}
+
+
+@pytest.mark.parametrize("game, t, seed", list(GOLDEN_REJECTED))
+def test_rejecting_transcript_golden_digest(game, t, seed):
+    tr = run_protocol(ProtocolParams(game, t, 0.01, seed=seed, rho=0.8), _rejected_strategy(game))
+    reasons, digest = GOLDEN_REJECTED[(game, t, seed)]
+    assert not tr.accept
+    assert tr.reject_reasons == reasons
+    text = json.dumps(transcript_to_json(tr, include_rounds=True))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
