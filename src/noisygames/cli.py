@@ -187,8 +187,11 @@ def cmd_estimate_rho(args) -> int:
                              "object with 'game' and 'tPrime' keys")
         statistic = doc.get("empiricalConsistencyRate"
                             if doc["game"] == "magic_square" else "empiricalWinRate")
-        est = estimate_noise_rate(doc["game"], statistic=statistic,
-                                  n_rounds=doc["tPrime"], confidence=args.confidence)
+        try:
+            est = estimate_noise_rate(doc["game"], statistic=statistic,
+                                      n_rounds=doc["tPrime"], confidence=args.confidence)
+        except ValueError as exc:
+            raise ValueError(f"--transcript {args.transcript}: {exc}") from None
     elif args.rounds < 1:
         raise ValueError(f"--rounds must be at least 1, got {args.rounds}")
     elif args.statistic is not None:
@@ -376,7 +379,7 @@ def main(argv=None) -> int:
         if hasattr(args, "seed"):
             args.seed = _resolve_seed(args.seed)
         return args.func(args)
-    except (FileNotFoundError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -10,6 +10,7 @@ this identity; dense joint-state evaluation is kept as a cross-check path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -503,44 +504,34 @@ def perturbed_two_out_of_n_strategy(n: int, theta: float,
 # evaluation
 
 
-@dataclass
-class NoiseModel:
-    """Per-index coefficient weights plus the bases they refer to."""
-
-    basis_a: StandardBasis
-    basis_b: StandardBasis
-    weights: np.ndarray
-
-    @classmethod
-    def depolarizing(cls, rho: float, m: int = 2) -> "NoiseModel":
-        if not 0.0 <= rho <= 1.0:
-            raise ValidationError(f"fidelity parameter must lie in [0, 1], got {rho}")
-        base = default_basis(m)
-        w = np.full(m * m, rho)
-        w[0] = 1.0
-        return cls(base, base.transposed(), w)
-
-    @classmethod
-    def from_spectrum(cls, spectrum: CorrelationSpectrum) -> "NoiseModel":
-        return cls(spectrum.basis_a, spectrum.basis_b, np.asarray(spectrum.values, dtype=float))
-
-
-def resolve_noise(noise, m: int = 2) -> NoiseModel:
-    if isinstance(noise, NoiseModel):
-        return noise
-    if isinstance(noise, CorrelationSpectrum):
-        return NoiseModel.from_spectrum(noise)
-    if np.isscalar(noise):
-        return NoiseModel.depolarizing(float(noise), m)
-    raise ValidationError(f"unsupported noise specification: {noise!r}")
+@functools.cache
+def _basis_pair(m: int) -> tuple[StandardBasis, StandardBasis]:
+    """The default basis of local dimension m and its transpose, built and
+    validated once per process (both are immutable)."""
+    base = default_basis(m)
+    return base, base.transposed()
 
 
 class PairEvaluator:
     """Caches expansions so repeated pairings against the same operators are
-    cheap; the workhorse behind every game value below."""
+    cheap; the workhorse behind every game value below.
+
+    noise is a fidelity rho (depolarizing, in the default bases of local
+    dimension m) or a CorrelationSpectrum (its bases and values)."""
 
     def __init__(self, noise, m: int = 2):
-        self.model = resolve_noise(noise, m)
+        if isinstance(noise, CorrelationSpectrum):
+            self.basis_a, self.basis_b = noise.basis_a, noise.basis_b
+            self.weights = np.asarray(noise.values, dtype=float)
+        elif np.isscalar(noise):
+            rho = float(noise)
+            if not 0.0 <= rho <= 1.0:
+                raise ValidationError(f"fidelity parameter must lie in [0, 1], got {rho}")
+            self.basis_a, self.basis_b = _basis_pair(m)
+            self.weights = np.full(m * m, rho)
+            self.weights[0] = 1.0
+        else:
+            raise ValidationError(f"unsupported noise specification: {noise!r}")
         # keyed by id(); the cached entry keeps the array alive so ids are
         # never recycled under us
         self._cache_a: dict[int, tuple] = {}
@@ -549,19 +540,19 @@ class PairEvaluator:
     def expand_a(self, op: np.ndarray) -> PauliExpansion:
         key = id(op)
         if key not in self._cache_a:
-            self._cache_a[key] = (op, pauli_expand(op, self.model.basis_a))
+            self._cache_a[key] = (op, pauli_expand(op, self.basis_a))
         return self._cache_a[key][1]
 
     def expand_b(self, op: np.ndarray) -> PauliExpansion:
         key = id(op)
         if key not in self._cache_b:
-            self._cache_b[key] = (op, pauli_expand(op, self.model.basis_b))
+            self._cache_b[key] = (op, pauli_expand(op, self.basis_b))
         return self._cache_b[key][1]
 
     def pair(self, op_a: np.ndarray, op_b: np.ndarray) -> float:
         """Expectation of op_a (x) op_b under the shared noisy state."""
         return noisy_epr_expectation(self.expand_a(op_a), self.expand_b(op_b),
-                                     self.model.weights)
+                                     self.weights)
 
 
 @dataclass

@@ -64,15 +64,6 @@ def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
     return hs_norm(a - b)
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Normalized Hilbert-Schmidt inner product Tr(A* B)/d (real part)."""
-    a = _as_square(a)
-    b = _as_square(b)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.tensordot(a.conj(), b, axes=2).real) / a.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # standard orthonormal bases
 

@@ -1,10 +1,14 @@
 """Monte-Carlo simulation of the game-repetition + trace-test protocols under
 the i.i.d. assumption, plus Hoeffding-based noise-rate estimation.
 
-Determinism: rounds are generated in fixed-size blocks, each from a Philox
-bit generator keyed by (master seed, block index).  Blocks are independent
-streams, so transcripts are reproducible byte-for-byte and trial generation
-could be farmed out block-parallel without changing results.
+Determinism: rounds are generated in blocks, each from a Philox bit
+generator keyed by (master seed, block index).  The first block of a run
+holds max(est(t), 8192) rounds, where est(t) is the game's estimate of the
+rounds needed for every tracked question to come up t times; each later
+block holds 8192.  Blocks are independent streams, so transcripts are
+reproducible byte-for-byte and blocks could be drawn in parallel without
+changing results.  Because the first block's size depends on t, the rounds
+drawn for one seed change with t.
 
 Interpretation note: trace-test counts reuse the game rounds themselves (the
 protocol counts answers "when asked question x" within the same repetitions);
@@ -13,6 +17,7 @@ transcripts carry this note.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +135,7 @@ class ChshSampler:
 
     def exact_table(self) -> np.ndarray:
         """(4 contexts, 4 outcomes); context 2x+y, outcome 2 bit(a)+bit(b)."""
-        out = np.diff(np.concatenate([np.zeros((4, 1)), self.cum], axis=1), axis=1)
-        return out
+        return np.diff(self.cum, axis=1, prepend=0.0)
 
     def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
         return _sample_categories(self.cum, ctx, u)
@@ -143,9 +147,8 @@ class MagicSquareSampler:
 
     def __init__(self, strategy: MagicSquareStrategy, rho: float):
         ev = PairEvaluator(rho, m=4)
-        self.contexts = []  # (question index, slot)
         tables = []
-        for xi, q in enumerate(MS_QUESTIONS):
+        for q in MS_QUESTIONS:
             povm = strategy.alice_povms[q]
             masses = [normalized_trace(e) for e in povm]
             for slot, (i, j) in enumerate(ms_question_variables(q), start=1):
@@ -155,7 +158,6 @@ class MagicSquareSampler:
                     corr = ev.pair(povm[ai], bob)
                     row[2 * ai] = (masses[ai] + corr) / 2      # b = +1
                     row[2 * ai + 1] = (masses[ai] - corr) / 2  # b = -1
-                self.contexts.append((xi, slot))
                 tables.append(row)
         self.cum = _cumulative_table(tables)
 
@@ -171,13 +173,12 @@ class TwoOutOfNSampler:
         if strategy.n < 2:
             raise ValidationError(f"2-out-of-n rounds need n >= 2 indices, got n = {strategy.n}")
         ev = PairEvaluator(rho)
-        self.n = strategy.n
-        self.strategy = strategy
+        n = strategy.n
         self.context_index = {}
         tables = []
         for role in (0, 1):
-            for i in range(1, self.n + 1):
-                for j in range(1, self.n + 1):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
                     if i == j:
                         continue
                     for x in (0, 1):
@@ -205,6 +206,161 @@ class TwoOutOfNSampler:
         return _sample_categories(self.cum, ctx, u)
 
 
+# ---------------------------------------------------------------------------
+# per-game tables: each game defines here, once, what its contexts and
+# outcomes mean to the runner, the fixed-round player and sample_round
+
+
+def _id_table(values) -> np.ndarray:
+    """Integer ids in the narrowest dtype that holds them: a stable argsort
+    over 16-bit or narrower ids is a radix sort."""
+    values = np.asarray(values)
+    return values.astype(np.min_scalar_type(values.max()))
+
+
+_MS_OUTCOME_SIGNS = np.array(ms_outcomes())  # (8, 3) of +-1
+_MS_PARITY = np.array([int(np.prod(a)) for a in ms_outcomes()])
+_MS_PARITY_TARGET = np.array([ms_parity_target(q) for q in MS_QUESTIONS])
+_MS_VARIABLES = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+# context 3 * question + slot - 1 -> index of its variable in _MS_VARIABLES
+_MS_CTX_VARIABLE = _id_table([_MS_VARIABLES.index(v) for q in MS_QUESTIONS
+                              for v in ms_question_variables(q)])
+
+
+@dataclass
+class _Game:
+    """One game's protocol tables, over the sampler's contexts (rows of its
+    table) and outcome categories.
+
+    questions: per context, its questions in the form sample_round takes.
+    draw_contexts(rng, size): one block's context ids; the outcomes' uniforms
+    are drawn after them.
+    columns: per (context, outcome), the value of each transcript round
+    column, plus a bool "win" table and, for the magic square, "consistent".
+    key_sets: per key set, a context -> key id table and, per key, its count
+    label and its trace tests (label, the outcome bit set where the answer is
+    -1, reject reason with an {f} field for the frequency of +1).
+    first_block(t): the size of the first block of a run.
+    answer(values): sample_round's answers from the column values of one
+    (context, outcome).
+    """
+
+    sampler: object
+    questions: list
+    draw_contexts: Callable
+    columns: dict
+    key_sets: list
+    first_block: Callable
+    answer: Callable
+
+
+def _chsh_game(strategy: ChshStrategy, rho: float) -> _Game:
+    def draw_contexts(rng, size):
+        return rng.integers(0, 4, size=size).astype(np.uint8)
+
+    # context 2x + y, outcome 2 bit(a) + bit(b); Alice's key is x, Bob's y
+    qq, oo = np.indices((4, 4))
+    x, y = qq // 2, qq % 2
+    a, b = 1 - 2 * (oo // 2), 1 - 2 * (oo % 2)
+    key_sets = [(_id_table(keys), [
+        (f"{pl}{q}", [(f"{pl}{q}", bit, f"player {pl} question {q}: |{{f:.4f}} - 1/2| >= delta")])
+        for q in (0, 1)]) for pl, keys, bit in (("A", [0, 0, 1, 1], 2), ("B", [0, 1, 0, 1], 1))]
+    return _Game(ChshSampler(strategy, rho), [divmod(c, 2) for c in range(4)], draw_contexts,
+                 {"x": x, "y": y, "a": a, "b": b, "win": (a != b).astype(int) == (x & y)},
+                 key_sets, lambda t: int(2.2 * t) + 64, lambda v: (v["a"], v["b"]))
+
+
+def _ms_game(strategy: MagicSquareStrategy, rho: float) -> _Game:
+    def draw_contexts(rng, size):
+        q = rng.integers(0, 6, size=size).astype(np.uint8)
+        slot = rng.integers(1, 4, size=size).astype(np.uint8)
+        return 3 * q + slot - 1
+
+    # context 3 question + slot - 1, outcome 2 a_idx + bit(b)
+    cc, oo = np.indices((18, 16))
+    q, slot = cc // 3, cc % 3 + 1
+    a_idx = oo // 2
+    b = 1 - 2 * (oo % 2)
+    consistent = _MS_OUTCOME_SIGNS[a_idx, slot - 1] == b
+    # Alice's key is the question, Bob's the variable of (question, slot).
+    # a_idx holds Alice's answer bits in slot order (ms_outcomes): slot sl is
+    # the outcome bit 16 >> sl
+    alice = [(f"A:{question}", [
+        (f"A:{question}:s{i}{j}", 16 >> sl, f"Alice {question} variable s{i}{j}: bias {{f:.4f}}")
+        for sl, (i, j) in enumerate(ms_question_variables(question), start=1)])
+        for question in MS_QUESTIONS]
+    bob = [(f"B:s{i}{j}", [(f"B:s{i}{j}", 1, f"Bob variable s{i}{j}: bias {{f:.4f}}")])
+           for i, j in _MS_VARIABLES]
+    return _Game(MagicSquareSampler(strategy, rho),
+                 [(question, sl) for question in MS_QUESTIONS for sl in (1, 2, 3)], draw_contexts,
+                 {"question": q, "slot": slot, "alice_outcome": a_idx, "b": b,
+                  "win": (_MS_PARITY[a_idx] == _MS_PARITY_TARGET[q]) & consistent,
+                  "consistent": consistent},
+                 [(_id_table(np.arange(18) // 3), alice), (_MS_CTX_VARIABLE, bob)],
+                 lambda t: int(9.3 * t) + 128,
+                 lambda v: (ms_outcomes()[v["alice_outcome"]], v["b"]))
+
+
+def _two_out_of_n_game(strategy: TwoOutOfNStrategy, rho: float) -> _Game:
+    sampler = TwoOutOfNSampler(strategy, rho)
+    n = strategy.n
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    # tracked keys per player: single (i, x) and pair questions in canonical form
+    single_keys = [(pl, i, x) for pl in "AB" for i in range(1, n + 1) for x in (0, 1)]
+    pair_keys = [(pl, *pair_key(i, y, j, z)) for pl in "AB"
+                 for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 for y in (0, 1) for z in (0, 1)]
+    single_index = {key: k for k, key in enumerate(single_keys)}
+    pair_index = {key: k for k, key in enumerate(pair_keys)}
+    # per context (in id order): its (role, i, j, x, y, z) and the tracked key
+    # ids (the single player holds (i, x); the other the canonical pair question)
+    contexts = list(sampler.context_index)
+    ctx_single = _id_table([single_index[("AB"[rl], ii, xx)]
+                            for rl, ii, _, xx, _, _ in contexts])
+    ctx_pair = _id_table([pair_index[("BA"[rl], *pair_key(ii, yy, jj, zz))]
+                          for rl, ii, jj, _, yy, zz in contexts])
+    ctx_of = _id_table([[[sampler.context_index[(role, i, j, xyz // 4, (xyz // 2) % 2, xyz % 2)]
+                          for xyz in range(8)] for i, j in pairs] for role in (0, 1)])
+
+    def draw_contexts(rng, size):
+        role = rng.integers(0, 2, size=size)
+        pr = rng.integers(0, len(pairs), size=size)
+        xyz = rng.integers(0, 8, size=size)
+        return ctx_of[role, pr, xyz]
+
+    singles = [(f"{pl}:single({i},{x})", [
+        (f"{pl}:single({i},{x})", 4, f"player {pl} single question ({i},{x}): bias {{f:.4f}}")])
+        for pl, i, x in single_keys]
+    # outcome & 2 holds the answer for index i1, outcome & 1 the one for j1
+    pair_tests = [(f"{pl}:pair({i1},{y1},{j1},{z1})", [
+        (f"{pl}:pair{i1}{y1}{j1}{z1}:{slot}", bit,
+         f"player {pl} pair ({i1},{y1},{j1},{z1}) slot {slot}: bias {{f:.4f}}")
+        for slot, bit in ((f"({i1},{y1})", 2), (f"({j1},{z1})", 1))])
+        for pl, i1, y1, j1, z1 in pair_keys]
+    cc, oo = np.indices((len(contexts), 8))
+    role, i, j, x, y, z = np.moveaxis(np.array(contexts)[cc], -1, 0)
+    a = 1 - 2 * (oo // 4)           # single player's answer
+    eidx = oo % 4
+    b_first = 1 - 2 * (eidx // 2)   # pair player's answer for the first key slot
+    b_second = 1 - 2 * (eidx % 2)
+    # answer of the pair player for the SHARED index i (keys are i<j canonical)
+    b_shared = np.where(i < j, b_first, b_second)
+    b_other = np.where(i < j, b_second, b_first)
+    return _Game(sampler, contexts, draw_contexts,
+                 {"role": role, "i": i, "j": j, "x": x, "y": y, "z": z,
+                  "a": a, "b_shared": b_shared, "b_other": b_other,
+                  "win": (a != b_shared).astype(int) == (x & y)},
+                 [(ctx_single, singles), (ctx_pair, pair_tests)],
+                 lambda t: int(4 * len(pairs) * t * 1.25) + 256,
+                 lambda v: (v["a"], (v["b_shared"], v["b_other"])))
+
+
+# game name -> (strategy class, table builder)
+_GAMES = {"chsh": (ChshStrategy, _chsh_game),
+          "magic_square": (MagicSquareStrategy, _ms_game),
+          "two_out_of_n": (TwoOutOfNStrategy, _two_out_of_n_game)}
+
+
 def sample_round(strategy, noise, questions, rng: np.random.Generator):
     """Draw one round of joint answers for the given questions.
 
@@ -215,33 +371,20 @@ def sample_round(strategy, noise, questions, rng: np.random.Generator):
     (role, i, j, x, y, z) with role 0 when the first player holds the single
     index; answers (a, (b_shared, b_other)).
     """
-    rho = float(noise)
-    if isinstance(strategy, ChshStrategy):
-        sampler = ChshSampler(strategy, rho)
-        x, y = questions
-        out = int(sampler.draw(np.array([2 * x + y]), rng.random(1))[0])
-        return 1 - 2 * (out // 2), 1 - 2 * (out % 2)
-    if isinstance(strategy, MagicSquareStrategy):
-        sampler = MagicSquareSampler(strategy, rho)
-        question, slot = questions
-        ctx = 3 * MS_QUESTIONS.index(question) + (slot - 1)
-        out = int(sampler.draw(np.array([ctx]), rng.random(1))[0])
-        return ms_outcomes()[out // 2], 1 - 2 * (out % 2)
-    if isinstance(strategy, TwoOutOfNStrategy):
-        sampler = TwoOutOfNSampler(strategy, rho)
-        role, i, j, x, y, z = questions
-        ctx = sampler.context_index[(role, i, j, x, y, z)]
-        out = int(sampler.draw(np.array([ctx]), rng.random(1))[0])
-        a = 1 - 2 * (out // 4)
-        eidx = out % 4
-        b_first, b_second = 1 - 2 * (eidx // 2), 1 - 2 * (eidx % 2)
-        return a, ((b_first, b_second) if i < j else (b_second, b_first))
-    raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
+    build = next((build for cls, build in _GAMES.values() if isinstance(strategy, cls)), None)
+    if build is None:
+        raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
+    game = build(strategy, float(noise))
+    if tuple(questions) not in game.questions:
+        raise ValidationError(f"no question context {questions!r} in this game")
+    ctx = game.questions.index(tuple(questions))
+    out = int(game.sampler.draw(np.array([ctx]), rng.random(1))[0])
+    return game.answer({name: int(table[ctx, out]) for name, table in game.columns.items()})
 
 
 # ---------------------------------------------------------------------------
-# protocol runners: blocks of (context, outcome) rounds, one stable sort per
-# player's key set for the stopping round, the counts and first-t histograms
+# protocol runner: blocks of (context, outcome) rounds, one stable sort per
+# key set for the stopping round, the counts and first-t histograms
 
 
 def _key_positions(ids: np.ndarray, n_keys: int) -> list:
@@ -252,23 +395,26 @@ def _key_positions(ids: np.ndarray, n_keys: int) -> list:
     return [order[bounds[k]: bounds[k + 1]] for k in range(n_keys)]
 
 
-def _play_blocks(params: ProtocolParams, est: int, draw_block, key_tables: list):
-    """Draw blocks of rounds until every key of every table has come up t times.
+def _play_blocks(params: ProtocolParams, game: _Game):
+    """Draw blocks of rounds until every key of every key set has come up t
+    times.
 
-    draw_block(rng, size) returns one block's context ids and outcome
-    categories; each key table maps a context id to one player's key id.
     Returns the context ids and outcomes up to the exact stopping round and,
-    per table and key, the number of its rounds up to that round and the
-    histogram of outcome categories over its first t rounds."""
+    per key set and key, the number of its rounds up to that round and the
+    histogram of outcome categories over its first t rounds.  The blocks and
+    sort orders are dropped on return, before any round column is built."""
     t = params.t
+    key_tables = [keys for keys, _ in game.key_sets]
+    first = max(game.first_block(t), _BLOCK)
     ctxs, outs = [], []
-    ctx_counts = np.zeros(len(key_tables[0]), dtype=np.int64)
+    ctx_counts = np.zeros(len(game.questions), dtype=np.int64)
     block = 0
     while True:
-        size = max(est, _BLOCK) if block == 0 else _BLOCK
-        ctx, out = draw_block(_rng_for_block(params.seed, block), size)
+        size = first if block == 0 else _BLOCK
+        rng = _rng_for_block(params.seed, block)
+        ctx = game.draw_contexts(rng, size)
         ctxs.append(ctx)
-        outs.append(out)
+        outs.append(game.sampler.draw(ctx, rng.random(size)))
         ctx_counts += np.bincount(ctx, minlength=len(ctx_counts))
         block += 1
         if all(np.bincount(keys, weights=ctx_counts).min() >= t for keys in key_tables):
@@ -289,178 +435,31 @@ def _plus_frequency(hist: np.ndarray, bit: int) -> float:
     return (t - int(hist[np.arange(len(hist)) & bit != 0].sum())) / t
 
 
-def _transcript(game, params, ctx, out, tables, counts, tests):
-    """Assemble a transcript.  tables: per (context, outcome) values of each
-    round column, plus a bool "win" table and, for the magic square, a bool
-    "consistent" one; tests: (label, first-t frequency of +1, reject reason)
-    per tracked answer."""
-    flat = ctx.astype(np.intp) * tables["win"].shape[1] + out
-    rounds = {name: table.ravel().take(flat) for name, table in tables.items()}
-    wins = rounds.pop("win").mean()
-    consistent = rounds.pop("consistent", None)
-    freqs = {label: f for label, f, _ in tests}
-    reasons = [reason for _, f, reason in tests if abs(f - 0.5) >= params.delta]
-    return ProtocolTranscript(
-        game, params, len(out), rounds, counts, freqs, not reasons, reasons, float(wins),
-        empirical_consistency_rate=None if consistent is None else float(consistent.mean()))
-
-
-def _id_table(values) -> np.ndarray:
-    """Integer ids in the narrowest dtype that holds them: a stable argsort
-    over 16-bit or narrower ids is a radix sort."""
-    values = np.asarray(values)
-    return values.astype(np.min_scalar_type(values.max()))
-
-
-def _run_chsh_protocol(params: ProtocolParams, strategy: ChshStrategy) -> ProtocolTranscript:
-    sampler = ChshSampler(strategy, params.rho)
-    t = params.t
-
-    def draw_block(rng, size):
-        q = rng.integers(0, 4, size=size).astype(np.uint8)
-        return q, sampler.draw(q, rng.random(size))
-
-    # context q = 2x + y; Alice's key is x, Bob's is y
-    q, out, (alice, bob) = _play_blocks(params, int(2.2 * t) + 64, draw_block,
-                                        [_id_table([0, 0, 1, 1]), _id_table([0, 1, 0, 1])])
-    counts, tests = {}, []
-    for label, keys, bit in (("A", alice, 2), ("B", bob, 1)):
-        for question, (count, hist) in enumerate(keys):
-            counts[f"{label}{question}"] = count
-            f = _plus_frequency(hist, bit)
-            tests.append((f"{label}{question}", f,
-                          f"player {label} question {question}: |{f:.4f} - 1/2| >= delta"))
-    qq, oo = np.indices((4, 4))
-    x, y = qq // 2, qq % 2
-    a = 1 - 2 * (oo // 2)
-    b = 1 - 2 * (oo % 2)
-    tables = {"x": x, "y": y, "a": a, "b": b, "win": (a != b).astype(int) == (x & y)}
-    return _transcript("chsh", params, q, out, tables, counts, tests)
-
-
-_MS_OUTCOME_SIGNS = np.array(ms_outcomes())  # (8, 3) of +-1
-_MS_PARITY = np.array([int(np.prod(a)) for a in ms_outcomes()])
-_MS_PARITY_TARGET = np.array([ms_parity_target(q) for q in MS_QUESTIONS])
-_MS_VARIABLES = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-# context 3 * question + slot - 1 -> index of its variable in _MS_VARIABLES
-_MS_CTX_VARIABLE = _id_table([_MS_VARIABLES.index(v) for q in MS_QUESTIONS
-                              for v in ms_question_variables(q)])
-
-
-def _run_ms_protocol(params: ProtocolParams, strategy: MagicSquareStrategy) -> ProtocolTranscript:
-    sampler = MagicSquareSampler(strategy, params.rho)
-    t = params.t
-
-    def draw_block(rng, size):
-        q = rng.integers(0, 6, size=size).astype(np.uint8)
-        slot = rng.integers(1, 4, size=size).astype(np.uint8)
-        ctx = 3 * q + slot - 1
-        return ctx, sampler.draw(ctx, rng.random(size))
-
-    # Alice's key is the question, Bob's the variable of (question, slot)
-    ctx, out, (alice, bob) = _play_blocks(params, int(9.3 * t) + 128, draw_block,
-                                          [_id_table(np.arange(18) // 3), _MS_CTX_VARIABLE])
-    counts, tests = {}, []
-    for question, (count, hist) in zip(MS_QUESTIONS, alice):
-        counts[f"A:{question}"] = count
-        for sl, (i, j) in enumerate(ms_question_variables(question), start=1):
-            # outcome = 2 a_idx + bit(b), and a_idx holds Alice's answer bits in
-            # slot order (ms_outcomes): slot sl is the bit 16 >> sl
-            f = _plus_frequency(hist, 16 >> sl)
-            tests.append((f"A:{question}:s{i}{j}", f,
-                          f"Alice {question} variable s{i}{j}: bias {f:.4f}"))
-    for (i, j), (count, hist) in zip(_MS_VARIABLES, bob):
-        counts[f"B:s{i}{j}"] = count
-        f = _plus_frequency(hist, 1)
-        tests.append((f"B:s{i}{j}", f, f"Bob variable s{i}{j}: bias {f:.4f}"))
-    cc, oo = np.indices((18, 16))
-    q, slot = cc // 3, cc % 3 + 1
-    a_idx = oo // 2
-    b = 1 - 2 * (oo % 2)
-    consistent = _MS_OUTCOME_SIGNS[a_idx, slot - 1] == b
-    tables = {"question": q, "slot": slot, "alice_outcome": a_idx, "b": b,
-              "win": (_MS_PARITY[a_idx] == _MS_PARITY_TARGET[q]) & consistent,
-              "consistent": consistent}
-    return _transcript("magic_square", params, ctx, out, tables, counts, tests)
-
-
-def _run_two_out_of_n_protocol(params: ProtocolParams,
-                               strategy: TwoOutOfNStrategy) -> ProtocolTranscript:
-    sampler = TwoOutOfNSampler(strategy, params.rho)
-    n = strategy.n
-    t = params.t
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    # tracked keys per player: single (i, x) and pair questions in canonical form
-    single_keys = [(pl, i, x) for pl in "AB" for i in range(1, n + 1) for x in (0, 1)]
-    pair_keys = [(pl, *pair_key(i, y, j, z)) for pl in "AB"
-                 for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                 for y in (0, 1) for z in (0, 1)]
-    single_index = {key: k for k, key in enumerate(single_keys)}
-    pair_index = {key: k for k, key in enumerate(pair_keys)}
-    # per context: its (role, i, j, x, y, z) and the tracked key ids (the
-    # single player holds (i, x); the other the canonical pair question)
-    ctx_keys = sorted(sampler.context_index, key=sampler.context_index.get)
-    ctx_single = _id_table([single_index[("AB"[rl], ii, xx)]
-                            for rl, ii, _, xx, _, _ in ctx_keys])
-    ctx_pair = _id_table([pair_index[("BA"[rl], *pair_key(ii, yy, jj, zz))]
-                          for rl, ii, jj, _, yy, zz in ctx_keys])
-    ctx_of = _id_table([[[sampler.context_index[(role, i, j, xyz // 4, (xyz // 2) % 2, xyz % 2)]
-                          for xyz in range(8)] for i, j in pairs] for role in (0, 1)])
-
-    def draw_block(rng, size):
-        role = rng.integers(0, 2, size=size)
-        pr = rng.integers(0, len(pairs), size=size)
-        xyz = rng.integers(0, 8, size=size)
-        ctx = ctx_of[role, pr, xyz]
-        return ctx, sampler.draw(ctx, rng.random(size))
-
-    ctx, out, (single_seen, pair_seen) = _play_blocks(
-        params, int(4 * len(pairs) * t * 1.25) + 256, draw_block, [ctx_single, ctx_pair])
-    counts, tests = {}, []
-    for (pl, idx, xx), (count, hist) in zip(single_keys, single_seen):
-        counts[f"{pl}:single({idx},{xx})"] = count
-        f = _plus_frequency(hist, 4)
-        tests.append((f"{pl}:single({idx},{xx})", f,
-                      f"player {pl} single question ({idx},{xx}): bias {f:.4f}"))
-    for (pl, i1, y1, j1, z1), (count, hist) in zip(pair_keys, pair_seen):
-        counts[f"{pl}:pair({i1},{y1},{j1},{z1})"] = count
-        # outcome & 2 holds the answer for index i1, outcome & 1 the one for j1
-        for slot_label, bit in ((f"({i1},{y1})", 2), (f"({j1},{z1})", 1)):
-            f = _plus_frequency(hist, bit)
-            tests.append((f"{pl}:pair{i1}{y1}{j1}{z1}:{slot_label}", f,
-                          f"player {pl} pair ({i1},{y1},{j1},{z1}) slot {slot_label}: "
-                          f"bias {f:.4f}"))
-    cc, oo = np.indices((len(ctx_keys), 8))
-    role, i, j, x, y, z = np.moveaxis(np.array(ctx_keys)[cc], -1, 0)
-    a = 1 - 2 * (oo // 4)           # single player's answer
-    eidx = oo % 4
-    b_first = 1 - 2 * (eidx // 2)   # pair player's answer for the first key slot
-    b_second = 1 - 2 * (eidx % 2)
-    # answer of the pair player for the SHARED index i (keys are i<j canonical)
-    b_shared = np.where(i < j, b_first, b_second)
-    b_other = np.where(i < j, b_second, b_first)
-    tables = {"role": role, "i": i, "j": j, "x": x, "y": y, "z": z,
-              "a": a, "b_shared": b_shared, "b_other": b_other,
-              "win": (a != b_shared).astype(int) == (x & y)}
-    return _transcript("two_out_of_n", params, ctx, out, tables, counts, tests)
-
-
 def run_protocol(params: ProtocolParams, strategy) -> ProtocolTranscript:
     """Play game rounds until every tracked (player, question) count reaches
     t, then apply the bias test over the first t trials of each question."""
-    if params.game == "chsh":
-        if not isinstance(strategy, ChshStrategy):
-            raise ValidationError("chsh protocol needs a ChshStrategy")
-        return _run_chsh_protocol(params, strategy)
-    if params.game == "magic_square":
-        if not isinstance(strategy, MagicSquareStrategy):
-            raise ValidationError("magic_square protocol needs a MagicSquareStrategy")
-        return _run_ms_protocol(params, strategy)
-    if params.game == "two_out_of_n":
-        if not isinstance(strategy, TwoOutOfNStrategy):
-            raise ValidationError("two_out_of_n protocol needs a TwoOutOfNStrategy")
-        return _run_two_out_of_n_protocol(params, strategy)
-    raise ValidationError(f"unknown game {params.game!r}")
+    if params.game not in _GAMES:
+        raise ValidationError(f"unknown game {params.game!r}")
+    cls, build = _GAMES[params.game]
+    if not isinstance(strategy, cls):
+        raise ValidationError(f"{params.game} protocol needs a {cls.__name__}")
+    game = build(strategy, params.rho)
+    ctx, out, seen = _play_blocks(params, game)
+    counts, freqs, reasons = {}, {}, []
+    for (_, keys), key_seen in zip(game.key_sets, seen):
+        for (label, tests), (count, hist) in zip(keys, key_seen):
+            counts[label] = count
+            for test, bit, reason in tests:
+                f = freqs[test] = _plus_frequency(hist, bit)
+                if abs(f - 0.5) >= params.delta:
+                    reasons.append(reason.format(f=f))
+    flat = ctx.astype(np.intp) * game.columns["win"].shape[1] + out
+    rounds = {name: table.ravel().take(flat) for name, table in game.columns.items()}
+    wins = rounds.pop("win").mean()
+    consistent = rounds.pop("consistent", None)
+    return ProtocolTranscript(
+        params.game, params, len(out), rounds, counts, freqs, not reasons, reasons, float(wins),
+        empirical_consistency_rate=None if consistent is None else float(consistent.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -472,47 +471,31 @@ def _check_round_count(n_rounds) -> None:
         raise ValidationError(f"the round count must be an integer >= 1, got {n_rounds!r}")
 
 
+def _fixed_round_rates(game: _Game, n_rounds: int, seed: int) -> list:
+    """Rates of the game's "win" and (magic square) "consistent" tables over
+    a fixed number of rounds (vectorized: multinomial context counts, then
+    multinomial outcomes per context)."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    n_ctx = len(game.questions)
+    per_ctx = rng.multinomial(n_rounds, np.full(n_ctx, 1.0 / n_ctx))
+    probs = np.diff(game.sampler.cum, axis=1, prepend=0.0)
+    counts = np.array([rng.multinomial(k, row) for k, row in zip(per_ctx, probs)])
+    return [int((counts * game.columns[name]).sum()) / n_rounds
+            for name in ("win", "consistent") if name in game.columns]
+
+
 def play_chsh_rounds(strategy: ChshStrategy, rho: float, n_rounds: int,
                      seed: int) -> float:
-    """Empirical CHSH win rate over a fixed number of rounds (vectorized:
-    multinomial question counts, then multinomial outcomes per context)."""
+    """Empirical CHSH win rate over a fixed number of rounds."""
     _check_round_count(n_rounds)
-    sampler = ChshSampler(strategy, rho)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    per_q = rng.multinomial(n_rounds, np.full(4, 0.25))
-    table = sampler.exact_table()
-    wins = 0
-    for ctx in range(4):
-        x, y = ctx // 2, ctx % 2
-        outcome_counts = rng.multinomial(per_q[ctx], table[ctx])
-        for out, cnt in enumerate(outcome_counts):
-            a, b = 1 - 2 * (out // 2), 1 - 2 * (out % 2)
-            if int(a != b) == (x & y):
-                wins += cnt
-    return wins / n_rounds
+    return _fixed_round_rates(_chsh_game(strategy, rho), n_rounds, seed)[0]
 
 
 def play_ms_rounds(strategy: MagicSquareStrategy, rho: float, n_rounds: int,
                    seed: int) -> tuple[float, float]:
     """(win rate, consistency rate) over a fixed number of rounds."""
     _check_round_count(n_rounds)
-    sampler = MagicSquareSampler(strategy, rho)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    per_ctx = rng.multinomial(n_rounds, np.full(18, 1.0 / 18))
-    cum = sampler.cum
-    table = np.diff(np.concatenate([np.zeros((18, 1)), cum], axis=1), axis=1)
-    wins = 0
-    consistent = 0
-    for ctx in range(18):
-        xi, slot = ctx // 3, ctx % 3 + 1
-        target = ms_parity_target(MS_QUESTIONS[xi])
-        outcome_counts = rng.multinomial(per_ctx[ctx], table[ctx])
-        for out, cnt in enumerate(outcome_counts):
-            a_idx, b = out // 2, 1 - 2 * (out % 2)
-            agree = _MS_OUTCOME_SIGNS[a_idx, slot - 1] == b
-            consistent += cnt * agree
-            wins += cnt * (agree and _MS_PARITY[a_idx] == target)
-    return wins / n_rounds, consistent / n_rounds
+    return tuple(_fixed_round_rates(_ms_game(strategy, rho), n_rounds, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +538,15 @@ def estimate_noise_rate(game: str, statistic: float | None = None,
         else:
             statistic = transcript.empirical_win_rate
         game = transcript.game
-    if statistic is None or n_rounds is None or n_rounds < 1:
+    if not isinstance(game, str) or game not in _GAMES:
+        raise ValidationError(f"unknown game {game!r}")
+    if statistic is None or n_rounds is None:
         raise ValidationError("need a statistic and a positive round count")
+    _check_round_count(n_rounds)
+    if (isinstance(statistic, bool)
+            or not isinstance(statistic, (int, float, np.integer, np.floating))
+            or not np.isfinite(statistic)):
+        raise ValidationError(f"the statistic must be a finite real number, got {statistic!r}")
     if not 0.0 < confidence < 1.0:
         raise ValidationError("confidence must lie in (0, 1)")
     invert = _invert_ms if game == "magic_square" else _invert_chsh

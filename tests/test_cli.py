@@ -321,14 +321,32 @@ def test_threads_flag_removed(capsys):
      "--transcript {a_list}: need a simulate JSON object with 'game' and 'tPrime' keys"),
     (["simulate", "--game", "two_out_of_n", "--n", "1", "--rho", "0.8", "--t", "5"],
      "2-out-of-n rounds need n >= 2 indices, got n = 1"),
+    (["estimate-rho", "--transcript", "{ghz}"], "--transcript {ghz}: unknown game 'ghz'"),
+    (["estimate-rho", "--transcript", "{t_abc}"],
+     "--transcript {t_abc}: the round count must be an integer >= 1, got 'abc'"),
+    (["estimate-rho", "--transcript", "{rate_x}"],
+     "--transcript {rate_x}: the statistic must be a finite real number, got 'x'"),
+    (["eval", "--rho", "0.9", "--out", "{a_dir}"], "[Errno 21] Is a directory: '{a_dir}'"),
+    (["eval", "--rho", "0.9", "--strategy", "{a_dir}"], "[Errno 21] Is a directory: '{a_dir}'"),
+    (["estimate-rho", "--transcript", "{a_dir}"], "[Errno 21] Is a directory: '{a_dir}'"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
-        "transcript-not-an-object", "two-out-of-one"])
+        "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
+        "transcript-t-prime-not-int", "transcript-rate-not-real", "out-is-a-directory",
+        "strategy-is-a-directory", "transcript-is-a-directory"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
-    files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json"}
+    files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
+             "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",
+             "rate_x": tmp_path / "rate_x.json"}
     files["no_game"].write_text(json.dumps({"tPrime": 10, "empiricalWinRate": 0.8}))
     files["a_list"].write_text("[1, 2]")
+    files["ghz"].write_text(json.dumps({"game": "ghz", "tPrime": 10, "empiricalWinRate": 0.8}))
+    files["t_abc"].write_text(json.dumps({"game": "chsh", "tPrime": "abc",
+                                          "empiricalWinRate": 0.8}))
+    files["rate_x"].write_text(json.dumps({"game": "chsh", "tPrime": 10,
+                                           "empiricalWinRate": "x"}))
     names = {key: str(path) for key, path in files.items()}
+    names["a_dir"] = str(tmp_path)
     code, out, err = run_cli(capsys, *[a.format(**names) for a in argv])
     assert code == 2
     assert out == ""

@@ -504,3 +504,18 @@ def test_rejecting_transcript_golden_digest(game, t, seed):
     assert tr.reject_reasons == reasons
     text = json.dumps(transcript_to_json(tr, include_rounds=True))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("game, statistic, n_rounds, message", [
+    ("ghz", 0.8, 10, "unknown game 'ghz'"),
+    (["chsh"], 0.8, 10, "unknown game"),
+    ("chsh", 0.8, "abc", "round count"),
+    ("magic_square", 0.8, 2.5, "round count"),
+    ("chsh", "x", 10, "finite real"),
+    ("chsh", float("nan"), 10, "finite real"),
+    ("two_out_of_n", float("inf"), 10, "finite real"),
+    ("chsh", True, 10, "finite real"),
+])
+def test_estimate_rejects_bad_inputs(game, statistic, n_rounds, message):
+    with pytest.raises(ValidationError, match=message):
+        estimate_noise_rate(game, statistic=statistic, n_rounds=n_rounds)
