@@ -5,6 +5,7 @@ from noisygames.pauli import SIGMA_X, SIGMA_Z, ValidationError, normalized_trace
 from noisygames.games import (
     ChshStrategy,
     MagicSquareStrategy,
+    PairEvaluator,
     TwoOutOfNStrategy,
     add_trace_bias,
     canonical_chsh_strategy,
@@ -26,7 +27,7 @@ from noisygames.games import (
     trace_error,
     two_out_of_n_value,
 )
-from noisygames.states import make_depolarized_epr
+from noisygames.states import diagonalize_correlation, make_depolarized_epr
 
 
 def test_canonical_chsh_observables():
@@ -282,3 +283,22 @@ def test_random_ms_strategies_valid():
 def test_embed_on_register_bounds():
     with pytest.raises(ValidationError):
         embed_on_register(SIGMA_Z, 2, 3)
+
+
+def test_pair_evaluator_noise_forms():
+    # a fidelity reuses one validated (basis, transposed basis) pair per
+    # local dimension; a correlation spectrum brings its own bases and values
+    low, high = PairEvaluator(0.3), PairEvaluator(0.9)
+    assert low.basis_a is high.basis_a and low.basis_b is high.basis_b
+    assert np.array_equal(low.basis_b.elements, low.basis_a.elements.transpose(0, 2, 1))
+    assert PairEvaluator(0.5, m=4).basis_a.m == 4
+    spectrum = diagonalize_correlation(make_depolarized_epr(0.6, 1))
+    ev = PairEvaluator(spectrum)
+    assert ev.basis_a is spectrum.basis_a and ev.basis_b is spectrum.basis_b
+    strat = canonical_chsh_strategy(1)
+    assert ev.pair(strat.alice[0], strat.bob[0]) == pytest.approx(
+        PairEvaluator(0.6).pair(strat.alice[0], strat.bob[0]), abs=1e-12)
+    with pytest.raises(ValidationError, match="fidelity parameter"):
+        PairEvaluator(1.5)
+    with pytest.raises(ValidationError, match="unsupported noise"):
+        PairEvaluator([0.5, 0.5])
