@@ -25,9 +25,10 @@ from .pauli import (
     ValidationError,
     default_basis,
     noisy_epr_expectation,
-    normalized_trace,
     pauli_expand,
+    register_weight_vector,
     require_hermitian,
+    require_hermitian_stack,
 )
 from .states import (
     BipartiteState,
@@ -68,8 +69,9 @@ def require_observable(op: np.ndarray, dim: int, label: str = "observable") -> n
     op = require_hermitian(op)
     if op.shape[0] != dim:
         raise ValidationError(f"{label} has dimension {op.shape[0]}, expected {dim}")
-    if spectral_norm(op) > 1.0 + SPECTRAL_NORM_SLACK:
-        raise ValidationError(f"{label} has spectral norm {spectral_norm(op):.6f} > 1")
+    norm = float(np.abs(np.linalg.eigvalsh(op)).max())
+    if norm > 1.0 + SPECTRAL_NORM_SLACK:
+        raise ValidationError(f"{label} has spectral norm {norm:.6f} > 1")
     return op
 
 
@@ -77,13 +79,10 @@ def require_povm(elements: np.ndarray, dim: int, label: str = "POVM") -> np.ndar
     elements = np.asarray(elements, dtype=complex)
     if elements.ndim != 3 or elements.shape[1:] != (dim, dim):
         raise ValidationError(f"{label} must be a stack of {dim}x{dim} matrices")
-    total = np.zeros((dim, dim), dtype=complex)
-    for e in elements:
-        require_hermitian(e)
-        if np.linalg.eigvalsh(e).min() < -POVM_ATOL:
-            raise ValidationError(f"{label} element is not PSD")
-        total += e
-    if np.abs(total - np.eye(dim)).max() > POVM_ATOL:
+    require_hermitian_stack(elements)
+    if np.linalg.eigvalsh(elements).min(initial=0.0) < -POVM_ATOL:
+        raise ValidationError(f"{label} element is not PSD")
+    if np.abs(elements.sum(axis=0) - np.eye(dim)).max() > POVM_ATOL:
         raise ValidationError(f"{label} does not sum to identity")
     return elements
 
@@ -220,6 +219,17 @@ def ms_parity_target(question: str) -> int:
     return -1 if question == "c3" else 1
 
 
+# sign tables: _MS_SIGNS[a, s] is outcome a's answer in slot s + 1;
+# _MS_PARITY[q, a] is 1 where outcome a has question q's target parity;
+# _MS_SLOT_VARIABLE[q, s] indexes _MS_VARIABLES, the variable in slot s + 1
+_MS_SIGNS = np.array(ms_outcomes(), dtype=float)
+_MS_PARITY = np.array([[float(np.prod(a) == ms_parity_target(q)) for a in ms_outcomes()]
+                       for q in MS_QUESTIONS])
+_MS_VARIABLES = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+_MS_SLOT_VARIABLE = np.array([[_MS_VARIABLES.index(v) for v in ms_question_variables(q)]
+                         for q in MS_QUESTIONS])
+
+
 def variable_slot(question: str, i: int, j: int) -> int:
     """1-based answer slot of variable (i, j) within a question, or raise."""
     for slot, var in enumerate(ms_question_variables(question), start=1):
@@ -264,19 +274,7 @@ def derived_observable(povm: np.ndarray, slot: int) -> np.ndarray:
         raise ValidationError("derived observables are defined for 8-outcome POVMs")
     if slot not in (1, 2, 3):
         raise ValidationError(f"slot must be 1, 2 or 3, got {slot}")
-    signs = np.array([a[slot - 1] for a in ms_outcomes()], dtype=float)
-    return np.tensordot(signs, povm, axes=1)
-
-
-def parity_mass_operator(povm: np.ndarray, target: int) -> np.ndarray:
-    """Sum of POVM elements whose outcome parity matches the target."""
-    mask = np.array([np.prod(a) == target for a in ms_outcomes()], dtype=float)
-    return np.tensordot(mask, np.asarray(povm), axes=1)
-
-
-def parity_restricted_observable(povm: np.ndarray, slot: int, target: int) -> np.ndarray:
-    signs = np.array([a[slot - 1] if np.prod(a) == target else 0.0 for a in ms_outcomes()])
-    return np.tensordot(signs, np.asarray(povm), axes=1)
+    return np.tensordot(_MS_SIGNS[:, slot - 1], povm, axes=1)
 
 
 def _commuting_projector_povm(observables: list[np.ndarray]) -> np.ndarray:
@@ -375,9 +373,20 @@ def pair_key(i: int, y: int, j: int, z: int) -> tuple:
     return (i, y, j, z) if i < j else (j, z, i, y)
 
 
+def _pair_keys(n: int) -> list[tuple]:
+    """Canonical pair-question keys (i, y, j, z), i < j."""
+    return [(i, y, j, z) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            for y in (0, 1) for z in (0, 1)]
+
+
 def pair_outcome_index(a_first: int, a_second: int) -> int:
     """Outcome index for answers (first-index, second-index) in {-1, 1}."""
     return 2 * ((1 - a_first) // 2) + (1 - a_second) // 2
+
+
+# answer of each pair outcome (pair_outcome_index order) for the first and
+# the second index of the pair
+_PAIR_SIDE_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
 
 
 def marginal_pair_observable(povm: np.ndarray, side: str) -> np.ndarray:
@@ -385,13 +394,9 @@ def marginal_pair_observable(povm: np.ndarray, side: str) -> np.ndarray:
     povm = np.asarray(povm)
     if povm.shape[0] != 4:
         raise ValidationError("pair marginals are defined for 4-outcome POVMs")
-    if side == "first":
-        signs = np.array([1.0, 1.0, -1.0, -1.0])
-    elif side == "second":
-        signs = np.array([1.0, -1.0, 1.0, -1.0])
-    else:
+    if side not in ("first", "second"):
         raise ValidationError("side must be 'first' or 'second'")
-    return np.tensordot(signs, povm, axes=1)
+    return np.tensordot(_PAIR_SIDE_SIGNS[int(side == "second")], povm, axes=1)
 
 
 @dataclass
@@ -418,15 +423,10 @@ class TwoOutOfNStrategy:
                 self.bob_singles[(i, x)] = require_observable(
                     self.bob_singles[(i, x)], d, f"Q[{i},{x}]")
         for povms in (self.alice_pair_povms, self.bob_pair_povms):
-            for i in range(1, self.n + 1):
-                for j in range(i + 1, self.n + 1):
-                    for y in (0, 1):
-                        for z in (0, 1):
-                            key = (i, y, j, z)
-                            if key not in povms:
-                                raise ValidationError(f"missing pair POVM {key}")
-                            povms[key] = require_povm(np.asarray(povms[key]), d,
-                                                      f"pair POVM {key}")
+            for key in _pair_keys(self.n):
+                if key not in povms:
+                    raise ValidationError(f"missing pair POVM {key}")
+                povms[key] = require_povm(np.asarray(povms[key]), d, f"pair POVM {key}")
 
     @property
     def dim(self) -> int:
@@ -536,6 +536,24 @@ class PairEvaluator:
         # never recycled under us
         self._cache_a: dict[int, tuple] = {}
         self._cache_b: dict[int, tuple] = {}
+        self._weight_vectors: dict[int, np.ndarray] = {}
+
+    def weight_vector(self, n: int) -> np.ndarray:
+        """Flat noise weights w(x) over the multi-indices of n registers,
+        built once per register count."""
+        if n not in self._weight_vectors:
+            self._weight_vectors[n] = register_weight_vector(self.weights, n)
+        return self._weight_vectors[n]
+
+    def expand_stacks(self, ops_a, ops_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One stacked expansion per player: the (k_a, m^(2n)) and
+        (k_b, m^(2n)) coefficient arrays of ops_a and ops_b and the weights
+        w, so that (a * w) @ b.T holds every pairing's expectation."""
+        exp_a = pauli_expand(np.asarray(ops_a), self.basis_a)
+        exp_b = pauli_expand(np.asarray(ops_b), self.basis_b)
+        if (exp_a.m, exp_a.n) != (exp_b.m, exp_b.n):
+            raise ValidationError("operands live on different register structures")
+        return exp_a.coeffs, exp_b.coeffs, self.weight_vector(exp_a.n)
 
     def expand_a(self, op: np.ndarray) -> PauliExpansion:
         key = id(op)
@@ -551,8 +569,8 @@ class PairEvaluator:
 
     def pair(self, op_a: np.ndarray, op_b: np.ndarray) -> float:
         """Expectation of op_a (x) op_b under the shared noisy state."""
-        return noisy_epr_expectation(self.expand_a(op_a), self.expand_b(op_b),
-                                     self.weights)
+        exp_a = self.expand_a(op_a)
+        return noisy_epr_expectation(exp_a, self.expand_b(op_b), self.weight_vector(exp_a.n))
 
 
 @dataclass
@@ -565,32 +583,38 @@ class GameValueReport:
 CHSH_SIGNS = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -1.0}
 
 
+def _chsh_report(corr: np.ndarray) -> GameValueReport:
+    """CHSH functional from the 2 x 2 correlations <P_x (x) Q_y>."""
+    per = {f"{x}{y}": float(corr[x, y]) for x, y in CHSH_SIGNS}
+    total = sum(sign * per[f"{x}{y}"] for (x, y), sign in CHSH_SIGNS.items())
+    return GameValueReport(total, 0.5 + total / 8.0, per)
+
+
+def _dense_joint(state: BipartiteState, d: int) -> np.ndarray:
+    """The density as R[j, l, i, k] = rho[(j l), (i k)], so that
+    Tr((A (x) B) rho) = sum A[i, j] B[k, l] R[j, l, i, k]."""
+    if state.dim_a != d or state.dim_b != d:
+        raise ValidationError(f"state dimensions ({state.dim_a},{state.dim_b}) do not "
+                              f"match operators of dimension {d}")
+    return state.density.reshape(d, d, d, d)
+
+
 def chsh_violation(strategy: ChshStrategy, noise) -> GameValueReport:
     """Value of the CHSH functional; win probability is 1/2 + violation/8."""
     if isinstance(noise, BipartiteState):
         return chsh_violation_dense(strategy, noise)
-    ev = PairEvaluator(noise)
-    per = {}
-    total = 0.0
-    for (x, y), sign in CHSH_SIGNS.items():
-        corr = ev.pair(strategy.alice[x], strategy.bob[y])
-        per[f"{x}{y}"] = corr
-        total += sign * corr
-    return GameValueReport(total, 0.5 + total / 8.0, per)
+    a, b, w = PairEvaluator(noise).expand_stacks(strategy.alice, strategy.bob)
+    return _chsh_report((a * w) @ b.T)
 
 
 def chsh_violation_dense(strategy: ChshStrategy, state) -> GameValueReport:
     """Reference path: explicit joint-density-matrix evaluation."""
     if not isinstance(state, BipartiteState):
         state = make_depolarized_epr(float(state), strategy.n)
-    per = {}
-    total = 0.0
-    for (x, y), sign in CHSH_SIGNS.items():
-        joint = np.kron(strategy.alice[x], strategy.bob[y])
-        corr = float(np.trace(joint @ state.density).real)
-        per[f"{x}{y}"] = corr
-        total += sign * corr
-    return GameValueReport(total, 0.5 + total / 8.0, per)
+    joint = _dense_joint(state, strategy.dim)
+    corr = np.einsum("xij,ykl,jlik->xy", np.asarray(strategy.alice),
+                     np.asarray(strategy.bob), joint, optimize=True)
+    return _chsh_report(corr.real)
 
 
 @dataclass
@@ -610,36 +634,42 @@ def magic_square_value(strategy: MagicSquareStrategy, rho,
     variable's assignments agree.  With the first player's marginal maximally
     mixed, the joint pass probability per (question, variable) splits into a
     parity-mass term and a parity-restricted correlation term.
+
+    Both are signed sums over POVM elements, so everything follows from each
+    element's normalized trace and its pairing with the slot's observable:
+    from one stacked expansion per player (the identity coefficient is the
+    trace), or from explicit traces against `dense_state`.
     """
-    ev = None
+    povms = np.stack([strategy.alice_povms[q] for q in MS_QUESTIONS])  # (6, 8, d, d)
+    bob = np.stack([strategy.bob_observables[v] for v in _MS_VARIABLES])
+    d = strategy.dim
     if dense_state is None:
-        ev = PairEvaluator(rho, m=4)
-    overall = 0.0
-    parity = 0.0
-    consistency = 0.0
+        elems, obs, w = PairEvaluator(rho, m=4).expand_stacks(povms.reshape(-1, d, d), bob)
+        elems = elems.reshape(6, 8, -1)
+        masses = elems[..., 0]
+        pairs = np.einsum("qax,qsx->qas", elems * w, obs[_MS_SLOT_VARIABLE])
+    else:
+        masses = np.trace(povms, axis1=-2, axis2=-1).real / d
+        pairs = np.einsum("qaij,qskl,jlik->qas", povms, bob[_MS_SLOT_VARIABLE],
+                          _dense_joint(dense_state, d), optimize=True).real
+    return _ms_report(masses, pairs)
+
+
+def _ms_report(masses: np.ndarray, pairs: np.ndarray) -> MagicSquareReport:
+    """Aggregate the (question, outcome) element traces and the (question,
+    outcome, slot) pairings <E_qa (x) Q_v(q,s)> into the game's pass rates."""
+    parity = (_MS_PARITY * masses).sum(axis=1)                        # per question
+    derived = np.einsum("as,qas->qs", _MS_SIGNS, pairs)
+    restricted = np.einsum("qa,as,qas->qs", _MS_PARITY, _MS_SIGNS, pairs)
+    consistency = 0.5 + 0.5 * derived
+    win = 0.5 * (parity[:, None] + restricted)
     per_variable = {}
-
-    def expect(op_a, op_b):
-        if ev is not None:
-            return ev.pair(op_a, op_b)
-        return float(np.trace(np.kron(op_a, op_b) @ dense_state.density).real)
-
-    for q in MS_QUESTIONS:
-        povm = strategy.alice_povms[q]
-        target = ms_parity_target(q)
-        mass_op = parity_mass_operator(povm, target)
-        mass = normalized_trace(mass_op)
-        parity += mass / 6.0
-        for slot, (i, j) in enumerate(ms_question_variables(q), start=1):
-            bob = strategy.bob_observables[(i, j)]
-            derived = derived_observable(povm, slot)
-            cons = 0.5 + 0.5 * expect(derived, bob)
-            consistency += cons / 18.0
-            restricted = parity_restricted_observable(povm, slot, target)
-            win = 0.5 * (mass + expect(restricted, bob))
-            overall += win / 18.0
-            per_variable[f"{q}:s{i}{j}"] = {"consistency": cons, "win": win}
-    return MagicSquareReport(overall, parity, consistency, per_variable)
+    for k, q in enumerate(MS_QUESTIONS):
+        for slot, (i, j) in enumerate(ms_question_variables(q)):
+            per_variable[f"{q}:s{i}{j}"] = {"consistency": float(consistency[k, slot]),
+                                            "win": float(win[k, slot])}
+    return MagicSquareReport(float(win.sum() / 18.0), float(parity.sum() / 6.0),
+                             float(consistency.sum() / 18.0), per_variable)
 
 
 def magic_square_dense_state(rho: float, n: int) -> BipartiteState:
@@ -649,12 +679,37 @@ def magic_square_dense_state(rho: float, n: int) -> BipartiteState:
 
 def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
     """Average CHSH pass probability over shared indices, role swap and
-    questions; reported violation is 8 * (win - 1/2)."""
-    ev = PairEvaluator(rho)
+    questions; reported violation is 8 * (win - 1/2).
+
+    Each player's singles and pair-POVM elements are expanded in one stack;
+    the pair marginals are signed sums of element coefficients."""
     n = strategy.n
+    if n < 2:
+        raise ValidationError(f"2-out-of-n values need n >= 2 indices, got n = {n}")
+    singles = [(i, x) for i in range(1, n + 1) for x in (0, 1)]
+    keys = _pair_keys(n)
+    key_index = {key: k for k, key in enumerate(keys)}
+
+    def stack(own_singles, pair_povms):
+        return np.concatenate([np.stack([own_singles[s] for s in singles]),
+                               *(pair_povms[key] for key in keys)])
+
+    a, b, w = PairEvaluator(rho).expand_stacks(
+        stack(strategy.alice_singles, strategy.alice_pair_povms),
+        stack(strategy.bob_singles, strategy.bob_pair_povms))
+    ns = len(singles)
+
+    def marginals(coeffs):
+        # (key, side) rows flattened to 2 * key + side
+        elems = coeffs[ns:].reshape(len(keys), 4, -1)
+        return np.einsum("sa,kax->ksx", _PAIR_SIDE_SIGNS, elems).reshape(2 * len(keys), -1)
+
+    # single player Alice against Bob's marginals, and roles exchanged
+    single_alice = (a[:ns] * w) @ marginals(b).T
+    single_bob = (b[:ns] * w) @ marginals(a).T
+
     pair_totals = {}
     total = 0.0
-    count = 0
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
@@ -662,19 +717,17 @@ def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
             acc = 0.0
             for y in (0, 1):
                 for z in (0, 1):
-                    r_bob = strategy.pair_marginal("bob", i, y, j, z)
-                    t_alice = strategy.pair_marginal("alice", i, y, j, z)
+                    key = pair_key(i, y, j, z)
+                    col = 2 * key_index[key] + (key[0] != i)
                     for x in (0, 1):
                         sign = CHSH_SIGNS[(x, y)]
-                        # single player Alice, pair player Bob
-                        acc += 0.5 * (1 + sign * ev.pair(strategy.alice_singles[(i, x)], r_bob)) / 2
-                        # roles exchanged
-                        acc += 0.5 * (1 + sign * ev.pair(t_alice, strategy.bob_singles[(i, x)])) / 2
+                        row = 2 * (i - 1) + x  # singles[row] == (i, x)
+                        acc += 0.5 * (1 + sign * single_alice[row, col]) / 2
+                        acc += 0.5 * (1 + sign * single_bob[row, col]) / 2
             value = acc / 8.0
             pair_totals[f"{i},{j}"] = value
             total += value
-            count += 1
-    win = total / count
+    win = total / (n * (n - 1))
     return GameValueReport(8 * (win - 0.5), win, pair_totals)
 
 
@@ -682,26 +735,32 @@ def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
 # trace error
 
 
+def _normalized_traces(ops) -> np.ndarray:
+    """Normalized trace of every member of a (k, d, d) stack, each checked
+    to be Hermitian."""
+    ops = require_hermitian_stack(ops)
+    return np.trace(ops, axis1=1, axis2=2).real / ops.shape[-1]
+
+
 def trace_error(strategy) -> float:
     """Largest absolute normalized trace over the game's observable list,
-    including derived row/column and pair-marginal observables."""
-    values = []
+    including derived row/column and pair-marginal observables (signed sums
+    of their POVM elements' traces)."""
     if isinstance(strategy, ChshStrategy):
-        values = [normalized_trace(o) for o in (*strategy.alice, *strategy.bob)]
+        values = [_normalized_traces(np.stack([*strategy.alice, *strategy.bob]))]
     elif isinstance(strategy, MagicSquareStrategy):
-        for q in MS_QUESTIONS:
-            for slot in (1, 2, 3):
-                values.append(normalized_trace(derived_observable(strategy.alice_povms[q], slot)))
-        for obs in strategy.bob_observables.values():
-            values.append(normalized_trace(obs))
+        povms = np.concatenate([strategy.alice_povms[q] for q in MS_QUESTIONS])
+        elems = _normalized_traces(povms).reshape(len(MS_QUESTIONS), 8)
+        bob = np.stack(list(strategy.bob_observables.values()))
+        values = [elems @ _MS_SIGNS, _normalized_traces(bob)]
     elif isinstance(strategy, TwoOutOfNStrategy):
-        for ops in (strategy.alice_singles, strategy.bob_singles):
-            values.extend(normalized_trace(o) for o in ops.values())
-        for player in ("alice", "bob"):
-            povms = strategy.alice_pair_povms if player == "alice" else strategy.bob_pair_povms
-            for povm in povms.values():
-                for side in ("first", "second"):
-                    values.append(normalized_trace(marginal_pair_observable(povm, side)))
+        d = strategy.dim
+        values = []
+        for singles, povms in ((strategy.alice_singles, strategy.alice_pair_povms),
+                               (strategy.bob_singles, strategy.bob_pair_povms)):
+            values.append(_normalized_traces(np.stack(list(singles.values()))))
+            elems = np.asarray(list(povms.values())).reshape(-1, d, d)
+            values.append(_normalized_traces(elems).reshape(-1, 4) @ _PAIR_SIDE_SIGNS.T)
     else:
         raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
-    return float(np.abs(values).max())
+    return float(max(np.abs(v).max(initial=0.0) for v in values))

@@ -9,6 +9,12 @@ ever materializes a joint (m^n)^2 x (m^n)^2 operator.
 
 Index convention: a multi-index x in [m^2]^n is serialized row-major with
 register 1 as the most significant base-m^2 digit.
+
+Stacked input: `pauli_expand` takes a (k, d, d) stack as well as one d x d
+matrix.  It checks every member with the tolerances used for one matrix
+(`require_hermitian_stack`) and returns a (k, m^(2n)) coefficient array
+whose row r is the expansion of member r, so a game value expands each
+player's operators in one call and pairs them with one matrix product.
 """
 
 from __future__ import annotations
@@ -26,20 +32,44 @@ class ValidationError(ValueError):
     """Raised when an input violates a documented precondition."""
 
 
-def _as_square(mat: np.ndarray) -> np.ndarray:
+def _as_square(mat: np.ndarray, stack: bool = False) -> np.ndarray:
+    """`mat` as complex, checked to be a square matrix (or, with `stack`, a
+    square matrix or a (k, d, d) stack of them)."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
+    if mat.ndim not in ((2, 3) if stack else (2,)) or mat.shape[-1] != mat.shape[-2]:
+        kind = "a square matrix or a stack of them" if stack else "a square matrix"
+        raise ValidationError(f"expected {kind}, got shape {mat.shape}")
     return mat
+
+
+def _require_hermitian(mats: np.ndarray, atol: float) -> np.ndarray:
+    # checked first: inf - inf is NaN, and NaN never exceeds a tolerance
+    if not np.isfinite(mats).all():
+        raise ValidationError("matrix has non-finite entries")
+    if mats.ndim == 2:
+        dev = np.abs(mats - mats.conj().T).max()
+        if dev > atol:
+            raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    elif mats.size:
+        dev = np.abs(mats - mats.conj().transpose(0, 2, 1))
+        worst = dev.reshape(len(mats), -1).max(axis=1)
+        if worst.max() > atol:
+            member = int(np.argmax(worst > atol))
+            raise ValidationError(f"stack member {member} is not Hermitian "
+                                  f"(max deviation {worst[member]:.3e})")
+    return mats
 
 
 def require_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate Hermiticity within `atol` and return the matrix as complex."""
-    mat = _as_square(mat)
-    dev = np.abs(mat - mat.conj().T).max()
-    if dev > atol:
-        raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return mat
+    """Validate finiteness and Hermiticity within `atol` and return the
+    matrix as complex."""
+    return _require_hermitian(_as_square(mat), atol)
+
+
+def require_hermitian_stack(mats: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+    """`require_hermitian` for one matrix or for each member of a (k, d, d)
+    stack; an error names the first member out of tolerance."""
+    return _require_hermitian(_as_square(mats, stack=True), atol)
 
 
 def normalized_trace(mat: np.ndarray) -> float:
@@ -143,8 +173,10 @@ class PauliExpansion:
     """Real coefficient vector of a Hermitian operator over a tensor basis.
 
     coeffs is flat of length m^(2n), row-major in the multi-index x with
-    register 1 as the most significant digit.  imag_residue records the
-    largest imaginary part discarded when the coefficients were computed.
+    register 1 as the most significant digit; the expansion of a (k, d, d)
+    stack holds a (k, m^(2n)) array, one row per member.  imag_residue
+    records the largest imaginary part discarded when the coefficients were
+    computed.
     """
 
     m: int
@@ -215,18 +247,25 @@ def pauli_expand(mat: np.ndarray, basis: StandardBasis) -> PauliExpansion:
 
     Uses a register-by-register tensor contraction, cost O(n m^2 m^(2n)),
     instead of the m^(4n) cost of taking m^(2n) individual traces.
+
+    `mat` may also be a (k, d, d) stack: every member is validated, the
+    contraction runs once with the stack as a trailing batch axis, and the
+    result's coeffs has shape (k, m^(2n)), one row per member.
     """
-    mat = require_hermitian(mat)
+    mat = require_hermitian_stack(mat)
+    lead = mat.ndim - 2  # 1 for a stack, 0 for one matrix
     m = basis.m
-    n = infer_registers(mat.shape[0], m)
+    n = infer_registers(mat.shape[-1], m)
     kern = basis.elements.conj() / m  # <B_k, .> per register
-    t = mat.reshape((m,) * (2 * n))
-    # interleave row/column axes: (i1..in, j1..jn) -> (i1, j1, i2, j2, ...)
-    t = t.transpose([a for k in range(n) for a in (k, n + k)])
+    t = mat.reshape(mat.shape[:lead] + (m,) * (2 * n))
+    # interleave row/column axes and move a stack's batch axis last:
+    # ([b,] i1..in, j1..jn) -> (i1, j1, i2, j2, ..., [b])
+    t = t.transpose([lead + a for k in range(n) for a in (k, n + k)] + list(range(lead)))
     for k in range(n):
         t = np.tensordot(kern, t, axes=([1, 2], [k, k + 1]))
-    t = t.transpose(tuple(reversed(range(n))))
-    flat = t.reshape(-1)
+    # axes are now (a_n, ..., a_1, [b])
+    t = t.transpose(tuple(range(n, n + lead)) + tuple(reversed(range(n))))
+    flat = t.reshape(mat.shape[:lead] + (-1,))
     residue = float(np.abs(flat.imag).max()) if flat.size else 0.0
     if residue > COEFF_IMAG_ATOL:
         raise ValidationError(f"coefficients have imaginary residue {residue:.3e}")
@@ -352,8 +391,9 @@ def noisy_epr_expectation(exp_a: PauliExpansion, exp_b: PauliExpansion, noise) -
     """Expectation of A (x) B on n shared noisy maximally-entangled registers.
 
     `exp_a` must be expanded in the first player's basis and `exp_b` in the
-    second player's (transposed) basis; `noise` is either a fidelity
-    parameter rho (depolarizing) or a length-m^2 per-index weight vector.
+    second player's (transposed) basis; `noise` is a fidelity parameter rho
+    (depolarizing), a length-m^2 per-index weight vector, or the flat
+    length-m^(2n) vector w itself (for n = 1 the two coincide).
     The value is sum_x w(x) A_hat(x) B_hat(x).
     """
     if (exp_a.m, exp_a.n) != (exp_b.m, exp_b.n):
@@ -361,7 +401,9 @@ def noisy_epr_expectation(exp_a: PauliExpansion, exp_b: PauliExpansion, noise) -
     if np.isscalar(noise):
         w = float(noise) ** degree_vector(exp_a.m, exp_a.n)
     else:
-        w = register_weight_vector(np.asarray(noise, dtype=float), exp_a.n)
+        w = np.asarray(noise, dtype=float)
+        if w.shape != exp_a.coeffs.shape:
+            w = register_weight_vector(w, exp_a.n)
     return float(np.sum(w * exp_a.coeffs * exp_b.coeffs))
 
 
@@ -378,6 +420,8 @@ def matrix_from_json(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValidationError("matrix JSON must be a nested array of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValidationError("matrix JSON has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

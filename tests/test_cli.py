@@ -329,11 +329,16 @@ def test_threads_flag_removed(capsys):
     (["eval", "--rho", "0.9", "--out", "{a_dir}"], "[Errno 21] Is a directory: '{a_dir}'"),
     (["eval", "--rho", "0.9", "--strategy", "{a_dir}"], "[Errno 21] Is a directory: '{a_dir}'"),
     (["estimate-rho", "--transcript", "{a_dir}"], "[Errno 21] Is a directory: '{a_dir}'"),
+    (["eval", "--game", "two_out_of_n", "--n", "1", "--rho", "0.9"],
+     "2-out-of-n values need n >= 2 indices, got n = 1"),
+    (["selftest", "--game", "two_out_of_n", "--n", "1", "--rho", "0.9"],
+     "2-out-of-n values need n >= 2 indices, got n = 1"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
         "transcript-t-prime-not-int", "transcript-rate-not-real", "out-is-a-directory",
-        "strategy-is-a-directory", "transcript-is-a-directory"])
+        "strategy-is-a-directory", "transcript-is-a-directory", "eval-two-out-of-one",
+        "selftest-two-out-of-one"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",

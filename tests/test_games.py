@@ -302,3 +302,143 @@ def test_pair_evaluator_noise_forms():
         PairEvaluator(1.5)
     with pytest.raises(ValidationError, match="unsupported noise"):
         PairEvaluator([0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation against the dense path
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from noisygames.games import haar_unitary, random_traceless_binary  # noqa: E402
+from noisygames.pauli import register_weight_vector  # noqa: E402
+from noisygames.states import BipartiteState, tensor_bipartite  # noqa: E402
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+RHOS = st.floats(0.0, 1.0)
+
+
+def random_correlated_state(rng) -> BipartiteState:
+    """A Bell-diagonal two-qubit state turned by local unitaries: its
+    marginals are maximally mixed, so it has a correlation spectrum."""
+    bell = [np.array([1, 0, 0, 1]), np.array([1, 0, 0, -1]),
+            np.array([0, 1, 1, 0]), np.array([0, 1, -1, 0])]
+    weights = rng.dirichlet(np.ones(4))
+    density = sum(p * np.outer(v, v) / 2 for p, v in zip(weights, bell))
+    local = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    return BipartiteState(2, 2, local @ density @ local.conj().T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 2), kind=st.sampled_from(["binary", "bounded"]),
+       bias=st.sampled_from([0.0, 0.3]), rho=RHOS, seed=SEEDS)
+def test_chsh_value_matches_dense_for_rho(n, kind, bias, rho, seed):
+    strat = random_chsh_strategy(n, np.random.default_rng(seed), kind=kind, trace_bias=bias)
+    fast = chsh_violation(strat, rho)
+    dense = chsh_violation_dense(strat, make_depolarized_epr(rho, n))
+    assert fast.violation == pytest.approx(dense.violation, abs=1e-12)
+    for key in fast.per_question:
+        assert fast.per_question[key] == pytest.approx(dense.per_question[key], abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 2), seed=SEEDS)
+def test_chsh_value_matches_dense_for_a_correlation_spectrum(n, seed):
+    rng = np.random.default_rng(seed)
+    state = random_correlated_state(rng)
+    strat = random_chsh_strategy(n, rng, kind="bounded", trace_bias=0.2)
+    # the spectrum's weights act register by register: the n-fold product state
+    fast = chsh_violation(strat, diagonalize_correlation(state)).violation
+    dense = chsh_violation_dense(strat, tensor_bipartite([state] * n)).violation
+    assert fast == pytest.approx(dense, abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 2), kind=st.sampled_from(["projective", "mixed", "raw"]),
+       rho=RHOS, seed=SEEDS)
+def test_magic_square_value_matches_dense(n, kind, rho, seed):
+    strat = random_magic_square_strategy(n, np.random.default_rng(seed), kind=kind,
+                                         trace_bias=0.2)
+    fast = magic_square_value(strat, rho)
+    dense = magic_square_value(strat, rho, dense_state=magic_square_dense_state(rho, n))
+    for field in ("overall", "parity_pass", "consistency_pass"):
+        assert getattr(fast, field) == pytest.approx(getattr(dense, field), abs=1e-12)
+    assert list(fast.per_variable) == list(dense.per_variable)
+    for key, entry in fast.per_variable.items():
+        for name, value in entry.items():
+            assert value == pytest.approx(dense.per_variable[key][name], abs=1e-12)
+
+
+def random_pair_povm(d, rng):
+    raw = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+    raw = np.einsum("kij,klj->kil", raw, raw.conj())
+    vals, vecs = np.linalg.eigh(raw.sum(axis=0))
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return np.stack([inv_sqrt @ e @ inv_sqrt for e in raw])
+
+
+def random_two_out_of_n_strategy(n, rng) -> TwoOutOfNStrategy:
+    d = 2 ** n
+    singles = [{(i, x): random_traceless_binary(d, rng) for i in range(1, n + 1)
+                for x in (0, 1)} for _ in range(2)]
+    keys = [(i, y, j, z) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            for y in (0, 1) for z in (0, 1)]
+    pairs = [{key: random_pair_povm(d, rng) for key in keys} for _ in range(2)]
+    return TwoOutOfNStrategy(n, n, singles[0], singles[1], pairs[0], pairs[1])
+
+
+def two_out_of_n_value_dense(strategy, state) -> float:
+    """The game's win probability from explicit joint-density traces, one
+    operator pair at a time."""
+    def expect(a, b):
+        return float(np.trace(np.kron(a, b) @ state.density).real)
+
+    n = strategy.n
+    total = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            acc = 0.0
+            for y in (0, 1):
+                for z in (0, 1):
+                    r_bob = strategy.pair_marginal("bob", i, y, j, z)
+                    t_alice = strategy.pair_marginal("alice", i, y, j, z)
+                    for x in (0, 1):
+                        sign = -1.0 if (x, y) == (1, 1) else 1.0
+                        acc += (1 + sign * expect(strategy.alice_singles[(i, x)], r_bob)) / 4
+                        acc += (1 + sign * expect(t_alice, strategy.bob_singles[(i, x)])) / 4
+            total += acc / 8.0
+    return total / (n * (n - 1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 3), rho=RHOS, seed=SEEDS)
+def test_two_out_of_n_value_matches_dense(n, rho, seed):
+    strat = random_two_out_of_n_strategy(n, np.random.default_rng(seed))
+    dense = two_out_of_n_value_dense(strat, make_depolarized_epr(rho, n))
+    assert two_out_of_n_value(strat, rho).win_prob == pytest.approx(dense, abs=1e-12)
+
+
+def test_two_out_of_n_value_names_n_below_two():
+    with pytest.raises(ValidationError, match="need n >= 2 indices, got n = 1"):
+        two_out_of_n_value(canonical_two_out_of_n_strategy(1), 0.9)
+
+
+def test_infinite_observable_is_rejected():
+    # an inf entry used to pass validation and make chsh_violation NaN
+    base = canonical_chsh_strategy(1)
+    op = base.alice[0].astype(complex)
+    op[0, 0] = np.inf
+    with pytest.raises(ValidationError, match="non-finite"):
+        ChshStrategy(1, (op, base.alice[1]), base.bob)
+
+
+def test_pair_evaluator_builds_one_weight_vector_per_register_count():
+    ev = PairEvaluator(0.7)
+    assert ev.weight_vector(3) is ev.weight_vector(3)
+    assert np.array_equal(ev.weight_vector(3), register_weight_vector(ev.weights, 3))
+    strat = random_chsh_strategy(2, np.random.default_rng(4), kind="bounded")
+    a, b = ev.expand_a(strat.alice[0]), ev.expand_b(strat.bob[1])
+    # the cached vector feeds the same expression as before
+    assert ev.pair(strat.alice[0], strat.bob[1]) == float(
+        np.sum(register_weight_vector(ev.weights, 2) * a.coeffs * b.coeffs))

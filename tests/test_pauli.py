@@ -249,3 +249,73 @@ def test_expansion_json_round_trip():
     back = expansion_from_json(doc)
     assert np.allclose(back.coeffs, exp.coeffs)
     assert back.m == 2 and back.n == 1
+
+
+# ---------------------------------------------------------------------------
+# stacked expansion and non-finite input
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from noisygames.pauli import default_basis, require_hermitian  # noqa: E402
+
+
+def random_hermitian_stack(k, d, rng):
+    g = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    return (g + g.conj().transpose(0, 2, 1)) / 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([2, 4]), n=st.integers(1, 3), k=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_stacked_expand_rows_match_single_and_naive(m, n, k, seed, data):
+    rng = np.random.default_rng(seed)
+    basis = default_basis(m)
+    if data.draw(st.booleans(), label="transposed basis"):
+        basis = basis.transposed()
+    stack = random_hermitian_stack(k, m ** n, rng)
+    exp = pauli_expand(stack, basis)
+    assert exp.coeffs.shape == (k, m ** (2 * n)) and (exp.m, exp.n) == (m, n)
+    for r in range(k):
+        assert np.abs(exp.coeffs[r] - pauli_expand(stack[r], basis).coeffs).max() < 1e-12
+    # the per-coefficient oracle costs O(m^(4n)): one drawn row per example
+    r = data.draw(st.integers(0, k - 1), label="row checked against the oracle")
+    assert np.abs(exp.coeffs[r] - pauli_expand_naive(stack[r], basis).coeffs).max() < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([2, 4]), n=st.integers(1, 2), k=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_stack_with_one_non_hermitian_member_raises(m, n, k, seed, data):
+    rng = np.random.default_rng(seed)
+    stack = random_hermitian_stack(k, m ** n, rng)
+    bad = data.draw(st.integers(0, k - 1), label="bad member")
+    i, j = data.draw(st.tuples(st.integers(0, m ** n - 1), st.integers(0, m ** n - 1))
+                     .filter(lambda ij: ij[0] != ij[1]), label="entry")
+    stack[bad, i, j] += data.draw(st.floats(1e-6, 1.0), label="skew")
+    with pytest.raises(ValidationError, match=f"stack member {bad} is not Hermitian"):
+        pauli_expand(stack, default_basis(m))
+
+
+def test_single_matrix_expansion_keeps_its_shape():
+    exp = pauli_expand(SIGMA_Z, pauli_basis())
+    assert exp.coeffs.shape == (4,)
+    stacked = pauli_expand(SIGMA_Z[None], pauli_basis())
+    assert stacked.coeffs.shape == (1, 4)
+    assert np.array_equal(stacked.coeffs[0], exp.coeffs)
+    with pytest.raises(ValidationError, match="square matrix or a stack"):
+        pauli_expand(np.zeros((2, 2, 2, 2)), pauli_basis())
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_non_finite_entries_are_rejected(bad):
+    # inf - inf is NaN and NaN exceeds no tolerance, so these used to pass
+    # the Hermiticity check
+    op = SIGMA_Z.astype(complex)
+    op[0, 0] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        require_hermitian(op)
+    with pytest.raises(ValidationError, match="non-finite"):
+        pauli_expand(np.stack([SIGMA_X, op]), pauli_basis())
+    with pytest.raises(ValidationError, match="non-finite"):
+        matrix_from_json([[[float(np.real(bad)), float(np.imag(bad))], [0.0, 0.0]],
+                          [[0.0, 0.0], [1.0, 0.0]]])
