@@ -658,7 +658,7 @@ def magic_square_value(strategy: MagicSquareStrategy, rho,
 def _ms_report(masses: np.ndarray, pairs: np.ndarray) -> MagicSquareReport:
     """Aggregate the (question, outcome) element traces and the (question,
     outcome, slot) pairings <E_qa (x) Q_v(q,s)> into the game's pass rates."""
-    parity = (_MS_PARITY * masses).sum(axis=1)                        # per question
+    parity = (_MS_PARITY * masses).sum(axis=1)  # per question
     derived = np.einsum("as,qas->qs", _MS_SIGNS, pairs)
     restricted = np.einsum("qa,as,qas->qs", _MS_PARITY, _MS_SIGNS, pairs)
     consistency = 0.5 + 0.5 * derived

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from noisygames.pauli import SIGMA_X, SIGMA_Z, ValidationError, normalized_trace
+from noisygames.pauli import (
+    SIGMA_X,
+    SIGMA_Z,
+    ValidationError,
+    normalized_trace,
+    register_weight_vector,
+)
 from noisygames.games import (
     ChshStrategy,
     MagicSquareStrategy,
@@ -15,6 +22,7 @@ from noisygames.games import (
     chsh_violation_dense,
     derived_observable,
     embed_on_register,
+    haar_unitary,
     magic_square_dense_state,
     magic_square_table,
     magic_square_value,
@@ -24,10 +32,16 @@ from noisygames.games import (
     perturbed_chsh_strategy,
     random_chsh_strategy,
     random_magic_square_strategy,
+    random_traceless_binary,
     trace_error,
     two_out_of_n_value,
 )
-from noisygames.states import diagonalize_correlation, make_depolarized_epr
+from noisygames.states import (
+    BipartiteState,
+    diagonalize_correlation,
+    make_depolarized_epr,
+    tensor_bipartite,
+)
 
 
 def test_canonical_chsh_observables():
@@ -307,12 +321,6 @@ def test_pair_evaluator_noise_forms():
 # ---------------------------------------------------------------------------
 # stacked evaluation against the dense path
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from noisygames.games import haar_unitary, random_traceless_binary  # noqa: E402
-from noisygames.pauli import register_weight_vector  # noqa: E402
-from noisygames.states import BipartiteState, tensor_bipartite  # noqa: E402
-
 SEEDS = st.integers(0, 2 ** 32 - 1)
 RHOS = st.floats(0.0, 1.0)
 
@@ -360,8 +368,8 @@ def test_magic_square_value_matches_dense(n, kind, rho, seed):
                                          trace_bias=0.2)
     fast = magic_square_value(strat, rho)
     dense = magic_square_value(strat, rho, dense_state=magic_square_dense_state(rho, n))
-    for field in ("overall", "parity_pass", "consistency_pass"):
-        assert getattr(fast, field) == pytest.approx(getattr(dense, field), abs=1e-12)
+    for attr in ("overall", "parity_pass", "consistency_pass"):
+        assert getattr(fast, attr) == pytest.approx(getattr(dense, attr), abs=1e-12)
     assert list(fast.per_variable) == list(dense.per_variable)
     for key, entry in fast.per_variable.items():
         for name, value in entry.items():

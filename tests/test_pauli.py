@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisygames.pauli import (
     SIGMA_X,
@@ -9,6 +10,7 @@ from noisygames.pauli import (
     apply_depolarizing_coeffs,
     apply_general_scaling,
     degree_profile,
+    default_basis,
     degree_truncate,
     degree_vector,
     expansion_distance,
@@ -24,6 +26,7 @@ from noisygames.pauli import (
     pauli_expand,
     pauli_expand_naive,
     pauli_reconstruct,
+    require_hermitian,
     two_qubit_pauli_basis,
 )
 
@@ -253,10 +256,6 @@ def test_expansion_json_round_trip():
 
 # ---------------------------------------------------------------------------
 # stacked expansion and non-finite input
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from noisygames.pauli import default_basis, require_hermitian  # noqa: E402
 
 
 def random_hermitian_stack(k, d, rng):
