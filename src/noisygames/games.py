@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pauli import (
+    HERMITIAN_ATOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -24,10 +25,10 @@ from .pauli import (
     StandardBasis,
     ValidationError,
     default_basis,
+    hermitian_deviation,
     noisy_epr_expectation,
     pauli_expand,
     register_weight_vector,
-    require_hermitian,
     require_hermitian_stack,
 )
 from .states import (
@@ -65,56 +66,152 @@ def spectral_norm(op: np.ndarray) -> float:
     return float(np.linalg.norm(op, 2))
 
 
+def _dagger(mats: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of one matrix or of each matrix in a stack."""
+    return np.swapaxes(mats.conj(), -1, -2)
+
+
+def _lookup(mapping, keys: list, names: list) -> list:
+    """mapping[key] for each key in order; a missing key raises, naming what
+    it should have held."""
+    for key, name in zip(keys, names):
+        if key not in mapping:
+            raise ValidationError(f"missing {name}")
+    return [mapping[key] for key in keys]
+
+
+def _stack(arrays: list, shape: tuple) -> np.ndarray:
+    return np.stack(arrays) if arrays else np.empty((0,) + shape, dtype=complex)
+
+
+def _spectra(stack: np.ndarray) -> tuple:
+    """(finite, Hermitian deviation, eigenvalues) of each matrix in a stack;
+    a matrix with a non-finite entry is measured as zero."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    safe = np.where(finite[..., None, None], stack, 0.0)
+    return finite, hermitian_deviation(safe), np.linalg.eigvalsh(safe)
+
+
+def _require_observables(ops, dim: int, labels: list) -> np.ndarray:
+    """Check observables as one (k, dim, dim) stack and return it: each must
+    be finite, Hermitian and of spectral norm at most 1.  An error names the
+    first bad member, labels[i], and the first check it fails."""
+    arrays = [np.asarray(op, dtype=complex) for op in ops]
+    for arr, label in zip(arrays, labels):
+        if arr.shape != (dim, dim):
+            raise ValidationError(f"{label} must be a {dim}x{dim} matrix, got shape {arr.shape}")
+    stack = _stack(arrays, (dim, dim))
+    finite, dev, eigs = _spectra(stack)
+    norm = np.abs(eigs).max(axis=-1, initial=0.0)
+    bad = ~finite | (dev > HERMITIAN_ATOL) | (norm > 1.0 + SPECTRAL_NORM_SLACK)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            raise ValidationError(f"{labels[k]} has non-finite entries")
+        if dev[k] > HERMITIAN_ATOL:
+            raise ValidationError(f"{labels[k]} is not Hermitian (max deviation {dev[k]:.3e})")
+        raise ValidationError(f"{labels[k]} has spectral norm {norm[k]:.6f} > 1")
+    return stack
+
+
+def _require_povms(povms, dim: int, outcomes: int | None, labels: list) -> np.ndarray:
+    """Check POVMs as one (k, outcomes, dim, dim) stack and return it: every
+    element must be finite, Hermitian and PSD, and each POVM must sum to the
+    identity.  An error names the first bad POVM, labels[i], and the first
+    check it fails; outcomes None accepts any count (one POVM)."""
+    arrays = [np.asarray(p, dtype=complex) for p in povms]
+    for arr, label in zip(arrays, labels):
+        if arr.ndim != 3 or arr.shape[1:] != (dim, dim):
+            raise ValidationError(f"{label} must be a stack of {dim}x{dim} matrices")
+        if outcomes is not None and len(arr) != outcomes:
+            raise ValidationError(f"{label} must have {outcomes} outcomes")
+    stack = _stack(arrays, (outcomes or 0, dim, dim))
+    finite, dev, eigs = _spectra(stack)
+    low = eigs.min(axis=-1, initial=0.0)
+    off = np.abs(stack.sum(axis=1) - np.eye(dim)).max(axis=(-2, -1), initial=0.0)
+    bad = (~finite | (dev > HERMITIAN_ATOL) | (low < -POVM_ATOL)).any(axis=1) | (off > POVM_ATOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k].all():
+            raise ValidationError(f"{labels[k]} has non-finite entries")
+        if (dev[k] > HERMITIAN_ATOL).any():
+            e = int(np.argmax(dev[k] > HERMITIAN_ATOL))
+            raise ValidationError(f"{labels[k]} element {e} is not Hermitian "
+                                  f"(max deviation {dev[k, e]:.3e})")
+        if (low[k] < -POVM_ATOL).any():
+            e = int(np.argmax(low[k] < -POVM_ATOL))
+            raise ValidationError(f"{labels[k]} element {e} is not PSD "
+                                  f"(min eigenvalue {low[k, e]:.3e})")
+        raise ValidationError(f"{labels[k]} does not sum to identity "
+                              f"(max deviation {off[k]:.3e})")
+    return stack
+
+
 def require_observable(op: np.ndarray, dim: int, label: str = "observable") -> np.ndarray:
-    op = require_hermitian(op)
-    if op.shape[0] != dim:
-        raise ValidationError(f"{label} has dimension {op.shape[0]}, expected {dim}")
-    norm = float(np.abs(np.linalg.eigvalsh(op)).max())
-    if norm > 1.0 + SPECTRAL_NORM_SLACK:
-        raise ValidationError(f"{label} has spectral norm {norm:.6f} > 1")
-    return op
+    """One observable: finite, Hermitian, dim x dim, spectral norm at most 1."""
+    return _require_observables([op], dim, [label])[0]
 
 
 def require_povm(elements: np.ndarray, dim: int, label: str = "POVM") -> np.ndarray:
-    elements = np.asarray(elements, dtype=complex)
-    if elements.ndim != 3 or elements.shape[1:] != (dim, dim):
-        raise ValidationError(f"{label} must be a stack of {dim}x{dim} matrices")
-    require_hermitian_stack(elements)
-    if np.linalg.eigvalsh(elements).min(initial=0.0) < -POVM_ATOL:
-        raise ValidationError(f"{label} element is not PSD")
-    if np.abs(elements.sum(axis=0) - np.eye(dim)).max() > POVM_ATOL:
-        raise ValidationError(f"{label} does not sum to identity")
-    return elements
+    """One POVM: finite, Hermitian, PSD dim x dim elements summing to I."""
+    return _require_povms([elements], dim, None, [label])[0]
+
+
+def _gaussians(d: int, rng: np.random.Generator) -> np.ndarray:
+    """A d x d complex Gaussian matrix: real parts drawn first."""
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def _haar_from_gaussians(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from one complex Gaussian matrix or a stack of them:
+    QR, then the phases of R's diagonal moved into Q (Mezzadri,
+    arXiv:math-ph/0609050)."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _balanced_signs(d: int) -> np.ndarray:
+    if d % 2:
+        raise ValidationError("traceless binary observables need even dimension")
+    return np.concatenate([np.ones(d // 2), -np.ones(d // 2)])
+
+
+def _conjugated_diagonals(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """u diag(diag) u* for each unitary (and diagonal) of a stack."""
+    return (u * diag[..., None, :]) @ _dagger(u)
+
+
+def _bounded_from_gaussians(g: np.ndarray) -> np.ndarray:
+    """Traceless Hermitian parts of complex Gaussian matrices, each rescaled
+    to unit spectral norm."""
+    d = g.shape[-1]
+    h = (g + _dagger(g)) / 2
+    h -= np.trace(h, axis1=-2, axis2=-1).real[..., None, None] / d * np.eye(d)
+    return h / np.linalg.norm(h, 2, axis=(-2, -1), keepdims=True)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return _haar_from_gaussians(_gaussians(d, rng))
 
 
 def random_traceless_binary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-conjugated balanced sign observable: traceless, squares to I."""
-    if d % 2:
-        raise ValidationError("traceless binary observables need even dimension")
-    signs = np.concatenate([np.ones(d // 2), -np.ones(d // 2)])
-    u = haar_unitary(d, rng)
-    return (u * signs) @ u.conj().T
+    signs = _balanced_signs(d)
+    return _conjugated_diagonals(haar_unitary(d, rng), signs)
 
 
 def random_bounded_observable(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random traceless Hermitian rescaled to unit spectral norm."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    h = (g + g.conj().T) / 2
-    h -= np.trace(h).real / d * np.eye(d)
-    return h / spectral_norm(h)
+    return _bounded_from_gaussians(_gaussians(d, rng))
 
 
-def add_trace_bias(op: np.ndarray, bias: float) -> np.ndarray:
+def add_trace_bias(op: np.ndarray, bias) -> np.ndarray:
     """Mix an identity component in: the result has normalized trace `bias`
-    (for traceless input) and keeps spectral norm at most 1."""
-    d = op.shape[0]
-    return (1 - abs(bias)) * op + bias * np.eye(d)
+    (for traceless input) and keeps spectral norm at most 1.  A stack of
+    operators takes one bias per member."""
+    bias = np.asarray(bias, dtype=float)[..., None, None]
+    return (1 - np.abs(bias)) * op + bias * np.eye(op.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +227,11 @@ class ChshStrategy:
     bob: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        d = 2 ** self.n
-        self.alice = tuple(require_observable(a, d, f"P{i}") for i, a in enumerate(self.alice))
-        self.bob = tuple(require_observable(b, d, f"Q{i}") for i, b in enumerate(self.bob))
+        if len(self.alice) != 2 or len(self.bob) != 2:
+            raise ValidationError("CHSH strategies need two observables per player")
+        ops = _require_observables([*self.alice, *self.bob], 2 ** self.n,
+                                   ["P0", "P1", "Q0", "Q1"])
+        self.alice, self.bob = (ops[0], ops[1]), (ops[2], ops[3])
 
     @property
     def dim(self) -> int:
@@ -155,11 +254,18 @@ def canonical_chsh_strategy(n: int, register: int = 1) -> ChshStrategy:
     return ChshStrategy(n, (emb(p0), emb(p1)), (emb(q0), emb(q1)))
 
 
+def _y_rotation(theta: float) -> np.ndarray:
+    """exp(-i theta Y / 2), the Bloch y-axis rotation by a finite theta."""
+    if not np.isfinite(theta):
+        raise ValidationError(f"theta must be a finite angle, got {theta}")
+    return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * SIGMA_Y
+
+
 def perturbed_chsh_strategy(n: int, register: int, theta: float) -> ChshStrategy:
     """Canonical strategy with both of the second player's observables rotated
     about the Bloch y-axis by theta on the active register."""
     base = canonical_chsh_strategy(n, register)
-    w = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * SIGMA_Y
+    w = _y_rotation(theta)
     bob = tuple(conjugate_on_register(q, w, n, register) for q in base.bob)
     return ChshStrategy(n, base.alice, bob)
 
@@ -170,13 +276,18 @@ def random_chsh_strategy(n: int, rng: np.random.Generator, kind: str = "binary",
     'bounded' general traceless contractions.  trace_bias mixes in identity
     components with random signs bounded by the given value."""
     d = 2 ** n
-    maker = random_traceless_binary if kind == "binary" else random_bounded_observable
-    ops = []
+    signs = _balanced_signs(d) if kind == "binary" else None
+    gaussians, biases = [], []
     for _ in range(4):
-        op = maker(d, rng)
+        gaussians.append(_gaussians(d, rng))
         if trace_bias:
-            op = add_trace_bias(op, rng.uniform(-trace_bias, trace_bias))
-        ops.append(op)
+            biases.append(rng.uniform(-trace_bias, trace_bias))
+    if kind == "binary":
+        ops = _conjugated_diagonals(_haar_from_gaussians(np.stack(gaussians)), signs)
+    else:
+        ops = _bounded_from_gaussians(np.stack(gaussians))
+    if trace_bias:
+        ops = add_trace_bias(ops, biases)
     return ChshStrategy(n, (ops[0], ops[1]), (ops[2], ops[3]))
 
 
@@ -249,18 +360,14 @@ class MagicSquareStrategy:
 
     def __post_init__(self):
         d = 4 ** self.n
-        for q in MS_QUESTIONS:
-            if q not in self.alice_povms:
-                raise ValidationError(f"missing POVM for question {q}")
-            self.alice_povms[q] = require_povm(np.asarray(self.alice_povms[q]), d, f"POVM {q}")
-            if self.alice_povms[q].shape[0] != 8:
-                raise ValidationError(f"POVM {q} must have 8 outcomes")
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                if (i, j) not in self.bob_observables:
-                    raise ValidationError(f"missing observable for variable ({i},{j})")
-                self.bob_observables[(i, j)] = require_observable(
-                    self.bob_observables[(i, j)], d, f"Q{i}{j}")
+        povms = _lookup(self.alice_povms, MS_QUESTIONS,
+                        [f"POVM for question {q}" for q in MS_QUESTIONS])
+        bob = _lookup(self.bob_observables, _MS_VARIABLES,
+                      [f"observable for variable ({i},{j})" for i, j in _MS_VARIABLES])
+        povms = _require_povms(povms, d, 8, [f"POVM {q}" for q in MS_QUESTIONS])
+        bob = _require_observables(bob, d, [f"Q{i}{j}" for i, j in _MS_VARIABLES])
+        self.alice_povms = dict(zip(MS_QUESTIONS, povms))
+        self.bob_observables = dict(zip(_MS_VARIABLES, bob))
 
     @property
     def dim(self) -> int:
@@ -309,8 +416,7 @@ def perturbed_magic_square_strategy(n: int, register: int, theta: float,
     """Canonical strategy with Bob observables conjugated by a first-qubit
     rotation on the active register (all nine, or a single variable)."""
     base = canonical_magic_square_strategy(n, register)
-    w = np.kron(np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * SIGMA_Y,
-                np.eye(2))
+    w = np.kron(_y_rotation(theta), np.eye(2))
     bob = {}
     for key, q in base.bob_observables.items():
         if only_variable is None or key == only_variable:
@@ -331,39 +437,47 @@ def random_magic_square_strategy(n: int, rng: np.random.Generator,
     'raw': Gaussian PSD elements renormalized into a POVM.
     """
     d = 4 ** n
-    povms = {}
-    for q in MS_QUESTIONS:
-        if kind in ("projective", "mixed"):
-            u = haar_unitary(d, rng)
-            diags = []
+    projective = kind in ("projective", "mixed")
+    balanced = _balanced_signs(d)
+    gaussians, signs, lams, raw, biases = [], [], [], [], []
+    for _ in MS_QUESTIONS:
+        if projective:
+            gaussians.append(_gaussians(d, rng))
             for _ in range(3):
-                signs = np.concatenate([np.ones(d // 2), -np.ones(d // 2)])
-                rng.shuffle(signs)
+                sign = balanced.copy()
+                rng.shuffle(sign)
                 if trace_bias:
                     flip = rng.random(d) < abs(trace_bias) / 2
-                    signs[flip] = np.sign(trace_bias) or 1.0
-                diags.append(signs)
-            obs = [(u * dg) @ u.conj().T for dg in diags]
-            povm = _commuting_projector_povm(obs)
+                    sign[flip] = np.sign(trace_bias) or 1.0
+                signs.append(sign)
             if kind == "mixed":
-                lam = rng.uniform(0.0, 0.5)
-                povm = (1 - lam) * povm + lam * np.eye(d) / 8
+                lams.append(rng.uniform(0.0, 0.5))
         else:
-            gs = rng.normal(size=(8, d, d)) + 1j * rng.normal(size=(8, d, d))
-            raw = np.stack([g @ g.conj().T for g in gs])
-            total = raw.sum(axis=0)
-            vals, vecs = np.linalg.eigh(total)
-            inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-            povm = np.stack([inv_sqrt @ e @ inv_sqrt for e in raw])
-        povms[q] = povm
-    bob = {}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            op = random_traceless_binary(d, rng)
-            if trace_bias:
-                op = add_trace_bias(op, rng.uniform(-trace_bias, trace_bias))
-            bob[(i, j)] = op
-    return MagicSquareStrategy(n, povms, bob)
+            raw.append(rng.normal(size=(8, d, d)) + 1j * rng.normal(size=(8, d, d)))
+    for _ in _MS_VARIABLES:
+        gaussians.append(_gaussians(d, rng))
+        if trace_bias:
+            biases.append(rng.uniform(-trace_bias, trace_bias))
+    u = _haar_from_gaussians(np.stack(gaussians))
+    if projective:
+        # element a of question q is u_q diag(mask) u_q*, where the 0/1 mask
+        # multiplies the spectral projectors (1 + a_s sign_s) / 2 of slots s
+        signs = np.reshape(signs, (len(MS_QUESTIONS), 1, 3, d))
+        masks = np.prod((1 + _MS_SIGNS[:, :, None] * signs) / 2, axis=2)
+        povms = _conjugated_diagonals(u[:len(MS_QUESTIONS), None], masks)
+        if kind == "mixed":
+            lam = np.reshape(lams, (-1, 1, 1, 1))
+            povms = (1 - lam) * povms + lam * np.eye(d) / 8
+    else:
+        raw = np.stack(raw)
+        raw = raw @ _dagger(raw)
+        vals, vecs = np.linalg.eigh(raw.sum(axis=1))
+        inv_sqrt = (vecs * (1.0 / np.sqrt(vals))[..., None, :]) @ _dagger(vecs)
+        povms = inv_sqrt[:, None] @ raw @ inv_sqrt[:, None]
+    bob = _conjugated_diagonals(u[-len(_MS_VARIABLES):], balanced)
+    if trace_bias:
+        bob = add_trace_bias(bob, biases)
+    return MagicSquareStrategy(n, dict(zip(MS_QUESTIONS, povms)), dict(zip(_MS_VARIABLES, bob)))
 
 
 def pair_key(i: int, y: int, j: int, z: int) -> tuple:
@@ -416,17 +530,23 @@ class TwoOutOfNStrategy:
         if self.n_prime < self.n:
             raise ValidationError("need at least as many registers as indices")
         d = 2 ** self.n_prime
-        for i in range(1, self.n + 1):
-            for x in (0, 1):
-                self.alice_singles[(i, x)] = require_observable(
-                    self.alice_singles[(i, x)], d, f"P[{i},{x}]")
-                self.bob_singles[(i, x)] = require_observable(
-                    self.bob_singles[(i, x)], d, f"Q[{i},{x}]")
-        for povms in (self.alice_pair_povms, self.bob_pair_povms):
-            for key in _pair_keys(self.n):
-                if key not in povms:
-                    raise ValidationError(f"missing pair POVM {key}")
-                povms[key] = require_povm(np.asarray(povms[key]), d, f"pair POVM {key}")
+        singles = [(i, x) for i in range(1, self.n + 1) for x in (0, 1)]
+        keys = _pair_keys(self.n)
+        p_labels, q_labels = ([f"{p}[{i},{x}]" for i, x in singles] for p in "PQ")
+        pair_labels = [f"pair POVM {key}" for key in keys]
+        alice = _lookup(self.alice_singles, singles, [f"single observable {s}" for s in p_labels])
+        bob = _lookup(self.bob_singles, singles, [f"single observable {s}" for s in q_labels])
+        # P[i,x] and Q[i,x] alternate, so an error names the same operator
+        # first that a check of one operator at a time would have named
+        ops = _require_observables([op for both in zip(alice, bob) for op in both], d,
+                                   [s for both in zip(p_labels, q_labels) for s in both])
+        povms = _require_povms(_lookup(self.alice_pair_povms, keys, pair_labels)
+                               + _lookup(self.bob_pair_povms, keys, pair_labels),
+                               d, 4, pair_labels * 2)
+        self.alice_singles = dict(zip(singles, ops[0::2]))
+        self.bob_singles = dict(zip(singles, ops[1::2]))
+        self.alice_pair_povms = dict(zip(keys, povms[:len(keys)]))
+        self.bob_pair_povms = dict(zip(keys, povms[len(keys):]))
 
     @property
     def dim(self) -> int:
@@ -484,7 +604,7 @@ def perturbed_two_out_of_n_strategy(n: int, theta: float,
     perturbed index's register conjugated by a y-axis rotation."""
     base = canonical_two_out_of_n_strategy(n)
     reg = index
-    w = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * SIGMA_Y
+    w = _y_rotation(theta)
     bob_singles = dict(base.bob_singles)
     for x in (0, 1):
         bob_singles[(index, x)] = conjugate_on_register(

@@ -42,21 +42,24 @@ def _as_square(mat: np.ndarray, stack: bool = False) -> np.ndarray:
     return mat
 
 
+def hermitian_deviation(mats: np.ndarray) -> np.ndarray:
+    """Largest entry of |M - M*| of one matrix, or of each matrix in a stack
+    (NaN where M has a non-finite entry)."""
+    return np.abs(mats - np.swapaxes(mats.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+
+
 def _require_hermitian(mats: np.ndarray, atol: float) -> np.ndarray:
     # checked first: inf - inf is NaN, and NaN never exceeds a tolerance
     if not np.isfinite(mats).all():
         raise ValidationError("matrix has non-finite entries")
+    dev = hermitian_deviation(mats)
     if mats.ndim == 2:
-        dev = np.abs(mats - mats.conj().T).max()
         if dev > atol:
             raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    elif mats.size:
-        dev = np.abs(mats - mats.conj().transpose(0, 2, 1))
-        worst = dev.reshape(len(mats), -1).max(axis=1)
-        if worst.max() > atol:
-            member = int(np.argmax(worst > atol))
-            raise ValidationError(f"stack member {member} is not Hermitian "
-                                  f"(max deviation {worst[member]:.3e})")
+    elif (dev > atol).any():
+        member = int(np.argmax(dev > atol))
+        raise ValidationError(f"stack member {member} is not Hermitian "
+                              f"(max deviation {dev[member]:.3e})")
     return mats
 
 

@@ -148,17 +148,28 @@ def _symbolic_strategy(data: dict):
     raise ValidationError(f"unknown symbolic strategy kind {kind!r}")
 
 
+# the fields each game's strategy document carries besides game and n
+_STRATEGY_FIELDS = {
+    "chsh": {"observables"},
+    "magic_square": {"alicePovms", "bobObservables"},
+    "two_out_of_n": {"aliceSingles", "bobSingles", "alicePairPovms", "bobPairPovms"},
+}
+
+
 def strategy_from_json(data: dict):
     if isinstance(data, dict) and "kind" in data:
         _require_keys(data, {"kind"},
                       {"game", "n", "nPrime", "register", "theta", "seed",
                        "variant", "traceBias"}, "symbolic strategy")
         return _symbolic_strategy(data)
-    _require_keys(data, {"game", "n"},
-                  {"observables", "alicePovms", "bobObservables", "nPrime",
-                   "aliceSingles", "bobSingles", "alicePairPovms", "bobPairPovms"},
+    _require_keys(data, {"game", "n"}, {"nPrime", *set().union(*_STRATEGY_FIELDS.values())},
                   "strategy")
     game = data["game"]
+    fields = _STRATEGY_FIELDS.get(game) if isinstance(game, str) else None
+    if fields is None:
+        raise ValidationError(f"unknown game {game!r}")
+    _require_keys(data, {"game", "n", *fields}, {"nPrime"} if game == "two_out_of_n" else set(),
+                  f"{game} strategy")
     n = int(data["n"])
     if game == "chsh":
         obs = data["observables"]
@@ -169,13 +180,13 @@ def strategy_from_json(data: dict):
             (matrix_from_json(obs["Q0"]), matrix_from_json(obs["Q1"])),
         )
     if game == "magic_square":
+        variables = {f"s{i}{j}": (i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
+        _require_keys(data["alicePovms"], set(MS_QUESTIONS), set(), "alicePovms")
+        _require_keys(data["bobObservables"], set(variables), set(), "bobObservables")
         povms = {q: np.stack([matrix_from_json(e) for e in data["alicePovms"][q]])
                  for q in MS_QUESTIONS}
-        bob = {}
-        for key, mat in data["bobObservables"].items():
-            if len(key) != 3 or not key.startswith("s"):
-                raise ValidationError(f"bad variable key {key!r}; expected e.g. 's12'")
-            bob[(int(key[1]), int(key[2]))] = matrix_from_json(mat)
+        bob = {var: matrix_from_json(data["bobObservables"][key])
+               for key, var in variables.items()}
         return MagicSquareStrategy(n, povms, bob)
     if game == "two_out_of_n":
         n_prime = int(data.get("nPrime", n))
@@ -193,7 +204,6 @@ def strategy_from_json(data: dict):
             n, n_prime,
             parse_ops(data["aliceSingles"]), parse_ops(data["bobSingles"]),
             parse_povms(data["alicePairPovms"]), parse_povms(data["bobPairPovms"]))
-    raise ValidationError(f"unknown game {game!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,30 @@ def test_strategy_unknown_field_rejected():
         strategy_from_json({"kind": "canonical", "game": "chsh", "n": 1, "bogus": 2})
 
 
+@pytest.mark.parametrize("build, field", [
+    (canonical_chsh_strategy, "observables"),
+    (canonical_magic_square_strategy, "alicePovms"),
+    (canonical_magic_square_strategy, "bobObservables"),
+    (canonical_two_out_of_n_strategy, "aliceSingles"),
+    (canonical_two_out_of_n_strategy, "bobSingles"),
+    (canonical_two_out_of_n_strategy, "alicePairPovms"),
+    (canonical_two_out_of_n_strategy, "bobPairPovms"),
+])
+def test_strategy_missing_field_is_named(build, field):
+    doc = strategy_to_json(build(1))
+    del doc[field]
+    with pytest.raises(ValidationError,
+                       match=rf"^{doc['game']} strategy is missing fields: \['{field}'\]$"):
+        strategy_from_json(doc)
+
+
+def test_magic_square_strategy_missing_question_is_named():
+    doc = strategy_to_json(canonical_magic_square_strategy(1))
+    del doc["alicePovms"]["r3"]
+    with pytest.raises(ValidationError, match=r"^alicePovms is missing fields: \['r3'\]$"):
+        strategy_from_json(doc)
+
+
 def test_report_serialization():
     doc = game_value_to_json(chsh_violation(canonical_chsh_strategy(1), 0.9))
     assert doc["winProb"] == pytest.approx(0.5 + doc["violation"] / 8)
