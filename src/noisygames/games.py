@@ -88,7 +88,7 @@ def _spectra(stack: np.ndarray) -> tuple:
     """(finite, Hermitian deviation, eigenvalues) of each matrix in a stack;
     a matrix with a non-finite entry is measured as zero."""
     finite = np.isfinite(stack).all(axis=(-2, -1))
-    safe = np.where(finite[..., None, None], stack, 0.0)
+    safe = stack if finite.all() else np.where(finite[..., None, None], stack, 0.0)
     return finite, hermitian_deviation(safe), np.linalg.eigvalsh(safe)
 
 

@@ -45,7 +45,9 @@ def _as_square(mat: np.ndarray, stack: bool = False) -> np.ndarray:
 def hermitian_deviation(mats: np.ndarray) -> np.ndarray:
     """Largest entry of |M - M*| of one matrix, or of each matrix in a stack
     (NaN where M has a non-finite entry)."""
-    return np.abs(mats - np.swapaxes(mats.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    diff = np.swapaxes(mats, -1, -2).conj()
+    diff -= mats
+    return np.abs(diff).max(axis=(-2, -1), initial=0.0)
 
 
 def _require_hermitian(mats: np.ndarray, atol: float) -> np.ndarray:
