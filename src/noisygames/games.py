@@ -80,8 +80,17 @@ def _lookup(mapping, keys: list, names: list) -> list:
     return [mapping[key] for key in keys]
 
 
-def _stack(arrays: list, shape: tuple) -> np.ndarray:
-    return np.stack(arrays) if arrays else np.empty((0,) + shape, dtype=complex)
+# the stacked checks run over chunks of at most this many bytes: a large
+# strategy's temporaries stay small, and validation keeps no copy of it
+_CHECK_BYTES = 1 << 20
+
+
+def _chunks(arrays: list):
+    """(offset, stack) over consecutive equal-shape members, each stack at
+    most _CHECK_BYTES (and at least one member)."""
+    step = max(1, _CHECK_BYTES // max(arrays[0].nbytes, 1)) if arrays else 1
+    for lo in range(0, len(arrays), step):
+        yield lo, np.stack(arrays[lo:lo + step])
 
 
 def _spectra(stack: np.ndarray) -> tuple:
@@ -92,59 +101,64 @@ def _spectra(stack: np.ndarray) -> tuple:
     return finite, hermitian_deviation(safe), np.linalg.eigvalsh(safe)
 
 
-def _require_observables(ops, dim: int, labels: list) -> np.ndarray:
-    """Check observables as one (k, dim, dim) stack and return it: each must
-    be finite, Hermitian and of spectral norm at most 1.  An error names the
-    first bad member, labels[i], and the first check it fails."""
+def _require_observables(ops, dim: int, labels: list) -> list:
+    """Check observables as (k, dim, dim) stacks and return them as complex
+    arrays: each must be finite, Hermitian and of spectral norm at most 1.
+    An error names the first bad member, labels[i], and the first check it
+    fails."""
     arrays = [np.asarray(op, dtype=complex) for op in ops]
     for arr, label in zip(arrays, labels):
         if arr.shape != (dim, dim):
             raise ValidationError(f"{label} must be a {dim}x{dim} matrix, got shape {arr.shape}")
-    stack = _stack(arrays, (dim, dim))
-    finite, dev, eigs = _spectra(stack)
-    norm = np.abs(eigs).max(axis=-1, initial=0.0)
-    bad = ~finite | (dev > HERMITIAN_ATOL) | (norm > 1.0 + SPECTRAL_NORM_SLACK)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if not finite[k]:
-            raise ValidationError(f"{labels[k]} has non-finite entries")
-        if dev[k] > HERMITIAN_ATOL:
-            raise ValidationError(f"{labels[k]} is not Hermitian (max deviation {dev[k]:.3e})")
-        raise ValidationError(f"{labels[k]} has spectral norm {norm[k]:.6f} > 1")
-    return stack
+    for lo, stack in _chunks(arrays):
+        finite, dev, eigs = _spectra(stack)
+        norm = np.abs(eigs).max(axis=-1)
+        bad = ~finite | (dev > HERMITIAN_ATOL) | (norm > 1.0 + SPECTRAL_NORM_SLACK)
+        if bad.any():
+            k = int(np.argmax(bad))
+            label = labels[lo + k]
+            if not finite[k]:
+                raise ValidationError(f"{label} has non-finite entries")
+            if dev[k] > HERMITIAN_ATOL:
+                raise ValidationError(f"{label} is not Hermitian (max deviation {dev[k]:.3e})")
+            raise ValidationError(f"{label} has spectral norm {norm[k]:.6f} > 1")
+    return arrays
 
 
-def _require_povms(povms, dim: int, outcomes: int | None, labels: list) -> np.ndarray:
-    """Check POVMs as one (k, outcomes, dim, dim) stack and return it: every
-    element must be finite, Hermitian and PSD, and each POVM must sum to the
-    identity.  An error names the first bad POVM, labels[i], and the first
-    check it fails; outcomes None accepts any count (one POVM)."""
+def _require_povms(povms, dim: int, outcomes: int | None, labels: list) -> list:
+    """Check POVMs as (k, outcomes, dim, dim) stacks and return them as
+    complex arrays: every element must be finite, Hermitian and PSD, and
+    each POVM must sum to the identity.  An error names the first bad POVM,
+    labels[i], and the first check it fails; outcomes None accepts any count
+    (one POVM)."""
     arrays = [np.asarray(p, dtype=complex) for p in povms]
     for arr, label in zip(arrays, labels):
         if arr.ndim != 3 or arr.shape[1:] != (dim, dim):
             raise ValidationError(f"{label} must be a stack of {dim}x{dim} matrices")
         if outcomes is not None and len(arr) != outcomes:
             raise ValidationError(f"{label} must have {outcomes} outcomes")
-    stack = _stack(arrays, (outcomes or 0, dim, dim))
-    finite, dev, eigs = _spectra(stack)
-    low = eigs.min(axis=-1, initial=0.0)
-    off = np.abs(stack.sum(axis=1) - np.eye(dim)).max(axis=(-2, -1), initial=0.0)
-    bad = (~finite | (dev > HERMITIAN_ATOL) | (low < -POVM_ATOL)).any(axis=1) | (off > POVM_ATOL)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if not finite[k].all():
-            raise ValidationError(f"{labels[k]} has non-finite entries")
-        if (dev[k] > HERMITIAN_ATOL).any():
-            e = int(np.argmax(dev[k] > HERMITIAN_ATOL))
-            raise ValidationError(f"{labels[k]} element {e} is not Hermitian "
-                                  f"(max deviation {dev[k, e]:.3e})")
-        if (low[k] < -POVM_ATOL).any():
-            e = int(np.argmax(low[k] < -POVM_ATOL))
-            raise ValidationError(f"{labels[k]} element {e} is not PSD "
-                                  f"(min eigenvalue {low[k, e]:.3e})")
-        raise ValidationError(f"{labels[k]} does not sum to identity "
-                              f"(max deviation {off[k]:.3e})")
-    return stack
+    for lo, stack in _chunks(arrays):
+        finite, dev, eigs = _spectra(stack)
+        low = eigs.min(axis=-1)
+        off = np.abs(stack.sum(axis=1) - np.eye(dim)).max(axis=(-2, -1))
+        bad = (~finite | (dev > HERMITIAN_ATOL) | (low < -POVM_ATOL)).any(axis=1)
+        bad |= off > POVM_ATOL
+        if bad.any():
+            k = int(np.argmax(bad))
+            label = labels[lo + k]
+            if not finite[k].all():
+                raise ValidationError(f"{label} has non-finite entries")
+            if (dev[k] > HERMITIAN_ATOL).any():
+                e = int(np.argmax(dev[k] > HERMITIAN_ATOL))
+                raise ValidationError(f"{label} element {e} is not Hermitian "
+                                      f"(max deviation {dev[k, e]:.3e})")
+            if (low[k] < -POVM_ATOL).any():
+                e = int(np.argmax(low[k] < -POVM_ATOL))
+                raise ValidationError(f"{label} element {e} is not PSD "
+                                      f"(min eigenvalue {low[k, e]:.3e})")
+            raise ValidationError(f"{label} does not sum to identity "
+                                  f"(max deviation {off[k]:.3e})")
+    return arrays
 
 
 def require_observable(op: np.ndarray, dim: int, label: str = "observable") -> np.ndarray:

@@ -191,19 +191,21 @@ def strategy_from_json(data: dict):
     if game == "two_out_of_n":
         n_prime = int(data.get("nPrime", n))
 
-        def parse_ops(block):
-            return {tuple(int(v) for v in key.split(",")): matrix_from_json(mat)
-                    for key, mat in block.items()}
+        def keyed(field):
+            block = data[field]
+            if not isinstance(block, dict):
+                raise ValidationError(f"{field} must be a JSON object")
+            return [(tuple(int(v) for v in key.split(",")), value) for key, value in block.items()]
 
-        def parse_povms(block):
-            return {tuple(int(v) for v in key.split(",")):
-                    np.stack([matrix_from_json(e) for e in v])
-                    for key, v in block.items()}
+        def parse_ops(field):
+            return {key: matrix_from_json(mat) for key, mat in keyed(field)}
+
+        def parse_povms(field):
+            return {key: np.stack([matrix_from_json(e) for e in v]) for key, v in keyed(field)}
 
         return TwoOutOfNStrategy(
-            n, n_prime,
-            parse_ops(data["aliceSingles"]), parse_ops(data["bobSingles"]),
-            parse_povms(data["alicePairPovms"]), parse_povms(data["bobPairPovms"]))
+            n, n_prime, parse_ops("aliceSingles"), parse_ops("bobSingles"),
+            parse_povms("alicePairPovms"), parse_povms("bobPairPovms"))
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,8 @@ def test_threads_flag_removed(capsys):
      "2-out-of-n values need n >= 2 indices, got n = 1"),
     (["eval", "--game", "magic_square", "--rho", "0.9", "--strategy", "{ms_no_povms}"],
      "magic_square strategy is missing fields: ['alicePovms']"),
+    (["eval", "--game", "two_out_of_n", "--n", "2", "--rho", "0.9", "--strategy", "{t2n_list}"],
+     "aliceSingles must be a JSON object"),
     (["eval", "--rho", "0.9", "--strategy", "canonical-perturbed:nan"],
      "theta must be a finite angle, got nan"),
     (["eval", "--rho", "0.9", "--strategy", "canonical-perturbed:inf"],
@@ -344,12 +346,14 @@ def test_threads_flag_removed(capsys):
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
         "transcript-t-prime-not-int", "transcript-rate-not-real", "out-is-a-directory",
         "strategy-is-a-directory", "transcript-is-a-directory", "eval-two-out-of-one",
-        "selftest-two-out-of-one", "strategy-missing-field", "perturbed-theta-nan",
+        "selftest-two-out-of-one", "strategy-missing-field", "strategy-block-not-an-object",
+        "perturbed-theta-nan",
         "perturbed-theta-inf"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",
-             "rate_x": tmp_path / "rate_x.json", "ms_no_povms": tmp_path / "ms_no_povms.json"}
+             "rate_x": tmp_path / "rate_x.json", "ms_no_povms": tmp_path / "ms_no_povms.json",
+             "t2n_list": tmp_path / "t2n_list.json"}
     files["no_game"].write_text(json.dumps({"tPrime": 10, "empiricalWinRate": 0.8}))
     files["a_list"].write_text("[1, 2]")
     files["ghz"].write_text(json.dumps({"game": "ghz", "tPrime": 10, "empiricalWinRate": 0.8}))
@@ -359,6 +363,9 @@ def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
                                            "empiricalWinRate": "x"}))
     files["ms_no_povms"].write_text(json.dumps({"game": "magic_square", "n": 1,
                                                "bobObservables": {}}))
+    files["t2n_list"].write_text(json.dumps({"game": "two_out_of_n", "n": 2, "aliceSingles": [],
+                                            "bobSingles": {}, "alicePairPovms": {},
+                                            "bobPairPovms": {}}))
     names = {key: str(path) for key, path in files.items()}
     names["a_dir"] = str(tmp_path)
     code, out, err = run_cli(capsys, *[a.format(**names) for a in argv])

@@ -135,6 +135,17 @@ def test_the_first_bad_member_is_named():
                      (_entry(base.bob[0], 0.5, (0, 1)), base.bob[1]))
 
 
+def test_a_bad_pair_povm_past_the_first_chunk_is_named():
+    # a 2-out-of-5 player holds 40 pair POVMs of 4 x 32 x 32 complex
+    # entries, more than one validation chunk
+    base = canonical_two_out_of_n_strategy(5)
+    key = (4, 1, 5, 1)
+    bob = {**base.bob_pair_povms, key: 0.9 * base.bob_pair_povms[key]}
+    with pytest.raises(ValidationError, match=r"^pair POVM \(4, 1, 5, 1\) does not sum"):
+        TwoOutOfNStrategy(5, 5, base.alice_singles, base.bob_singles,
+                          base.alice_pair_povms, bob)
+
+
 def test_missing_and_misshapen_operators_are_named():
     base, build = _two_out_of_two(alice_singles={})
     with pytest.raises(ValidationError, match=r"^missing single observable P\[1,0\]$"):
