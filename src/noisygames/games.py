@@ -80,8 +80,10 @@ def _lookup(mapping, keys: list, names: list) -> list:
     return [mapping[key] for key in keys]
 
 
-# the stacked checks run over chunks of at most this many bytes: a large
-# strategy's temporaries stay small, and validation keeps no copy of it
+# the stacked checks run over chunks of at most this many bytes, so that a
+# large strategy's temporaries stay small and no copy of it is kept: one
+# stack of a 2-out-of-5 strategy's 80 pair POVMs (5 MB) raised the protocol
+# workload's peak RSS by about 5 MB
 _CHECK_BYTES = 1 << 20
 
 

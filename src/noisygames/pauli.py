@@ -45,9 +45,8 @@ def _as_square(mat: np.ndarray, stack: bool = False) -> np.ndarray:
 def hermitian_deviation(mats: np.ndarray) -> np.ndarray:
     """Largest entry of |M - M*| of one matrix, or of each matrix in a stack
     (NaN where M has a non-finite entry)."""
-    diff = np.swapaxes(mats, -1, -2).conj()
-    diff -= mats
-    return np.abs(diff).max(axis=(-2, -1), initial=0.0)
+    dev = np.abs(mats - mats.conj().swapaxes(-1, -2))
+    return dev.reshape(dev.shape[:-2] + (dev.shape[-1] ** 2,)).max(axis=-1, initial=0.0)
 
 
 def _require_hermitian(mats: np.ndarray, atol: float) -> np.ndarray:
