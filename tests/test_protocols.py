@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -13,13 +15,26 @@ from noisygames.games import (
     canonical_chsh_strategy,
     canonical_magic_square_strategy,
     canonical_two_out_of_n_strategy,
+    pair_key,
+    perturbed_two_out_of_n_strategy,
+    two_out_of_n_value,
 )
-from noisygames.pauli import SIGMA_X, SIGMA_Z, ValidationError
+from noisygames.pauli import (
+    SIGMA_X,
+    SIGMA_Z,
+    ValidationError,
+    default_basis,
+    noisy_epr_expectation,
+    normalized_trace,
+    pauli_expand,
+)
 from noisygames.protocols import (
     ChshSampler,
     ProtocolParams,
     TwoOutOfNSampler,
+    _cumulative_table,
     _sample_categories,
+    _two_out_of_n_game,
     derive_delta,
     estimate_noise_rate,
     play_chsh_rounds,
@@ -519,3 +534,85 @@ def test_rejecting_transcript_golden_digest(game, t, seed):
 def test_estimate_rejects_bad_inputs(game, statistic, n_rounds, message):
     with pytest.raises(ValidationError, match=message):
         estimate_noise_rate(game, statistic=statistic, n_rounds=n_rounds)
+
+
+# ---------------------------------------------------------------------------
+# 2-out-of-n sampler tables against a reference that expands one operator at
+# a time
+
+
+_TWO_STRATEGIES = {
+    "canonical": canonical_two_out_of_n_strategy,
+    "theta0.37": lambda n: perturbed_two_out_of_n_strategy(n, 0.37),
+    "theta1.1-index2": lambda n: perturbed_two_out_of_n_strategy(n, 1.1, index=2),
+}
+_TWO_CASES = [(name, n) for name in _TWO_STRATEGIES for n in (2, 3, 4, 5)]
+
+
+@functools.cache
+def _two_strategy(name, n):
+    return _TWO_STRATEGIES[name](n)
+
+
+@functools.cache
+def _reference_expansions(name, n):
+    """Every single and every pair-POVM element of both players, expanded
+    one operator at a time: Alice's in the default basis, Bob's in its
+    transpose."""
+    s = _two_strategy(name, n)
+    base = default_basis(2)
+    sides = []
+    for singles, povms, basis in ((s.alice_singles, s.alice_pair_povms, base),
+                                  (s.bob_singles, s.bob_pair_povms, base.transposed())):
+        sides.append(({k: pauli_expand(op, basis) for k, op in singles.items()},
+                      {k: [pauli_expand(e, basis) for e in povm] for k, povm in povms.items()}))
+    return sides
+
+
+def _reference_two_out_of_n_cum(name, n, rho):
+    s = _two_strategy(name, n)
+    (a_singles, a_pairs), (b_singles, b_pairs) = _reference_expansions(name, n)
+    weights = np.array([1.0, rho, rho, rho])
+    index, rows = {}, []
+    for role in (0, 1):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                for x, y, z in itertools.product((0, 1), repeat=3):
+                    key = pair_key(i, y, j, z)
+                    if role == 0:
+                        povm = s.bob_pair_povms[key]
+                        single, elems = a_singles[(i, x)], b_pairs[key]
+                        corrs = [noisy_epr_expectation(single, e, weights) for e in elems]
+                    else:
+                        povm = s.alice_pair_povms[key]
+                        single, elems = b_singles[(i, x)], a_pairs[key]
+                        corrs = [noisy_epr_expectation(e, single, weights) for e in elems]
+                    masses = [normalized_trace(e) for e in povm]
+                    index[(role, i, j, x, y, z)] = len(rows)
+                    rows.append([(m + c) / 2 for m, c in zip(masses, corrs)]
+                                + [(m - c) / 2 for m, c in zip(masses, corrs)])
+    return index, _cumulative_table(rows)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.55, 0.9, 1.0])
+@pytest.mark.parametrize("name, n", _TWO_CASES)
+def test_two_out_of_n_sampler_matches_per_operator_reference(name, n, rho):
+    sampler = TwoOutOfNSampler(_two_strategy(name, n), rho)
+    index, cum = _reference_two_out_of_n_cum(name, n, rho)
+    assert list(sampler.context_index.items()) == list(index.items())
+    assert sampler.cum.shape == cum.shape
+    assert np.abs(sampler.cum - cum).max() <= 1e-15
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.55, 0.9, 1.0])
+@pytest.mark.parametrize("name, n", _TWO_CASES)
+def test_two_out_of_n_tables_win_at_the_game_value(name, n, rho):
+    # every context is equally likely, so the table's win rate is the
+    # mean over contexts of each context's winning probability mass
+    s = _two_strategy(name, n)
+    game = _two_out_of_n_game(s, rho)
+    probs = np.diff(game.sampler.cum, axis=1, prepend=0.0)
+    win_rate = (probs * game.columns["win"]).sum(axis=1).mean()
+    assert abs(win_rate - two_out_of_n_value(s, rho).win_prob) <= 1e-12
