@@ -649,8 +649,11 @@ def _basis_pair(m: int) -> tuple[StandardBasis, StandardBasis]:
 
 
 class PairEvaluator:
-    """Caches expansions so repeated pairings against the same operators are
-    cheap; the workhorse behind every game value below.
+    """Pairs operators under a shared noisy state.  Every game value and the
+    2-out-of-n sampler tables use expand_stacks.  The id()-keyed expand_a,
+    expand_b and pair now serve only the CHSH and magic-square samplers and
+    the two SoS certificates; they stay while the benchmark asserts that the
+    protocol workload re-expands operators, which stacking those breaks.
 
     noise is a fidelity rho (depolarizing, in the default bases of local
     dimension m) or a CorrelationSpectrum (its bases and values)."""
@@ -813,6 +816,18 @@ def magic_square_dense_state(rho: float, n: int) -> BipartiteState:
     return make_depolarized_epr(rho, n, pair_registers=True)
 
 
+def _two_out_of_n_stacks(strategy: TwoOutOfNStrategy, rho) -> tuple:
+    """PairEvaluator.expand_stacks over each player's stack: its 2n singles
+    (row 2(i-1) + x holds (i, x)), then the four elements of every pair POVM
+    in _pair_keys order (row 2n + 4k + e holds element e of key k)."""
+    singles = [(i, x) for i in range(1, strategy.n + 1) for x in (0, 1)]
+    keys = _pair_keys(strategy.n)
+    return PairEvaluator(rho).expand_stacks(*(
+        np.concatenate([np.stack([own[s] for s in singles]), *(povms[key] for key in keys)])
+        for own, povms in ((strategy.alice_singles, strategy.alice_pair_povms),
+                           (strategy.bob_singles, strategy.bob_pair_povms))))
+
+
 def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
     """Average CHSH pass probability over shared indices, role swap and
     questions; reported violation is 8 * (win - 1/2).
@@ -822,18 +837,10 @@ def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
     n = strategy.n
     if n < 2:
         raise ValidationError(f"2-out-of-n values need n >= 2 indices, got n = {n}")
-    singles = [(i, x) for i in range(1, n + 1) for x in (0, 1)]
+    a, b, w = _two_out_of_n_stacks(strategy, rho)
+    ns = 2 * n
     keys = _pair_keys(n)
     key_index = {key: k for k, key in enumerate(keys)}
-
-    def stack(own_singles, pair_povms):
-        return np.concatenate([np.stack([own_singles[s] for s in singles]),
-                               *(pair_povms[key] for key in keys)])
-
-    a, b, w = PairEvaluator(rho).expand_stacks(
-        stack(strategy.alice_singles, strategy.alice_pair_povms),
-        stack(strategy.bob_singles, strategy.bob_pair_povms))
-    ns = len(singles)
 
     def marginals(coeffs):
         # (key, side) rows flattened to 2 * key + side

@@ -17,6 +17,7 @@ transcripts carry this note.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -29,9 +30,14 @@ from .games import (
     TwoOutOfNStrategy,
     MS_QUESTIONS,
     ms_outcomes,
-    ms_parity_target,
     ms_question_variables,
     pair_key,
+    _MS_PARITY,
+    _MS_SIGNS,
+    _MS_SLOT_VARIABLE,
+    _MS_VARIABLES,
+    _pair_keys,
+    _two_out_of_n_stacks,
 )
 from .pauli import ValidationError, normalized_trace
 
@@ -167,40 +173,32 @@ class MagicSquareSampler:
 
 class TwoOutOfNSampler:
     """Joint distribution over (single answer, pair outcome) per context
-    (role, ordered index pair, questions); 8 categories each."""
+    (role, ordered index pair, questions); 8 categories each, gathered from
+    one product per role over each player's stacked expansion."""
 
     def __init__(self, strategy: TwoOutOfNStrategy, rho: float):
         if strategy.n < 2:
             raise ValidationError(f"2-out-of-n rounds need n >= 2 indices, got n = {strategy.n}")
-        ev = PairEvaluator(rho)
         n = strategy.n
+        ns = 2 * n
+        a, b, w = _two_out_of_n_stacks(strategy, rho)
+        # per role: the single player's singles against the other player's
+        # elements, and those elements' masses (identity coefficients)
+        corr = np.stack([(a[:ns] * w) @ b[ns:].T, (b[:ns] * w) @ a[ns:].T])
+        mass = np.stack([b[ns:, 0], a[ns:, 0]])
+        key_index = {key: k for k, key in enumerate(_pair_keys(n))}
         self.context_index = {}
-        tables = []
-        for role in (0, 1):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i == j:
-                        continue
-                    for x in (0, 1):
-                        for y in (0, 1):
-                            for z in (0, 1):
-                                if role == 0:
-                                    single = strategy.alice_singles[(i, x)]
-                                    povm = strategy.pair_povm("bob", i, y, j, z)
-                                    pair = lambda s, e: ev.pair(s, e)
-                                else:
-                                    single = strategy.bob_singles[(i, x)]
-                                    povm = strategy.pair_povm("alice", i, y, j, z)
-                                    pair = lambda s, e: ev.pair(e, s)
-                                row = np.empty(8)
-                                for ei in range(4):
-                                    mass = normalized_trace(povm[ei])
-                                    corr = pair(single, povm[ei])
-                                    row[ei] = (mass + corr) / 2      # a = +1
-                                    row[4 + ei] = (mass - corr) / 2  # a = -1
-                                self.context_index[(role, i, j, x, y, z)] = len(tables)
-                                tables.append(row)
-        self.cum = _cumulative_table(tables)
+        rows = []
+        for role, i, j, x, y, z in itertools.product((0, 1), range(1, n + 1), range(1, n + 1),
+                                                    (0, 1), (0, 1), (0, 1)):
+            if i != j:
+                self.context_index[(role, i, j, x, y, z)] = len(rows)
+                rows.append((role, 2 * (i - 1) + x, 4 * key_index[pair_key(i, y, j, z)]))
+        role, single, first = np.array(rows).T[:, :, None]
+        elems = first + np.arange(4)
+        corr, mass = corr[role, single, elems], mass[role, elems]
+        # outcome ei: a = +1, element ei; outcome 4 + ei: a = -1
+        self.cum = _cumulative_table(np.hstack([(mass + corr) / 2, (mass - corr) / 2]))
 
     def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
         return _sample_categories(self.cum, ctx, u)
@@ -216,15 +214,6 @@ def _id_table(values) -> np.ndarray:
     over 16-bit or narrower ids is a radix sort."""
     values = np.asarray(values)
     return values.astype(np.min_scalar_type(values.max()))
-
-
-_MS_OUTCOME_SIGNS = np.array(ms_outcomes())  # (8, 3) of +-1
-_MS_PARITY = np.array([int(np.prod(a)) for a in ms_outcomes()])
-_MS_PARITY_TARGET = np.array([ms_parity_target(q) for q in MS_QUESTIONS])
-_MS_VARIABLES = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-# context 3 * question + slot - 1 -> index of its variable in _MS_VARIABLES
-_MS_CTX_VARIABLE = _id_table([_MS_VARIABLES.index(v) for q in MS_QUESTIONS
-                              for v in ms_question_variables(q)])
 
 
 @dataclass
@@ -281,7 +270,7 @@ def _ms_game(strategy: MagicSquareStrategy, rho: float) -> _Game:
     q, slot = cc // 3, cc % 3 + 1
     a_idx = oo // 2
     b = 1 - 2 * (oo % 2)
-    consistent = _MS_OUTCOME_SIGNS[a_idx, slot - 1] == b
+    consistent = _MS_SIGNS[a_idx, slot - 1] == b
     # Alice's key is the question, Bob's the variable of (question, slot).
     # a_idx holds Alice's answer bits in slot order (ms_outcomes): slot sl is
     # the outcome bit 16 >> sl
@@ -294,9 +283,10 @@ def _ms_game(strategy: MagicSquareStrategy, rho: float) -> _Game:
     return _Game(MagicSquareSampler(strategy, rho),
                  [(question, sl) for question in MS_QUESTIONS for sl in (1, 2, 3)], draw_contexts,
                  {"question": q, "slot": slot, "alice_outcome": a_idx, "b": b,
-                  "win": (_MS_PARITY[a_idx] == _MS_PARITY_TARGET[q]) & consistent,
+                  "win": (_MS_PARITY[q, a_idx] == 1) & consistent,
                   "consistent": consistent},
-                 [(_id_table(np.arange(18) // 3), alice), (_MS_CTX_VARIABLE, bob)],
+                 [(_id_table(np.arange(18) // 3), alice),
+                  (_id_table(_MS_SLOT_VARIABLE.ravel()), bob)],
                  lambda t: int(9.3 * t) + 128,
                  lambda v: (ms_outcomes()[v["alice_outcome"]], v["b"]))
 

@@ -616,3 +616,18 @@ def test_two_out_of_n_tables_win_at_the_game_value(name, n, rho):
     probs = np.diff(game.sampler.cum, axis=1, prepend=0.0)
     win_rate = (probs * game.columns["win"]).sum(axis=1).mean()
     assert abs(win_rate - two_out_of_n_value(s, rho).win_prob) <= 1e-12
+
+
+def test_two_out_of_n_sampler_expands_each_player_once(monkeypatch):
+    import noisygames.games as games
+
+    calls = []
+
+    def counting(mat, basis):
+        calls.append(np.shape(mat))
+        return pauli_expand(mat, basis)
+
+    monkeypatch.setattr(games, "pauli_expand", counting)
+    TwoOutOfNSampler(canonical_two_out_of_n_strategy(4), 0.8)
+    # one stack per player: 8 singles and 24 pair POVMs of 4 elements
+    assert calls == [(8 + 4 * 24, 16, 16)] * 2
