@@ -15,7 +15,6 @@ from .pauli import (
     apply_depolarizing_coeffs,
     apply_general_scaling,
     degree_profile,
-    degree_truncate,
     hs_distance,
     normalized_trace,
     pauli_basis,

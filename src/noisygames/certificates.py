@@ -19,16 +19,13 @@ from .games import (
     ChshStrategy,
     MagicSquareStrategy,
     PairEvaluator,
-    chsh_violation,
+    _chsh_report,
     derived_observable,
     ms_question_variables,
     ms_parity_target,
     variable_slot,
 )
-from .pauli import (
-    ValidationError,
-    apply_depolarizing_coeffs,
-)
+from .pauli import ValidationError
 
 
 def chsh_upper_bound(rho: float, eps_tr: float) -> float:
@@ -72,20 +69,18 @@ def chsh_sos_certificate(strategy: ChshStrategy, rho: float,
     (rho/sqrt(2)) (1 - <P_i^2>) per player defect, plus the noise deficit
     sqrt(2) rho - <Q0'^2 + Q1'^2>/(sqrt(2) rho).  noise_on='alice' gives the
     mirrored decomposition used for diagnostics.
+
+    Value and terms read one stacked expansion per player; the noise-scaled
+    side's rows are multiplied by the weights w(x) = rho^|x|.
     """
     if rho <= 0:
         raise ValidationError("certificates are undefined at rho = 0")
-    report = chsh_violation(strategy, rho)
-    value = report.violation
-    ev = PairEvaluator(rho)
+    a, b, w = PairEvaluator(rho).expand_stacks(strategy.alice, strategy.bob)
+    value = _chsh_report((a * w) @ b.T).violation
     if noise_on == "bob":
-        plain, scaled = strategy.alice, strategy.bob
-        exp_plain = [ev.expand_a(p) for p in plain]
-        exp_scaled = [apply_depolarizing_coeffs(ev.expand_b(q), rho) for q in scaled]
+        plain, scaled = a, b * w
     elif noise_on == "alice":
-        plain, scaled = strategy.bob, strategy.alice
-        exp_plain = [ev.expand_b(q) for q in plain]
-        exp_scaled = [apply_depolarizing_coeffs(ev.expand_a(p), rho) for p in scaled]
+        plain, scaled = b, a * w
     else:
         raise ValidationError("noise_on must be 'bob' or 'alice'")
 
@@ -93,16 +88,16 @@ def chsh_sos_certificate(strategy: ChshStrategy, rho: float,
     terms = []
     scaled_sq = 0.0
     for i in (0, 1):
-        comb = exp_scaled[0].coeffs + (-1) ** i * exp_scaled[1].coeffs  # D0' +- D1'
+        comb = scaled[0] + (-1) ** i * scaled[1]  # D0' +- D1'
         # <(plain_i (x) I - I (x) comb/(s2 rho))^2> over the shared ideal state
-        t_plain = exp_plain[i].total_mass()
-        cross = float(exp_plain[i].coeffs @ comb)
+        t_plain = float(plain[i] @ plain[i])
+        cross = float(plain[i] @ comb)
         t_comb = float(comb @ comb)
         sq = t_plain - 2 * cross / (s2 * rho) + t_comb / (2 * rho ** 2)
         terms.append((f"square_{i}", rho / s2 * sq))
         defect = rho / s2 * (1 - t_plain)
         terms.append((f"norm_defect_{i}", defect))
-        scaled_sq += exp_scaled[i].total_mass()
+        scaled_sq += float(scaled[i] @ scaled[i])
     terms.append(("noise_deficit", s2 * rho - scaled_sq / (s2 * rho)))
 
     bound = chsh_upper_bound(rho, 0.0)
@@ -127,12 +122,11 @@ def ms_consistency_certificate(strategy: MagicSquareStrategy, rho: float,
     slot = variable_slot(question, i, j)
     p_row = derived_observable(strategy.alice_povms[question], slot)
     q = strategy.bob_observables[(i, j)]
-    ev = PairEvaluator(rho, m=4)
-    exp_p = ev.expand_a(p_row)
-    exp_q_scaled = apply_depolarizing_coeffs(ev.expand_b(q), rho)
-    value = float(exp_p.coeffs @ exp_q_scaled.coeffs)  # <C>
-    t_p = exp_p.total_mass()
-    t_qs = exp_q_scaled.total_mass()
+    p_rows, q_rows, w = PairEvaluator(rho, m=4).expand_stacks(p_row[None], q[None])
+    p, q_scaled = p_rows[0], q_rows[0] * w
+    value = float(p @ q_scaled)  # <C>
+    t_p = float(p @ p)
+    t_qs = float(q_scaled @ q_scaled)
     cross = value
     sq = t_p - 2 * cross / rho + t_qs / rho ** 2
     terms = [

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -142,6 +143,8 @@ def cmd_selftest(args) -> int:
     from .extraction import general_noise_selftest, selftest
     from .states import bit_phase_flip_epr, diagonalize_correlation
 
+    if args.threshold is not None and math.isnan(args.threshold):
+        raise ValueError(f"--threshold must be a number, got {args.threshold}")
     if args.theta_sweep:
         rows = _theta_sweep_rows(args)
         text = "theta,epsV,maxDistance\n" + "".join(

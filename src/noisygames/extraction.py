@@ -14,16 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import (
+    _MS_SIGNS,
     ChshStrategy,
     MagicSquareStrategy,
+    PairEvaluator,
     TwoOutOfNStrategy,
+    _basis_pair,
+    _chsh_report,
+    _ms_coeff_report,
+    _ms_stacks,
+    _two_out_of_n_report,
+    _two_out_of_n_stacks,
     chsh_violation,
     derived_observable,
     magic_square_table,
-    magic_square_value,
     ms_parity_target,
     trace_error,
-    two_out_of_n_value,
     variable_slot,
 )
 from .pauli import (
@@ -31,14 +37,13 @@ from .pauli import (
     SIGMA_Y,
     SIGMA_Z,
     ValidationError,
-    apply_depolarizing_coeffs,
-    apply_spectrum_scaling,
     default_basis,
-    expansion_distance,
     hs_distance,
     hs_norm,
+    infer_registers,
     normalized_trace,
     pauli_expand,
+    register_weight_vector,
     require_hermitian,
 )
 from .states import CorrelationSpectrum, EprCanonicalization, canonicalize_to_epr
@@ -64,10 +69,22 @@ def observable_scaling_residual(op: np.ndarray, rho: float, m: int = 2,
         raise ValidationError("scaling residual is defined for rho in (0, 1)")
     exp = pauli_expand(op, basis if basis is not None else default_basis(m))
     if weights is None:
-        scaled = apply_depolarizing_coeffs(exp, rho)
+        per_index = np.full(exp.m ** 2, rho)
+        per_index[0] = 1.0
     else:
-        scaled = apply_spectrum_scaling(exp, weights)
-    return expansion_distance(scaled, exp.copy_with(rho * exp.coeffs))
+        per_index = np.asarray(weights, dtype=float)
+        if per_index.shape != (exp.m ** 2,):
+            raise ValidationError(f"need one weight per basis element ({exp.m ** 2}), "
+                                  f"got shape {per_index.shape}")
+        if abs(per_index[0] - 1.0) > 1e-12:
+            raise ValidationError("identity component must carry weight 1")
+    return float(_scaling_residuals(exp.coeffs, register_weight_vector(per_index, exp.n), rho))
+
+
+def _scaling_residuals(rows: np.ndarray, w: np.ndarray, rho: float) -> np.ndarray:
+    """||c (.) (w - rho)|| of each coefficient row c: the distance between
+    the noise-scaled operator and rho times the operator."""
+    return np.linalg.norm(rows * (w - rho), axis=-1)
 
 
 def anticommutator_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -147,11 +164,18 @@ class RegisterConcentration:
 
 def register_concentration(op: np.ndarray, m: int = 2, basis=None) -> RegisterConcentration:
     exp = pauli_expand(op, basis if basis is not None else default_basis(m))
-    n, m2 = exp.n, m * m
-    coeffs = exp.coeffs.reshape((m2,) * n)
+    return _concentration(exp.coeffs, exp.basis)
+
+
+def _concentration(row: np.ndarray, basis) -> RegisterConcentration:
+    """register_concentration of one coefficient row over the tensor powers
+    of `basis`; the local operators are built from that basis's elements."""
+    m2 = basis.m ** 2
+    n = infer_registers(row.size, m2)
+    coeffs = row.reshape((m2,) * n)
     weights = np.zeros(n)
     locals_: list = [None] * n
-    base = exp.basis.elements
+    base = basis.elements
     selectors = []
     for j in range(n):
         sel = tuple(slice(1, m2) if k == j else 0 for k in range(n))
@@ -162,7 +186,7 @@ def register_concentration(op: np.ndarray, m: int = 2, basis=None) -> RegisterCo
         if a_j > CONCENTRATION_FLOOR:
             local = np.tensordot(cvec, base[1:], axes=1) / a_j
             locals_[j] = local
-    total = exp.total_mass()
+    total = float(row @ row)
     if weights.max() <= CONCENTRATION_FLOOR:
         return RegisterConcentration(weights, None, 0.0, False, locals_,
                                      float(np.linalg.norm(coeffs)), total)
@@ -409,14 +433,18 @@ def chsh_selftest(strategy: ChshStrategy, rho: float) -> ChshSelfTestReport:
     """Full diagnostic report for a CHSH strategy on depolarized pairs.
 
     Distances other than the scaling residuals do not depend on rho; rho
-    enters the gap eps_v and the scaling diagnostics.
+    enters the gap eps_v and the scaling diagnostics.  The value, the
+    scaling residuals and the register concentration read one stacked
+    expansion per player.
     """
     if not 0.0 < rho < 1.0:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
-    report = chsh_violation(strategy, rho)
+    a, b, w = PairEvaluator(rho).expand_stacks(strategy.alice, strategy.bob)
+    report = _chsh_report((a * w) @ b.T)
     eps_v = 2 * np.sqrt(2) * rho - report.violation
-    obs = strategy.observables()
-    scaling = {k: observable_scaling_residual(v, rho) for k, v in obs.items()}
+    labels = ("P0", "P1", "Q0", "Q1")
+    rows = np.concatenate([a, b])
+    scaling = dict(zip(labels, _scaling_residuals(rows, w, rho).tolist()))
     anti = {
         "alice": anticommutator_norm(*strategy.alice),
         "bob": anticommutator_norm(*strategy.bob),
@@ -426,7 +454,9 @@ def chsh_selftest(strategy: ChshStrategy, rho: float) -> ChshSelfTestReport:
     for i in (0, 1):
         target = (strategy.bob[0] + (-1) ** i * strategy.bob[1]).T / s2
         relations[f"P{i}_vs_QT"] = hs_distance(strategy.alice[i], target)
-    concs = {k: register_concentration(v, m=2) for k, v in obs.items()}
+    basis_a, basis_b = _basis_pair(2)
+    concs = {**{k: _concentration(row, basis_a) for k, row in zip(labels[:2], a)},
+             **{k: _concentration(row, basis_b) for k, row in zip(labels[2:], b)}}
     register, votes, ambiguous = _register_consensus(concs)
     extraction = {
         "alice": _extract_pair(concs, ("P0", "P1"), register),
@@ -478,21 +508,34 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
     and (1,2) locals fix the two-qubit frame up to a rotation about the
     second qubit's x-axis, which the (2,1) local then resolves; canonical
     strategies map onto the measurement table exactly.
+
+    The value, the scaling residuals and the register concentration read
+    the value's stacked expansion: the row observable of variable (i, j) is
+    the _MS_SIGNS-signed sum of question r_i's element rows for slot j.
     """
     if not 0.0 < rho < 1.0:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
-    value = magic_square_value(strategy, rho)
+    elems, q_rows, w = _ms_stacks(strategy, rho)
+    value = _ms_coeff_report(elems, q_rows, w)
     eps_win = (1 + rho) / 2 - value.overall
     idx = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    # rows r1..r3 of MS_QUESTIONS, slot j: row 3(i-1) + (j-1) is variable (i, j)
+    p_rows = np.einsum("as,qax->qsx", _MS_SIGNS, elems[:3]).reshape(len(idx), -1)
     p_row = {(i, j): _ms_row_observable(strategy, i, j) for i, j in idx}
     p_col = {(i, j): _ms_col_observable(strategy, i, j) for i, j in idx}
     q_obs = strategy.bob_observables
     row_col = {f"s{i}{j}": hs_distance(p_row[(i, j)], p_col[(i, j)]) for i, j in idx}
     p_vs_qt = {f"s{i}{j}": hs_distance(p_row[(i, j)], q_obs[(i, j)].T) for i, j in idx}
+    res_p = _scaling_residuals(p_rows, w, rho).tolist()
+    res_q = _scaling_residuals(q_rows, w, rho).tolist()
+    basis_a, basis_b = _basis_pair(4)
     scaling = {}
-    for i, j in idx:
-        scaling[f"P{i}{j}"] = observable_scaling_residual(p_row[(i, j)], rho, m=4)
-        scaling[f"Q{i}{j}"] = observable_scaling_residual(q_obs[(i, j)], rho, m=4)
+    concs = {}
+    for k, (i, j) in enumerate(idx):
+        scaling[f"P{i}{j}"] = res_p[k]
+        scaling[f"Q{i}{j}"] = res_q[k]
+        concs[f"P{i}{j}"] = _concentration(p_rows[k], basis_a)
+        concs[f"Q{i}{j}"] = _concentration(q_rows[k], basis_b)
 
     same_line = {}
     for i in (1, 2, 3):
@@ -523,10 +566,6 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
         rep = povm_projectivity_report(strategy.alice_povms[q], ms_parity_target(q))
         wrong_parity[q] = rep.wrong_parity_mass
 
-    concs = {}
-    for i, j in idx:
-        concs[f"P{i}{j}"] = register_concentration(p_row[(i, j)], m=4)
-        concs[f"Q{i}{j}"] = register_concentration(q_obs[(i, j)], m=4)
     register, votes, ambiguous = _register_consensus(concs)
 
     local_unitary = None
@@ -599,12 +638,14 @@ class TwoOutOfNSelfTestReport:
 def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNSelfTestReport:
     """Per-index anticommutation, cross-index commutation, marginal-vs-single
     relation distances, register assignment with distinctness verdict, and
-    per-index qubit extraction for both players."""
+    per-index qubit extraction for both players.  The value and the register
+    concentration read the value's stacked expansion of the singles."""
     if not 0.0 < rho < 1.0:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
-    value = two_out_of_n_value(strategy, rho)
-    eps_v = 2 * np.sqrt(2) * rho - value.violation
     n = strategy.n
+    a, b, w = _two_out_of_n_stacks(strategy, rho)
+    value = _two_out_of_n_report(n, a, b, w)
+    eps_v = 2 * np.sqrt(2) * rho - value.violation
     s2 = np.sqrt(2.0)
 
     anti = {}
@@ -642,11 +683,13 @@ def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNS
     registers = {}
     all_concs = {}
     extraction = {}
+    basis_a, basis_b = _basis_pair(2)
     for i in range(1, n + 1):
         concs = {}
         for x in (0, 1):
-            concs[f"P{i}{x}"] = register_concentration(strategy.alice_singles[(i, x)], m=2)
-            concs[f"Q{i}{x}"] = register_concentration(strategy.bob_singles[(i, x)], m=2)
+            row = 2 * (i - 1) + x  # the single (i, x)
+            concs[f"P{i}{x}"] = _concentration(a[row], basis_a)
+            concs[f"Q{i}{x}"] = _concentration(b[row], basis_b)
         reg, votes, ambiguous = _register_consensus(concs)
         registers[i] = reg
         all_concs[i] = concs
@@ -708,8 +751,12 @@ def general_noise_selftest(strategy: ChshStrategy,
     The diagonalizing bases are canonicalized onto the Pauli frame, the
     observables transported, and the per-player register concentration and
     qubit extraction run in that frame.  The two players' registers are
-    reported separately and never asserted equal.
+    reported separately and never asserted equal.  The four transported
+    observables are expanded as one stack.
     """
+    if not isinstance(strategy, ChshStrategy):
+        raise ValidationError(
+            f"no general-noise self-test for strategy type {type(strategy).__name__}")
     values = np.asarray(spectrum.values, dtype=float)
     if values.shape != (4,):
         raise ValidationError("expected a qubit-register correlation spectrum")
@@ -742,15 +789,16 @@ def general_noise_selftest(strategy: ChshStrategy,
         "Q0": ub_full @ strategy.bob[0] @ ub_full.conj().T,
         "Q1": ub_full @ strategy.bob[1] @ ub_full.conj().T,
     }
+    basis = _basis_pair(2)[0]
+    rows = pauli_expand(np.stack(list(transported.values())), basis).coeffs
     # after canonicalization indices 1, 2 carry weight r and index 3 carries c
-    weights = np.array([1.0, r, r, c])
-    scaling = {k: observable_scaling_residual(v, r, m=2, weights=weights)
-               for k, v in transported.items()}
+    w = register_weight_vector([1.0, r, r, c], n)
+    scaling = dict(zip(transported, _scaling_residuals(rows, w, r).tolist()))
     anti = {
         "alice": anticommutator_norm(transported["P0"], transported["P1"]),
         "bob": anticommutator_norm(transported["Q0"], transported["Q1"]),
     }
-    concs = {k: register_concentration(v, m=2) for k, v in transported.items()}
+    concs = {k: _concentration(row, basis) for k, row in zip(transported, rows)}
     reg_a, _, _ = _register_consensus({k: concs[k] for k in ("P0", "P1")})
     reg_b, _, _ = _register_consensus({k: concs[k] for k in ("Q0", "Q1")})
     extraction = {

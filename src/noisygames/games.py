@@ -217,9 +217,11 @@ def random_traceless_binary(d: int, rng: np.random.Generator) -> np.ndarray:
     return _conjugated_diagonals(haar_unitary(d, rng), signs)
 
 
-def random_bounded_observable(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random traceless Hermitian rescaled to unit spectral norm."""
-    return _bounded_from_gaussians(_gaussians(d, rng))
+def _require_trace_bias(trace_bias: float):
+    """The random constructors' trace bias: a finite number in [0, 1],
+    checked before any draw."""
+    if not 0.0 <= trace_bias <= 1.0:  # also false for NaN
+        raise ValidationError(f"trace_bias must be a finite number in [0, 1], got {trace_bias}")
 
 
 def add_trace_bias(op: np.ndarray, bias) -> np.ndarray:
@@ -252,10 +254,6 @@ class ChshStrategy:
     @property
     def dim(self) -> int:
         return 2 ** self.n
-
-    def observables(self) -> dict:
-        return {"P0": self.alice[0], "P1": self.alice[1],
-                "Q0": self.bob[0], "Q1": self.bob[1]}
 
 
 def canonical_chsh_observables() -> tuple:
@@ -290,7 +288,9 @@ def random_chsh_strategy(n: int, rng: np.random.Generator, kind: str = "binary",
                          trace_bias: float = 0.0) -> ChshStrategy:
     """Random strategy; kind 'binary' gives traceless binary observables,
     'bounded' general traceless contractions.  trace_bias mixes in identity
-    components with random signs bounded by the given value."""
+    components with random signs bounded by the given value, which must lie
+    in [0, 1]."""
+    _require_trace_bias(trace_bias)
     d = 2 ** n
     signs = _balanced_signs(d) if kind == "binary" else None
     gaussians, biases = [], []
@@ -451,7 +451,10 @@ def random_magic_square_strategy(n: int, rng: np.random.Generator,
     observables (traceless unless trace_bias skews the sign patterns);
     'mixed': projective smoothed toward the uniform POVM;
     'raw': Gaussian PSD elements renormalized into a POVM.
+    trace_bias, in [0, 1], skews the sign patterns toward +1 and mixes
+    identity components into Bob's observables.
     """
+    _require_trace_bias(trace_bias)
     d = 4 ** n
     projective = kind in ("projective", "mixed")
     balanced = _balanced_signs(d)
@@ -463,8 +466,8 @@ def random_magic_square_strategy(n: int, rng: np.random.Generator,
                 sign = balanced.copy()
                 rng.shuffle(sign)
                 if trace_bias:
-                    flip = rng.random(d) < abs(trace_bias) / 2
-                    sign[flip] = np.sign(trace_bias) or 1.0
+                    flip = rng.random(d) < trace_bias / 2
+                    sign[flip] = 1.0
                 signs.append(sign)
             if kind == "mixed":
                 lams.append(rng.uniform(0.0, 0.5))
@@ -649,11 +652,12 @@ def _basis_pair(m: int) -> tuple[StandardBasis, StandardBasis]:
 
 
 class PairEvaluator:
-    """Pairs operators under a shared noisy state.  Every game value and the
-    2-out-of-n sampler tables use expand_stacks.  The id()-keyed expand_a,
-    expand_b and pair now serve only the CHSH and magic-square samplers and
-    the two SoS certificates; they stay while the benchmark asserts that the
-    protocol workload re-expands operators, which stacking those breaks.
+    """Pairs operators under a shared noisy state.  Every game value, both
+    SoS certificates, the self-tests and the 2-out-of-n sampler tables use
+    expand_stacks.  Only the CHSH and magic-square samplers use pair (and
+    its id()-keyed expand_a and expand_b); they stay while the benchmark
+    asserts that the protocol workload re-expands operators, which stacking
+    those samplers breaks.
 
     noise is a fidelity rho (depolarizing, in the default bases of local
     dimension m) or a CorrelationSpectrum (its bases and values)."""
@@ -779,19 +783,32 @@ def magic_square_value(strategy: MagicSquareStrategy, rho,
     from one stacked expansion per player (the identity coefficient is the
     trace), or from explicit traces against `dense_state`.
     """
+    if dense_state is None:
+        return _ms_coeff_report(*_ms_stacks(strategy, rho))
     povms = np.stack([strategy.alice_povms[q] for q in MS_QUESTIONS])  # (6, 8, d, d)
     bob = np.stack([strategy.bob_observables[v] for v in _MS_VARIABLES])
     d = strategy.dim
-    if dense_state is None:
-        elems, obs, w = PairEvaluator(rho, m=4).expand_stacks(povms.reshape(-1, d, d), bob)
-        elems = elems.reshape(6, 8, -1)
-        masses = elems[..., 0]
-        pairs = np.einsum("qax,qsx->qas", elems * w, obs[_MS_SLOT_VARIABLE])
-    else:
-        masses = np.trace(povms, axis1=-2, axis2=-1).real / d
-        pairs = np.einsum("qaij,qskl,jlik->qas", povms, bob[_MS_SLOT_VARIABLE],
-                          _dense_joint(dense_state, d), optimize=True).real
+    masses = np.trace(povms, axis1=-2, axis2=-1).real / d
+    pairs = np.einsum("qaij,qskl,jlik->qas", povms, bob[_MS_SLOT_VARIABLE],
+                      _dense_joint(dense_state, d), optimize=True).real
     return _ms_report(masses, pairs)
+
+
+def _ms_stacks(strategy: MagicSquareStrategy, rho) -> tuple:
+    """PairEvaluator.expand_stacks over Alice's POVM elements, returned as a
+    (6, 8, m^(2n)) array in MS_QUESTIONS and ms_outcomes order, and Bob's
+    observables in _MS_VARIABLES order."""
+    povms = np.concatenate([strategy.alice_povms[q] for q in MS_QUESTIONS])
+    bob = np.stack([strategy.bob_observables[v] for v in _MS_VARIABLES])
+    elems, obs, w = PairEvaluator(rho, m=4).expand_stacks(povms, bob)
+    return elems.reshape(len(MS_QUESTIONS), 8, -1), obs, w
+
+
+def _ms_coeff_report(elems: np.ndarray, obs: np.ndarray, w: np.ndarray) -> MagicSquareReport:
+    """The game's pass rates from _ms_stacks: element traces are identity
+    coefficients and pairings are noise-weighted products of rows."""
+    pairs = np.einsum("qax,qsx->qas", elems * w, obs[_MS_SLOT_VARIABLE])
+    return _ms_report(elems[..., 0], pairs)
 
 
 def _ms_report(masses: np.ndarray, pairs: np.ndarray) -> MagicSquareReport:
@@ -820,6 +837,8 @@ def _two_out_of_n_stacks(strategy: TwoOutOfNStrategy, rho) -> tuple:
     """PairEvaluator.expand_stacks over each player's stack: its 2n singles
     (row 2(i-1) + x holds (i, x)), then the four elements of every pair POVM
     in _pair_keys order (row 2n + 4k + e holds element e of key k)."""
+    if strategy.n < 2:
+        raise ValidationError(f"2-out-of-n values need n >= 2 indices, got n = {strategy.n}")
     singles = [(i, x) for i in range(1, strategy.n + 1) for x in (0, 1)]
     keys = _pair_keys(strategy.n)
     return PairEvaluator(rho).expand_stacks(*(
@@ -834,10 +853,11 @@ def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
 
     Each player's singles and pair-POVM elements are expanded in one stack;
     the pair marginals are signed sums of element coefficients."""
-    n = strategy.n
-    if n < 2:
-        raise ValidationError(f"2-out-of-n values need n >= 2 indices, got n = {n}")
-    a, b, w = _two_out_of_n_stacks(strategy, rho)
+    return _two_out_of_n_report(strategy.n, *_two_out_of_n_stacks(strategy, rho))
+
+
+def _two_out_of_n_report(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> GameValueReport:
+    """two_out_of_n_value from the rows and weights of _two_out_of_n_stacks."""
     ns = 2 * n
     keys = _pair_keys(n)
     key_index = {key: k for k, key in enumerate(keys)}

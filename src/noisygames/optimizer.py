@@ -37,25 +37,6 @@ def depolarize_matrix(op: np.ndarray, rho: float, m: int = 2) -> np.ndarray:
 
 
 @dataclass
-class BlochQubitObservable:
-    """A traceless binary qubit observable as a unit Bloch vector on one
-    register."""
-
-    register: int
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
-        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise ValidationError("Bloch vectors must be unit 3-vectors")
-        self.vector = v
-
-    def matrix(self) -> np.ndarray:
-        basis = default_basis(2)
-        return np.tensordot(self.vector, basis.elements[1:], axes=1)
-
-
-@dataclass
 class OptimizationTrace:
     iterates: list = field(default_factory=list)  # (value, step label)
     best_value: float = -np.inf

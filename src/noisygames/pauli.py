@@ -231,14 +231,6 @@ def index_string(x: int, m: int, n: int) -> str:
     return "".join(f"{d:x}" if m > 2 else str(d) for d in index_digits(x, m, n))
 
 
-def dominant_terms(exp: "PauliExpansion", count: int = 8) -> list:
-    """Largest-magnitude coefficients as (base-m^2 digit string, value) pairs,
-    the form coefficient data takes in reports."""
-    order = np.argsort(np.abs(exp.coeffs))[::-1][:count]
-    return [(index_string(int(x), exp.m, exp.n), float(exp.coeffs[x]))
-            for x in order if abs(exp.coeffs[x]) > 0]
-
-
 def infer_registers(dim: int, m: int) -> int:
     n = round(np.log(dim) / np.log(m))
     if m ** n != dim:
@@ -328,18 +320,6 @@ def register_weight_vector(per_index: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
-def apply_spectrum_scaling(exp: PauliExpansion, per_index: np.ndarray) -> PauliExpansion:
-    """Scale coefficients by prod_k per_index[x_k]; per_index[0] must be 1."""
-    per_index = np.asarray(per_index, dtype=float)
-    if per_index.shape != (exp.m ** 2,):
-        raise ValidationError(
-            f"need one weight per basis element ({exp.m ** 2}), got shape {per_index.shape}"
-        )
-    if abs(per_index[0] - 1.0) > 1e-12:
-        raise ValidationError("identity component must carry weight 1")
-    return exp.copy_with(exp.coeffs * register_weight_vector(per_index, exp.n))
-
-
 def apply_general_scaling(exp: PauliExpansion, r: float, c: float) -> PauliExpansion:
     """Scale by r^(#digits in {1,2}) * c^(#digits >= 3) per multi-index.
 
@@ -351,19 +331,7 @@ def apply_general_scaling(exp: PauliExpansion, r: float, c: float) -> PauliExpan
         raise ValidationError("general two-class scaling is defined for m=2 registers")
     if not 0.0 < c <= r < 1.0:
         raise ValidationError(f"need 0 < c <= r < 1, got r={r}, c={c}")
-    return apply_spectrum_scaling(exp, np.array([1.0, r, r, c]))
-
-
-def degree_truncate(exp: PauliExpansion, keep_degrees) -> tuple[PauliExpansion, float]:
-    """Zero out coefficients whose degree is not kept; returns the truncated
-    expansion and the removed Parseval mass."""
-    keep = set(int(k) for k in keep_degrees)
-    deg = degree_vector(exp.m, exp.n)
-    mask = np.isin(deg, sorted(keep))
-    removed = float(exp.coeffs[~mask] @ exp.coeffs[~mask])
-    out = exp.coeffs.copy()
-    out[~mask] = 0.0
-    return exp.copy_with(out), removed
+    return exp.copy_with(exp.coeffs * register_weight_vector([1.0, r, r, c], exp.n))
 
 
 @dataclass
@@ -380,15 +348,6 @@ def degree_profile(exp: PauliExpansion) -> DegreeProfile:
     deg = degree_vector(exp.m, exp.n)
     weights = np.bincount(deg, weights=exp.coeffs ** 2, minlength=exp.n + 1)
     return DegreeProfile(weights)
-
-
-def expansion_distance(a: PauliExpansion, b: PauliExpansion) -> float:
-    """hs_distance of the reconstructed operators, computed in coefficient
-    space (valid because the basis is orthonormal)."""
-    if (a.m, a.n) != (b.m, b.n):
-        raise ValidationError("expansions live on different register structures")
-    diff = a.coeffs - b.coeffs
-    return float(np.sqrt(diff @ diff))
 
 
 def noisy_epr_expectation(exp_a: PauliExpansion, exp_b: PauliExpansion, noise) -> float:
@@ -427,20 +386,3 @@ def matrix_from_json(data) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError("matrix JSON has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def expansion_to_json(exp: PauliExpansion) -> dict:
-    return {"m": exp.m, "n": exp.n, "coeffs": [float(c) for c in exp.coeffs]}
-
-
-def expansion_from_json(data, basis: StandardBasis | None = None) -> PauliExpansion:
-    try:
-        m, n = int(data["m"]), int(data["n"])
-        coeffs = np.asarray(data["coeffs"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed expansion JSON: {exc}") from exc
-    if coeffs.shape != ((m * m) ** n,):
-        raise ValidationError("coefficient count does not match m, n")
-    if basis is None:
-        basis = default_basis(m)
-    return PauliExpansion(m, n, coeffs, basis)

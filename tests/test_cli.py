@@ -341,6 +341,20 @@ def test_threads_flag_removed(capsys):
      "theta must be a finite angle, got nan"),
     (["eval", "--rho", "0.9", "--strategy", "canonical-perturbed:inf"],
      "theta must be a finite angle, got inf"),
+    (["selftest", "--game", "magic_square", "--rho", "0.8", "--channel", "bit-phase-flip"],
+     "no general-noise self-test for strategy type MagicSquareStrategy"),
+    (["selftest", "--game", "two_out_of_n", "--n", "2", "--rho", "0.8",
+      "--channel", "bit-phase-flip"],
+     "no general-noise self-test for strategy type TwoOutOfNStrategy"),
+    (["eval", "--rho", "0.9", "--strategy", "random-biased:nan:3"],
+     "trace_bias must be a finite number in [0, 1], got nan"),
+    (["eval", "--rho", "0.9", "--strategy", "random-biased:inf:3"],
+     "trace_bias must be a finite number in [0, 1], got inf"),
+    (["eval", "--rho", "0.9", "--strategy", "random-biased:-0.5:3"],
+     "trace_bias must be a finite number in [0, 1], got -0.5"),
+    (["eval", "--game", "magic_square", "--rho", "0.9", "--strategy", "random-biased:1.5:3"],
+     "trace_bias must be a finite number in [0, 1], got 1.5"),
+    (["selftest", "--rho", "0.8", "--threshold", "nan"], "--threshold must be a number, got nan"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
@@ -348,7 +362,9 @@ def test_threads_flag_removed(capsys):
         "strategy-is-a-directory", "transcript-is-a-directory", "eval-two-out-of-one",
         "selftest-two-out-of-one", "strategy-missing-field", "strategy-block-not-an-object",
         "perturbed-theta-nan",
-        "perturbed-theta-inf"])
+        "perturbed-theta-inf", "general-noise-magic-square", "general-noise-two-out-of-n",
+        "trace-bias-nan", "trace-bias-inf", "trace-bias-negative", "trace-bias-above-one",
+        "threshold-nan"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from noisygames.certificates import chsh_sos_certificate, ms_consistency_certificate
 from noisygames.extraction import (
     anticommutator_norm,
     bloch_relation,
@@ -428,3 +429,39 @@ def test_general_noise_bound_soundness():
         strat = random_chsh_strategy(1 + k % 2, rng, kind=("binary", "bounded")[k % 2])
         worst = max(worst, chsh_violation(strat, spectrum).violation)
     assert worst <= 2 * np.sqrt(2) * 0.8 + 1e-9
+
+
+def test_general_noise_rejects_other_games():
+    spectrum = diagonalize_correlation(bit_phase_flip_epr(0.8))
+    for strat in (canonical_magic_square_strategy(1), canonical_two_out_of_n_strategy(2)):
+        with pytest.raises(ValidationError, match="no general-noise self-test for strategy type"):
+            general_noise_selftest(strat, spectrum)
+
+
+@pytest.mark.parametrize("run, expected", [
+    (lambda: chsh_sos_certificate(perturbed_chsh_strategy(2, 1, 0.2), 0.8), 2),
+    (lambda: ms_consistency_certificate(perturbed_magic_square_strategy(1, 1, 0.2), 0.8,
+                                        (2, 3)), 2),
+    (lambda: chsh_selftest(perturbed_chsh_strategy(2, 1, 0.2), 0.7), 2),
+    (lambda: ms_selftest(perturbed_magic_square_strategy(1, 1, 0.2), 0.7), 2),
+    (lambda: two_out_of_n_selftest(perturbed_two_out_of_n_strategy(5, 0.2), 0.7), 2),
+    (lambda: general_noise_selftest(perturbed_chsh_strategy(2, 1, 0.2),
+                                    diagonalize_correlation(bit_phase_flip_epr(0.8))), 3),
+], ids=["chsh-certificate", "ms-certificate", "chsh-selftest", "ms-selftest",
+        "two-out-of-5-selftest", "general-noise-selftest"])
+def test_reports_expand_each_player_once(monkeypatch, run, expected):
+    # one stacked expansion per player (general noise adds one of its four
+    # transported observables); building the strategies expands nothing
+    import sys
+
+    calls = []
+
+    def counting(mat, basis):
+        calls.append(np.shape(mat))
+        return pauli_expand(mat, basis)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("noisygames") and getattr(module, "pauli_expand", None) is pauli_expand:
+            monkeypatch.setattr(module, "pauli_expand", counting)
+    run()
+    assert len(calls) == expected, calls

@@ -450,3 +450,17 @@ def test_pair_evaluator_builds_one_weight_vector_per_register_count():
     # the cached vector feeds the same expression as before
     assert ev.pair(strat.alice[0], strat.bob[1]) == float(
         np.sum(register_weight_vector(ev.weights, 2) * a.coeffs * b.coeffs))
+
+
+@pytest.mark.parametrize("build", [random_chsh_strategy, random_magic_square_strategy])
+@pytest.mark.parametrize("bias", [np.nan, np.inf, -0.5, 1.5])
+def test_random_constructors_reject_a_bad_trace_bias_before_drawing(build, bias):
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValidationError, match=r"trace_bias must be a finite number in \[0, 1\]"):
+        build(1, rng, trace_bias=bias)
+    assert rng.random() == np.random.default_rng(5).random()
+
+
+@pytest.mark.parametrize("build", [random_chsh_strategy, random_magic_square_strategy])
+def test_random_constructors_accept_full_trace_bias(build):
+    assert trace_error(build(1, np.random.default_rng(5), trace_bias=1.0)) <= 1.0 + 1e-12

@@ -4,7 +4,6 @@ import pytest
 from noisygames.certificates import chsh_upper_bound
 from noisygames.games import canonical_chsh_strategy, random_chsh_strategy
 from noisygames.optimizer import (
-    BlochQubitObservable,
     depolarize_matrix,
     grid_bruteforce_chsh_qubit,
     random_search_ms,
@@ -19,13 +18,6 @@ def test_depolarize_matrix():
     assert np.abs(out - 0.25 * np.kron(SIGMA_Z, SIGMA_Z)).max() < 1e-12
     out = depolarize_matrix(np.eye(2), 0.3)
     assert np.abs(out - np.eye(2)).max() < 1e-12
-
-
-def test_bloch_observable():
-    obs = BlochQubitObservable(1, np.array([0.0, 0.0, 1.0]))
-    assert np.abs(obs.matrix() - SIGMA_Z).max() < 1e-12
-    with pytest.raises(ValidationError):
-        BlochQubitObservable(1, np.array([1.0, 1.0, 0.0]))
 
 
 def test_seesaw_canonical_fixed_point():

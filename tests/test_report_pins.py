@@ -5,7 +5,8 @@ Every report below was serialized with `certificate_to_json` or
 certificates and self-tests, before they read stacked coefficient rows.
 Each scalar must match within 1e-10; booleans, registers, votes and labels
 must match exactly.  Extraction unitaries are not compared entry-wise, since
-a degenerate eigenspace may rotate them; the distances they yield are.
+a degenerate eigenspace may rotate them; the distances they yield are,
+except where nothing fixes the frame they are measured in (UNDETERMINED).
 """
 
 import json
@@ -29,6 +30,7 @@ from noisygames.games import (
     canonical_chsh_strategy,
     canonical_magic_square_strategy,
     canonical_two_out_of_n_strategy,
+    derived_observable,
     haar_unitary,
     perturbed_chsh_strategy,
     perturbed_magic_square_strategy,
@@ -44,6 +46,11 @@ from noisygames.states import bit_phase_flip_epr, diagonalize_correlation
 PINS = Path(__file__).with_name("report_pins.json")
 TOL = 1e-10
 UNITARY_KEYS = {"unitary", "localUnitary"}
+# In this strategy the (1,2) row observable is minus the (1,1) one, so no
+# anchor fixes the magic-square extraction frame's rotation of the second
+# qubit about z: rounding picks it.  Adding a 1e-16 Hermitian to one POVM
+# element moved these distances by up to 0.47 in the per-operator code.
+UNDETERMINED = {"selftest/ms-random-projective-0.2-n1": "pauliDistances"}
 
 
 def random_two_out_of_n_strategy(n: int, seed: int, bias: float) -> TwoOutOfNStrategy:
@@ -159,7 +166,16 @@ RECORDED = json.loads(PINS.read_text())
 @pytest.mark.parametrize("name", sorted(RECORDED))
 def test_report_matches_its_pin(current, name):
     assert name in current
-    assert mismatches(current[name], RECORDED[name]) == []
+    got, want = dict(current[name]), dict(RECORDED[name])
+    if name in UNDETERMINED:
+        assert got.pop(UNDETERMINED[name]).keys() == want.pop(UNDETERMINED[name]).keys()
+    assert mismatches(got, want) == []
+
+
+def test_undetermined_frame_has_its_cause():
+    strat = dict(ms_strategies())["ms-random-projective-0.2-n1"]
+    povm = strat.alice_povms["r1"]
+    assert np.abs(derived_observable(povm, 1) + derived_observable(povm, 2)).max() < 1e-12
 
 
 def test_every_report_is_pinned(current):
