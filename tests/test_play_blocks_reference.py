@@ -1,0 +1,182 @@
+"""The protocol runner's rounds, stopping round, counts and first-t
+histograms against a reference runner that draws every block whole and finds
+each key's rounds with one stable sort over the run."""
+
+import json
+
+import numpy as np
+import pytest
+
+import noisygames.protocols as protocols
+from noisygames.games import (
+    ChshStrategy,
+    MagicSquareStrategy,
+    TwoOutOfNStrategy,
+    add_trace_bias,
+    canonical_chsh_strategy,
+    canonical_magic_square_strategy,
+    canonical_two_out_of_n_strategy,
+    perturbed_chsh_strategy,
+    perturbed_magic_square_strategy,
+    perturbed_two_out_of_n_strategy,
+)
+from noisygames.protocols import _GAMES, _BLOCK, ProtocolParams, _rng_for_block, run_protocol
+from noisygames.serialize import transcript_to_json
+
+
+def _reference_play_blocks(params, game):
+    """Whole blocks until every key's count reaches t, then one stable sort
+    per key set over the run: each key's rounds in order, its t-th round,
+    its count below the stopping round and the histogram of its first t
+    outcomes."""
+    t = params.t
+    key_tables = [keys for keys, _ in game.key_sets]
+    first = max(game.first_block(t), _BLOCK)
+    ctxs, outs = [], []
+    ctx_counts = np.zeros(len(game.questions), dtype=np.int64)
+    block = 0
+    while True:
+        size = first if block == 0 else _BLOCK
+        rng = _rng_for_block(params.seed, block)
+        ctx = game.draw_contexts(rng, size)
+        ctxs.append(ctx)
+        outs.append(game.sampler.draw(ctx, rng.random(size)))
+        ctx_counts += np.bincount(ctx, minlength=len(ctx_counts))
+        block += 1
+        if all(np.bincount(keys, weights=ctx_counts).min() >= t for keys in key_tables):
+            break
+    ctx, out = np.concatenate(ctxs), np.concatenate(outs)
+    positions = []
+    for keys in key_tables:
+        ids = keys.take(ctx)
+        order = np.argsort(ids, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=int(keys.max()) + 1))))
+        positions.append([order[bounds[k]: bounds[k + 1]] for k in range(len(bounds) - 1)])
+    t_prime = max(int(p[t - 1]) for pos in positions for p in pos) + 1
+    return ctx[:t_prime], out[:t_prime], [
+        [(int(np.searchsorted(p, t_prime)), np.bincount(out[p[:t]])) for p in pos]
+        for pos in positions]
+
+
+def _biased_povm(povm, weight):
+    out = (1 - weight) * povm
+    out[0] = out[0] + weight * np.eye(povm.shape[1])
+    return out
+
+
+def _trace_biased(game):
+    """A strategy of the game with trace-biased answers on both sides."""
+    if game == "chsh":
+        base = canonical_chsh_strategy(1)
+        return ChshStrategy(1, (add_trace_bias(base.alice[0], 0.3), base.alice[1]),
+                            (base.bob[0], add_trace_bias(base.bob[1], -0.2)))
+    if game == "magic_square":
+        base = canonical_magic_square_strategy(1)
+        povms, bob = dict(base.alice_povms), dict(base.bob_observables)
+        povms["r3"] = _biased_povm(povms["r3"], 0.4)
+        bob[(1, 2)] = add_trace_bias(bob[(1, 2)], 0.3)
+        return MagicSquareStrategy(1, povms, bob)
+    base = canonical_two_out_of_n_strategy(2)
+    singles, pairs = dict(base.alice_singles), dict(base.bob_pair_povms)
+    singles[(2, 1)] = add_trace_bias(singles[(2, 1)], 0.3)
+    pairs[(1, 0, 2, 1)] = _biased_povm(pairs[(1, 0, 2, 1)], 0.4)
+    return TwoOutOfNStrategy(2, 2, singles, base.bob_singles, pairs, base.bob_pair_povms)
+
+
+_STRATEGIES = {
+    ("chsh", "canonical"): lambda: canonical_chsh_strategy(1),
+    ("chsh", "perturbed"): lambda: perturbed_chsh_strategy(1, 1, 0.3),
+    ("chsh", "trace-biased"): lambda: _trace_biased("chsh"),
+    ("magic_square", "canonical"): lambda: canonical_magic_square_strategy(1),
+    ("magic_square", "perturbed"): lambda: perturbed_magic_square_strategy(1, 1, 0.3),
+    ("magic_square", "trace-biased"): lambda: _trace_biased("magic_square"),
+    ("two_out_of_n", "canonical"): lambda: canonical_two_out_of_n_strategy(2),
+    ("two_out_of_n", "perturbed"): lambda: perturbed_two_out_of_n_strategy(2, 0.37),
+    ("two_out_of_n", "trace-biased"): lambda: _trace_biased("two_out_of_n"),
+    ("two_out_of_n", "canonical-n5"): lambda: canonical_two_out_of_n_strategy(5),
+    ("two_out_of_n", "perturbed-n5"): lambda: perturbed_two_out_of_n_strategy(5, 0.37),
+}
+
+_SEEDS = (0, 5, 2 ** 64 - 1)
+_RHOS = (0.0, 0.85, 1.0)
+_TS = (1, 2, 7, 100, 3000, 40000)
+
+# every game, strategy kind and t; per game, the seeds and noise rates cycle
+# so that every t meets every seed and every (seed, rho) pair comes up twice
+_GRID = [(game, kind, t, _SEEDS[(c + j) % 3], _RHOS[(c + 2 * j + g) % 3])
+         for g, game in enumerate(("chsh", "magic_square", "two_out_of_n"))
+         for c, kind in enumerate(("canonical", "perturbed", "trace-biased"))
+         for j, t in enumerate(_TS)]
+
+# (game, kind, t, seed, rho) -> t': runs whose stopping round lies past the
+# first block, and runs that stop on the last round of a 2**15-round stretch
+# of the first block (t' = 32768) or on the round after it
+_PINNED = {
+    ("magic_square", "canonical", 873, 1, 0.85): 8652,
+    ("magic_square", "trace-biased", 896, 2, 1.0): 8713,
+    ("two_out_of_n", "canonical-n5", 95, 0, 0.85): 10247,
+    ("two_out_of_n", "perturbed-n5", 103, 0, 0.0): 11033,
+    ("chsh", "canonical", 16290, 5, 0.85): 32768,
+    ("chsh", "trace-biased", 16291, 5, 0.0): 32769,
+    ("magic_square", "perturbed", 3523, 20, 1.0): 32768,
+    ("magic_square", "canonical", 3557, 27, 0.85): 32769,
+}
+
+
+def _first_block(game, kind, t):
+    build = _GAMES[game][1]
+    return max(build(_STRATEGIES[(game, kind)](), 0.5).first_block(t), _BLOCK)
+
+
+def _check_against_reference(monkeypatch, game, kind, t, seed, rho):
+    strategy = _STRATEGIES[(game, kind)]()
+    params = ProtocolParams(game, t, 0.01, seed=seed, rho=rho)
+    played = {}
+
+    def recording(name, play):
+        def wrapper(p, g):
+            played[name] = (play(p, g), g.sampler.cum.shape[1])
+            return played[name][0]
+        return wrapper
+
+    runner = protocols._play_blocks
+    monkeypatch.setattr(protocols, "_play_blocks", recording("runner", runner))
+    tr = run_protocol(params, strategy)
+    monkeypatch.setattr(protocols, "_play_blocks", recording("reference", _reference_play_blocks))
+    ref = run_protocol(params, strategy)
+    monkeypatch.setattr(protocols, "_play_blocks", runner)
+
+    (ctx, out, seen), n_out = played["runner"]
+    (ref_ctx, ref_out, ref_seen), _ = played["reference"]
+    assert tr.t_prime == ref.t_prime == len(ref_ctx)
+    assert ctx.dtype == ref_ctx.dtype and out.dtype == ref_out.dtype == np.uint8
+    assert np.array_equal(ctx, ref_ctx) and np.array_equal(out, ref_out)
+    assert len(seen) == len(ref_seen)
+    for key_seen, ref_key_seen in zip(seen, ref_seen):
+        assert len(key_seen) == len(ref_key_seen)
+        for (count, hist), (ref_count, ref_hist) in zip(key_seen, ref_key_seen):
+            assert count == ref_count
+            padded = np.zeros(n_out, dtype=np.int64)
+            padded[:len(ref_hist)] = ref_hist
+            assert np.array_equal(np.pad(hist, (0, n_out - len(hist))), padded)
+            assert hist.sum() == t
+    assert (json.dumps(transcript_to_json(tr, include_rounds=True))
+            == json.dumps(transcript_to_json(ref, include_rounds=True)))
+    return tr
+
+
+@pytest.mark.parametrize("game, kind, t, seed, rho", _GRID)
+def test_runner_matches_reference(monkeypatch, game, kind, t, seed, rho):
+    _check_against_reference(monkeypatch, game, kind, t, seed, rho)
+
+
+@pytest.mark.parametrize("game, kind, t, seed, rho", list(_PINNED))
+def test_runner_matches_reference_at_pinned_stops(monkeypatch, game, kind, t, seed, rho):
+    tr = _check_against_reference(monkeypatch, game, kind, t, seed, rho)
+    t_prime = _PINNED[(game, kind, t, seed, rho)]
+    assert tr.t_prime == t_prime
+    first = _first_block(game, kind, t)
+    if t_prime % 2 ** 15 in (0, 1):
+        assert t_prime <= first
+    else:
+        assert t_prime > first
