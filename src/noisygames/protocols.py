@@ -10,6 +10,14 @@ reproducible byte-for-byte and blocks could be drawn in parallel without
 changing results.  Because the first block's size depends on t, the rounds
 drawn for one seed change with t.
 
+Within a block, all context ids are drawn first, in one call.  The
+uniforms, outcomes, per-key counts and first-t histograms are then handled
+in chunks of 2**15 rounds, so that each chunk's arrays stay in cache, and
+the run ends with the chunk in which the last tracked question comes up for
+the t-th time: nothing after that chunk is drawn.  Drawing a block's
+uniforms a chunk at a time gives the same doubles as one call, so the
+chunk size changes no transcript.
+
 Interpretation note: trace-test counts reuse the game rounds themselves (the
 protocol counts answers "when asked question x" within the same repetitions);
 transcripts carry this note.
@@ -45,6 +53,14 @@ TRACE_TEST_NOTE = ("trace-test frequencies are computed from the first t game ro
                    "of each tracked question; no separate trace rounds are played")
 
 _BLOCK = 8192
+# rounds sampled and counted at a time: a chunk's uniforms (256 KB) and its
+# outcome and key arrays stay in a 4 MiB L2 cache across every category and
+# key pass
+_CHUNK = 2 ** 15
+# the largest first block a run may draw (CHSH at t = 1.5e7): its context
+# draws alone take 8 bytes a round, and the int64 round columns of a run
+# that long take several GB
+_MAX_FIRST_BLOCK = 2 ** 25
 
 
 def derive_delta(t: int, p: float) -> float:
@@ -91,13 +107,17 @@ def _sample_categories(cum: np.ndarray, ctx: np.ndarray, u: np.ndarray) -> np.nd
 def _cumulative_table(tables) -> np.ndarray:
     """Row-wise CDFs of per-context answer distributions.  Each row must be a
     probability vector to 1e-9; round-off negatives are clipped and the row
-    renormalized before the cumulative sum."""
+    renormalized before the cumulative sum.  Every entry equal to its row's
+    last is set to exactly 1.0: a row whose sum rounds to just below 1 would
+    otherwise let a uniform above it draw the category past the last one."""
     tables = np.asarray(tables, dtype=float)
     if tables.min() < -1e-9 or np.abs(tables.sum(axis=1) - 1).max() > 1e-9:
         raise ValidationError("answer distribution is not a probability vector")
     np.clip(tables, 0.0, None, out=tables)
     tables /= tables.sum(axis=1, keepdims=True)
-    return np.cumsum(tables, axis=1)
+    cum = np.cumsum(tables, axis=1)
+    cum[cum == cum[:, -1:]] = 1.0
+    return cum
 
 
 @dataclass
@@ -210,8 +230,8 @@ class TwoOutOfNSampler:
 
 
 def _id_table(values) -> np.ndarray:
-    """Integer ids in the narrowest dtype that holds them: a stable argsort
-    over 16-bit or narrower ids is a radix sort."""
+    """Integer ids in the narrowest dtype that holds them: a run's context
+    ids take one byte a round, and a chunk's key ids are compared narrow."""
     values = np.asarray(values)
     return values.astype(np.min_scalar_type(values.max()))
 
@@ -373,48 +393,78 @@ def sample_round(strategy, noise, questions, rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# protocol runner: blocks of (context, outcome) rounds, one stable sort per
-# key set for the stopping round, the counts and first-t histograms
+# protocol runner: per block, its context ids; per chunk of a block, its
+# uniforms, outcomes, per-key counts and first-t histograms, up to the chunk
+# in which the last key reaches t
 
 
-def _key_positions(ids: np.ndarray, n_keys: int) -> list:
-    """Round indices per key id, in round order, via one stable sort (a radix
-    sort for ids of 16 bits or fewer)."""
-    order = np.argsort(ids, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=n_keys))))
-    return [order[bounds[k]: bounds[k + 1]] for k in range(n_keys)]
+def _chunks(seed: int, game: _Game, first: int):
+    """Successive chunks of rounds as (context ids, uniforms).  Each block's
+    context ids are drawn whole, since splitting one integers() call would
+    change the stream; its uniforms are then drawn a chunk at a time, which
+    gives the same doubles as one call.  Nothing is drawn for a chunk that is
+    not asked for."""
+    block = 0
+    while True:
+        rng = _rng_for_block(seed, block)
+        ctx = game.draw_contexts(rng, first if block == 0 else _BLOCK)
+        for lo in range(0, len(ctx), _CHUNK):
+            chunk = ctx[lo: lo + _CHUNK]
+            yield chunk, rng.random(len(chunk))
+        block += 1
 
 
 def _play_blocks(params: ProtocolParams, game: _Game):
-    """Draw blocks of rounds until every key of every key set has come up t
+    """Play chunks of rounds until every key of every key set has come up t
     times.
 
     Returns the context ids and outcomes up to the exact stopping round and,
     per key set and key, the number of its rounds up to that round and the
-    histogram of outcome categories over its first t rounds.  The blocks and
-    sort orders are dropped on return, before any round column is built."""
+    histogram of outcome categories over its first t rounds."""
     t = params.t
-    key_tables = [keys for keys, _ in game.key_sets]
     first = max(game.first_block(t), _BLOCK)
+    if first > _MAX_FIRST_BLOCK:
+        raise ValidationError(f"t = {t} needs a first block of {first} rounds, "
+                              f"above the limit of {_MAX_FIRST_BLOCK}")
+    n_out = game.sampler.cum.shape[1]
+    # per key set: its context -> key id table and context -> first
+    # (key, outcome) cell table, and per key its count, its histogram and
+    # the round at which it came up for the t-th time
+    tables = [(keys, keys.astype(np.intp) * n_out) for keys, _ in game.key_sets]
+    counts = [np.zeros(int(keys.max()) + 1, dtype=np.int64) for keys, _ in tables]
+    hists = [np.zeros((len(c), n_out), dtype=np.int64) for c in counts]
+    reached = [np.zeros(len(c), dtype=np.int64) for c in counts]
     ctxs, outs = [], []
-    ctx_counts = np.zeros(len(game.questions), dtype=np.int64)
-    block = 0
-    while True:
-        size = first if block == 0 else _BLOCK
-        rng = _rng_for_block(params.seed, block)
-        ctx = game.draw_contexts(rng, size)
+    start = 0
+    for ctx, u in _chunks(params.seed, game, first):
+        out = game.sampler.draw(ctx, u)
         ctxs.append(ctx)
-        outs.append(game.sampler.draw(ctx, rng.random(size)))
-        ctx_counts += np.bincount(ctx, minlength=len(ctx_counts))
-        block += 1
-        if all(np.bincount(keys, weights=ctx_counts).min() >= t for keys in key_tables):
+        outs.append(out)
+        for (keys, cells), count, hist, at in zip(tables, counts, hists, reached):
+            joint = np.bincount(cells.take(ctx) + out, minlength=hist.size).reshape(hist.shape)
+            after = count + joint.sum(axis=1)
+            below = after <= t
+            hist[below] += joint[below]
+            crossing = np.flatnonzero((count < t) & (after >= t))
+            if len(crossing):
+                ids = keys.take(ctx)
+                for k in crossing:
+                    rounds = np.flatnonzero(ids == k)[: t - count[k]]
+                    at[k] = start + rounds[-1]
+                    if after[k] > t:
+                        hist[k] += np.bincount(out[rounds], minlength=n_out)
+            count[:] = after
+        if all(count.min() >= t for count in counts):
             break
-    ctx, out = np.concatenate(ctxs), np.concatenate(outs)
-    positions = [_key_positions(keys.take(ctx), int(keys.max()) + 1) for keys in key_tables]
-    t_prime = max(int(p[t - 1]) for pos in positions for p in pos) + 1
-    return ctx[:t_prime], out[:t_prime], [
-        [(int(np.searchsorted(p, t_prime)), np.bincount(out[p[:t]])) for p in pos]
-        for pos in positions]
+        start += len(ctx)
+    t_prime = max(int(at.max()) for at in reached) + 1
+    # drop the stopping chunk's rounds after the stopping round
+    tail = ctx[t_prime - start:]
+    for (keys, _), count in zip(tables, counts):
+        count -= np.bincount(keys.take(tail), minlength=len(count))
+    ctxs[-1], outs[-1] = ctx[: t_prime - start], out[: t_prime - start]
+    return np.concatenate(ctxs), np.concatenate(outs), [
+        [(int(c), h) for c, h in zip(count, hist)] for count, hist in zip(counts, hists)]
 
 
 def _plus_frequency(hist: np.ndarray, bit: int) -> float:

@@ -37,6 +37,11 @@ from .states import BipartiteState, make_depolarized_epr, make_epr_power
 
 SCHEMA_VERSION = 1
 
+# symbolic strategies act on at most 2**6 dimensions per player, so that
+# their joint states fit states.JOINT_DIM_CAP; a canonical 2-out-of-6
+# strategy holds 504 such operators (33 MB)
+MAX_LOCAL_QUBITS = 6
+
 
 def _require_keys(data: dict, required: set, optional: set, what: str):
     if not isinstance(data, dict):
@@ -116,6 +121,11 @@ def _symbolic_strategy(data: dict):
     game = data.get("game", "chsh")
     n = int(data.get("n", 1))
     register = int(data.get("register", 1))
+    qubits = {"chsh": n, "magic_square": 2 * n,
+              "two_out_of_n": max(n, int(data.get("nPrime", n)))}.get(game, 0)
+    if qubits > MAX_LOCAL_QUBITS:
+        raise ValidationError(f"a {game} strategy with n = {n} has local dimension 2**{qubits}, "
+                              f"above the cap of 2**{MAX_LOCAL_QUBITS}")
     if kind == "canonical":
         if game == "chsh":
             return canonical_chsh_strategy(n, register)

@@ -355,6 +355,15 @@ def test_threads_flag_removed(capsys):
     (["eval", "--game", "magic_square", "--rho", "0.9", "--strategy", "random-biased:1.5:3"],
      "trace_bias must be a finite number in [0, 1], got 1.5"),
     (["selftest", "--rho", "0.8", "--threshold", "nan"], "--threshold must be a number, got nan"),
+    (["simulate", "--game", "chsh", "--rho", "0.9", "--t", "1000000000000000", "--seed", "1"],
+     "t = 1000000000000000 needs a first block of 2200000000000064 rounds, "
+     "above the limit of 33554432"),
+    (["eval", "--rho", "0.9", "--n", "7"],
+     "a chsh strategy with n = 7 has local dimension 2**7, above the cap of 2**6"),
+    (["eval", "--game", "magic_square", "--rho", "0.9", "--n", "4"],
+     "a magic_square strategy with n = 4 has local dimension 2**8, above the cap of 2**6"),
+    (["eval", "--game", "two_out_of_n", "--rho", "0.9", "--n", "7"],
+     "a two_out_of_n strategy with n = 7 has local dimension 2**7, above the cap of 2**6"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
@@ -364,7 +373,8 @@ def test_threads_flag_removed(capsys):
         "perturbed-theta-nan",
         "perturbed-theta-inf", "general-noise-magic-square", "general-noise-two-out-of-n",
         "trace-bias-nan", "trace-bias-inf", "trace-bias-negative", "trace-bias-above-one",
-        "threshold-nan"])
+        "threshold-nan", "simulate-t-too-large", "chsh-dimension-above-cap",
+        "ms-dimension-above-cap", "two-out-of-n-dimension-above-cap"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",

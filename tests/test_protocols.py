@@ -631,3 +631,102 @@ def test_two_out_of_n_sampler_expands_each_player_once(monkeypatch):
     TwoOutOfNSampler(canonical_two_out_of_n_strategy(4), 0.8)
     # one stack per player: 8 singles and 24 pair POVMs of 4 elements
     assert calls == [(8 + 4 * 24, 16, 16)] * 2
+
+
+# ---------------------------------------------------------------------------
+# chunked rounds: what is drawn, and the tables rounds are drawn from
+
+
+_CHUNK_GAMES = {
+    "chsh": canonical_chsh_strategy(1),
+    "magic_square": canonical_magic_square_strategy(1),
+    "two_out_of_n": canonical_two_out_of_n_strategy(3),
+}
+
+
+@pytest.mark.parametrize("game, t, seed", [
+    ("chsh", 200_000, 3), ("magic_square", 200_000, 4), ("two_out_of_n", 10_000, 5)])
+def test_draws_stop_within_a_chunk_of_the_stopping_round(monkeypatch, game, t, seed):
+    # t is large enough that the first block outlasts the stopping round by
+    # more than a chunk, so drawing it whole would break the bound
+    import noisygames.protocols as protocols
+
+    strategy = _CHUNK_GAMES[game]
+    sampler = type(protocols._GAMES[game][1](strategy, 0.8).sampler)
+    drawn = []
+
+    def counting(self, ctx, u):
+        drawn.append(len(u))
+        return draw(self, ctx, u)
+
+    draw = sampler.draw
+    monkeypatch.setattr(sampler, "draw", counting)
+    tr = run_protocol(ProtocolParams(game, t, 0.01, seed=seed, rho=0.8), strategy)
+    first = protocols._GAMES[game][1](strategy, 0.8).first_block(t)
+    assert first > tr.t_prime + protocols._CHUNK
+    assert tr.t_prime <= sum(drawn) <= tr.t_prime + protocols._CHUNK
+    assert max(drawn) <= protocols._CHUNK
+
+
+@pytest.mark.parametrize("game", list(_CHUNK_GAMES))
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_uniforms_drawn_in_chunks_match_one_call(game, seed):
+    # a block's context ids are drawn whole; its uniforms drawn a chunk at a
+    # time after them are the doubles one call would give
+    from noisygames.protocols import _CHUNK, _GAMES, _rng_for_block
+
+    contexts = _GAMES[game][1](_CHUNK_GAMES[game], 0.8).draw_contexts
+    size = 2 * _CHUNK + 1234
+    whole, chunked = _rng_for_block(seed, 0), _rng_for_block(seed, 0)
+    assert np.array_equal(contexts(whole, size), contexts(chunked, size))
+    parts = [chunked.random(len(range(lo, min(lo + _CHUNK, size))))
+             for lo in range(0, size, _CHUNK)]
+    assert np.array_equal(np.concatenate(parts), whole.random(size))
+
+
+def test_draw_above_a_row_sum_below_one_stays_in_range():
+    # this strategy's rows 8-13 sum to 1 - 2**-52 before the last entry is
+    # pinned; a uniform above that drew category 8 of 8
+    sampler = TwoOutOfNSampler(perturbed_two_out_of_n_strategy(2, 0.1), 0.83)
+    u = np.full(6, 1 - 2 ** -53)
+    out = sampler.draw(np.arange(8, 14, dtype=np.uint8), u)
+    probs = np.diff(sampler.cum, axis=1, prepend=0.0)
+    assert np.array_equal(out, [np.flatnonzero(probs[c])[-1] for c in range(8, 14)])
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.37, 0.83, 1.0])
+def test_sampler_rows_end_at_exactly_one(rho):
+    from noisygames.games import (perturbed_chsh_strategy, perturbed_magic_square_strategy,
+                                  random_chsh_strategy, random_magic_square_strategy)
+    from noisygames.protocols import MagicSquareSampler
+
+    rng = np.random.default_rng([803, int(100 * rho)])
+    samplers = [TwoOutOfNSampler(perturbed_two_out_of_n_strategy(n, theta), rho)
+                for n in (2, 3, 4) for theta in (0.1, 0.37, 1.1)]
+    samplers += [ChshSampler(perturbed_chsh_strategy(n, 1, theta), rho)
+                 for n in (1, 2) for theta in (0.1, 0.37, 1.1)]
+    samplers += [MagicSquareSampler(perturbed_magic_square_strategy(1, 1, theta), rho)
+                 for theta in (0.1, 0.37, 1.1)]
+    samplers += [ChshSampler(random_chsh_strategy(n, rng, kind, bias), rho)
+                 for n in (1, 2) for kind in ("binary", "bounded") for bias in (0.0, 0.3)]
+    samplers += [MagicSquareSampler(random_magic_square_strategy(1, rng, kind, bias), rho)
+                 for kind in ("projective", "mixed", "raw") for bias in (0.0, 0.3)]
+    for sampler in samplers:
+        assert (sampler.cum[:, -1] == 1.0).all()
+        assert (np.diff(sampler.cum, axis=1) >= 0).all()
+
+
+def test_oversized_first_block_rejected_before_drawing(monkeypatch):
+    import noisygames.protocols as protocols
+
+    def no_draws(seed, block):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(protocols, "_rng_for_block", no_draws)
+    t = protocols._MAX_FIRST_BLOCK // 2
+    with pytest.raises(ValidationError, match=rf"t = {t} needs a first block of {int(2.2 * t) + 64} "
+                                              rf"rounds, above the limit of 33554432"):
+        run_protocol(ProtocolParams("chsh", t, 0.01, seed=1, rho=0.9), canonical_chsh_strategy(1))
+    # CHSH at t = 10**7 stays within the limit
+    assert protocols._chsh_game(canonical_chsh_strategy(1), 0.9).first_block(10 ** 7) \
+        <= protocols._MAX_FIRST_BLOCK
