@@ -428,19 +428,18 @@ def _play_blocks(params: ProtocolParams, game: _Game):
                               f"above the limit of {_MAX_FIRST_BLOCK}")
     n_out = game.sampler.cum.shape[1]
     # per key set: its context -> key id table and context -> first
-    # (key, outcome) cell table, and per key its count, its histogram and
-    # the round at which it came up for the t-th time
+    # (key, outcome) cell table, and per key its count and its histogram;
+    # last is the latest round at which a key came up for the t-th time
     tables = [(keys, keys.astype(np.intp) * n_out) for keys, _ in game.key_sets]
     counts = [np.zeros(int(keys.max()) + 1, dtype=np.int64) for keys, _ in tables]
     hists = [np.zeros((len(c), n_out), dtype=np.int64) for c in counts]
-    reached = [np.zeros(len(c), dtype=np.int64) for c in counts]
     ctxs, outs = [], []
-    start = 0
+    start = last = 0
     for ctx, u in _chunks(params.seed, game, first):
         out = game.sampler.draw(ctx, u)
         ctxs.append(ctx)
         outs.append(out)
-        for (keys, cells), count, hist, at in zip(tables, counts, hists, reached):
+        for (keys, cells), count, hist in zip(tables, counts, hists):
             joint = np.bincount(cells.take(ctx) + out, minlength=hist.size).reshape(hist.shape)
             after = count + joint.sum(axis=1)
             below = after <= t
@@ -450,14 +449,14 @@ def _play_blocks(params: ProtocolParams, game: _Game):
                 ids = keys.take(ctx)
                 for k in crossing:
                     rounds = np.flatnonzero(ids == k)[: t - count[k]]
-                    at[k] = start + rounds[-1]
+                    last = max(last, start + int(rounds[-1]))
                     if after[k] > t:
                         hist[k] += np.bincount(out[rounds], minlength=n_out)
             count[:] = after
         if all(count.min() >= t for count in counts):
             break
         start += len(ctx)
-    t_prime = max(int(at.max()) for at in reached) + 1
+    t_prime = last + 1
     # drop the stopping chunk's rounds after the stopping round
     tail = ctx[t_prime - start:]
     for (keys, _), count in zip(tables, counts):

@@ -121,8 +121,9 @@ def _symbolic_strategy(data: dict):
     game = data.get("game", "chsh")
     n = int(data.get("n", 1))
     register = int(data.get("register", 1))
-    qubits = {"chsh": n, "magic_square": 2 * n,
-              "two_out_of_n": max(n, int(data.get("nPrime", n)))}.get(game, 0)
+    qubits = {"chsh": n, "magic_square": 2 * n}.get(game, 0)
+    if game == "two_out_of_n":
+        qubits = max(n, int(data.get("nPrime", n)))
     if qubits > MAX_LOCAL_QUBITS:
         raise ValidationError(f"a {game} strategy with n = {n} has local dimension 2**{qubits}, "
                               f"above the cap of 2**{MAX_LOCAL_QUBITS}")

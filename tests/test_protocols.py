@@ -652,7 +652,8 @@ def test_draws_stop_within_a_chunk_of_the_stopping_round(monkeypatch, game, t, s
     import noisygames.protocols as protocols
 
     strategy = _CHUNK_GAMES[game]
-    sampler = type(protocols._GAMES[game][1](strategy, 0.8).sampler)
+    tables = protocols._GAMES[game][1](strategy, 0.8)
+    sampler = type(tables.sampler)
     drawn = []
 
     def counting(self, ctx, u):
@@ -662,8 +663,7 @@ def test_draws_stop_within_a_chunk_of_the_stopping_round(monkeypatch, game, t, s
     draw = sampler.draw
     monkeypatch.setattr(sampler, "draw", counting)
     tr = run_protocol(ProtocolParams(game, t, 0.01, seed=seed, rho=0.8), strategy)
-    first = protocols._GAMES[game][1](strategy, 0.8).first_block(t)
-    assert first > tr.t_prime + protocols._CHUNK
+    assert tables.first_block(t) > tr.t_prime + protocols._CHUNK
     assert tr.t_prime <= sum(drawn) <= tr.t_prime + protocols._CHUNK
     assert max(drawn) <= protocols._CHUNK
 
