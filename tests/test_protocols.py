@@ -654,13 +654,12 @@ def test_draws_stop_within_a_chunk_of_the_stopping_round(monkeypatch, game, t, s
     strategy = _CHUNK_GAMES[game]
     tables = protocols._GAMES[game][1](strategy, 0.8)
     sampler = type(tables.sampler)
-    drawn = []
+    draw, drawn = sampler.draw, []
 
     def counting(self, ctx, u):
         drawn.append(len(u))
         return draw(self, ctx, u)
 
-    draw = sampler.draw
     monkeypatch.setattr(sampler, "draw", counting)
     tr = run_protocol(ProtocolParams(game, t, 0.01, seed=seed, rho=0.8), strategy)
     assert tables.first_block(t) > tr.t_prime + protocols._CHUNK
