@@ -11,12 +11,18 @@ changing results.  Because the first block's size depends on t, the rounds
 drawn for one seed change with t.
 
 Within a block, all context ids are drawn first, in one call.  The
-uniforms, outcomes, per-key counts and first-t histograms are then handled
-in chunks of 2**15 rounds, so that each chunk's arrays stay in cache, and
-the run ends with the chunk in which the last tracked question comes up for
-the t-th time: nothing after that chunk is drawn.  Drawing a block's
-uniforms a chunk at a time gives the same doubles as one call, so the
-chunk size changes no transcript.
+uniforms and outcomes are then drawn in chunks of 2**15 rounds, so that
+each chunk's arrays stay in cache, and the run ends with the chunk in which
+the last tracked question comes up for the t-th time: nothing after that
+chunk is drawn.  Drawing a block's uniforms a chunk at a time gives the
+same doubles as one call, so the chunk size changes no transcript.
+
+Each chunk is counted once, into a run-level (context, outcome) histogram;
+per-question counts and first-t histograms follow from it through 0/1
+question x context matrices, and the win and consistency rates from its
+sums over each game's win and consistency tables.  A run keeps its context
+ids and outcome categories (one or two bytes a round); the per-round
+columns of a transcript are built only when they are read.
 
 Interpretation note: trace-test counts reuse the game rounds themselves (the
 protocol counts answers "when asked question x" within the same repetitions);
@@ -26,7 +32,7 @@ transcripts carry this note.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +65,7 @@ _BLOCK = 8192
 _CHUNK = 2 ** 15
 # the largest first block a run may draw (CHSH at t = 1.5e7): its context
 # draws alone take 8 bytes a round, and the int64 round columns of a run
-# that long take several GB
+# that long, built only when read, take several GB
 _MAX_FIRST_BLOCK = 2 ** 25
 
 
@@ -120,12 +126,48 @@ def _cumulative_table(tables) -> np.ndarray:
     return cum
 
 
+class RoundColumns(Mapping):
+    """A run's per-round columns, read-only: column name -> int64 array of
+    shape (t',), each round's entry of the game's (context, outcome) table of
+    that name.  Only the run's context ids and outcome categories are kept
+    until the first read, which builds every column together into one
+    (columns, t') block, a chunk of rounds at a time, and drops them."""
+
+    def __init__(self, ctx: np.ndarray, out: np.ndarray, tables: dict):
+        self._ctx, self._out, self._tables = ctx, out, tables
+        self._rows = {name: row for row, name in enumerate(tables)}
+        self._block = None
+
+    def __getitem__(self, name):
+        row = self._rows[name]
+        if self._block is None:
+            self._build()
+        return self._block[row]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def _build(self):
+        flat = [np.asarray(table, dtype=np.int64).ravel() for table in self._tables.values()]
+        n_out = next(iter(self._tables.values())).shape[1]
+        block = np.empty((len(flat), len(self._ctx)), dtype=np.int64)
+        for lo in range(0, len(self._ctx), _CHUNK):
+            cells = self._ctx[lo: lo + _CHUNK].astype(np.intp) * n_out + self._out[lo: lo + _CHUNK]
+            for table, row in zip(flat, block):
+                table.take(cells, out=row[lo: lo + _CHUNK], mode="clip")
+        block.flags.writeable = False
+        self._block, self._ctx, self._out = block, None, None
+
+
 @dataclass
 class ProtocolTranscript:
     game: str
     params: ProtocolParams
     t_prime: int
-    rounds: dict
+    rounds: RoundColumns
     counts: dict
     trace_frequencies: dict
     accept: bool
@@ -418,52 +460,74 @@ def _play_blocks(params: ProtocolParams, game: _Game):
     """Play chunks of rounds until every key of every key set has come up t
     times.
 
-    Returns the context ids and outcomes up to the exact stopping round and,
+    Returns the context ids and outcomes up to the exact stopping round;
     per key set and key, the number of its rounds up to that round and the
-    histogram of outcome categories over its first t rounds."""
+    histogram of outcome categories over its first t rounds; and the
+    (context, outcome) histogram of the rounds up to that round."""
     t = params.t
     first = max(game.first_block(t), _BLOCK)
     if first > _MAX_FIRST_BLOCK:
         raise ValidationError(f"t = {t} needs a first block of {first} rounds, "
                               f"above the limit of {_MAX_FIRST_BLOCK}")
-    n_out = game.sampler.cum.shape[1]
-    # per key set: its context -> key id table and context -> first
-    # (key, outcome) cell table, and per key its count and its histogram;
-    # last is the latest round at which a key came up for the t-th time
-    tables = [(keys, keys.astype(np.intp) * n_out) for keys, _ in game.key_sets]
-    counts = [np.zeros(int(keys.max()) + 1, dtype=np.int64) for keys, _ in tables]
+    n_ctx, n_out = game.sampler.cum.shape
+
+    def histogram(ctx, out):
+        cells = ctx.astype(np.intp) * n_out + out
+        return np.bincount(cells, minlength=n_ctx * n_out).reshape(n_ctx, n_out)
+
+    # per key set: its context -> key id table and its key x context 0/1
+    # matrix, and per key its count and its first-t histogram; joint holds
+    # the run's rounds so far, and last is the latest round at which a key
+    # came up for the t-th time
+    tables = [(keys, (np.arange(int(keys.max()) + 1)[:, None] == keys).astype(np.int64))
+              for keys, _ in game.key_sets]
+    counts = [np.zeros(len(member), dtype=np.int64) for _, member in tables]
     hists = [np.zeros((len(c), n_out), dtype=np.int64) for c in counts]
+    joint = np.zeros((n_ctx, n_out), dtype=np.int64)
     ctxs, outs = [], []
     start = last = 0
     for ctx, u in _chunks(params.seed, game, first):
         out = game.sampler.draw(ctx, u)
         ctxs.append(ctx)
         outs.append(out)
-        for (keys, cells), count, hist in zip(tables, counts, hists):
-            joint = np.bincount(cells.take(ctx) + out, minlength=hist.size).reshape(hist.shape)
-            after = count + joint.sum(axis=1)
-            below = after <= t
-            hist[below] += joint[below]
+        chunk = histogram(ctx, out)
+        per_ctx = chunk.sum(axis=1)
+        for (keys, member), count, hist in zip(tables, counts, hists):
+            after = count + member @ per_ctx
+            # a key's first t rounds are its rounds before this chunk, all in
+            # joint, and its first t - count rounds in this chunk
             crossing = np.flatnonzero((count < t) & (after >= t))
             if len(crossing):
                 ids = keys.take(ctx)
                 for k in crossing:
                     rounds = np.flatnonzero(ids == k)[: t - count[k]]
                     last = max(last, start + int(rounds[-1]))
-                    if after[k] > t:
-                        hist[k] += np.bincount(out[rounds], minlength=n_out)
+                    hist[k] = member[k] @ joint + np.bincount(out[rounds], minlength=n_out)
             count[:] = after
+        joint += chunk
         if all(count.min() >= t for count in counts):
             break
         start += len(ctx)
     t_prime = last + 1
     # drop the stopping chunk's rounds after the stopping round
-    tail = ctx[t_prime - start:]
-    for (keys, _), count in zip(tables, counts):
-        count -= np.bincount(keys.take(tail), minlength=len(count))
-    ctxs[-1], outs[-1] = ctx[: t_prime - start], out[: t_prime - start]
+    cut = t_prime - start
+    joint -= histogram(ctx[cut:], out[cut:])
+    ctxs[-1], outs[-1] = ctx[:cut], out[:cut]
+    per_ctx = joint.sum(axis=1)
     return np.concatenate(ctxs), np.concatenate(outs), [
-        [(int(c), h) for c, h in zip(count, hist)] for count, hist in zip(counts, hists)]
+        [(int(c), h) for c, h in zip(member @ per_ctx, hist)]
+        for (_, member), hist in zip(tables, hists)], joint
+
+
+# the game tables that give rates, not round columns
+_RATES = ("win", "consistent")
+
+
+def _rates(game: _Game, joint: np.ndarray, n_rounds: int) -> list:
+    """Rates of the game's "win" and (magic square) "consistent" tables over
+    rounds with the given (context, outcome) histogram."""
+    return [int((joint * game.columns[name]).sum()) / n_rounds
+            for name in _RATES if name in game.columns]
 
 
 def _plus_frequency(hist: np.ndarray, bit: int) -> float:
@@ -483,7 +547,7 @@ def run_protocol(params: ProtocolParams, strategy) -> ProtocolTranscript:
     if not isinstance(strategy, cls):
         raise ValidationError(f"{params.game} protocol needs a {cls.__name__}")
     game = build(strategy, params.rho)
-    ctx, out, seen = _play_blocks(params, game)
+    ctx, out, seen, joint = _play_blocks(params, game)
     counts, freqs, reasons = {}, {}, []
     for (_, keys), key_seen in zip(game.key_sets, seen):
         for (label, tests), (count, hist) in zip(keys, key_seen):
@@ -492,13 +556,12 @@ def run_protocol(params: ProtocolParams, strategy) -> ProtocolTranscript:
                 f = freqs[test] = _plus_frequency(hist, bit)
                 if abs(f - 0.5) >= params.delta:
                     reasons.append(reason.format(f=f))
-    flat = ctx.astype(np.intp) * game.columns["win"].shape[1] + out
-    rounds = {name: table.ravel().take(flat) for name, table in game.columns.items()}
-    wins = rounds.pop("win").mean()
-    consistent = rounds.pop("consistent", None)
+    rounds = RoundColumns(ctx, out, {name: table for name, table in game.columns.items()
+                                     if name not in _RATES})
+    wins, *consistent = _rates(game, joint, len(out))
     return ProtocolTranscript(
-        params.game, params, len(out), rounds, counts, freqs, not reasons, reasons, float(wins),
-        empirical_consistency_rate=None if consistent is None else float(consistent.mean()))
+        params.game, params, len(out), rounds, counts, freqs, not reasons, reasons, wins,
+        empirical_consistency_rate=consistent[0] if consistent else None)
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +574,14 @@ def _check_round_count(n_rounds) -> None:
 
 
 def _fixed_round_rates(game: _Game, n_rounds: int, seed: int) -> list:
-    """Rates of the game's "win" and (magic square) "consistent" tables over
-    a fixed number of rounds (vectorized: multinomial context counts, then
-    multinomial outcomes per context)."""
+    """Rates over a fixed number of rounds (vectorized: multinomial context
+    counts, then multinomial outcomes per context)."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     n_ctx = len(game.questions)
     per_ctx = rng.multinomial(n_rounds, np.full(n_ctx, 1.0 / n_ctx))
     probs = np.diff(game.sampler.cum, axis=1, prepend=0.0)
-    counts = np.array([rng.multinomial(k, row) for k, row in zip(per_ctx, probs)])
-    return [int((counts * game.columns[name]).sum()) / n_rounds
-            for name in ("win", "consistent") if name in game.columns]
+    return _rates(game, np.array([rng.multinomial(k, row) for k, row in zip(per_ctx, probs)]),
+                  n_rounds)
 
 
 def play_chsh_rounds(strategy: ChshStrategy, rho: float, n_rounds: int,

@@ -58,6 +58,15 @@ def _reference_play_blocks(params, game):
         for pos in positions]
 
 
+def _reference_with_histogram(params, game):
+    """The reference runner's results plus the (context, outcome) histogram
+    of its own rounds."""
+    ctx, out, seen = _reference_play_blocks(params, game)
+    n_ctx, n_out = game.sampler.cum.shape
+    joint = np.bincount(ctx.astype(np.intp) * n_out + out, minlength=n_ctx * n_out)
+    return ctx, out, seen, joint.reshape(n_ctx, n_out)
+
+
 def _biased_povm(povm, weight):
     out = (1 - weight) * povm
     out[0] = out[0] + weight * np.eye(povm.shape[1])
@@ -142,15 +151,17 @@ def _check_against_reference(monkeypatch, game, kind, t, seed, rho):
     runner = protocols._play_blocks
     monkeypatch.setattr(protocols, "_play_blocks", recording("runner", runner))
     tr = run_protocol(params, strategy)
-    monkeypatch.setattr(protocols, "_play_blocks", recording("reference", _reference_play_blocks))
+    monkeypatch.setattr(protocols, "_play_blocks",
+                        recording("reference", _reference_with_histogram))
     ref = run_protocol(params, strategy)
     monkeypatch.setattr(protocols, "_play_blocks", runner)
 
-    (ctx, out, seen), n_out = played["runner"]
-    (ref_ctx, ref_out, ref_seen), _ = played["reference"]
+    (ctx, out, seen, joint), n_out = played["runner"]
+    (ref_ctx, ref_out, ref_seen, ref_joint), _ = played["reference"]
     assert tr.t_prime == ref.t_prime == len(ref_ctx)
     assert ctx.dtype == ref_ctx.dtype and out.dtype == ref_out.dtype == np.uint8
     assert np.array_equal(ctx, ref_ctx) and np.array_equal(out, ref_out)
+    assert joint.shape == ref_joint.shape and np.array_equal(joint, ref_joint)
     assert len(seen) == len(ref_seen)
     for key_seen, ref_key_seen in zip(seen, ref_seen):
         assert len(key_seen) == len(ref_key_seen)
@@ -180,3 +191,35 @@ def test_runner_matches_reference_at_pinned_stops(monkeypatch, game, kind, t, se
         assert t_prime <= first
     else:
         assert t_prime > first
+
+
+@pytest.mark.parametrize("game, n, t", [
+    ("chsh", 1, 200_000), ("magic_square", 1, 30_000), ("two_out_of_n", 3, 3000)])
+def test_run_keeps_a_few_bytes_a_round_until_rounds_are_read(game, n, t):
+    # a transcript written without rounds needs no round column: the run
+    # keeps its context ids and outcomes, and builds the columns when read
+    import tracemalloc
+
+    strategy = {"chsh": canonical_chsh_strategy,
+                "magic_square": canonical_magic_square_strategy,
+                "two_out_of_n": canonical_two_out_of_n_strategy}[game](n)
+    params = ProtocolParams(game, t, 0.01, seed=3, rho=0.85)
+    run_protocol(ProtocolParams(game, 5, 0.01, seed=3, rho=0.85), strategy)  # warm caches
+    tracemalloc.start()
+    try:
+        tr = run_protocol(params, strategy)
+        transcript_to_json(tr)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 8 * tr.t_prime
+
+    tables = _GAMES[game][1](strategy, params.rho)
+    ctx, out, _ = _reference_play_blocks(params, tables)
+    cells = ctx.astype(np.intp) * tables.sampler.cum.shape[1] + out
+    expected = {name: table.ravel()[cells] for name, table in tables.columns.items()
+                if name not in ("win", "consistent")}
+    assert list(tr.rounds) == list(expected)
+    for name, column in tr.rounds.items():
+        assert column.dtype == np.int64 and column.shape == (tr.t_prime,), name
+        assert np.array_equal(column, expected[name]), name
