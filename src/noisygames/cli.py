@@ -59,7 +59,7 @@ def _load_strategy(args):
         with open(spec) as fh:
             return serialize.strategy_from_json(json.load(fh))
     doc = {"game": game, "n": n, "register": getattr(args, "register", 1)}
-    if game == "two_out_of_n" and getattr(args, "n_prime", None):
+    if game == "two_out_of_n" and getattr(args, "n_prime", None) is not None:
         doc["nPrime"] = args.n_prime
     head, _, rest = spec.partition(":")
     if head == "canonical" and not rest:

@@ -590,6 +590,8 @@ def canonical_two_out_of_n_strategy(n: int, n_prime: int | None = None,
                                     registers: list[int] | None = None) -> TwoOutOfNStrategy:
     """Index i plays the canonical qubit strategy on register registers[i-1]."""
     n_prime = n if n_prime is None else n_prime
+    if n_prime < n:
+        raise ValidationError("need at least as many registers as indices")
     registers = list(range(1, n + 1)) if registers is None else list(registers)
     if len(registers) != n:
         raise ValidationError("need one register per index")

@@ -116,14 +116,31 @@ def strategy_to_json(strategy) -> dict:
     raise ValidationError(f"cannot serialize strategy type {type(strategy).__name__}")
 
 
+# kinds of scalar strategy fields: the Python types a JSON value of that kind
+# loads as (or a caller may pass), and the kind's name
+_FIELD_KINDS = {str: ((str,), "a string"), int: ((int, np.integer), "an integer"),
+                float: ((int, float, np.integer, np.floating), "a number")}
+
+
+def _field(data: dict, name: str, kind: type, default=None):
+    """data[name], or default when it is absent, checked to be a JSON string,
+    integer or number (kind str, int or float) and converted to kind."""
+    value = data.get(name, default)
+    types, what = _FIELD_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValidationError(f"strategy field {name!r} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def _symbolic_strategy(data: dict):
-    kind = data["kind"]
-    game = data.get("game", "chsh")
-    n = int(data.get("n", 1))
-    register = int(data.get("register", 1))
+    kind = _field(data, "kind", str)
+    game = _field(data, "game", str, "chsh")
+    n = _field(data, "n", int, 1)
+    register = _field(data, "register", int, 1)
+    n_prime = _field(data, "nPrime", int, n)
     qubits = {"chsh": n, "magic_square": 2 * n}.get(game, 0)
     if game == "two_out_of_n":
-        qubits = max(n, int(data.get("nPrime", n)))
+        qubits = max(n, n_prime)
     if qubits > MAX_LOCAL_QUBITS:
         raise ValidationError(f"a {game} strategy with n = {n} has local dimension 2**{qubits}, "
                               f"above the cap of 2**{MAX_LOCAL_QUBITS}")
@@ -133,10 +150,10 @@ def _symbolic_strategy(data: dict):
         if game == "magic_square":
             return canonical_magic_square_strategy(n, register)
         if game == "two_out_of_n":
-            return canonical_two_out_of_n_strategy(n, int(data.get("nPrime", n)))
+            return canonical_two_out_of_n_strategy(n, n_prime)
         raise ValidationError(f"unknown game {game!r}")
     if kind == "canonical-perturbed":
-        theta = float(data["theta"])
+        theta = _field(data, "theta", float)
         if game == "chsh":
             return perturbed_chsh_strategy(n, register, theta)
         if game == "magic_square":
@@ -145,10 +162,9 @@ def _symbolic_strategy(data: dict):
             return perturbed_two_out_of_n_strategy(n, theta)
         raise ValidationError(f"unknown game {game!r}")
     if kind == "random":
-        seed = int(data.get("seed", 0))
-        rng = np.random.default_rng(seed)
-        variant = data.get("variant", "binary")
-        bias = float(data.get("traceBias", 0.0))
+        rng = np.random.default_rng(_field(data, "seed", int, 0))
+        variant = _field(data, "variant", str, "binary")
+        bias = _field(data, "traceBias", float, 0.0)
         if game == "chsh":
             return random_chsh_strategy(n, rng, kind=variant, trace_bias=bias)
         if game == "magic_square":
@@ -175,13 +191,13 @@ def strategy_from_json(data: dict):
         return _symbolic_strategy(data)
     _require_keys(data, {"game", "n"}, {"nPrime", *set().union(*_STRATEGY_FIELDS.values())},
                   "strategy")
-    game = data["game"]
-    fields = _STRATEGY_FIELDS.get(game) if isinstance(game, str) else None
+    game = _field(data, "game", str)
+    fields = _STRATEGY_FIELDS.get(game)
     if fields is None:
         raise ValidationError(f"unknown game {game!r}")
     _require_keys(data, {"game", "n", *fields}, {"nPrime"} if game == "two_out_of_n" else set(),
                   f"{game} strategy")
-    n = int(data["n"])
+    n = _field(data, "n", int)
     if game == "chsh":
         obs = data["observables"]
         _require_keys(obs, {"P0", "P1", "Q0", "Q1"}, set(), "chsh observables")
@@ -200,7 +216,7 @@ def strategy_from_json(data: dict):
                for key, var in variables.items()}
         return MagicSquareStrategy(n, povms, bob)
     if game == "two_out_of_n":
-        n_prime = int(data.get("nPrime", n))
+        n_prime = _field(data, "nPrime", int, n)
 
         def keyed(field):
             block = data[field]

@@ -364,6 +364,20 @@ def test_threads_flag_removed(capsys):
      "a magic_square strategy with n = 4 has local dimension 2**8, above the cap of 2**6"),
     (["eval", "--game", "two_out_of_n", "--rho", "0.9", "--n", "7"],
      "a two_out_of_n strategy with n = 7 has local dimension 2**7, above the cap of 2**6"),
+    (["eval", "--rho", "0.9", "--strategy", "{game_list}"],
+     "strategy field 'game' must be a string, got ['chsh']"),
+    (["eval", "--rho", "0.9", "--strategy", "{seed_null}"],
+     "strategy field 'seed' must be an integer, got None"),
+    (["eval", "--game", "two_out_of_n", "--n", "2", "--rho", "0.9", "--strategy", "{n_prime_list}"],
+     "strategy field 'nPrime' must be an integer, got [1]"),
+    (["eval", "--rho", "0.9", "--strategy", "{theta_list}"],
+     "strategy field 'theta' must be a number, got [1]"),
+    (["eval", "--rho", "0.9", "--strategy", "{trace_bias_list}"],
+     "strategy field 'traceBias' must be a number, got [0.1]"),
+    (["eval", "--game", "two_out_of_n", "--n", "2", "--n-prime", "0", "--rho", "0.9"],
+     "need at least as many registers as indices"),
+    (["eval", "--game", "two_out_of_n", "--n", "3", "--n-prime", "1", "--rho", "0.9"],
+     "need at least as many registers as indices"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
@@ -374,12 +388,23 @@ def test_threads_flag_removed(capsys):
         "perturbed-theta-inf", "general-noise-magic-square", "general-noise-two-out-of-n",
         "trace-bias-nan", "trace-bias-inf", "trace-bias-negative", "trace-bias-above-one",
         "threshold-nan", "simulate-t-too-large", "chsh-dimension-above-cap",
-        "ms-dimension-above-cap", "two-out-of-n-dimension-above-cap"])
+        "ms-dimension-above-cap", "two-out-of-n-dimension-above-cap", "strategy-game-a-list",
+        "strategy-seed-null", "strategy-n-prime-a-list", "strategy-theta-a-list",
+        "strategy-trace-bias-a-list", "n-prime-zero", "n-prime-below-n"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",
              "rate_x": tmp_path / "rate_x.json", "ms_no_povms": tmp_path / "ms_no_povms.json",
              "t2n_list": tmp_path / "t2n_list.json"}
+    # symbolic strategy documents with one field of the wrong JSON type
+    typed = {"game_list": {"kind": "canonical", "game": ["chsh"]},
+             "seed_null": {"kind": "random", "game": "chsh", "seed": None},
+             "n_prime_list": {"kind": "canonical", "game": "two_out_of_n", "n": 2, "nPrime": [1]},
+             "theta_list": {"kind": "canonical-perturbed", "game": "chsh", "theta": [1]},
+             "trace_bias_list": {"kind": "random", "game": "chsh", "traceBias": [0.1]}}
+    for key, doc in typed.items():
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(doc))
     files["no_game"].write_text(json.dumps({"tPrime": 10, "empiricalWinRate": 0.8}))
     files["a_list"].write_text("[1, 2]")
     files["ghz"].write_text(json.dumps({"game": "ghz", "tPrime": 10, "empiricalWinRate": 0.8}))

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from noisygames.games import (
@@ -713,6 +714,41 @@ def test_sampler_rows_end_at_exactly_one(rho):
     for sampler in samplers:
         assert (sampler.cum[:, -1] == 1.0).all()
         assert (np.diff(sampler.cum, axis=1) >= 0).all()
+
+
+def _perturbed_and_biased(game, n, theta, bias):
+    """A perturbed strategy of the game with one operator per player given a
+    trace bias (observables) or mixed toward answering +1 (POVMs)."""
+    from noisygames.games import perturbed_chsh_strategy, perturbed_magic_square_strategy
+
+    if game == "chsh":
+        base = perturbed_chsh_strategy(n, 1, theta)
+        return ChshStrategy(n, (add_trace_bias(base.alice[0], bias), base.alice[1]),
+                            (base.bob[0], add_trace_bias(base.bob[1], -bias)))
+    if game == "magic_square":
+        base = perturbed_magic_square_strategy(1, 1, theta)
+        povms, bob = dict(base.alice_povms), dict(base.bob_observables)
+        povms["r2"] = _biased_povm(povms["r2"], abs(bias))
+        bob[(3, 1)] = add_trace_bias(bob[(3, 1)], bias)
+        return MagicSquareStrategy(1, povms, bob)
+    base = perturbed_two_out_of_n_strategy(n + 1, theta)
+    singles, pairs = dict(base.alice_singles), dict(base.bob_pair_povms)
+    singles[(1, 0)] = add_trace_bias(singles[(1, 0)], bias)
+    pairs[(1, 1, 2, 0)] = _biased_povm(pairs[(1, 1, 2, 0)], abs(bias))
+    return TwoOutOfNStrategy(base.n, base.n_prime, singles, base.bob_singles,
+                             base.alice_pair_povms, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=st.sampled_from(["chsh", "magic_square", "two_out_of_n"]), n=st.integers(1, 2),
+       theta=st.floats(-np.pi, np.pi), bias=st.floats(-1.0, 1.0), rho=st.floats(0.0, 1.0))
+def test_sampler_rows_are_cumulative_distributions(game, n, theta, bias, rho):
+    from noisygames.protocols import _GAMES
+
+    cum = _GAMES[game][1](_perturbed_and_biased(game, n, theta, bias), rho).sampler.cum
+    assert ((cum >= 0.0) & (cum <= 1.0)).all()
+    assert (np.diff(cum, axis=1) >= 0.0).all()
+    assert (cum[:, -1] == 1.0).all()
 
 
 def test_oversized_first_block_rejected_before_drawing(monkeypatch):

@@ -112,6 +112,41 @@ def test_magic_square_strategy_missing_question_is_named():
         strategy_from_json(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "canonical", "game": ["chsh"]}, "'game' must be a string, got ['chsh']"),
+    ({"game": ["chsh"], "n": 1}, "'game' must be a string, got ['chsh']"),
+    ({"kind": "random", "seed": None}, "'seed' must be an integer, got None"),
+    ({"kind": "canonical", "game": "two_out_of_n", "n": 2, "nPrime": [1]},
+     "'nPrime' must be an integer, got [1]"),
+    ({"kind": "canonical-perturbed", "theta": [1]}, "'theta' must be a number, got [1]"),
+    ({"kind": "canonical-perturbed"}, "'theta' must be a number, got None"),
+    ({"kind": "random", "traceBias": [0.1]}, "'traceBias' must be a number, got [0.1]"),
+    ({"kind": "canonical", "n": True}, "'n' must be an integer, got True"),
+    ({"kind": "canonical", "n": 1.5}, "'n' must be an integer, got 1.5"),
+    ({"kind": "random", "variant": 3}, "'variant' must be a string, got 3"),
+    ({"game": "chsh", "n": "1", "observables": {}}, "'n' must be an integer, got '1'"),
+])
+def test_strategy_field_of_the_wrong_type_is_named(doc, message):
+    with pytest.raises(ValidationError) as exc:
+        strategy_from_json(doc)
+    assert str(exc.value) == f"strategy field {message}"
+
+
+def test_strategy_numeric_fields_take_json_numbers():
+    strat = strategy_from_json({"kind": "canonical-perturbed", "game": "chsh", "n": np.int64(1),
+                                "theta": 1})
+    assert strat.n == 1
+    assert strategy_from_json({"kind": "random", "seed": 3, "traceBias": 0}).n == 1
+
+
+@pytest.mark.parametrize("n, n_prime", [(2, 0), (2, 1), (3, 2)])
+def test_two_out_of_n_needs_a_register_per_index(n, n_prime):
+    with pytest.raises(ValidationError, match="^need at least as many registers as indices$"):
+        strategy_from_json({"kind": "canonical", "game": "two_out_of_n", "n": n, "nPrime": n_prime})
+    with pytest.raises(ValidationError, match="^need at least as many registers as indices$"):
+        canonical_two_out_of_n_strategy(n, n_prime)
+
+
 def test_report_serialization():
     doc = game_value_to_json(chsh_violation(canonical_chsh_strategy(1), 0.9))
     assert doc["winProb"] == pytest.approx(0.5 + doc["violation"] / 8)
