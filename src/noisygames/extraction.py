@@ -245,11 +245,17 @@ def pauli_pair_unitary(a: np.ndarray, b: np.ndarray) -> PauliPairExtraction:
     about the z-axis to kill its y-component.  theta reports the rotation
     magnitude; the degenerate flag is raised when the second operator has no
     equatorial component to align.
+
+    Each eigenvector's phase is fixed before use (its first component real
+    and positive, or its second when the first is below 1e-8), so theta does
+    not follow the phase LAPACK happens to return.
     """
     a, b = require_hermitian(a), require_hermitian(b)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValidationError("pair extraction works on 2x2 observables")
     vals, vecs = np.linalg.eigh(a)
+    anchor = vecs[(np.abs(vecs[0]) < 1e-8).astype(int), [0, 1]]
+    vecs = vecs * (anchor.conj() / np.abs(anchor))
     u1 = vecs[:, ::-1].conj().T
     c = u1 @ b @ u1.conj().T
     c1, c2 = float(c[0, 1].real), float(-c[0, 1].imag)

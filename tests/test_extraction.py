@@ -132,6 +132,28 @@ def test_pauli_pair_unitary_degenerate_flag():
     assert ext.theta == 0.0
 
 
+def test_pauli_pair_unitary_theta_does_not_follow_the_eigenvector_phase():
+    # two operators 3e-17 apart, for which LAPACK returns eigenvectors of
+    # opposite sign; without a fixed phase theta read 2.6034 and 0.5382
+    exts = []
+    for imag in (-0.24357828932064116, -0.24357828932064113):
+        off = -0.48616994787881346 + 1j * imag
+        a = np.array([[0.8392308375835232, off], [np.conj(off), -0.8392308375835232]])
+        exts.append(pauli_pair_unitary(a, SIGMA_X))
+    assert exts[0].theta == pytest.approx(exts[1].theta, abs=1e-12)
+    assert exts[0].theta == pytest.approx(0.5382053282911031, abs=1e-12)
+    assert exts[0].dist_x == pytest.approx(exts[1].dist_x, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.4, -1.1, 2.5, np.pi])
+def test_pauli_pair_unitary_theta_is_the_equatorial_angle(t):
+    # SIGMA_Z's lower eigenvector (0, 1) has a zero first component, so its
+    # second component sets the phase
+    ext = pauli_pair_unitary(SIGMA_Z, np.cos(t) * SIGMA_X + np.sin(t) * SIGMA_Y)
+    assert ext.theta == pytest.approx(abs(t), abs=1e-12)
+    assert ext.dist_z < 1e-12 and ext.dist_x < 1e-12
+
+
 def test_register_concentration_examples():
     op = embed_on_register(SIGMA_Z, 3, 1)
     rc = register_concentration(op)
