@@ -445,7 +445,7 @@ def chsh_selftest(strategy: ChshStrategy, rho: float) -> ChshSelfTestReport:
     """
     if not 0.0 < rho < 1.0:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
-    a, b, w = PairEvaluator(rho).expand_stacks(strategy.alice, strategy.bob)
+    a, b, w = PairEvaluator(rho).expand_stacks(strategy.alice, strategy.bob, validated=True)
     report = _chsh_report((a * w) @ b.T)
     eps_v = 2 * np.sqrt(2) * rho - report.violation
     labels = ("P0", "P1", "Q0", "Q1")

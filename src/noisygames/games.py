@@ -29,7 +29,6 @@ from .pauli import (
     noisy_epr_expectation,
     pauli_expand,
     register_weight_vector,
-    require_hermitian_stack,
 )
 from .states import (
     BipartiteState,
@@ -81,18 +80,24 @@ def _lookup(mapping, keys: list, names: list) -> list:
 
 
 # the stacked checks run over chunks of at most this many bytes, so that a
-# large strategy's temporaries stay small and no copy of it is kept: one
-# stack of a 2-out-of-5 strategy's 80 pair POVMs (5 MB) raised the protocol
-# workload's peak RSS by about 5 MB
+# large strategy's eigenvalue and deviation temporaries stay small
 _CHECK_BYTES = 1 << 20
 
 
-def _chunks(arrays: list):
-    """(offset, stack) over consecutive equal-shape members, each stack at
-    most _CHECK_BYTES (and at least one member)."""
-    step = max(1, _CHECK_BYTES // max(arrays[0].nbytes, 1)) if arrays else 1
-    for lo in range(0, len(arrays), step):
-        yield lo, np.stack(arrays[lo:lo + step])
+def _frozen_stack(arrays: list) -> np.ndarray:
+    """The strategy's own read-only complex copy of equal-shape members, as
+    one stack; the caller's arrays are left as they were."""
+    stack = np.array(arrays, dtype=complex)
+    stack.setflags(write=False)
+    return stack
+
+
+def _chunks(stack: np.ndarray):
+    """(offset, view) over consecutive members of a stack, each view at most
+    _CHECK_BYTES (and at least one member)."""
+    step = max(1, _CHECK_BYTES // max(stack[0].nbytes, 1)) if len(stack) else 1
+    for lo in range(0, len(stack), step):
+        yield lo, stack[lo:lo + step]
 
 
 def _spectra(stack: np.ndarray) -> tuple:
@@ -104,15 +109,16 @@ def _spectra(stack: np.ndarray) -> tuple:
 
 
 def _require_observables(ops, dim: int, labels: list) -> list:
-    """Check observables as (k, dim, dim) stacks and return them as complex
-    arrays: each must be finite, Hermitian and of spectral norm at most 1.
-    An error names the first bad member, labels[i], and the first check it
-    fails."""
-    arrays = [np.asarray(op, dtype=complex) for op in ops]
+    """Check observables as (k, dim, dim) stacks and return read-only
+    complex copies: each must be finite, Hermitian and of spectral norm at
+    most 1.  An error names the first bad member, labels[i], and the first
+    check it fails."""
+    arrays = [np.asarray(op) for op in ops]
     for arr, label in zip(arrays, labels):
         if arr.shape != (dim, dim):
             raise ValidationError(f"{label} must be a {dim}x{dim} matrix, got shape {arr.shape}")
-    for lo, stack in _chunks(arrays):
+    owned = _frozen_stack(arrays)
+    for lo, stack in _chunks(owned):
         finite, dev, eigs = _spectra(stack)
         norm = np.abs(eigs).max(axis=-1)
         bad = ~finite | (dev > HERMITIAN_ATOL) | (norm > 1.0 + SPECTRAL_NORM_SLACK)
@@ -124,22 +130,23 @@ def _require_observables(ops, dim: int, labels: list) -> list:
             if dev[k] > HERMITIAN_ATOL:
                 raise ValidationError(f"{label} is not Hermitian (max deviation {dev[k]:.3e})")
             raise ValidationError(f"{label} has spectral norm {norm[k]:.6f} > 1")
-    return arrays
+    return list(owned)
 
 
 def _require_povms(povms, dim: int, outcomes: int | None, labels: list) -> list:
-    """Check POVMs as (k, outcomes, dim, dim) stacks and return them as
-    complex arrays: every element must be finite, Hermitian and PSD, and
+    """Check POVMs as (k, outcomes, dim, dim) stacks and return read-only
+    complex copies: every element must be finite, Hermitian and PSD, and
     each POVM must sum to the identity.  An error names the first bad POVM,
     labels[i], and the first check it fails; outcomes None accepts any count
     (one POVM)."""
-    arrays = [np.asarray(p, dtype=complex) for p in povms]
+    arrays = [np.asarray(p) for p in povms]
     for arr, label in zip(arrays, labels):
         if arr.ndim != 3 or arr.shape[1:] != (dim, dim):
             raise ValidationError(f"{label} must be a stack of {dim}x{dim} matrices")
         if outcomes is not None and len(arr) != outcomes:
             raise ValidationError(f"{label} must have {outcomes} outcomes")
-    for lo, stack in _chunks(arrays):
+    owned = _frozen_stack(arrays)
+    for lo, stack in _chunks(owned):
         finite, dev, eigs = _spectra(stack)
         low = eigs.min(axis=-1)
         off = np.abs(stack.sum(axis=1) - np.eye(dim)).max(axis=(-2, -1))
@@ -160,7 +167,7 @@ def _require_povms(povms, dim: int, outcomes: int | None, labels: list) -> list:
                                       f"(min eigenvalue {low[k, e]:.3e})")
             raise ValidationError(f"{label} does not sum to identity "
                                   f"(max deviation {off[k]:.3e})")
-    return arrays
+    return list(owned)
 
 
 def require_observable(op: np.ndarray, dim: int, label: str = "observable") -> np.ndarray:
@@ -614,9 +621,7 @@ def canonical_two_out_of_n_strategy(n: int, n_prime: int | None = None,
                             e = (np.eye(d) + a * oi) / 2 @ (np.eye(d) + b * oj) / 2
                             elems.append((e + e.conj().T) / 2)
                     pair_povms[(i, y, j, z)] = np.stack(elems)
-    return TwoOutOfNStrategy(n, n_prime, dict(singles), dict(singles),
-                             {k: v.copy() for k, v in pair_povms.items()},
-                             {k: v.copy() for k, v in pair_povms.items()})
+    return TwoOutOfNStrategy(n, n_prime, singles, singles, pair_povms, pair_povms)
 
 
 def perturbed_two_out_of_n_strategy(n: int, theta: float,
@@ -661,6 +666,13 @@ class PairEvaluator:
     asserts that the protocol workload re-expands operators, which stacking
     those samplers breaks.
 
+    expand_stacks validates what it expands, as `pauli_expand` does, unless
+    called with validated=True: callers pass that only for members of a
+    strategy, whose constructor has checked them and holds them read-only,
+    never for operators derived from them.  pair, expand_a and expand_b take
+    strategy members only and never re-check them.  Small operators take
+    the dense transform (see `pauli`).
+
     noise is a fidelity rho (depolarizing, in the default bases of local
     dimension m) or a CorrelationSpectrum (its bases and values)."""
 
@@ -690,12 +702,13 @@ class PairEvaluator:
             self._weight_vectors[n] = register_weight_vector(self.weights, n)
         return self._weight_vectors[n]
 
-    def expand_stacks(self, ops_a, ops_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def expand_stacks(self, ops_a, ops_b, *,
+                      validated: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One stacked expansion per player: the (k_a, m^(2n)) and
         (k_b, m^(2n)) coefficient arrays of ops_a and ops_b and the weights
         w, so that (a * w) @ b.T holds every pairing's expectation."""
-        exp_a = pauli_expand(np.asarray(ops_a), self.basis_a)
-        exp_b = pauli_expand(np.asarray(ops_b), self.basis_b)
+        exp_a = pauli_expand(np.asarray(ops_a), self.basis_a, validated=validated)
+        exp_b = pauli_expand(np.asarray(ops_b), self.basis_b, validated=validated)
         if (exp_a.m, exp_a.n) != (exp_b.m, exp_b.n):
             raise ValidationError("operands live on different register structures")
         return exp_a.coeffs, exp_b.coeffs, self.weight_vector(exp_a.n)
@@ -703,17 +716,18 @@ class PairEvaluator:
     def expand_a(self, op: np.ndarray) -> PauliExpansion:
         key = id(op)
         if key not in self._cache_a:
-            self._cache_a[key] = (op, pauli_expand(op, self.basis_a))
+            self._cache_a[key] = (op, pauli_expand(op, self.basis_a, validated=True))
         return self._cache_a[key][1]
 
     def expand_b(self, op: np.ndarray) -> PauliExpansion:
         key = id(op)
         if key not in self._cache_b:
-            self._cache_b[key] = (op, pauli_expand(op, self.basis_b))
+            self._cache_b[key] = (op, pauli_expand(op, self.basis_b, validated=True))
         return self._cache_b[key][1]
 
     def pair(self, op_a: np.ndarray, op_b: np.ndarray) -> float:
-        """Expectation of op_a (x) op_b under the shared noisy state."""
+        """Expectation of strategy members op_a (x) op_b under the shared
+        noisy state."""
         exp_a = self.expand_a(op_a)
         return noisy_epr_expectation(exp_a, self.expand_b(op_b), self.weight_vector(exp_a.n))
 
@@ -748,7 +762,7 @@ def chsh_violation(strategy: ChshStrategy, noise) -> GameValueReport:
     """Value of the CHSH functional; win probability is 1/2 + violation/8."""
     if isinstance(noise, BipartiteState):
         return chsh_violation_dense(strategy, noise)
-    a, b, w = PairEvaluator(noise).expand_stacks(strategy.alice, strategy.bob)
+    a, b, w = PairEvaluator(noise).expand_stacks(strategy.alice, strategy.bob, validated=True)
     return _chsh_report((a * w) @ b.T)
 
 
@@ -802,7 +816,7 @@ def _ms_stacks(strategy: MagicSquareStrategy, rho) -> tuple:
     observables in _MS_VARIABLES order."""
     povms = np.concatenate([strategy.alice_povms[q] for q in MS_QUESTIONS])
     bob = np.stack([strategy.bob_observables[v] for v in _MS_VARIABLES])
-    elems, obs, w = PairEvaluator(rho, m=4).expand_stacks(povms, bob)
+    elems, obs, w = PairEvaluator(rho, m=4).expand_stacks(povms, bob, validated=True)
     return elems.reshape(len(MS_QUESTIONS), 8, -1), obs, w
 
 
@@ -846,7 +860,7 @@ def _two_out_of_n_stacks(strategy: TwoOutOfNStrategy, rho) -> tuple:
     return PairEvaluator(rho).expand_stacks(*(
         np.concatenate([np.stack([own[s] for s in singles]), *(povms[key] for key in keys)])
         for own, povms in ((strategy.alice_singles, strategy.alice_pair_povms),
-                           (strategy.bob_singles, strategy.bob_pair_povms))))
+                           (strategy.bob_singles, strategy.bob_pair_povms))), validated=True)
 
 
 def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
@@ -900,10 +914,9 @@ def _two_out_of_n_report(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) ->
 # trace error
 
 
-def _normalized_traces(ops) -> np.ndarray:
-    """Normalized trace of every member of a (k, d, d) stack, each checked
-    to be Hermitian."""
-    ops = require_hermitian_stack(ops)
+def _normalized_traces(ops: np.ndarray) -> np.ndarray:
+    """Normalized trace of every member of a (k, d, d) stack of a
+    strategy's operators, which its constructor has checked."""
     return np.trace(ops, axis1=1, axis2=2).real / ops.shape[-1]
 
 

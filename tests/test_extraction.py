@@ -478,9 +478,9 @@ def test_reports_expand_each_player_once(monkeypatch, run, expected):
 
     calls = []
 
-    def counting(mat, basis):
+    def counting(mat, basis, **kwargs):
         calls.append(np.shape(mat))
-        return pauli_expand(mat, basis)
+        return pauli_expand(mat, basis, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("noisygames") and getattr(module, "pauli_expand", None) is pauli_expand:

@@ -7,6 +7,7 @@ from noisygames.pauli import (
     SIGMA_Z,
     ValidationError,
     normalized_trace,
+    pauli_expand,
     register_weight_vector,
 )
 from noisygames.games import (
@@ -464,3 +465,26 @@ def test_random_constructors_reject_a_bad_trace_bias_before_drawing(build, bias)
 @pytest.mark.parametrize("build", [random_chsh_strategy, random_magic_square_strategy])
 def test_random_constructors_accept_full_trace_bias(build):
     assert trace_error(build(1, np.random.default_rng(5), trace_bias=1.0)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("run, expected", [
+    (lambda: chsh_violation(random_chsh_strategy(2, np.random.default_rng(0)), 0.8), 2),
+    (lambda: magic_square_value(canonical_magic_square_strategy(1), 0.8), 2),
+    (lambda: trace_error(canonical_two_out_of_n_strategy(3)), 0),
+], ids=["chsh-value", "magic-square-value", "trace-error"])
+def test_values_expand_each_player_once_and_trace_error_expands_nothing(monkeypatch, run,
+                                                                       expected):
+    import sys
+
+    calls = []
+
+    def counting(mat, basis, **kwargs):
+        calls.append(kwargs)
+        return pauli_expand(mat, basis, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("noisygames") and getattr(module, "pauli_expand", None) is pauli_expand:
+            monkeypatch.setattr(module, "pauli_expand", counting)
+    run()
+    # strategy members were checked by the constructor and are not re-checked
+    assert calls == [{"validated": True}] * expected

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisygames.pauli import (
+    DENSE_MAX_COEFFS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -25,6 +26,8 @@ from noisygames.pauli import (
     require_hermitian,
     two_qubit_pauli_basis,
 )
+from noisygames.pauli import _contract
+from noisygames.states import bit_phase_flip_epr, diagonalize_correlation
 
 
 def random_hermitian(d, rng):
@@ -281,3 +284,86 @@ def test_non_finite_entries_are_rejected(bad):
     with pytest.raises(ValidationError, match="non-finite"):
         matrix_from_json([[[float(np.real(bad)), float(np.imag(bad))], [0.0, 0.0]],
                           [[0.0, 0.0], [1.0, 0.0]]])
+
+
+# ---------------------------------------------------------------------------
+# the dense small-dimension path against the register-by-register contraction
+
+
+def _bases(m):
+    base = default_basis(m)
+    yield "default", base
+    yield "transposed", base.transposed()
+    if m == 2:
+        spectrum = diagonalize_correlation(bit_phase_flip_epr(0.8))
+        yield "spectrum-a", spectrum.basis_a
+        yield "spectrum-b", spectrum.basis_b
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (2, 3), (4, 1)])
+def test_dense_expansion_matches_the_contraction(m, n):
+    assert m ** (2 * n) <= DENSE_MAX_COEFFS
+    rng = np.random.default_rng([m, n])
+    for _, basis in _bases(m):
+        stack = random_hermitian_stack(5, m ** n, rng)
+        for mat in (stack, stack[2]):
+            dense = pauli_expand(mat, basis).coeffs
+            contracted = _contract(mat, basis, n).real.reshape(dense.shape)
+            assert np.abs(dense - contracted).max() <= 1e-15 * np.abs(mat).max()
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (4, 2)])
+def test_larger_operators_take_the_contraction(m, n):
+    assert m ** (2 * n) > DENSE_MAX_COEFFS
+    basis = default_basis(m)
+    pauli_expand(random_hermitian_stack(2, m ** n, np.random.default_rng(0)), basis)
+    assert n not in basis._transforms
+
+
+def test_dense_transform_is_built_on_first_use_and_read_only():
+    basis = pauli_basis()
+    assert basis._transforms == {}
+    first = pauli_expand(np.kron(SIGMA_X, SIGMA_Z), basis)
+    t = basis.dense_transform(2)
+    assert list(basis._transforms) == [2] and t.shape == (16, 16)
+    assert basis.dense_transform(2) is t and not t.flags.writeable
+    assert np.array_equal(pauli_expand(np.kron(SIGMA_X, SIGMA_Z), basis).coeffs, first.coeffs)
+    # one transform per basis instance: a transposed basis builds its own
+    assert basis.transposed()._transforms == {}
+
+
+def test_default_basis_is_built_once_and_immutable():
+    for m in (2, 4):
+        basis = default_basis(m)
+        assert default_basis(m) is basis
+        assert not basis.elements.flags.writeable
+        with pytest.raises(AttributeError):
+            basis.m = 3
+
+
+def test_validated_expansion_skips_only_the_hermitian_check():
+    rng = np.random.default_rng(5)
+    stack = random_hermitian_stack(3, 4, rng)
+    basis = default_basis(2)
+    assert np.array_equal(pauli_expand(stack, basis, validated=True).coeffs,
+                          pauli_expand(stack, basis).coeffs)
+    skewed = stack.copy()
+    skewed[1, 0, 1] += 1e-3
+    with pytest.raises(ValidationError, match="stack member 1 is not Hermitian"):
+        pauli_expand(skewed, basis)
+    # the anti-Hermitian part still surfaces as imaginary coefficients
+    with pytest.raises(ValidationError, match="imaginary residue"):
+        pauli_expand(skewed, basis, validated=True)
+    with pytest.raises(ValidationError, match="square matrix or a stack"):
+        pauli_expand(np.zeros((2, 2, 3)), basis, validated=True)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (4, 1), (2, 4)])
+def test_validated_nan_stack_fails_the_residue_check(m, n):
+    # NaN exceeds no tolerance, so the residue test is written to fail on it
+    stack = random_hermitian_stack(2, m ** n, np.random.default_rng(1))
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(ValidationError, match="imaginary residue nan"):
+        pauli_expand(stack, default_basis(m), validated=True)
+    with pytest.raises(ValidationError, match="non-finite"):
+        pauli_expand(stack, default_basis(m))

@@ -624,9 +624,9 @@ def test_two_out_of_n_sampler_expands_each_player_once(monkeypatch):
 
     calls = []
 
-    def counting(mat, basis):
+    def counting(mat, basis, **kwargs):
         calls.append(np.shape(mat))
-        return pauli_expand(mat, basis)
+        return pauli_expand(mat, basis, **kwargs)
 
     monkeypatch.setattr(games, "pauli_expand", counting)
     TwoOutOfNSampler(canonical_two_out_of_n_strategy(4), 0.8)

@@ -182,6 +182,45 @@ def test_strategies_leave_the_callers_operators_alone():
         assert all(part[k] is before[k] for k in part)
 
 
+def _operators(strategy):
+    """Every operator a strategy holds, POVMs as stacks."""
+    if isinstance(strategy, ChshStrategy):
+        return [*strategy.alice, *strategy.bob]
+    if isinstance(strategy, MagicSquareStrategy):
+        return [*strategy.alice_povms.values(), *strategy.bob_observables.values()]
+    return [op for part in (strategy.alice_singles, strategy.bob_singles,
+                            strategy.alice_pair_povms, strategy.bob_pair_povms)
+            for op in part.values()]
+
+
+@pytest.mark.parametrize("canonical", [
+    lambda: canonical_chsh_strategy(2),
+    lambda: canonical_magic_square_strategy(1),
+    lambda: canonical_two_out_of_n_strategy(3),
+], ids=["chsh", "magic_square", "two_out_of_n"])
+def test_strategies_hold_read_only_copies(canonical):
+    base = canonical()
+    given = [np.array(op) for op in _operators(base)]
+    # rebuild from writable arrays of the caller's, in the field order
+    if isinstance(base, ChshStrategy):
+        built = ChshStrategy(base.n, tuple(given[:2]), tuple(given[2:]))
+    elif isinstance(base, MagicSquareStrategy):
+        built = MagicSquareStrategy(base.n, dict(zip(MS_QUESTIONS, given[:6])),
+                                    dict(zip(base.bob_observables, given[6:])))
+    else:
+        parts = [base.alice_singles, base.bob_singles,
+                 base.alice_pair_povms, base.bob_pair_povms]
+        it = iter(given)
+        built = TwoOutOfNStrategy(base.n, base.n_prime,
+                                  *({k: next(it) for k in part} for part in parts))
+    held = _operators(built)
+    assert all(op.dtype == complex and not op.flags.writeable for op in held)
+    assert all(op.flags.writeable for op in given)
+    assert not any(np.shares_memory(op, g) for op in held for g in given)
+    with pytest.raises(ValueError, match="read-only"):
+        held[0][0, 0] = 2.0
+
+
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("perturb", [
     lambda theta: perturbed_chsh_strategy(1, 1, theta),
