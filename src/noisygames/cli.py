@@ -385,6 +385,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:
+        # exit 1 means a threshold or oracle failure, so no other error may
+        # reach the interpreter's traceback and its exit status 1
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -67,13 +67,15 @@ def state_to_json(state: BipartiteState) -> dict:
 def state_from_json(data: dict) -> BipartiteState:
     if isinstance(data, dict) and data.get("kind") == "depolarized_epr":
         _require_keys(data, {"kind", "rho", "n"}, {"pairRegisters"}, "symbolic state")
-        return make_depolarized_epr(float(data["rho"]), int(data["n"]),
-                                    bool(data.get("pairRegisters", False)))
+        return make_depolarized_epr(_field(data, "rho", float, doc="state"),
+                                    _field(data, "n", int, doc="state"),
+                                    _field(data, "pairRegisters", bool, False, doc="state"))
     if isinstance(data, dict) and data.get("kind") == "epr_power":
         _require_keys(data, {"kind", "n"}, set(), "symbolic state")
-        return make_epr_power(int(data["n"]))
+        return make_epr_power(_field(data, "n", int, doc="state"))
     _require_keys(data, {"dimA", "dimB", "density"}, set(), "state")
-    return BipartiteState(int(data["dimA"]), int(data["dimB"]),
+    return BipartiteState(_field(data, "dimA", int, doc="state"),
+                          _field(data, "dimB", int, doc="state"),
                           matrix_from_json(data["density"]))
 
 
@@ -116,19 +118,21 @@ def strategy_to_json(strategy) -> dict:
     raise ValidationError(f"cannot serialize strategy type {type(strategy).__name__}")
 
 
-# kinds of scalar strategy fields: the Python types a JSON value of that kind
-# loads as (or a caller may pass), and the kind's name
+# kinds of scalar strategy and state fields: the Python types a JSON value of
+# that kind loads as (or a caller may pass), and the kind's name
 _FIELD_KINDS = {str: ((str,), "a string"), int: ((int, np.integer), "an integer"),
-                float: ((int, float, np.integer, np.floating), "a number")}
+                float: ((int, float, np.integer, np.floating), "a number"),
+                bool: ((bool, np.bool_), "a boolean")}
 
 
-def _field(data: dict, name: str, kind: type, default=None):
+def _field(data: dict, name: str, kind: type, default=None, doc: str = "strategy"):
     """data[name], or default when it is absent, checked to be a JSON string,
-    integer or number (kind str, int or float) and converted to kind."""
+    integer, number or boolean (kind str, int, float or bool) and converted
+    to kind; an error names the field of the `doc` document."""
     value = data.get(name, default)
     types, what = _FIELD_KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValidationError(f"strategy field {name!r} must be {what}, got {value!r}")
+    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, types):
+        raise ValidationError(f"{doc} field {name!r} must be {what}, got {value!r}")
     return kind(value)
 
 

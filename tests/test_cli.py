@@ -423,3 +423,21 @@ def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message.format(**names)}\n"
+
+
+@pytest.mark.parametrize("error", [TypeError("unsupported operand\ntype(s)"),
+                                   ZeroDivisionError("division by zero")])
+def test_unexpected_error_exits_2_with_one_line(monkeypatch, capsys, error):
+    # exit 1 is reserved for threshold and oracle failures, so an error no
+    # handler expects must not leave through a traceback
+    import noisygames.cli as cli
+
+    def boom(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_eval", boom)
+    code, out, err = run_cli(capsys, "eval", "--game", "chsh", "--rho", "0.8")
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err == f"error: {type(error).__name__}: {' '.join(str(error).split())}\n"
+    assert err.count("\n") == 1

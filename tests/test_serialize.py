@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,32 @@ def test_state_unknown_field_rejected():
     doc["extra"] = 1
     with pytest.raises(ValidationError):
         state_from_json(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "depolarized_epr", "rho": [1], "n": 1}, "state field 'rho' must be a number, got [1]"),
+    ({"kind": "depolarized_epr", "rho": 0.7, "n": 1.7},
+     "state field 'n' must be an integer, got 1.7"),
+    ({"kind": "depolarized_epr", "rho": 0.7, "n": 1, "pairRegisters": "no"},
+     "state field 'pairRegisters' must be a boolean, got 'no'"),
+    ({"kind": "epr_power", "n": "2"}, "state field 'n' must be an integer, got '2'"),
+    ({"dimA": 2.0, "dimB": 2, "density": [[[0.5, 0.0]]]},
+     "state field 'dimA' must be an integer, got 2.0"),
+    ({"dimA": 2, "dimB": None, "density": [[[0.5, 0.0]]]},
+     "state field 'dimB' must be an integer, got None"),
+], ids=["rho-a-list", "n-a-fraction", "pair-registers-a-string", "epr-power-n-a-string",
+        "dim-a-float", "dim-b-null"])
+def test_state_field_of_the_wrong_type_is_named(doc, message):
+    # the parent raised TypeError for a list and truncated n = 1.7 to 1
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        state_from_json(doc)
+
+
+def test_symbolic_state_reads_pair_registers_as_a_boolean():
+    state = state_from_json({"kind": "depolarized_epr", "rho": 0.7, "n": 1,
+                             "pairRegisters": True})
+    expected = make_depolarized_epr(0.7, 1, pair_registers=True)
+    assert np.abs(state.density - expected.density).max() < 1e-12
 
 
 def test_chsh_strategy_round_trip():
