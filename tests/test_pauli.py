@@ -291,20 +291,21 @@ def test_non_finite_entries_are_rejected(bad):
 
 
 def _bases(m):
+    """The default basis, its transpose and, for qubits, both bases of a
+    correlation spectrum."""
     base = default_basis(m)
-    yield "default", base
-    yield "transposed", base.transposed()
+    bases = [base, base.transposed()]
     if m == 2:
         spectrum = diagonalize_correlation(bit_phase_flip_epr(0.8))
-        yield "spectrum-a", spectrum.basis_a
-        yield "spectrum-b", spectrum.basis_b
+        bases += [spectrum.basis_a, spectrum.basis_b]
+    return bases
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (2, 3), (4, 1)])
 def test_dense_expansion_matches_the_contraction(m, n):
     assert m ** (2 * n) <= DENSE_MAX_COEFFS
     rng = np.random.default_rng([m, n])
-    for _, basis in _bases(m):
+    for basis in _bases(m):
         stack = random_hermitian_stack(5, m ** n, rng)
         for mat in (stack, stack[2]):
             dense = pauli_expand(mat, basis).coeffs
