@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import (
+    _MS_SIGNS,
     ChshStrategy,
     MagicSquareStrategy,
     PairEvaluator,
     _chsh_report,
-    derived_observable,
     ms_question_variables,
     ms_parity_target,
     variable_slot,
@@ -60,22 +60,42 @@ class SoSCertificate:
         return [(k, v) for k, v in self.terms if k.startswith("square")]
 
 
+def _sos_certificate(game: str, rho: float, bound: float, value: float,
+                     plain: np.ndarray, comb: np.ndarray, kappa: float) -> SoSCertificate:
+    """The SoS identity both certificates share, on coefficient rows: with
+    p_i the plain rows and c_i = comb_i / kappa the noise-scaled rows they
+    pair with, the gap sum_i kappa (1 - <p_i, c_i>) is kappa/2 ||p_i - c_i||^2
+    (square_i) plus kappa/2 (1 - ||p_i||^2) (norm_defect_i) per i, plus the
+    noise_deficit sum_i kappa/2 (1 - ||c_i||^2)."""
+    c = comb / kappa
+    half = kappa / 2
+    terms = []
+    for i, (p, ci) in enumerate(zip(plain, c)):
+        terms.append((f"square_{i}", half * float((p - ci) @ (p - ci))))
+        terms.append((f"norm_defect_{i}", half * (1 - float(p @ p))))
+    terms.append(("noise_deficit", half * float(np.sum(1 - np.einsum("ix,ix->i", c, c)))))
+    gap = bound - value
+    cert = SoSCertificate(game, rho, bound, value, gap, terms)
+    cert.residual = gap - cert.term_sum()
+    return cert
+
+
 def chsh_sos_certificate(strategy: ChshStrategy, rho: float,
                          noise_on: str = "bob") -> SoSCertificate:
     """Decompose 2*sqrt(2)*rho - value into squares plus defect terms.
 
-    With S_i the noise-scaled combination (Q0' + (-1)^i Q1')/(sqrt(2) rho),
-    the gap equals (rho/sqrt(2)) <(P_i - S_i)^2> summed over i, plus
-    (rho/sqrt(2)) (1 - <P_i^2>) per player defect, plus the noise deficit
-    sqrt(2) rho - <Q0'^2 + Q1'^2>/(sqrt(2) rho).  noise_on='alice' gives the
-    mirrored decomposition used for diagnostics.
+    The shared identity (`_sos_certificate`) with kappa = sqrt(2) rho and
+    comb_i = D0' + (-1)^i D1', the noise-scaled rows of the other player:
+    the squares are (rho/sqrt(2)) <(P_i - S_i)^2> with S_i = comb_i/(sqrt(2) rho),
+    and the noise deficit is sqrt(2) rho - <D0'^2 + D1'^2>/(sqrt(2) rho).
+    noise_on='alice' gives the mirrored decomposition used for diagnostics.
 
     Value and terms read one stacked expansion per player; the noise-scaled
     side's rows are multiplied by the weights w(x) = rho^|x|.
     """
     if rho <= 0:
         raise ValidationError("certificates are undefined at rho = 0")
-    a, b, w = PairEvaluator(rho).expand_stacks(strategy.alice, strategy.bob, validated=True)
+    a, b, w = PairEvaluator(rho).expand_stacks(strategy.alice, strategy.bob)
     value = _chsh_report((a * w) @ b.T).violation
     if noise_on == "bob":
         plain, scaled = a, b * w
@@ -83,28 +103,9 @@ def chsh_sos_certificate(strategy: ChshStrategy, rho: float,
         plain, scaled = b, a * w
     else:
         raise ValidationError("noise_on must be 'bob' or 'alice'")
-
-    s2 = np.sqrt(2.0)
-    terms = []
-    scaled_sq = 0.0
-    for i in (0, 1):
-        comb = scaled[0] + (-1) ** i * scaled[1]  # D0' +- D1'
-        # <(plain_i (x) I - I (x) comb/(s2 rho))^2> over the shared ideal state
-        t_plain = float(plain[i] @ plain[i])
-        cross = float(plain[i] @ comb)
-        t_comb = float(comb @ comb)
-        sq = t_plain - 2 * cross / (s2 * rho) + t_comb / (2 * rho ** 2)
-        terms.append((f"square_{i}", rho / s2 * sq))
-        defect = rho / s2 * (1 - t_plain)
-        terms.append((f"norm_defect_{i}", defect))
-        scaled_sq += float(scaled[i] @ scaled[i])
-    terms.append(("noise_deficit", s2 * rho - scaled_sq / (s2 * rho)))
-
-    bound = chsh_upper_bound(rho, 0.0)
-    gap = bound - value
-    cert = SoSCertificate("chsh", rho, bound, value, gap, terms)
-    cert.residual = gap - cert.term_sum()
-    return cert
+    comb = np.stack([scaled[0] + scaled[1], scaled[0] - scaled[1]])
+    return _sos_certificate("chsh", rho, chsh_upper_bound(rho, 0.0), value,
+                            plain, comb, np.sqrt(2.0) * rho)
 
 
 def ms_consistency_certificate(strategy: MagicSquareStrategy, rho: float,
@@ -112,32 +113,23 @@ def ms_consistency_certificate(strategy: MagicSquareStrategy, rho: float,
     """Per-variable decomposition of rho - <consistency correlation>.
 
     The consistency probability for a variable is 1/2 + <C>/2 with
-    C = P (x) Q'; rho - <C> splits into (rho/2) <(P - Q'/rho)^2>, the
-    first player's norm defect, and the noise deficit (rho^2 - <Q'^2>)/(2 rho).
+    C = P (x) Q'; rho - <C> is the shared identity (`_sos_certificate`) with
+    kappa = rho and comb = Q': (rho/2) <(P - Q'/rho)^2>, the first player's
+    norm defect, and the noise deficit (rho^2 - <Q'^2>)/(2 rho).  Question
+    r_i's eight elements and the variable's observable are expanded in one
+    stack; P's row is the _MS_SIGNS-signed sum of the element rows.
     """
     if rho <= 0:
         raise ValidationError("certificates are undefined at rho = 0")
     i, j = variable
     question = f"r{i}"
     slot = variable_slot(question, i, j)
-    p_row = derived_observable(strategy.alice_povms[question], slot)
-    q = strategy.bob_observables[(i, j)]
-    p_rows, q_rows, w = PairEvaluator(rho, m=4).expand_stacks(p_row[None], q[None])
-    p, q_scaled = p_rows[0], q_rows[0] * w
-    value = float(p @ q_scaled)  # <C>
-    t_p = float(p @ p)
-    t_qs = float(q_scaled @ q_scaled)
-    cross = value
-    sq = t_p - 2 * cross / rho + t_qs / rho ** 2
-    terms = [
-        ("square_0", rho / 2 * sq),
-        ("norm_defect_0", rho / 2 * (1 - t_p)),
-        ("noise_deficit", (rho ** 2 - t_qs) / (2 * rho)),
-    ]
-    gap = rho - value
-    cert = SoSCertificate("magic_square", rho, rho, value, gap, terms)
-    cert.residual = gap - cert.term_sum()
-    return cert
+    elems, q_rows, w = PairEvaluator(rho, m=4).expand_stacks(
+        strategy.alice_povms[question], strategy.bob_observables[(i, j)][None])
+    p = _MS_SIGNS[:, slot - 1] @ elems
+    q_scaled = q_rows * w
+    return _sos_certificate("magic_square", rho, rho, float(p @ q_scaled[0]),
+                            p[None], q_scaled, rho)
 
 
 def certify(strategy, rho: float, variable: tuple | None = None) -> SoSCertificate:

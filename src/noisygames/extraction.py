@@ -9,12 +9,16 @@ interpretation to the caller.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .games import (
+    _MS_PARITY,
     _MS_SIGNS,
+    MS_QUESTIONS,
     ChshStrategy,
     MagicSquareStrategy,
     PairEvaluator,
@@ -23,14 +27,14 @@ from .games import (
     _chsh_report,
     _ms_coeff_report,
     _ms_stacks,
+    _pair_marginal_index,
+    _pair_marginal_rows,
     _two_out_of_n_report,
     _two_out_of_n_stacks,
     chsh_violation,
-    derived_observable,
     magic_square_table,
     ms_parity_target,
     trace_error,
-    variable_slot,
 )
 from .pauli import (
     SIGMA_X,
@@ -46,7 +50,12 @@ from .pauli import (
     register_weight_vector,
     require_hermitian,
 )
-from .states import CorrelationSpectrum, EprCanonicalization, canonicalize_to_epr
+from .states import (
+    CorrelationSpectrum,
+    EprCanonicalization,
+    _qubit_pair_frame,
+    canonicalize_to_epr,
+)
 
 CONCENTRATION_FLOOR = 1e-12
 
@@ -85,6 +94,13 @@ def _scaling_residuals(rows: np.ndarray, w: np.ndarray, rho: float) -> np.ndarra
     """||c (.) (w - rho)|| of each coefficient row c: the distance between
     the noise-scaled operator and rho times the operator."""
     return np.linalg.norm(rows * (w - rho), axis=-1)
+
+
+def _row_distances(rows: np.ndarray, others: np.ndarray) -> list:
+    """hs_distance of the operators behind rows in one orthonormal basis,
+    which by Parseval is the l2 distance of the rows.  A second-player row
+    (transposed basis) stands for its operator's transpose there."""
+    return np.linalg.norm(rows - others, axis=-1).tolist()
 
 
 def anticommutator_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -246,28 +262,15 @@ def pauli_pair_unitary(a: np.ndarray, b: np.ndarray) -> PauliPairExtraction:
     magnitude; the degenerate flag is raised when the second operator has no
     equatorial component to align.
 
-    Each eigenvector's phase is fixed before use (its first component real
-    and positive, or its second when the first is below 1e-8), so theta does
-    not follow the phase LAPACK happens to return.
+    The frame is `states._qubit_pair_frame`'s, whose eigenvector phases are
+    fixed, so theta does not follow the phase LAPACK happens to return.
     """
     a, b = require_hermitian(a), require_hermitian(b)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValidationError("pair extraction works on 2x2 observables")
-    vals, vecs = np.linalg.eigh(a)
-    anchor = vecs[(np.abs(vecs[0]) < 1e-8).astype(int), [0, 1]]
-    vecs = vecs * (anchor.conj() / np.abs(anchor))
-    u1 = vecs[:, ::-1].conj().T
-    c = u1 @ b @ u1.conj().T
-    c1, c2 = float(c[0, 1].real), float(-c[0, 1].imag)
-    s = float(np.hypot(c1, c2))
-    if s < 1e-9:
-        u = u1
-        theta, degenerate = 0.0, True
-    else:
-        phi = np.arctan2(c2, c1)
-        u2 = np.cos(phi / 2) * np.eye(2) + 1j * np.sin(phi / 2) * SIGMA_Z
-        u = u2 @ u1
-        theta, degenerate = float(np.arccos(np.clip(c1 / s, -1, 1))), False
+    u, c1, s = _qubit_pair_frame(a, b)
+    degenerate = s < 1e-9
+    theta = 0.0 if degenerate else float(np.arccos(np.clip(c1 / s, -1, 1)))
     return PauliPairExtraction(
         u,
         hs_distance(u @ a @ u.conj().T, SIGMA_Z),
@@ -365,8 +368,12 @@ class PovmProjectivityReport:
     wrong_parity_mass: float | None = None
 
 
-def povm_projectivity_report(povm: np.ndarray, parity_target: int | None = None,
-                             outcome_parities=None) -> PovmProjectivityReport:
+# answer parity of each outcome of an 8-outcome POVM, in ms_outcomes order
+_OUTCOME_PARITIES = _MS_SIGNS.prod(axis=1)
+
+
+def povm_projectivity_report(povm: np.ndarray,
+                             parity_target: int | None = None) -> PovmProjectivityReport:
     """How far the POVM is from a projective measurement: cross products
     (1/sqrt(d))||E_i E_j||_F and idempotency gaps (1/sqrt(d))||E_i^2 - E_i||_F.
 
@@ -382,11 +389,10 @@ def povm_projectivity_report(povm: np.ndarray, parity_target: int | None = None,
     gaps = [hs_norm(e @ e - e) for e in povm]
     wrong = None
     if parity_target is not None:
-        if outcome_parities is None:
-            from .games import ms_outcomes
-            outcome_parities = [int(np.prod(a)) for a in ms_outcomes()]
-        wrong_ops = [e for e, p in zip(povm, outcome_parities) if p != parity_target]
-        wrong = float(sum(normalized_trace(e) for e in wrong_ops)) if wrong_ops else 0.0
+        if k != len(_OUTCOME_PARITIES):
+            raise ValidationError(f"wrong-parity mass needs an 8-outcome POVM, got {k} outcomes")
+        wrong = float(sum(normalized_trace(e) for e, p in zip(povm, _OUTCOME_PARITIES)
+                          if p != parity_target))
     return PovmProjectivityReport(pairwise, gaps, wrong)
 
 
@@ -435,17 +441,30 @@ def _extract_pair(concs: dict, labels: tuple, register: int | None):
     return pauli_pair_unitary(l0, l1)
 
 
+def _pair_selftest(p_rows: np.ndarray, q_rows: np.ndarray, labels: tuple) -> tuple:
+    """The qubit pair test on two rows per player (the first player's in the
+    default basis, the second's in its transpose), labelled labels[:2] and
+    labels[2:]: the register concentrations, their consensus register, votes
+    and ambiguity, and both players' pair extractions on that register."""
+    basis_a, basis_b = _basis_pair(2)
+    concs = {**{k: _concentration(row, basis_a) for k, row in zip(labels[:2], p_rows)},
+             **{k: _concentration(row, basis_b) for k, row in zip(labels[2:], q_rows)}}
+    register, votes, ambiguous = _register_consensus(concs)
+    return (concs, register, votes, ambiguous,
+            _extract_pair(concs, labels[:2], register), _extract_pair(concs, labels[2:], register))
+
+
 def chsh_selftest(strategy: ChshStrategy, rho: float) -> ChshSelfTestReport:
     """Full diagnostic report for a CHSH strategy on depolarized pairs.
 
     Distances other than the scaling residuals do not depend on rho; rho
     enters the gap eps_v and the scaling diagnostics.  The value, the
-    scaling residuals and the register concentration read one stacked
-    expansion per player.
+    scaling residuals, the relation distances and the register
+    concentration read one stacked expansion per player.
     """
     if not 0.0 < rho < 1.0:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
-    a, b, w = PairEvaluator(rho).expand_stacks(strategy.alice, strategy.bob, validated=True)
+    a, b, w = PairEvaluator(rho).expand_stacks(strategy.alice, strategy.bob)
     report = _chsh_report((a * w) @ b.T)
     eps_v = 2 * np.sqrt(2) * rho - report.violation
     labels = ("P0", "P1", "Q0", "Q1")
@@ -455,19 +474,11 @@ def chsh_selftest(strategy: ChshStrategy, rho: float) -> ChshSelfTestReport:
         "alice": anticommutator_norm(*strategy.alice),
         "bob": anticommutator_norm(*strategy.bob),
     }
-    s2 = np.sqrt(2.0)
-    relations = {}
-    for i in (0, 1):
-        target = (strategy.bob[0] + (-1) ** i * strategy.bob[1]).T / s2
-        relations[f"P{i}_vs_QT"] = hs_distance(strategy.alice[i], target)
-    basis_a, basis_b = _basis_pair(2)
-    concs = {**{k: _concentration(row, basis_a) for k, row in zip(labels[:2], a)},
-             **{k: _concentration(row, basis_b) for k, row in zip(labels[2:], b)}}
-    register, votes, ambiguous = _register_consensus(concs)
-    extraction = {
-        "alice": _extract_pair(concs, ("P0", "P1"), register),
-        "bob": _extract_pair(concs, ("Q0", "Q1"), register),
-    }
+    # P_i against (Q0 +- Q1)^T / sqrt(2)
+    targets = np.stack([b[0] + b[1], b[0] - b[1]]) / np.sqrt(2.0)
+    relations = dict(zip(("P0_vs_QT", "P1_vs_QT"), _row_distances(a, targets)))
+    concs, register, votes, ambiguous, ext_a, ext_b = _pair_selftest(a, b, labels)
+    extraction = {"alice": ext_a, "bob": ext_b}
     ext_d = [d for e in extraction.values() if e is not None for d in (e.dist_z, e.dist_x)]
     max_distance = _report_max(scaling, anti, relations,
                                [c.residual for c in concs.values()], ext_d)
@@ -499,14 +510,6 @@ class MsSelfTestReport:
     max_distance: float
 
 
-def _ms_row_observable(strategy: MagicSquareStrategy, i: int, j: int) -> np.ndarray:
-    return derived_observable(strategy.alice_povms[f"r{i}"], variable_slot(f"r{i}", i, j))
-
-
-def _ms_col_observable(strategy: MagicSquareStrategy, i: int, j: int) -> np.ndarray:
-    return derived_observable(strategy.alice_povms[f"c{j}"], variable_slot(f"c{j}", i, j))
-
-
 def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
     """Full diagnostic report for a magic-square strategy.
 
@@ -515,9 +518,13 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
     second qubit's x-axis, which the (2,1) local then resolves; canonical
     strategies map onto the measurement table exactly.
 
-    The value, the scaling residuals and the register concentration read
-    the value's stacked expansion: the row observable of variable (i, j) is
-    the _MS_SIGNS-signed sum of question r_i's element rows for slot j.
+    The value, the scaling residuals, the row/column and P-vs-Q^T distances,
+    the wrong-parity masses and the register concentration read the value's
+    stacked expansion: the row observable of variable (i, j) is the
+    _MS_SIGNS-signed sum of question r_i's element rows for slot j, and an
+    element's normalized trace is its identity coefficient.  The dense
+    derived observables, built in one product, serve only the commutators,
+    anticommutators and products.
     """
     if not 0.0 < rho < 1.0:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
@@ -525,13 +532,19 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
     value = _ms_coeff_report(elems, q_rows, w)
     eps_win = (1 + rho) / 2 - value.overall
     idx = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-    # rows r1..r3 of MS_QUESTIONS, slot j: row 3(i-1) + (j-1) is variable (i, j)
-    p_rows = np.einsum("as,qax->qsx", _MS_SIGNS, elems[:3]).reshape(len(idx), -1)
-    p_row = {(i, j): _ms_row_observable(strategy, i, j) for i, j in idx}
-    p_col = {(i, j): _ms_col_observable(strategy, i, j) for i, j in idx}
-    q_obs = strategy.bob_observables
-    row_col = {f"s{i}{j}": hs_distance(p_row[(i, j)], p_col[(i, j)]) for i, j in idx}
-    p_vs_qt = {f"s{i}{j}": hs_distance(p_row[(i, j)], q_obs[(i, j)].T) for i, j in idx}
+    labels = [f"s{i}{j}" for i, j in idx]
+    # derived[q, s] is question q's observable for slot s + 1; variable
+    # (i, j) is slot j of row question r_i and slot i of column question c_j,
+    # so row 3(i-1) + (j-1) of p_rows and of p_cols is variable (i, j)
+    derived_rows = np.einsum("as,qax->qsx", _MS_SIGNS, elems)
+    p_rows = derived_rows[:3].reshape(len(idx), -1)
+    p_cols = derived_rows[3:].transpose(1, 0, 2).reshape(len(idx), -1)
+    derived = np.einsum("as,qaij->qsij", _MS_SIGNS,
+                        np.stack([strategy.alice_povms[q] for q in MS_QUESTIONS]))
+    p_row = {(i, j): derived[i - 1, j - 1] for i, j in idx}
+    p_col = {(i, j): derived[2 + j, i - 1] for i, j in idx}
+    row_col = dict(zip(labels, _row_distances(p_rows, p_cols)))
+    p_vs_qt = dict(zip(labels, _row_distances(p_rows, q_rows)))
     res_p = _scaling_residuals(p_rows, w, rho).tolist()
     res_q = _scaling_residuals(q_rows, w, rho).tolist()
     basis_a, basis_b = _basis_pair(4)
@@ -555,22 +568,14 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
             if (i, j) < (i2, j2) and i != i2 and j != j2:
                 cross[f"s{i}{j},s{i2}{j2}"] = anticommutator_norm(p_row[(i, j)], p_row[(i2, j2)])
 
-    d = strategy.dim
-    eye = np.eye(d)
-    products = {}
-    for i in (1, 2, 3):
-        products[f"row{i}"] = hs_norm(
-            p_row[(i, 1)] @ p_row[(i, 2)] @ p_row[(i, 3)] - eye)
-    for j in (1, 2):
-        products[f"col{j}"] = hs_norm(
-            p_col[(1, j)] @ p_col[(2, j)] @ p_col[(3, j)] - eye)
-    products["col3"] = hs_norm(
-        p_col[(1, 3)] @ p_col[(2, 3)] @ p_col[(3, 3)] + eye)
+    # each question's three observables multiply to its parity target
+    eye = np.eye(strategy.dim)
+    products = {("row" if q[0] == "r" else "col") + q[1]:
+                hs_norm(derived[k, 0] @ derived[k, 1] @ derived[k, 2] - ms_parity_target(q) * eye)
+                for k, q in enumerate(MS_QUESTIONS)}
 
-    wrong_parity = {}
-    for q in strategy.alice_povms:
-        rep = povm_projectivity_report(strategy.alice_povms[q], ms_parity_target(q))
-        wrong_parity[q] = rep.wrong_parity_mass
+    wrong_parity = dict(zip(MS_QUESTIONS,
+                            ((1 - _MS_PARITY) * elems[..., 0]).sum(axis=1).tolist()))
 
     register, votes, ambiguous = _register_consensus(concs)
 
@@ -644,15 +649,16 @@ class TwoOutOfNSelfTestReport:
 def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNSelfTestReport:
     """Per-index anticommutation, cross-index commutation, marginal-vs-single
     relation distances, register assignment with distinctness verdict, and
-    per-index qubit extraction for both players.  The value and the register
-    concentration read the value's stacked expansion of the singles."""
+    per-index qubit extraction for both players.  The value, the relation
+    distances and the register concentration read the value's stacked
+    expansion: a pair marginal's row is a signed sum of its POVM's element
+    rows, and each index runs the CHSH self-test's pair test on its singles."""
     if not 0.0 < rho < 1.0:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
     n = strategy.n
     a, b, w = _two_out_of_n_stacks(strategy, rho)
     value = _two_out_of_n_report(n, a, b, w)
     eps_v = 2 * np.sqrt(2) * rho - value.violation
-    s2 = np.sqrt(2.0)
 
     anti = {}
     for i in range(1, n + 1):
@@ -670,56 +676,48 @@ def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNS
                     cross[f"Q{i}{u},Q{j}{v}"] = commutator_norm(
                         strategy.bob_singles[(i, u)], strategy.bob_singles[(j, v)])
 
+    # index i's marginal in {(i, y), (j, z)} against the other player's
+    # (X_i0 +- X_i1)^T / sqrt(2): R for the second player's marginals, T for
+    # the first's
+    def combs(rows):
+        x0, x1 = rows[0:2 * n:2], rows[1:2 * n:2]
+        return np.stack([x0 + x1, x0 - x1], axis=1) / np.sqrt(2.0)
+
+    questions = [(i, y, j, z) for i in range(1, n + 1) for j in range(1, n + 1)
+                 for y in (0, 1) for z in (0, 1) if i != j]
+    cols = [_pair_marginal_index(n, *q) for q in questions]
+    ii, yy = [q[0] - 1 for q in questions], [q[1] for q in questions]
+    r_dist = _row_distances(_pair_marginal_rows(n, b)[cols], combs(a)[ii, yy])
+    t_dist = _row_distances(_pair_marginal_rows(n, a)[cols], combs(b)[ii, yy])
     relations = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for y in (0, 1):
-                for z in (0, 1):
-                    r_bob = strategy.pair_marginal("bob", i, y, j, z)
-                    target = (strategy.alice_singles[(i, 0)]
-                              + (-1) ** y * strategy.alice_singles[(i, 1)]).T / s2
-                    relations[f"R[{i}{y}|{i}{y},{j}{z}]"] = hs_distance(r_bob, target)
-                    t_alice = strategy.pair_marginal("alice", i, y, j, z)
-                    target_b = (strategy.bob_singles[(i, 0)]
-                                + (-1) ** y * strategy.bob_singles[(i, 1)]).T / s2
-                    relations[f"T[{i}{y}|{i}{y},{j}{z}]"] = hs_distance(t_alice, target_b)
+    for (i, y, j, z), r, t in zip(questions, r_dist, t_dist):
+        relations[f"R[{i}{y}|{i}{y},{j}{z}]"] = r
+        relations[f"T[{i}{y}|{i}{y},{j}{z}]"] = t
 
     registers = {}
     all_concs = {}
     extraction = {}
-    basis_a, basis_b = _basis_pair(2)
     for i in range(1, n + 1):
-        concs = {}
-        for x in (0, 1):
-            row = 2 * (i - 1) + x  # the single (i, x)
-            concs[f"P{i}{x}"] = _concentration(a[row], basis_a)
-            concs[f"Q{i}{x}"] = _concentration(b[row], basis_b)
-        reg, votes, ambiguous = _register_consensus(concs)
-        registers[i] = reg
-        all_concs[i] = concs
-        extraction[f"alice_{i}"] = _extract_pair(concs, (f"P{i}0", f"P{i}1"), reg)
-        extraction[f"bob_{i}"] = _extract_pair(concs, (f"Q{i}0", f"Q{i}1"), reg)
+        rows = slice(2 * (i - 1), 2 * i)  # the singles (i, 0) and (i, 1)
+        labels = (f"P{i}0", f"P{i}1", f"Q{i}0", f"Q{i}1")
+        all_concs[i], registers[i], _, _, extraction[f"alice_{i}"], extraction[f"bob_{i}"] = \
+            _pair_selftest(a[rows], b[rows], labels)
 
     collisions = []
     assigned = [i for i in registers if registers[i] is not None]
-    for ai in range(len(assigned)):
-        for bi in range(ai + 1, len(assigned)):
-            i, j = assigned[ai], assigned[bi]
-            if registers[i] != registers[j]:
-                continue
-            reg = registers[i]
-            worst = 0.0
-            for u in (0, 1):
-                for v in (0, 1):
-                    li = _local_on_register(all_concs[i][f"P{i}{u}"], reg)
-                    lj = _local_on_register(all_concs[j][f"P{j}{v}"], reg)
-                    if li is None or lj is None:
-                        continue
-                    rel = bloch_relation(li, lj)
-                    worst = max(worst, rel["cross_norm"])
-            collisions.append(RegisterCollision(i, j, reg, worst))
+    for i, j in itertools.combinations(assigned, 2):
+        if registers[i] != registers[j]:
+            continue
+        reg = registers[i]
+        worst = 0.0
+        for u in (0, 1):
+            for v in (0, 1):
+                li = _local_on_register(all_concs[i][f"P{i}{u}"], reg)
+                lj = _local_on_register(all_concs[j][f"P{j}{v}"], reg)
+                if li is None or lj is None:
+                    continue
+                worst = max(worst, bloch_relation(li, lj)["cross_norm"])
+        collisions.append(RegisterCollision(i, j, reg, worst))
     distinct = not collisions and all(registers[i] is not None for i in registers)
 
     ext_d = [d for e in extraction.values() if e is not None for d in (e.dist_z, e.dist_x)]
@@ -782,19 +780,10 @@ def general_noise_selftest(strategy: ChshStrategy,
 
     canon = canonicalize_to_epr(spectrum.basis_a, spectrum.basis_b)
     n = strategy.n
-    ua = canon.u
-    ub = canon.v
-    ua_full = ua
-    ub_full = ub
-    for _ in range(n - 1):
-        ua_full = np.kron(ua_full, ua)
-        ub_full = np.kron(ub_full, ub)
-    transported = {
-        "P0": ua_full @ strategy.alice[0] @ ua_full.conj().T,
-        "P1": ua_full @ strategy.alice[1] @ ua_full.conj().T,
-        "Q0": ub_full @ strategy.bob[0] @ ub_full.conj().T,
-        "Q1": ub_full @ strategy.bob[1] @ ub_full.conj().T,
-    }
+    ua_full, ub_full = (functools.reduce(np.kron, [u] * n) for u in (canon.u, canon.v))
+    transported = dict(zip(("P0", "P1", "Q0", "Q1"), (
+        u @ op @ u.conj().T for u, ops in ((ua_full, strategy.alice), (ub_full, strategy.bob))
+        for op in ops)))
     basis = _basis_pair(2)[0]
     rows = pauli_expand(np.stack(list(transported.values())), basis).coeffs
     # after canonicalization indices 1, 2 carry weight r and index 3 carries c

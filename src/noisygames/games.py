@@ -666,12 +666,11 @@ class PairEvaluator:
     asserts that the protocol workload re-expands operators, which stacking
     those samplers breaks.
 
-    expand_stacks validates what it expands, as `pauli_expand` does, unless
-    called with validated=True: callers pass that only for members of a
-    strategy, whose constructor has checked them and holds them read-only,
-    never for operators derived from them.  pair, expand_a and expand_b take
-    strategy members only and never re-check them.  Small operators take
-    the dense transform (see `pauli`).
+    expand_stacks, pair, expand_a and expand_b take members of a strategy
+    only, whose constructor has checked them and holds them read-only, and
+    never re-check them; operators derived from members are signed sums of
+    their rows instead.  Small operators take the dense transform (see
+    `pauli`).
 
     noise is a fidelity rho (depolarizing, in the default bases of local
     dimension m) or a CorrelationSpectrum (its bases and values)."""
@@ -702,13 +701,12 @@ class PairEvaluator:
             self._weight_vectors[n] = register_weight_vector(self.weights, n)
         return self._weight_vectors[n]
 
-    def expand_stacks(self, ops_a, ops_b, *,
-                      validated: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def expand_stacks(self, ops_a, ops_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One stacked expansion per player: the (k_a, m^(2n)) and
         (k_b, m^(2n)) coefficient arrays of ops_a and ops_b and the weights
         w, so that (a * w) @ b.T holds every pairing's expectation."""
-        exp_a = pauli_expand(np.asarray(ops_a), self.basis_a, validated=validated)
-        exp_b = pauli_expand(np.asarray(ops_b), self.basis_b, validated=validated)
+        exp_a = pauli_expand(np.asarray(ops_a), self.basis_a, validated=True)
+        exp_b = pauli_expand(np.asarray(ops_b), self.basis_b, validated=True)
         if (exp_a.m, exp_a.n) != (exp_b.m, exp_b.n):
             raise ValidationError("operands live on different register structures")
         return exp_a.coeffs, exp_b.coeffs, self.weight_vector(exp_a.n)
@@ -762,7 +760,7 @@ def chsh_violation(strategy: ChshStrategy, noise) -> GameValueReport:
     """Value of the CHSH functional; win probability is 1/2 + violation/8."""
     if isinstance(noise, BipartiteState):
         return chsh_violation_dense(strategy, noise)
-    a, b, w = PairEvaluator(noise).expand_stacks(strategy.alice, strategy.bob, validated=True)
+    a, b, w = PairEvaluator(noise).expand_stacks(strategy.alice, strategy.bob)
     return _chsh_report((a * w) @ b.T)
 
 
@@ -816,7 +814,7 @@ def _ms_stacks(strategy: MagicSquareStrategy, rho) -> tuple:
     observables in _MS_VARIABLES order."""
     povms = np.concatenate([strategy.alice_povms[q] for q in MS_QUESTIONS])
     bob = np.stack([strategy.bob_observables[v] for v in _MS_VARIABLES])
-    elems, obs, w = PairEvaluator(rho, m=4).expand_stacks(povms, bob, validated=True)
+    elems, obs, w = PairEvaluator(rho, m=4).expand_stacks(povms, bob)
     return elems.reshape(len(MS_QUESTIONS), 8, -1), obs, w
 
 
@@ -860,7 +858,7 @@ def _two_out_of_n_stacks(strategy: TwoOutOfNStrategy, rho) -> tuple:
     return PairEvaluator(rho).expand_stacks(*(
         np.concatenate([np.stack([own[s] for s in singles]), *(povms[key] for key in keys)])
         for own, povms in ((strategy.alice_singles, strategy.alice_pair_povms),
-                           (strategy.bob_singles, strategy.bob_pair_povms))), validated=True)
+                           (strategy.bob_singles, strategy.bob_pair_povms))))
 
 
 def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
@@ -872,20 +870,27 @@ def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
     return _two_out_of_n_report(strategy.n, *_two_out_of_n_stacks(strategy, rho))
 
 
+def _pair_marginal_rows(n: int, rows: np.ndarray) -> np.ndarray:
+    """The signed pair-marginal rows of one player's _two_out_of_n_stacks
+    rows: row 2k + side is the marginal over that side of key k's POVM."""
+    elems = rows[2 * n:].reshape(-1, 4, rows.shape[-1])
+    return np.einsum("sa,kax->ksx", _PAIR_SIDE_SIGNS, elems).reshape(-1, rows.shape[-1])
+
+
+@functools.cache
+def _pair_marginal_index(n: int, i: int, y: int, j: int, z: int) -> int:
+    """Row of _pair_marginal_rows holding index i's marginal in the pair
+    question {(i, y), (j, z)}."""
+    key = pair_key(i, y, j, z)
+    return 2 * _pair_keys(n).index(key) + (key[0] != i)
+
+
 def _two_out_of_n_report(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> GameValueReport:
     """two_out_of_n_value from the rows and weights of _two_out_of_n_stacks."""
     ns = 2 * n
-    keys = _pair_keys(n)
-    key_index = {key: k for k, key in enumerate(keys)}
-
-    def marginals(coeffs):
-        # (key, side) rows flattened to 2 * key + side
-        elems = coeffs[ns:].reshape(len(keys), 4, -1)
-        return np.einsum("sa,kax->ksx", _PAIR_SIDE_SIGNS, elems).reshape(2 * len(keys), -1)
-
     # single player Alice against Bob's marginals, and roles exchanged
-    single_alice = (a[:ns] * w) @ marginals(b).T
-    single_bob = (b[:ns] * w) @ marginals(a).T
+    single_alice = (a[:ns] * w) @ _pair_marginal_rows(n, b).T
+    single_bob = (b[:ns] * w) @ _pair_marginal_rows(n, a).T
 
     pair_totals = {}
     total = 0.0
@@ -896,8 +901,7 @@ def _two_out_of_n_report(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) ->
             acc = 0.0
             for y in (0, 1):
                 for z in (0, 1):
-                    key = pair_key(i, y, j, z)
-                    col = 2 * key_index[key] + (key[0] != i)
+                    col = _pair_marginal_index(n, i, y, j, z)
                     for x in (0, 1):
                         sign = CHSH_SIGNS[(x, y)]
                         row = 2 * (i - 1) + x  # singles[row] == (i, x)

@@ -120,8 +120,11 @@ def seesaw_chsh(rho: float, n: int, init="random", max_iters: int = 100,
     return trace
 
 
-def grid_bruteforce_chsh_qubit(rho: float, resolution: int = 64,
-                               chunk: int = 512) -> float:
+# grid points whose dot products with the whole grid are taken at once
+_GRID_CHUNK = 512
+
+
+def grid_bruteforce_chsh_qubit(rho: float, resolution: int = 64) -> float:
     """Grid oracle for single-qubit strategies on one depolarized pair.
 
     The first player's two Bloch vectors sweep a spherical-angle grid; the
@@ -137,8 +140,8 @@ def grid_bruteforce_chsh_qubit(rho: float, resolution: int = 64,
     vecs = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp),
                      np.cos(tt)], axis=-1).reshape(-1, 3)
     best = 0.0
-    for start in range(0, vecs.shape[0], chunk):
-        dots = vecs[start:start + chunk] @ vecs.T
+    for start in range(0, vecs.shape[0], _GRID_CHUNK):
+        dots = vecs[start:start + _GRID_CHUNK] @ vecs.T
         np.clip(dots, -1.0, 1.0, out=dots)
         vals = np.sqrt(2 + 2 * dots) + np.sqrt(2 - 2 * dots)
         best = max(best, float(vals.max()))

@@ -64,6 +64,8 @@ class BipartiteState:
 
 def tensor_bipartite(states: list[BipartiteState]) -> BipartiteState:
     """Tensor bipartite states, regrouping factors into (all A) (x) (all B)."""
+    if not states:
+        raise ValidationError("need at least one state to tensor")
     das = [s.dim_a for s in states]
     dbs = [s.dim_b for s in states]
     da, db = int(np.prod(das)), int(np.prod(dbs))
@@ -88,13 +90,13 @@ def epr_vector(n: int) -> np.ndarray:
     return v
 
 
-def make_epr_power(n: int, cap: int = JOINT_DIM_CAP) -> BipartiteState:
+def make_epr_power(n: int) -> BipartiteState:
     """Density matrix of n EPR pairs, ((|00>+|11>)/sqrt(2)) per pair."""
     if n < 1:
         raise ValidationError("need at least one register")
     d = 2 ** n
-    if d * d > cap:
-        raise ValidationError(f"joint dimension {d * d} exceeds cap {cap}")
+    if d * d > JOINT_DIM_CAP:
+        raise ValidationError(f"joint dimension {d * d} exceeds cap {JOINT_DIM_CAP}")
     v = epr_vector(n)
     return BipartiteState(d, d, np.outer(v, v.conj()))
 
@@ -108,6 +110,8 @@ def make_depolarized_epr(rho: float, n: int, pair_registers: bool = False) -> Bi
     """
     if not 0.0 <= rho <= 1.0:
         raise ValidationError(f"fidelity parameter must lie in [0, 1], got {rho}")
+    if n < 1:
+        raise ValidationError(f"need at least one register, got n = {n}")
     pairs = 2 if pair_registers else 1
     base = make_epr_power(pairs)
     d = base.dim_a * base.dim_b
@@ -234,20 +238,25 @@ def ppt_separability_2x2(state: BipartiteState) -> SeparabilityReport:
 # canonicalization of a qubit basis pair to the EPR form
 
 
-def _binary_pair_unitary_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unitary conjugating exactly anticommuting traceless binary qubit
-    observables (a, b) to (Z, X)."""
-    vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(vals)[::-1]
-    u1 = vecs[:, order].conj().T  # maps a -> diag(+1, -1) = Z
-    c = u1 @ b @ u1.conj().T
+def _qubit_pair_frame(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(u, c1, s) for Hermitian 2x2 (a, b): u diagonalizes a, largest
+    eigenvalue first, then rotates about the z-axis so that u b u* has a
+    real nonnegative off-diagonal entry, which was c1 - i c2 with
+    s = |c1 + i c2| before the rotation (skipped while s < 1e-9).  Each
+    eigenvector's phase is fixed first (its first component real and
+    positive, or its second when the first is below 1e-8), so u does not
+    follow the phase LAPACK happens to return."""
+    _, vecs = np.linalg.eigh(a)
+    anchor = vecs[(np.abs(vecs[0]) < 1e-8).astype(int), [0, 1]]
+    vecs = vecs * (anchor.conj() / np.abs(anchor))
+    u = vecs[:, ::-1].conj().T
+    c = u @ b @ u.conj().T
     c1, c2 = float(c[0, 1].real), float(-c[0, 1].imag)
-    norm = np.hypot(c1, c2)
-    if norm < 1e-12:
-        return u1
-    phi = np.arctan2(c2, c1)
-    u2 = np.cos(phi / 2) * np.eye(2) + 1j * np.sin(phi / 2) * SIGMA_Z
-    return u2 @ u1
+    s = float(np.hypot(c1, c2))
+    if s >= 1e-9:
+        phi = np.arctan2(c2, c1)
+        u = (np.cos(phi / 2) * np.eye(2) + 1j * np.sin(phi / 2) * SIGMA_Z) @ u
+    return u, c1, s
 
 
 @dataclass
@@ -274,7 +283,7 @@ def canonicalize_to_epr(basis_a: StandardBasis, basis_b: StandardBasis) -> EprCa
         raise ValidationError("canonicalization is defined for qubit bases")
     out = []
     for basis in (basis_a, basis_b):
-        u = _binary_pair_unitary_exact(basis.elements[3], basis.elements[1])
+        u = _qubit_pair_frame(basis.elements[3], basis.elements[1])[0]
         img2 = u @ basis.elements[2] @ u.conj().T
         sign = int(np.sign(np.trace(img2 @ SIGMA_Y).real / 2))
         if sign == 0:

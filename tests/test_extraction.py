@@ -46,7 +46,12 @@ from noisygames.pauli import (
     pauli_basis,
     pauli_expand,
 )
-from noisygames.states import bit_phase_flip_epr, diagonalize_correlation, make_depolarized_epr
+from noisygames.states import (
+    bit_phase_flip_epr,
+    canonicalize_to_epr,
+    diagonalize_correlation,
+    make_depolarized_epr,
+)
 
 THETAS = (0.02, 0.05, 0.1, 0.2, 0.3)
 
@@ -154,6 +159,14 @@ def test_pauli_pair_unitary_theta_is_the_equatorial_angle(t):
     assert ext.dist_z < 1e-12 and ext.dist_x < 1e-12
 
 
+def test_canonicalization_uses_the_pair_extraction_frame():
+    spectrum = diagonalize_correlation(bit_phase_flip_epr(0.8))
+    canon = canonicalize_to_epr(spectrum.basis_a, spectrum.basis_b)
+    for basis, u in ((spectrum.basis_a, canon.u), (spectrum.basis_b, canon.v)):
+        ext = pauli_pair_unitary(basis.elements[3], basis.elements[1])
+        assert np.abs(ext.unitary - u).max() < 1e-12
+
+
 def test_register_concentration_examples():
     op = embed_on_register(SIGMA_Z, 3, 1)
     rc = register_concentration(op)
@@ -246,6 +259,12 @@ def test_povm_projectivity_report():
     uniform = np.stack([np.eye(4) / 4] * 4)
     rep = povm_projectivity_report(uniform)
     assert rep.idempotency_gaps[0] == pytest.approx(3 / 16)
+
+
+@pytest.mark.parametrize("k", [4, 10])
+def test_wrong_parity_mass_needs_eight_outcomes(k):
+    with pytest.raises(ValidationError, match=f"got {k} outcomes"):
+        povm_projectivity_report(np.stack([np.eye(2) / k] * k), parity_target=1)
 
 
 # ---------------------------------------------------------------------------

@@ -234,3 +234,14 @@ def test_state_validation():
         make_depolarized_epr(1.2, 1)
     with pytest.raises(ValidationError):
         make_epr_power(7)  # exceeds the joint-dimension cap
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_depolarized_epr_needs_a_register(n):
+    with pytest.raises(ValidationError, match=f"n = {n}"):
+        make_depolarized_epr(0.5, n)
+
+
+def test_tensor_of_no_states_is_refused():
+    with pytest.raises(ValidationError, match="at least one state"):
+        tensor_bipartite([])
