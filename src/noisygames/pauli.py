@@ -184,14 +184,14 @@ SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z = (_SIGMA[i].copy() for i in range(4))
 
 
 def pauli_basis() -> StandardBasis:
-    """The qubit basis (I, X, Y, Z)."""
-    return StandardBasis(2, _SIGMA.copy(), name="pauli")
+    """The qubit basis (I, X, Y, Z), the process-wide default_basis(2)."""
+    return default_basis(2)
 
 
 def two_qubit_pauli_basis() -> StandardBasis:
-    """Sixteen products sigma_p (x) sigma_q, index 4*p + q, for 4-dim registers."""
-    elems = np.stack([np.kron(_SIGMA[p], _SIGMA[q]) for p in range(4) for q in range(4)])
-    return StandardBasis(4, elems, name="pauli2")
+    """Sixteen products sigma_p (x) sigma_q, index 4*p + q, for 4-dim
+    registers: the process-wide default_basis(4)."""
+    return default_basis(4)
 
 
 @lru_cache(maxsize=None)
@@ -200,9 +200,10 @@ def default_basis(m: int) -> StandardBasis:
     once per process: it is immutable, and its dense transforms are built
     once for every caller."""
     if m == 2:
-        return pauli_basis()
+        return StandardBasis(2, _SIGMA.copy(), name="pauli")
     if m == 4:
-        return two_qubit_pauli_basis()
+        elems = np.stack([np.kron(_SIGMA[p], _SIGMA[q]) for p in range(4) for q in range(4)])
+        return StandardBasis(4, elems, name="pauli2")
     raise ValidationError(f"no built-in basis for local dimension {m}")
 
 

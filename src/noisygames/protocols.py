@@ -10,12 +10,19 @@ reproducible byte-for-byte and blocks could be drawn in parallel without
 changing results.  Because the first block's size depends on t, the rounds
 drawn for one seed change with t.
 
-Within a block, all context ids are drawn first, in one call.  The
+Within a block, all context ids are drawn first, by 32-bit integers()
+calls; drawing them in pieces would give the same ids, but interleaving
+them with the block's uniforms would move the uniforms in the stream.  The
 uniforms and outcomes are then drawn in chunks of 2**15 rounds, so that
 each chunk's arrays stay in cache, and the run ends with the chunk in which
 the last tracked question comes up for the t-th time: nothing after that
 chunk is drawn.  Drawing a block's uniforms a chunk at a time gives the
 same doubles as one call, so the chunk size changes no transcript.
+
+A round's outcome is the inverse-CDF draw of its uniform in its context's
+row.  A guide table of 2**bits buckets per row gives it with one gather;
+only a uniform in a bucket that holds a bound of its row is counted against
+the row's bounds, and the outcomes are bit-for-bit those of the full count.
 
 Each chunk is counted once, into a run-level (context, outcome) histogram;
 per-question counts and first-t histograms follow from it through 0/1
@@ -110,6 +117,56 @@ def _sample_categories(cum: np.ndarray, ctx: np.ndarray, u: np.ndarray) -> np.nd
     return out
 
 
+# guide-table draws: the uint8 entry of a bucket whose rounds must take the
+# exact count, and the most bytes a table may take (at least 2**8 buckets a
+# row, which is 80 KB for 2-out-of-5's 320 contexts)
+_SENTINEL = 255
+_GUIDE_BYTES = 2 ** 16
+
+
+class _GuideTable:
+    """Exact guide-table ("indexed search") inverse-CDF draws over a
+    cumulative table (Chen & Asau, AIIE Trans. 6(2), 1974; Devroye,
+    Non-Uniform Random Variate Generation, 1986, III.2.4).
+
+    Each row's [0, 1) is cut into 2**bits equal buckets.  Bucket q holds the
+    outcome every uniform in it draws when no bound of the row has
+    floor(bound * 2**bits) == q, and _SENTINEL otherwise; only a sentinel
+    round takes the exact count of _sample_categories.  Scaling a double by
+    2**bits is exact, so the outcomes equal _sample_categories' bit for bit,
+    ties with a bound and zero-mass categories included.  bits is the
+    largest that keeps the table within _GUIDE_BYTES, and at least 8."""
+
+    def __init__(self, cum: np.ndarray):
+        n_ctx = len(cum)
+        self.cum = cum
+        self.bits = max(8, (_GUIDE_BYTES // n_ctx).bit_length() - 1)
+        scale = self.scale = 1 << self.bits
+        # per row and bucket, the bounds in it (a bound of 1.0 or more falls
+        # in column scale, past the last) and the bounds below it
+        bucket = np.minimum(np.floor(cum * scale), scale).astype(np.intp)
+        hits = np.bincount((np.arange(n_ctx)[:, None] * (scale + 1) + bucket).ravel(),
+                           minlength=n_ctx * (scale + 1)).reshape(n_ctx, scale + 1)[:, :scale]
+        below = np.cumsum(hits, axis=1) - hits
+        self.table = np.where(hits > 0, _SENTINEL, below).astype(np.uint8).ravel()
+
+    def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per round, the outcome category of u[r] in row ctx[r] of cum, as
+        _sample_categories gives it."""
+        if len(u) and not (u.min() >= 0.0 and u.max() < 1.0):
+            # a uniform outside [0, 1), or NaN, has no bucket in its row
+            return _sample_categories(self.cum, ctx, u)
+        # int32 indices cast and gather faster than intp ones
+        idx = ctx.astype(np.int32)
+        idx <<= self.bits
+        idx += (u * self.scale).astype(np.int32)  # floor, as u >= 0
+        out = self.table.take(idx)
+        slow = np.flatnonzero(out == _SENTINEL)
+        if len(slow):
+            out[slow] = _sample_categories(self.cum, ctx[slow], u[slow])
+        return out
+
+
 def _cumulative_table(tables) -> np.ndarray:
     """Row-wise CDFs of per-context answer distributions.  Each row must be a
     probability vector to 1e-9; round-off negatives are clipped and the row
@@ -200,13 +257,14 @@ class ChshSampler:
                         row.append((1 + a * tr_p[x] + b * tr_q[y] + a * b * corr) / 4)
                 tables[2 * x + y] = row
         self.cum = _cumulative_table(tables)
+        self._guide = _GuideTable(self.cum)
 
     def exact_table(self) -> np.ndarray:
         """(4 contexts, 4 outcomes); context 2x+y, outcome 2 bit(a)+bit(b)."""
         return np.diff(self.cum, axis=1, prepend=0.0)
 
     def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _sample_categories(self.cum, ctx, u)
+        return self._guide.draw(ctx, u)
 
 
 class MagicSquareSampler:
@@ -228,9 +286,10 @@ class MagicSquareSampler:
                     row[2 * ai + 1] = (masses[ai] - corr) / 2  # b = -1
                 tables.append(row)
         self.cum = _cumulative_table(tables)
+        self._guide = _GuideTable(self.cum)
 
     def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _sample_categories(self.cum, ctx, u)
+        return self._guide.draw(ctx, u)
 
 
 class TwoOutOfNSampler:
@@ -261,9 +320,10 @@ class TwoOutOfNSampler:
         corr, mass = corr[role, single, elems], mass[role, elems]
         # outcome ei: a = +1, element ei; outcome 4 + ei: a = -1
         self.cum = _cumulative_table(np.hstack([(mass + corr) / 2, (mass - corr) / 2]))
+        self._guide = _GuideTable(self.cum)
 
     def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _sample_categories(self.cum, ctx, u)
+        return self._guide.draw(ctx, u)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +345,10 @@ class _Game:
 
     questions: per context, its questions in the form sample_round takes.
     draw_contexts(rng, size): one block's context ids; the outcomes' uniforms
-    are drawn after them.
+    are drawn after them.  Its integers() calls ask for uint32: numpy's
+    default int64 call takes the same 32-bit bounded path for ranges below
+    2**32, so the ids and the stream position after them are unchanged, and
+    the ids are built without int64 arrays.
     columns: per (context, outcome), the value of each transcript round
     column, plus a bool "win" table and, for the magic square, "consistent".
     key_sets: per key set, a context -> key id table and, per key, its count
@@ -307,7 +370,7 @@ class _Game:
 
 def _chsh_game(strategy: ChshStrategy, rho: float) -> _Game:
     def draw_contexts(rng, size):
-        return rng.integers(0, 4, size=size).astype(np.uint8)
+        return rng.integers(0, 4, size=size, dtype=np.uint32).astype(np.uint8)
 
     # context 2x + y, outcome 2 bit(a) + bit(b); Alice's key is x, Bob's y
     qq, oo = np.indices((4, 4))
@@ -323,9 +386,11 @@ def _chsh_game(strategy: ChshStrategy, rho: float) -> _Game:
 
 def _ms_game(strategy: MagicSquareStrategy, rho: float) -> _Game:
     def draw_contexts(rng, size):
-        q = rng.integers(0, 6, size=size).astype(np.uint8)
-        slot = rng.integers(1, 4, size=size).astype(np.uint8)
-        return 3 * q + slot - 1
+        ids = rng.integers(0, 6, size=size, dtype=np.uint32)  # question
+        ids *= 3
+        # slot - 1: the stream's integers(1, 4) is integers(0, 3) + 1
+        ids += rng.integers(0, 3, size=size, dtype=np.uint32)
+        return ids.astype(np.uint8)
 
     # context 3 question + slot - 1, outcome 2 a_idx + bit(b)
     cc, oo = np.indices((18, 16))
@@ -375,10 +440,13 @@ def _two_out_of_n_game(strategy: TwoOutOfNStrategy, rho: float) -> _Game:
                           for xyz in range(8)] for i, j in pairs] for role in (0, 1)])
 
     def draw_contexts(rng, size):
-        role = rng.integers(0, 2, size=size)
-        pr = rng.integers(0, len(pairs), size=size)
-        xyz = rng.integers(0, 8, size=size)
-        return ctx_of[role, pr, xyz]
+        # one flat index (role * len(pairs) + pair) * 8 + xyz into ctx_of
+        ids = rng.integers(0, 2, size=size, dtype=np.uint32)
+        ids *= len(pairs)
+        ids += rng.integers(0, len(pairs), size=size, dtype=np.uint32)
+        ids <<= 3
+        ids += rng.integers(0, 8, size=size, dtype=np.uint32)  # xyz
+        return ctx_of.take(ids)
 
     singles = [(f"{pl}:single({i},{x})", [
         (f"{pl}:single({i},{x})", 4, f"player {pl} single question ({i},{x}): bias {{f:.4f}}")])
@@ -442,10 +510,11 @@ def sample_round(strategy, noise, questions, rng: np.random.Generator):
 
 def _chunks(seed: int, game: _Game, first: int):
     """Successive chunks of rounds as (context ids, uniforms).  Each block's
-    context ids are drawn whole, since splitting one integers() call would
-    change the stream; its uniforms are then drawn a chunk at a time, which
-    gives the same doubles as one call.  Nothing is drawn for a chunk that is
-    not asked for."""
+    context ids are drawn before its uniforms, since interleaving the two
+    would change the stream (splitting the 32-bit id draws alone would not);
+    its uniforms are then drawn a chunk at a time, which gives the same
+    doubles as one call.  Nothing is drawn for a chunk that is not asked
+    for."""
     block = 0
     while True:
         rng = _rng_for_block(seed, block)
@@ -470,9 +539,13 @@ def _play_blocks(params: ProtocolParams, game: _Game):
         raise ValidationError(f"t = {t} needs a first block of {first} rounds, "
                               f"above the limit of {_MAX_FIRST_BLOCK}")
     n_ctx, n_out = game.sampler.cum.shape
+    # cell ids in the narrowest dtype that holds them, built in place
+    cell_type = np.min_scalar_type(n_ctx * n_out - 1)
 
     def histogram(ctx, out):
-        cells = ctx.astype(np.intp) * n_out + out
+        cells = ctx.astype(cell_type)
+        cells *= n_out
+        cells += out
         return np.bincount(cells, minlength=n_ctx * n_out).reshape(n_ctx, n_out)
 
     # per key set: its context -> key id table and its key x context 0/1

@@ -26,7 +26,7 @@ from noisygames.pauli import (
     require_hermitian,
     two_qubit_pauli_basis,
 )
-from noisygames.pauli import _contract
+from noisygames.pauli import StandardBasis, _contract
 from noisygames.states import bit_phase_flip_epr, diagonalize_correlation
 
 
@@ -208,8 +208,6 @@ def test_degree_vector_and_index_string():
 
 def test_basis_validation():
     bad = np.stack([np.eye(2), SIGMA_X, SIGMA_X, SIGMA_Z])
-    from noisygames.pauli import StandardBasis
-
     with pytest.raises(ValidationError):
         StandardBasis(2, bad)
 
@@ -229,7 +227,7 @@ def random_hermitian_stack(k, d, rng):
     return (g + g.conj().transpose(0, 2, 1)) / 2
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(m=st.sampled_from([2, 4]), n=st.integers(1, 3), k=st.integers(1, 5),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_stacked_expand_rows_match_single_and_naive(m, n, k, seed, data):
@@ -247,7 +245,7 @@ def test_stacked_expand_rows_match_single_and_naive(m, n, k, seed, data):
     assert np.abs(exp.coeffs[r] - pauli_expand_naive(stack[r], basis).coeffs).max() < 1e-10
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(m=st.sampled_from([2, 4]), n=st.integers(1, 2), k=st.integers(1, 5),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_stack_with_one_non_hermitian_member_raises(m, n, k, seed, data):
@@ -322,7 +320,9 @@ def test_larger_operators_take_the_contraction(m, n):
 
 
 def test_dense_transform_is_built_on_first_use_and_read_only():
-    basis = pauli_basis()
+    # a fresh instance: the built-in bases are shared, so other tests may
+    # have built their transforms already
+    basis = StandardBasis(2, pauli_basis().elements, name="pauli")
     assert basis._transforms == {}
     first = pauli_expand(np.kron(SIGMA_X, SIGMA_Z), basis)
     t = basis.dense_transform(2)
@@ -340,6 +340,17 @@ def test_default_basis_is_built_once_and_immutable():
         assert not basis.elements.flags.writeable
         with pytest.raises(AttributeError):
             basis.m = 3
+
+
+def test_named_bases_are_the_shared_default_and_keep_their_transform():
+    for named, m in ((pauli_basis, 2), (two_qubit_pauli_basis, 4)):
+        assert named() is named() is default_basis(m)
+    op = np.kron(np.kron(SIGMA_X, SIGMA_Y), SIGMA_Z)
+    first = pauli_expand(op, pauli_basis())
+    transform = pauli_basis().dense_transform(3)
+    # a second expansion against a fresh call reuses the transform built once
+    assert np.array_equal(pauli_expand(op, pauli_basis()).coeffs, first.coeffs)
+    assert pauli_basis()._transforms[3] is transform
 
 
 def test_validated_expansion_skips_only_the_hermitian_check():

@@ -30,10 +30,14 @@ from noisygames.pauli import (
     pauli_expand,
 )
 from noisygames.protocols import (
+    _GAMES,
+    _SENTINEL,
     ChshSampler,
     ProtocolParams,
     TwoOutOfNSampler,
     _cumulative_table,
+    _GuideTable,
+    _rng_for_block,
     _sample_categories,
     _two_out_of_n_game,
     derive_delta,
@@ -47,6 +51,8 @@ from noisygames.protocols import (
 )
 from noisygames.serialize import transcript_to_json
 from noisygames.states import make_depolarized_epr
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def test_derive_delta_examples():
@@ -384,6 +390,100 @@ def test_sample_categories_matches_full_gather(n_cat):
     assert out.dtype == np.uint8
     assert np.array_equal(out, (u[:, None] > cum[ctx]).sum(axis=1))
     assert (out[200:300] == n_cat).all()
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n_ctx=st.integers(1, 40), n_cat=st.integers(1, 16))
+def test_guided_draw_equals_the_exact_draw(seed, n_ctx, n_cat):
+    rng = np.random.default_rng(seed)
+    probs = rng.random((n_ctx, n_cat)) * (rng.random((n_ctx, n_cat)) < 0.7)  # zero-mass categories
+    probs[np.arange(n_ctx), rng.integers(0, n_cat, n_ctx)] += 1.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    for row in np.flatnonzero(rng.random(n_ctx) < 0.5):
+        # bounds k / 2**j lie on bucket edges of every table of 2**j buckets or more
+        j = int(rng.integers(1, 17))
+        edges = np.sort(rng.integers(0, 2 ** j + 1, n_cat - 1)) / 2 ** j
+        probs[row] = np.diff(edges, prepend=0.0, append=1.0)
+    cum = _cumulative_table(probs)
+    guide = _GuideTable(cum)
+    rounds = 4000
+    ctx = rng.integers(0, n_ctx, size=rounds).astype(np.uint8)
+    u = rng.random(rounds)
+    bound = cum[ctx, rng.integers(0, n_cat, rounds)]
+    bound[bound >= 1.0] = 1 - 2 ** -53
+    edge = np.floor(bound * guide.scale)
+    u[:500] = bound[:500]                                          # ties with a bound
+    u[500:1000] = np.nextafter(bound[500:1000], 0.0)               # just below one
+    u[1000:1500] = edge[1000:1500] / guide.scale                   # a bound's bucket edges
+    u[1500:2000] = np.minimum(edge[1500:2000] + 1, guide.scale - 1) / guide.scale
+    u[2000:2500] = rng.integers(0, guide.scale, 500) / guide.scale
+    u[2500:2510] = 0.0
+    u[2510:2520] = 1 - 2 ** -53
+    assert ((u >= 0.0) & (u < 1.0)).all()
+    out = guide.draw(ctx, u)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, _sample_categories(cum, ctx, u))
+    # a uniform outside [0, 1) has no bucket in its row: it gets the exact
+    # count, never an entry of the next row's buckets
+    for value in (1.0, 1.5, 2.0, np.inf, -0.5, -2 ** -60, -np.inf, np.nan):
+        bad = u.copy()
+        bad[rounds // 2] = value
+        out = guide.draw(ctx, bad)
+        assert np.array_equal(out, _sample_categories(cum, ctx, bad))
+        if value > 1.0:
+            assert out[rounds // 2] == n_cat
+
+
+@pytest.mark.parametrize("game, strategy, bits", [
+    ("chsh", canonical_chsh_strategy(1), 14),
+    ("magic_square", canonical_magic_square_strategy(1), 11),
+    ("two_out_of_n", canonical_two_out_of_n_strategy(5), 8)])
+def test_guide_tables_stay_small(game, strategy, bits):
+    guide = _GAMES[game][1](strategy, 0.85).sampler._guide
+    assert guide.bits == bits
+    assert guide.table.dtype == np.uint8 and guide.table.nbytes <= 100_000
+    # few buckets hold a bound, so few rounds take the exact count
+    assert (guide.table == _SENTINEL).mean() < 0.05
+
+
+def _int64_contexts(name, strategy, game, rng, size):
+    """A frozen copy of the int64 context draws that the transcript pins were
+    recorded with."""
+    if name == "chsh":
+        return rng.integers(0, 4, size=size).astype(np.uint8)
+    if name == "magic_square":
+        q = rng.integers(0, 6, size=size).astype(np.uint8)
+        slot = rng.integers(1, 4, size=size).astype(np.uint8)
+        return 3 * q + slot - 1
+    n = strategy.n
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    index = {ctx: k for k, ctx in enumerate(game.questions)}
+    ctx_of = np.array([[[index[(role, i, j, xyz // 4, (xyz // 2) % 2, xyz % 2)]
+                         for xyz in range(8)] for i, j in pairs] for role in (0, 1)])
+    ctx_of = ctx_of.astype(np.min_scalar_type(ctx_of.max()))
+    role = rng.integers(0, 2, size=size)
+    pr = rng.integers(0, len(pairs), size=size)
+    xyz = rng.integers(0, 8, size=size)
+    return ctx_of[role, pr, xyz]
+
+
+@pytest.mark.parametrize("name, strategy", [
+    ("chsh", canonical_chsh_strategy(1)),
+    ("magic_square", canonical_magic_square_strategy(1)),
+    ("two_out_of_n", canonical_two_out_of_n_strategy(3)),
+    ("two_out_of_n", canonical_two_out_of_n_strategy(5))],
+    ids=["chsh", "magic_square", "two_out_of_3", "two_out_of_5"])
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
+@pytest.mark.parametrize("block", [0, 3])
+def test_context_draws_match_the_int64_stream(name, strategy, seed, block):
+    game = _GAMES[name][1](strategy, 0.8)
+    for size in (2 ** 15 + 1, 3 * 2 ** 15 + 12345):
+        rng, ref_rng = _rng_for_block(seed, block), _rng_for_block(seed, block)
+        ids = game.draw_contexts(rng, size)
+        ref = _int64_contexts(name, strategy, game, ref_rng, size)
+        assert ids.dtype == ref.dtype and np.array_equal(ids, ref)
+        # the outcomes' uniforms start where they did
+        assert np.array_equal(rng.random(size), ref_rng.random(size))
 
 
 def test_two_out_of_n_needs_two_indices():
