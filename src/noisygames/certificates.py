@@ -17,6 +17,7 @@ import numpy as np
 
 from .games import (
     _MS_SIGNS,
+    _MS_VARIABLES,
     ChshStrategy,
     MagicSquareStrategy,
     PairEvaluator,
@@ -122,6 +123,8 @@ def ms_consistency_certificate(strategy: MagicSquareStrategy, rho: float,
     if rho <= 0:
         raise ValidationError("certificates are undefined at rho = 0")
     i, j = variable
+    if (i, j) not in _MS_VARIABLES:
+        raise ValidationError(f"variable must be (i, j) with i and j in 1..3, got ({i},{j})")
     question = f"r{i}"
     slot = variable_slot(question, i, j)
     elems, q_rows, w = PairEvaluator(rho, m=4).expand_stacks(

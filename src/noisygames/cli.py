@@ -46,6 +46,17 @@ def _write(text: str, path):
         sys.stdout.write(text)
 
 
+def _symbolic_doc(args, **fields) -> dict:
+    """A symbolic strategy document from --game, --n and the fields given;
+    --register and --n-prime go in only when given, so that a strategy
+    that does not take one rejects it."""
+    doc = {"game": args.game, "n": args.n, **fields}
+    for name, value in (("register", args.register), ("nPrime", args.n_prime)):
+        if value is not None:
+            doc[name] = value
+    return doc
+
+
 def _load_strategy(args):
     """Resolve --strategy: a JSON file path or a symbolic constructor string
     like 'canonical', 'canonical-perturbed:0.1', 'random:7',
@@ -53,14 +64,10 @@ def _load_strategy(args):
     from . import serialize
 
     spec = args.strategy
-    game = args.game
-    n = args.n
     if os.path.exists(spec):
         with open(spec) as fh:
             return serialize.strategy_from_json(json.load(fh))
-    doc = {"game": game, "n": n, "register": getattr(args, "register", 1)}
-    if game == "two_out_of_n" and getattr(args, "n_prime", None) is not None:
-        doc["nPrime"] = args.n_prime
+    doc = _symbolic_doc(args)
     head, _, rest = spec.partition(":")
     if head == "canonical" and not rest:
         doc["kind"] = "canonical"
@@ -114,22 +121,14 @@ def cmd_certify(args) -> int:
 
 
 def _theta_sweep_rows(args):
+    from . import serialize
     from .extraction import selftest
-    from .games import (
-        perturbed_chsh_strategy,
-        perturbed_magic_square_strategy,
-        perturbed_two_out_of_n_strategy,
-    )
 
     thetas = [float(v) for v in args.theta_sweep.split(",")]
     rows = []
     for theta in thetas:
-        if args.game == "chsh":
-            strat = perturbed_chsh_strategy(args.n, args.register, theta)
-        elif args.game == "magic_square":
-            strat = perturbed_magic_square_strategy(args.n, args.register, theta)
-        else:
-            strat = perturbed_two_out_of_n_strategy(args.n, theta)
+        strat = serialize.strategy_from_json(
+            _symbolic_doc(args, kind="canonical-perturbed", theta=theta))
         report = selftest(strat, args.rho)
         eps = getattr(report, "eps_v", None)
         if eps is None:
@@ -308,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rho", type=float, required=True)
         p.add_argument("--n", type=int, default=1, help="registers (or indices)")
         p.add_argument("--n-prime", type=int, default=None, dest="n_prime")
-        p.add_argument("--register", type=int, default=1)
+        p.add_argument("--register", type=int, default=None)
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p = sub.add_parser("eval", help="game value of a strategy under noise")

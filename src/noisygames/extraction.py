@@ -27,8 +27,9 @@ from .games import (
     _chsh_report,
     _ms_coeff_report,
     _ms_stacks,
-    _pair_marginal_index,
+    _pair_keys,
     _pair_marginal_rows,
+    _two_out_of_n_contexts,
     _two_out_of_n_report,
     _two_out_of_n_stacks,
     chsh_violation,
@@ -667,14 +668,11 @@ def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNS
         anti[f"Q{i}"] = anticommutator_norm(strategy.bob_singles[(i, 0)],
                                             strategy.bob_singles[(i, 1)])
     cross = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for u in (0, 1):
-                for v in (0, 1):
-                    cross[f"P{i}{u},P{j}{v}"] = commutator_norm(
-                        strategy.alice_singles[(i, u)], strategy.alice_singles[(j, v)])
-                    cross[f"Q{i}{u},Q{j}{v}"] = commutator_norm(
-                        strategy.bob_singles[(i, u)], strategy.bob_singles[(j, v)])
+    for i, u, j, v in _pair_keys(n):
+        cross[f"P{i}{u},P{j}{v}"] = commutator_norm(strategy.alice_singles[(i, u)],
+                                                    strategy.alice_singles[(j, v)])
+        cross[f"Q{i}{u},Q{j}{v}"] = commutator_norm(strategy.bob_singles[(i, u)],
+                                                    strategy.bob_singles[(j, v)])
 
     # index i's marginal in {(i, y), (j, z)} against the other player's
     # (X_i0 +- X_i1)^T / sqrt(2): R for the second player's marginals, T for
@@ -683,14 +681,14 @@ def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNS
         x0, x1 = rows[0:2 * n:2], rows[1:2 * n:2]
         return np.stack([x0 + x1, x0 - x1], axis=1) / np.sqrt(2.0)
 
-    questions = [(i, y, j, z) for i in range(1, n + 1) for j in range(1, n + 1)
-                 for y in (0, 1) for z in (0, 1) if i != j]
-    cols = [_pair_marginal_index(n, *q) for q in questions]
-    ii, yy = [q[0] - 1 for q in questions], [q[1] for q in questions]
-    r_dist = _row_distances(_pair_marginal_rows(n, b)[cols], combs(a)[ii, yy])
-    t_dist = _row_distances(_pair_marginal_rows(n, a)[cols], combs(b)[ii, yy])
+    # one per pair question: the contexts with x = 0, in i, j, y, z order
+    ctx = _two_out_of_n_contexts(n)
+    ii, jj, _, yy, zz, _, key, side = ctx[ctx[:, 2] == 0].T
+    cols = 2 * key + side
+    r_dist = _row_distances(_pair_marginal_rows(n, b)[cols], combs(a)[ii - 1, yy])
+    t_dist = _row_distances(_pair_marginal_rows(n, a)[cols], combs(b)[ii - 1, yy])
     relations = {}
-    for (i, y, j, z), r, t in zip(questions, r_dist, t_dist):
+    for i, j, y, z, r, t in zip(ii, jj, yy, zz, r_dist, t_dist):
         relations[f"R[{i}{y}|{i}{y},{j}{z}]"] = r
         relations[f"T[{i}{y}|{i}{y},{j}{z}]"] = t
 

@@ -609,18 +609,15 @@ def canonical_two_out_of_n_strategy(n: int, n_prime: int | None = None,
         singles[(i, 1)] = embed_on_register(SIGMA_X, n_prime, reg)
     pair_povms = {}
     d = 2 ** n_prime
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for y in (0, 1):
-                for z in (0, 1):
-                    oi = embed_on_register(_pair_basis_observable(y), n_prime, registers[i - 1])
-                    oj = embed_on_register(_pair_basis_observable(z), n_prime, registers[j - 1])
-                    elems = []
-                    for a in (1, -1):
-                        for b in (1, -1):
-                            e = (np.eye(d) + a * oi) / 2 @ (np.eye(d) + b * oj) / 2
-                            elems.append((e + e.conj().T) / 2)
-                    pair_povms[(i, y, j, z)] = np.stack(elems)
+    for i, y, j, z in _pair_keys(n):
+        oi = embed_on_register(_pair_basis_observable(y), n_prime, registers[i - 1])
+        oj = embed_on_register(_pair_basis_observable(z), n_prime, registers[j - 1])
+        elems = []
+        for a in (1, -1):
+            for b in (1, -1):
+                e = (np.eye(d) + a * oi) / 2 @ (np.eye(d) + b * oj) / 2
+                elems.append((e + e.conj().T) / 2)
+        pair_povms[(i, y, j, z)] = np.stack(elems)
     return TwoOutOfNStrategy(n, n_prime, singles, singles, pair_povms, pair_povms)
 
 
@@ -661,10 +658,12 @@ def _basis_pair(m: int) -> tuple[StandardBasis, StandardBasis]:
 class PairEvaluator:
     """Pairs operators under a shared noisy state.  Every game value, both
     SoS certificates, the self-tests and the 2-out-of-n sampler tables use
-    expand_stacks.  Only the CHSH and magic-square samplers use pair (and
-    its id()-keyed expand_a and expand_b); they stay while the benchmark
-    asserts that the protocol workload re-expands operators, which stacking
-    those samplers breaks.
+    expand_stacks (the 2-out-of-n ones through _two_out_of_n_stacks, whose
+    rows they pair by the contexts of _two_out_of_n_contexts).  Only the
+    CHSH and magic-square samplers use pair (and its id()-keyed expand_a and
+    expand_b).  They stay while the benchmark asserts that the protocol
+    workload re-expands operators and wraps each sampler class by name,
+    which stacking those samplers breaks.
 
     expand_stacks, pair, expand_a and expand_b take members of a strategy
     only, whose constructor has checked them and holds them read-only, and
@@ -866,7 +865,9 @@ def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
     questions; reported violation is 8 * (win - 1/2).
 
     Each player's singles and pair-POVM elements are expanded in one stack;
-    the pair marginals are signed sums of element coefficients."""
+    the pair marginals are signed sums of element coefficients, and the
+    contexts (_two_out_of_n_contexts) say which single row meets which
+    marginal row."""
     return _two_out_of_n_report(strategy.n, *_two_out_of_n_stacks(strategy, rho))
 
 
@@ -878,39 +879,37 @@ def _pair_marginal_rows(n: int, rows: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _pair_marginal_index(n: int, i: int, y: int, j: int, z: int) -> int:
-    """Row of _pair_marginal_rows holding index i's marginal in the pair
-    question {(i, y), (j, z)}."""
-    key = pair_key(i, y, j, z)
-    return 2 * _pair_keys(n).index(key) + (key[0] != i)
+def _two_out_of_n_contexts(n: int) -> np.ndarray:
+    """The game's question contexts, each a CHSH test between a single
+    player holding (i, x) and a pair player holding {(i, y), (j, z)}: one
+    read-only int row (i, j, x, y, z, single, key, side) per context with
+    i != j, in i, j, x, y, z order.  single = 2(i-1) + x is the row of (i, x)
+    in _two_out_of_n_stacks, key the index of pair_key(i, y, j, z) in
+    _pair_keys(n), and side = int(i > j), so that 2 key + side is the row of
+    index i's marginal in _pair_marginal_rows.  The value, the sampler, the
+    protocol's tracked keys and the self-test all read this table."""
+    keys = {key: k for k, key in enumerate(_pair_keys(n))}
+    table = np.array([(i, j, x, y, z, 2 * (i - 1) + x, keys[pair_key(i, y, j, z)], int(i > j))
+                      for i, j, x, y, z in itertools.product(
+                          range(1, n + 1), range(1, n + 1), (0, 1), (0, 1), (0, 1))
+                      if i != j])
+    table.setflags(write=False)
+    return table
 
 
 def _two_out_of_n_report(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> GameValueReport:
-    """two_out_of_n_value from the rows and weights of _two_out_of_n_stacks."""
+    """two_out_of_n_value from the rows and weights of _two_out_of_n_stacks:
+    per context, the CHSH pass probability averaged over the two roles; per
+    ordered index pair (i, j), the average over its 8 contexts."""
     ns = 2 * n
+    i, j, x, y, _, single, key, side = _two_out_of_n_contexts(n).T
     # single player Alice against Bob's marginals, and roles exchanged
-    single_alice = (a[:ns] * w) @ _pair_marginal_rows(n, b).T
-    single_bob = (b[:ns] * w) @ _pair_marginal_rows(n, a).T
-
-    pair_totals = {}
-    total = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            acc = 0.0
-            for y in (0, 1):
-                for z in (0, 1):
-                    col = _pair_marginal_index(n, i, y, j, z)
-                    for x in (0, 1):
-                        sign = CHSH_SIGNS[(x, y)]
-                        row = 2 * (i - 1) + x  # singles[row] == (i, x)
-                        acc += 0.5 * (1 + sign * single_alice[row, col]) / 2
-                        acc += 0.5 * (1 + sign * single_bob[row, col]) / 2
-            value = acc / 8.0
-            pair_totals[f"{i},{j}"] = value
-            total += value
-    win = total / (n * (n - 1))
+    corr = np.stack([(a[:ns] * w) @ _pair_marginal_rows(n, b).T,
+                     (b[:ns] * w) @ _pair_marginal_rows(n, a).T])[:, single, 2 * key + side]
+    sign = 1 - 2 * (x & y)  # CHSH_SIGNS
+    per_pair = ((1 + sign * corr) / 2).mean(axis=0).reshape(-1, 8).mean(axis=1)
+    pair_totals = {f"{pi},{pj}": float(v) for pi, pj, v in zip(i[::8], j[::8], per_pair)}
+    win = float(per_pair.mean())
     return GameValueReport(8 * (win - 0.5), win, pair_totals)
 
 

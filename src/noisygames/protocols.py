@@ -52,12 +52,12 @@ from .games import (
     MS_QUESTIONS,
     ms_outcomes,
     ms_question_variables,
-    pair_key,
     _MS_PARITY,
     _MS_SIGNS,
     _MS_SLOT_VARIABLE,
     _MS_VARIABLES,
     _pair_keys,
+    _two_out_of_n_contexts,
     _two_out_of_n_stacks,
 )
 from .pauli import ValidationError, normalized_trace
@@ -294,8 +294,9 @@ class MagicSquareSampler:
 
 class TwoOutOfNSampler:
     """Joint distribution over (single answer, pair outcome) per context
-    (role, ordered index pair, questions); 8 categories each, gathered from
-    one product per role over each player's stacked expansion."""
+    (role, then a row of games._two_out_of_n_contexts); 8 categories each,
+    gathered from one product per role over each player's stacked
+    expansion."""
 
     def __init__(self, strategy: TwoOutOfNStrategy, rho: float):
         if strategy.n < 2:
@@ -303,21 +304,15 @@ class TwoOutOfNSampler:
         n = strategy.n
         ns = 2 * n
         a, b, w = _two_out_of_n_stacks(strategy, rho)
+        table = _two_out_of_n_contexts(n)
+        self.context_index = {(role, *row): k for k, (role, row) in enumerate(
+            itertools.product((0, 1), table[:, :5].tolist()))}
+        single, elems = table[:, 5, None], 4 * table[:, 6, None] + np.arange(4)
         # per role: the single player's singles against the other player's
         # elements, and those elements' masses (identity coefficients)
-        corr = np.stack([(a[:ns] * w) @ b[ns:].T, (b[:ns] * w) @ a[ns:].T])
-        mass = np.stack([b[ns:, 0], a[ns:, 0]])
-        key_index = {key: k for k, key in enumerate(_pair_keys(n))}
-        self.context_index = {}
-        rows = []
-        for role, i, j, x, y, z in itertools.product((0, 1), range(1, n + 1), range(1, n + 1),
-                                                    (0, 1), (0, 1), (0, 1)):
-            if i != j:
-                self.context_index[(role, i, j, x, y, z)] = len(rows)
-                rows.append((role, 2 * (i - 1) + x, 4 * key_index[pair_key(i, y, j, z)]))
-        role, single, first = np.array(rows).T[:, :, None]
-        elems = first + np.arange(4)
-        corr, mass = corr[role, single, elems], mass[role, elems]
+        corr = np.concatenate([((own[:ns] * w) @ other[ns:].T)[single, elems]
+                               for own, other in ((a, b), (b, a))])
+        mass = np.concatenate([other[ns:, 0][elems] for other in (b, a)])
         # outcome ei: a = +1, element ei; outcome 4 + ei: a = -1
         self.cum = _cumulative_table(np.hstack([(mass + corr) / 2, (mass - corr) / 2]))
         self._guide = _GuideTable(self.cum)
@@ -421,32 +416,28 @@ def _ms_game(strategy: MagicSquareStrategy, rho: float) -> _Game:
 def _two_out_of_n_game(strategy: TwoOutOfNStrategy, rho: float) -> _Game:
     sampler = TwoOutOfNSampler(strategy, rho)
     n = strategy.n
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    n_pairs = n * (n - 1)
+    keys = _pair_keys(n)
     # tracked keys per player: single (i, x) and pair questions in canonical form
     single_keys = [(pl, i, x) for pl in "AB" for i in range(1, n + 1) for x in (0, 1)]
-    pair_keys = [(pl, *pair_key(i, y, j, z)) for pl in "AB"
-                 for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                 for y in (0, 1) for z in (0, 1)]
-    single_index = {key: k for k, key in enumerate(single_keys)}
-    pair_index = {key: k for k, key in enumerate(pair_keys)}
+    pair_keys = [(pl, *key) for pl in "AB" for key in keys]
     # per context (in id order): its (role, i, j, x, y, z) and the tracked key
-    # ids (the single player holds (i, x); the other the canonical pair question)
+    # ids: role 0's single player is A, and its pair player B
     contexts = list(sampler.context_index)
-    ctx_single = _id_table([single_index[("AB"[rl], ii, xx)]
-                            for rl, ii, _, xx, _, _ in contexts])
-    ctx_pair = _id_table([pair_index[("BA"[rl], *pair_key(ii, yy, jj, zz))]
-                          for rl, ii, jj, _, yy, zz in contexts])
-    ctx_of = _id_table([[[sampler.context_index[(role, i, j, xyz // 4, (xyz // 2) % 2, xyz % 2)]
-                          for xyz in range(8)] for i, j in pairs] for role in (0, 1)])
+    table = _two_out_of_n_contexts(n)
+    ctx_single = _id_table(np.concatenate([table[:, 5], 2 * n + table[:, 5]]))
+    ctx_pair = _id_table(np.concatenate([len(keys) + table[:, 6], table[:, 6]]))
+    ctx_dtype = np.min_scalar_type(len(contexts) - 1)
 
     def draw_contexts(rng, size):
-        # one flat index (role * len(pairs) + pair) * 8 + xyz into ctx_of
+        # the flat index (role * n(n-1) + ordered pair) * 8 + xyz is the
+        # context id, the sampler's context_index order
         ids = rng.integers(0, 2, size=size, dtype=np.uint32)
-        ids *= len(pairs)
-        ids += rng.integers(0, len(pairs), size=size, dtype=np.uint32)
+        ids *= n_pairs
+        ids += rng.integers(0, n_pairs, size=size, dtype=np.uint32)
         ids <<= 3
         ids += rng.integers(0, 8, size=size, dtype=np.uint32)  # xyz
-        return ctx_of.take(ids)
+        return ids.astype(ctx_dtype)
 
     singles = [(f"{pl}:single({i},{x})", [
         (f"{pl}:single({i},{x})", 4, f"player {pl} single question ({i},{x}): bias {{f:.4f}}")])
@@ -471,7 +462,7 @@ def _two_out_of_n_game(strategy: TwoOutOfNStrategy, rho: float) -> _Game:
                   "a": a, "b_shared": b_shared, "b_other": b_other,
                   "win": (a != b_shared).astype(int) == (x & y)},
                  [(ctx_single, singles), (ctx_pair, pair_tests)],
-                 lambda t: int(4 * len(pairs) * t * 1.25) + 256,
+                 lambda t: int(4 * n_pairs * t * 1.25) + 256,
                  lambda v: (v["a"], (v["b_shared"], v["b_other"])))
 
 

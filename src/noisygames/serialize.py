@@ -136,9 +136,21 @@ def _field(data: dict, name: str, kind: type, default=None, doc: str = "strategy
     return kind(value)
 
 
+# the fields each symbolic kind reads besides kind, game and n; the
+# 2-out-of-n constructors take no register, and only the canonical one an
+# nPrime
+_SYMBOLIC_FIELDS = {"canonical": {"register", "nPrime"},
+                    "canonical-perturbed": {"register", "theta"},
+                    "random": {"seed", "variant", "traceBias"}}
+
+
 def _symbolic_strategy(data: dict):
     kind = _field(data, "kind", str)
     game = _field(data, "game", str, "chsh")
+    if kind not in _SYMBOLIC_FIELDS:
+        raise ValidationError(f"unknown symbolic strategy kind {kind!r}")
+    reads = _SYMBOLIC_FIELDS[kind] - {"register" if game == "two_out_of_n" else "nPrime"}
+    _require_keys(data, {"kind"}, {"game", "n", *reads}, f"symbolic {kind} {game} strategy")
     n = _field(data, "n", int, 1)
     register = _field(data, "register", int, 1)
     n_prime = _field(data, "nPrime", int, n)
@@ -176,7 +188,6 @@ def _symbolic_strategy(data: dict):
                 n, rng, kind=variant if variant != "binary" else "projective",
                 trace_bias=bias)
         raise ValidationError(f"no random constructor for game {game!r}")
-    raise ValidationError(f"unknown symbolic strategy kind {kind!r}")
 
 
 # the fields each game's strategy document carries besides game and n
@@ -189,9 +200,6 @@ _STRATEGY_FIELDS = {
 
 def strategy_from_json(data: dict):
     if isinstance(data, dict) and "kind" in data:
-        _require_keys(data, {"kind"},
-                      {"game", "n", "nPrime", "register", "theta", "seed",
-                       "variant", "traceBias"}, "symbolic strategy")
         return _symbolic_strategy(data)
     _require_keys(data, {"game", "n"}, {"nPrime", *set().union(*_STRATEGY_FIELDS.values())},
                   "strategy")

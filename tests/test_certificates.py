@@ -133,6 +133,15 @@ def test_ms_certificate_random_strategies():
         assert cert.terms[0][1] >= -1e-9
 
 
+@pytest.mark.parametrize("variable", [(0, 1), (4, 1), (1, 4), (1, 0), (-1, 2)])
+def test_ms_certificate_names_an_out_of_range_variable(variable):
+    # a row index outside 1..3 used to reach the POVM lookup as a KeyError
+    with pytest.raises(ValidationError) as exc:
+        ms_consistency_certificate(canonical_magic_square_strategy(1), 0.8, variable)
+    assert str(exc.value) == ("variable must be (i, j) with i and j in 1..3, "
+                              f"got ({variable[0]},{variable[1]})")
+
+
 def test_certify_dispatch():
     cert = certify(canonical_chsh_strategy(1), 0.5)
     assert isinstance(cert, SoSCertificate) and cert.game == "chsh"

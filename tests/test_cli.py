@@ -378,6 +378,22 @@ def test_threads_flag_removed(capsys):
      "need at least as many registers as indices"),
     (["eval", "--game", "two_out_of_n", "--n", "3", "--n-prime", "1", "--rho", "0.9"],
      "need at least as many registers as indices"),
+    (["eval", "--game", "two_out_of_n", "--n", "2", "--register", "2", "--rho", "0.9"],
+     "symbolic canonical two_out_of_n strategy has unknown fields: ['register']"),
+    (["eval", "--n-prime", "2", "--rho", "0.9"],
+     "symbolic canonical chsh strategy has unknown fields: ['nPrime']"),
+    (["certify", "--game", "magic_square", "--n-prime", "2", "--rho", "0.9"],
+     "symbolic canonical magic_square strategy has unknown fields: ['nPrime']"),
+    (["eval", "--game", "two_out_of_n", "--n", "2", "--n-prime", "4", "--rho", "0.9",
+      "--strategy", "canonical-perturbed:0.1"],
+     "symbolic canonical-perturbed two_out_of_n strategy has unknown fields: ['nPrime']"),
+    (["eval", "--rho", "0.9", "--register", "2", "--strategy", "random:3"],
+     "symbolic random chsh strategy has unknown fields: ['register']"),
+    (["selftest", "--n", "7", "--rho", "0.8", "--theta-sweep", "0.1"],
+     "a chsh strategy with n = 7 has local dimension 2**7, above the cap of 2**6"),
+    (["selftest", "--game", "two_out_of_n", "--n", "2", "--register", "2", "--rho", "0.8",
+      "--theta-sweep", "0.1"],
+     "symbolic canonical-perturbed two_out_of_n strategy has unknown fields: ['register']"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
@@ -390,7 +406,9 @@ def test_threads_flag_removed(capsys):
         "threshold-nan", "simulate-t-too-large", "chsh-dimension-above-cap",
         "ms-dimension-above-cap", "two-out-of-n-dimension-above-cap", "strategy-game-a-list",
         "strategy-seed-null", "strategy-n-prime-a-list", "strategy-theta-a-list",
-        "strategy-trace-bias-a-list", "n-prime-zero", "n-prime-below-n"])
+        "strategy-trace-bias-a-list", "n-prime-zero", "n-prime-below-n",
+        "two-out-of-n-register", "chsh-n-prime", "ms-n-prime", "perturbed-two-out-of-n-n-prime",
+        "random-register", "sweep-dimension-above-cap", "sweep-two-out-of-n-register"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",

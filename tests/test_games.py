@@ -31,6 +31,7 @@ from noisygames.games import (
     ms_outcomes,
     pair_key,
     perturbed_chsh_strategy,
+    perturbed_two_out_of_n_strategy,
     random_chsh_strategy,
     random_magic_square_strategy,
     random_traceless_binary,
@@ -337,7 +338,7 @@ def random_correlated_state(rng) -> BipartiteState:
     return BipartiteState(2, 2, local @ density @ local.conj().T)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 2), kind=st.sampled_from(["binary", "bounded"]),
        bias=st.sampled_from([0.0, 0.3]), rho=RHOS, seed=SEEDS)
 def test_chsh_value_matches_dense_for_rho(n, kind, bias, rho, seed):
@@ -349,7 +350,7 @@ def test_chsh_value_matches_dense_for_rho(n, kind, bias, rho, seed):
         assert fast.per_question[key] == pytest.approx(dense.per_question[key], abs=1e-12)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 2), seed=SEEDS)
 def test_chsh_value_matches_dense_for_a_correlation_spectrum(n, seed):
     rng = np.random.default_rng(seed)
@@ -361,7 +362,7 @@ def test_chsh_value_matches_dense_for_a_correlation_spectrum(n, seed):
     assert fast == pytest.approx(dense, abs=1e-12)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 2), kind=st.sampled_from(["projective", "mixed", "raw"]),
        rho=RHOS, seed=SEEDS)
 def test_magic_square_value_matches_dense(n, kind, rho, seed):
@@ -420,12 +421,66 @@ def two_out_of_n_value_dense(strategy, state) -> float:
     return total / (n * (n - 1))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(2, 3), rho=RHOS, seed=SEEDS)
 def test_two_out_of_n_value_matches_dense(n, rho, seed):
     strat = random_two_out_of_n_strategy(n, np.random.default_rng(seed))
     dense = two_out_of_n_value_dense(strat, make_depolarized_epr(rho, n))
     assert two_out_of_n_value(strat, rho).win_prob == pytest.approx(dense, abs=1e-12)
+
+
+def two_out_of_n_report_loop(n, a, b, w):
+    """The value from _two_out_of_n_stacks rows by one nested loop over the
+    contexts: a frozen copy of the per-context report that the context
+    table's gather replaced."""
+    from noisygames.games import CHSH_SIGNS, _pair_keys, _pair_marginal_rows
+
+    ns = 2 * n
+    single_alice = (a[:ns] * w) @ _pair_marginal_rows(n, b).T
+    single_bob = (b[:ns] * w) @ _pair_marginal_rows(n, a).T
+    pair_totals = {}
+    total = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            acc = 0.0
+            for y in (0, 1):
+                for z in (0, 1):
+                    key = pair_key(i, y, j, z)
+                    col = 2 * _pair_keys(n).index(key) + (key[0] != i)
+                    for x in (0, 1):
+                        sign = CHSH_SIGNS[(x, y)]
+                        row = 2 * (i - 1) + x
+                        acc += 0.5 * (1 + sign * single_alice[row, col]) / 2
+                        acc += 0.5 * (1 + sign * single_bob[row, col]) / 2
+            value = acc / 8.0
+            pair_totals[f"{i},{j}"] = value
+            total += value
+    win = total / (n * (n - 1))
+    return 8 * (win - 0.5), win, pair_totals
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["perturbed", "random"])
+def test_two_out_of_n_report_matches_the_context_loop(n, kind):
+    from noisygames.games import _two_out_of_n_report, _two_out_of_n_stacks
+
+    rng = np.random.default_rng([1414, n])
+    rho = float(rng.uniform(0.3, 1.0))
+    if kind == "perturbed":
+        strat = perturbed_two_out_of_n_strategy(n, float(rng.uniform(-np.pi, np.pi)),
+                                                index=int(rng.integers(1, n + 1)))
+    else:
+        strat = random_two_out_of_n_strategy(n, rng)
+    stacks = _two_out_of_n_stacks(strat, rho)
+    report = _two_out_of_n_report(n, *stacks)
+    violation, win, per_pair = two_out_of_n_report_loop(n, *stacks)
+    assert abs(report.violation - violation) <= 1e-12
+    assert abs(report.win_prob - win) <= 1e-12
+    assert list(report.per_question) == list(per_pair)
+    for key, value in per_pair.items():
+        assert abs(report.per_question[key] - value) <= 1e-12
 
 
 def test_two_out_of_n_value_names_n_below_two():

@@ -486,6 +486,25 @@ def test_context_draws_match_the_int64_stream(name, strategy, seed, block):
         assert np.array_equal(rng.random(size), ref_rng.random(size))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_two_out_of_n_context_ids_are_the_flat_question_index(n):
+    # contexts are numbered in (role, i, j, x, y, z) order, so the drawn
+    # flat index (role * n(n-1) + ordered pair) * 8 + xyz is the context id
+    game = _two_out_of_n_game(canonical_two_out_of_n_strategy(n), 0.8)
+    product = [ctx for ctx in itertools.product((0, 1), range(1, n + 1), range(1, n + 1),
+                                                (0, 1), (0, 1), (0, 1)) if ctx[1] != ctx[2]]
+    assert list(game.sampler.context_index.items()) == [(ctx, k) for k, ctx in enumerate(product)]
+    assert game.questions == product
+    size, n_pairs = 5000, n * (n - 1)
+    rng, ref_rng = _rng_for_block(n, 0), _rng_for_block(n, 0)
+    ids = game.draw_contexts(rng, size)
+    role = ref_rng.integers(0, 2, size=size)
+    pair = ref_rng.integers(0, n_pairs, size=size)
+    xyz = ref_rng.integers(0, 8, size=size)
+    assert ids.dtype == (np.uint8 if n < 5 else np.uint16)
+    assert np.array_equal(ids, (role * n_pairs + pair) * 8 + xyz)
+
+
 def test_two_out_of_n_needs_two_indices():
     strategy = canonical_two_out_of_n_strategy(1)
     with pytest.raises(ValidationError, match="n >= 2"):
@@ -839,7 +858,7 @@ def _perturbed_and_biased(game, n, theta, bias):
                              base.alice_pair_povms, pairs)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(game=st.sampled_from(["chsh", "magic_square", "two_out_of_n"]), n=st.integers(1, 2),
        theta=st.floats(-np.pi, np.pi), bias=st.floats(-1.0, 1.0), rho=st.floats(0.0, 1.0))
 def test_sampler_rows_are_cumulative_distributions(game, n, theta, bias, rho):

@@ -167,6 +167,26 @@ def test_strategy_numeric_fields_take_json_numbers():
     assert strategy_from_json({"kind": "random", "seed": 3, "traceBias": 0}).n == 1
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"kind": "canonical-perturbed", "game": "two_out_of_n", "n": 2, "nPrime": 4}, "nPrime"),
+    ({"kind": "canonical", "game": "two_out_of_n", "n": 2, "register": 2}, "register"),
+    ({"kind": "canonical-perturbed", "game": "two_out_of_n", "n": 2, "theta": 0.1,
+      "register": 1}, "register"),
+    ({"kind": "canonical", "game": "chsh", "nPrime": 1}, "nPrime"),
+    ({"kind": "canonical-perturbed", "game": "magic_square", "theta": 0.1, "nPrime": 2},
+     "nPrime"),
+    ({"kind": "random", "game": "magic_square", "register": 1}, "register"),
+    ({"kind": "canonical", "game": "chsh", "theta": 0.1}, "theta"),
+    ({"kind": "canonical-perturbed", "game": "chsh", "theta": 0.1, "seed": 3}, "seed"),
+])
+def test_symbolic_field_the_constructor_does_not_read_is_named(doc, field):
+    # such a field used to be dropped: the first document built n_prime = 2
+    with pytest.raises(ValidationError) as exc:
+        strategy_from_json(doc)
+    assert str(exc.value) == (f"symbolic {doc['kind']} {doc['game']} strategy has unknown "
+                              f"fields: [{field!r}]")
+
+
 @pytest.mark.parametrize("n, n_prime", [(2, 0), (2, 1), (3, 2)])
 def test_two_out_of_n_needs_a_register_per_index(n, n_prime):
     with pytest.raises(ValidationError, match="^need at least as many registers as indices$"):
