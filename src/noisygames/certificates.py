@@ -96,7 +96,7 @@ def chsh_sos_certificate(strategy: ChshStrategy, rho: float,
     """
     if rho <= 0:
         raise ValidationError("certificates are undefined at rho = 0")
-    a, b, w = PairEvaluator(rho).expand_stacks(strategy.alice, strategy.bob)
+    a, b, w = PairEvaluator(rho).expand_stacks(*strategy.stacks)
     value = _chsh_report((a * w) @ b.T).violation
     if noise_on == "bob":
         plain, scaled = a, b * w

@@ -178,8 +178,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate_rho(args) -> int:
     from . import serialize
-    from .protocols import estimate_noise_rate, play_chsh_rounds, play_ms_rounds
-    from .games import canonical_chsh_strategy, canonical_magic_square_strategy
+    from .protocols import _GAMES, _fixed_round_rates, estimate_noise_rate
 
     if args.transcript:
         with open(args.transcript) as fh:
@@ -202,12 +201,12 @@ def cmd_estimate_rho(args) -> int:
     else:
         if args.rho_true is None:
             raise ValueError("need --transcript, --statistic, or --rho-true to simulate")
-        if args.game == "magic_square":
-            _, stat = play_ms_rounds(canonical_magic_square_strategy(args.n),
-                                     args.rho_true, args.rounds, args.seed)
-        else:
-            stat = play_chsh_rounds(canonical_chsh_strategy(args.n),
-                                    args.rho_true, args.rounds, args.seed)
+        strategy = serialize.strategy_from_json(
+            {"kind": "canonical", "game": args.game, "n": args.n})
+        rates = _fixed_round_rates(_GAMES[args.game][1](strategy, args.rho_true),
+                                   args.rounds, args.seed)
+        # the magic square's rates end with its consistency rate
+        stat = rates[-1]
         est = estimate_noise_rate(args.game, statistic=stat, n_rounds=args.rounds,
                                   confidence=args.confidence)
     _emit(serialize.estimate_to_json(est), args)

@@ -465,7 +465,7 @@ def chsh_selftest(strategy: ChshStrategy, rho: float) -> ChshSelfTestReport:
     """
     if not 0.0 < rho < 1.0:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
-    a, b, w = PairEvaluator(rho).expand_stacks(strategy.alice, strategy.bob)
+    a, b, w = PairEvaluator(rho).expand_stacks(*strategy.stacks)
     report = _chsh_report((a * w) @ b.T)
     eps_v = 2 * np.sqrt(2) * rho - report.violation
     labels = ("P0", "P1", "Q0", "Q1")
@@ -540,8 +540,9 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
     derived_rows = np.einsum("as,qax->qsx", _MS_SIGNS, elems)
     p_rows = derived_rows[:3].reshape(len(idx), -1)
     p_cols = derived_rows[3:].transpose(1, 0, 2).reshape(len(idx), -1)
+    d = strategy.dim
     derived = np.einsum("as,qaij->qsij", _MS_SIGNS,
-                        np.stack([strategy.alice_povms[q] for q in MS_QUESTIONS]))
+                        strategy.stacks[0].reshape(len(MS_QUESTIONS), 8, d, d))
     p_row = {(i, j): derived[i - 1, j - 1] for i, j in idx}
     p_col = {(i, j): derived[2 + j, i - 1] for i, j in idx}
     row_col = dict(zip(labels, _row_distances(p_rows, p_cols)))
@@ -570,7 +571,7 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
                 cross[f"s{i}{j},s{i2}{j2}"] = anticommutator_norm(p_row[(i, j)], p_row[(i2, j2)])
 
     # each question's three observables multiply to its parity target
-    eye = np.eye(strategy.dim)
+    eye = np.eye(d)
     products = {("row" if q[0] == "r" else "col") + q[1]:
                 hs_norm(derived[k, 0] @ derived[k, 1] @ derived[k, 2] - ms_parity_target(q) * eye)
                 for k, q in enumerate(MS_QUESTIONS)}
@@ -779,19 +780,17 @@ def general_noise_selftest(strategy: ChshStrategy,
     canon = canonicalize_to_epr(spectrum.basis_a, spectrum.basis_b)
     n = strategy.n
     ua_full, ub_full = (functools.reduce(np.kron, [u] * n) for u in (canon.u, canon.v))
-    transported = dict(zip(("P0", "P1", "Q0", "Q1"), (
-        u @ op @ u.conj().T for u, ops in ((ua_full, strategy.alice), (ub_full, strategy.bob))
-        for op in ops)))
+    transported = np.concatenate([u @ stack @ u.conj().T
+                                  for u, stack in zip((ua_full, ub_full), strategy.stacks)])
+    labels = ("P0", "P1", "Q0", "Q1")
     basis = _basis_pair(2)[0]
-    rows = pauli_expand(np.stack(list(transported.values())), basis).coeffs
+    rows = pauli_expand(transported, basis).coeffs
     # after canonicalization indices 1, 2 carry weight r and index 3 carries c
     w = register_weight_vector([1.0, r, r, c], n)
-    scaling = dict(zip(transported, _scaling_residuals(rows, w, r).tolist()))
-    anti = {
-        "alice": anticommutator_norm(transported["P0"], transported["P1"]),
-        "bob": anticommutator_norm(transported["Q0"], transported["Q1"]),
-    }
-    concs = {k: _concentration(row, basis) for k, row in zip(transported, rows)}
+    scaling = dict(zip(labels, _scaling_residuals(rows, w, r).tolist()))
+    anti = {"alice": anticommutator_norm(*transported[:2]),
+            "bob": anticommutator_norm(*transported[2:])}
+    concs = {k: _concentration(row, basis) for k, row in zip(labels, rows)}
     reg_a, _, _ = _register_consensus({k: concs[k] for k in ("P0", "P1")})
     reg_b, _, _ = _register_consensus({k: concs[k] for k in ("Q0", "Q1")})
     extraction = {

@@ -108,11 +108,11 @@ def _spectra(stack: np.ndarray) -> tuple:
     return finite, hermitian_deviation(safe), np.linalg.eigvalsh(safe)
 
 
-def _require_observables(ops, dim: int, labels: list) -> list:
-    """Check observables as (k, dim, dim) stacks and return read-only
-    complex copies: each must be finite, Hermitian and of spectral norm at
-    most 1.  An error names the first bad member, labels[i], and the first
-    check it fails."""
+def _require_observables(ops, dim: int, labels: list) -> np.ndarray:
+    """Check observables as (k, dim, dim) stacks and return one read-only
+    complex copy stack: each must be finite, Hermitian and of spectral norm
+    at most 1.  An error names the first bad member, labels[i], and the
+    first check it fails."""
     arrays = [np.asarray(op) for op in ops]
     for arr, label in zip(arrays, labels):
         if arr.shape != (dim, dim):
@@ -130,15 +130,15 @@ def _require_observables(ops, dim: int, labels: list) -> list:
             if dev[k] > HERMITIAN_ATOL:
                 raise ValidationError(f"{label} is not Hermitian (max deviation {dev[k]:.3e})")
             raise ValidationError(f"{label} has spectral norm {norm[k]:.6f} > 1")
-    return list(owned)
+    return owned
 
 
-def _require_povms(povms, dim: int, outcomes: int | None, labels: list) -> list:
-    """Check POVMs as (k, outcomes, dim, dim) stacks and return read-only
-    complex copies: every element must be finite, Hermitian and PSD, and
-    each POVM must sum to the identity.  An error names the first bad POVM,
-    labels[i], and the first check it fails; outcomes None accepts any count
-    (one POVM)."""
+def _require_povms(povms, dim: int, outcomes: int | None, labels: list) -> np.ndarray:
+    """Check POVMs as (k, outcomes, dim, dim) stacks and return one
+    read-only complex copy stack: every element must be finite, Hermitian
+    and PSD, and each POVM must sum to the identity.  An error names the
+    first bad POVM, labels[i], and the first check it fails; outcomes None
+    accepts any count (one POVM)."""
     arrays = [np.asarray(p) for p in povms]
     for arr, label in zip(arrays, labels):
         if arr.ndim != 3 or arr.shape[1:] != (dim, dim):
@@ -167,7 +167,7 @@ def _require_povms(povms, dim: int, outcomes: int | None, labels: list) -> list:
                                       f"(min eigenvalue {low[k, e]:.3e})")
             raise ValidationError(f"{label} does not sum to identity "
                                   f"(max deviation {off[k]:.3e})")
-    return list(owned)
+    return owned
 
 
 def require_observable(op: np.ndarray, dim: int, label: str = "observable") -> np.ndarray:
@@ -245,18 +245,22 @@ def add_trace_bias(op: np.ndarray, bias) -> np.ndarray:
 
 @dataclass
 class ChshStrategy:
-    """Two observables per player on n qubit registers per side."""
+    """Two observables per player on n qubit registers per side.  stacks
+    holds each player's read-only (2, d, d) stack, (P0, P1) and (Q0, Q1);
+    alice and bob are views of its rows."""
 
     n: int
     alice: tuple[np.ndarray, np.ndarray]
     bob: tuple[np.ndarray, np.ndarray]
+    stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.alice) != 2 or len(self.bob) != 2:
             raise ValidationError("CHSH strategies need two observables per player")
         ops = _require_observables([*self.alice, *self.bob], 2 ** self.n,
                                    ["P0", "P1", "Q0", "Q1"])
-        self.alice, self.bob = (ops[0], ops[1]), (ops[2], ops[3])
+        self.stacks = (ops[:2], ops[2:])
+        self.alice, self.bob = (tuple(stack) for stack in self.stacks)
 
     @property
     def dim(self) -> int:
@@ -375,11 +379,16 @@ def variable_slot(question: str, i: int, j: int) -> int:
 @dataclass
 class MagicSquareStrategy:
     """Alice: one 8-outcome POVM per row/column question; Bob: nine observables
-    on n four-dimensional registers per side."""
+    on n four-dimensional registers per side.  stacks holds each player's
+    read-only stack: Alice's 48 POVM elements, element a of question q at
+    row 8q + a (MS_QUESTIONS and ms_outcomes order), and Bob's 9
+    observables in _MS_VARIABLES order; the dict fields are views of its
+    rows."""
 
     n: int
     alice_povms: dict
     bob_observables: dict
+    stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = 4 ** self.n
@@ -389,6 +398,7 @@ class MagicSquareStrategy:
                       [f"observable for variable ({i},{j})" for i, j in _MS_VARIABLES])
         povms = _require_povms(povms, d, 8, [f"POVM {q}" for q in MS_QUESTIONS])
         bob = _require_observables(bob, d, [f"Q{i}{j}" for i, j in _MS_VARIABLES])
+        self.stacks = (povms.reshape(-1, d, d), bob)
         self.alice_povms = dict(zip(MS_QUESTIONS, povms))
         self.bob_observables = dict(zip(_MS_VARIABLES, bob))
 
@@ -408,14 +418,15 @@ def derived_observable(povm: np.ndarray, slot: int) -> np.ndarray:
 
 
 def _commuting_projector_povm(observables: list[np.ndarray]) -> np.ndarray:
-    """8-outcome POVM from three commuting binary observables: products of
-    their spectral projectors, in ms_outcomes order."""
+    """POVM from k commuting binary observables: the products of their
+    spectral projectors (I + a_s O_s) / 2, one element per answer tuple a in
+    itertools.product((1, -1), repeat=k) order (ms_outcomes order for k = 3,
+    (+,+), (+,-), (-,+), (-,-) for k = 2)."""
     d = observables[0].shape[0]
     elems = []
-    for a in ms_outcomes():
-        e = np.eye(d, dtype=complex)
-        for val, obs in zip(a, observables):
-            e = e @ (np.eye(d) + val * obs) / 2
+    for a in itertools.product((1, -1), repeat=len(observables)):
+        e = functools.reduce(np.matmul, [(np.eye(d) + val * obs) / 2
+                                         for val, obs in zip(a, observables)])
         elems.append((e + e.conj().T) / 2)
     return np.stack(elems)
 
@@ -519,13 +530,8 @@ def _pair_keys(n: int) -> list[tuple]:
             for y in (0, 1) for z in (0, 1)]
 
 
-def pair_outcome_index(a_first: int, a_second: int) -> int:
-    """Outcome index for answers (first-index, second-index) in {-1, 1}."""
-    return 2 * ((1 - a_first) // 2) + (1 - a_second) // 2
-
-
-# answer of each pair outcome (pair_outcome_index order) for the first and
-# the second index of the pair
+# answer of each pair outcome, (+,+), (+,-), (-,+), (-,-), for the first
+# and the second index of the pair
 _PAIR_SIDE_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
 
 
@@ -543,7 +549,12 @@ def marginal_pair_observable(povm: np.ndarray, side: str) -> np.ndarray:
 class TwoOutOfNStrategy:
     """Per-index single observables plus pair POVMs for both players on
     n_prime qubit registers per side.  Pair POVMs are keyed by the canonical
-    (i, y, j, z) form with i < j, outcomes ordered by pair_outcome_index."""
+    (i, y, j, z) form with i < j; outcome 2 bit(a) + bit(b) answers a for
+    index i and b for index j, so (+,+), (+,-), (-,+), (-,-).
+
+    stacks holds each player's read-only stack: the 2n singles, (i, x) at
+    row 2(i-1) + x, then element e of the POVM of key k (in _pair_keys
+    order) at row 2n + 4k + e; the dict fields are views of its rows."""
 
     n: int
     n_prime: int
@@ -551,6 +562,7 @@ class TwoOutOfNStrategy:
     bob_singles: dict
     alice_pair_povms: dict
     bob_pair_povms: dict
+    stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_prime < self.n:
@@ -568,11 +580,15 @@ class TwoOutOfNStrategy:
                                    [s for both in zip(p_labels, q_labels) for s in both])
         povms = _require_povms(_lookup(self.alice_pair_povms, keys, pair_labels)
                                + _lookup(self.bob_pair_povms, keys, pair_labels),
-                               d, 4, pair_labels * 2)
-        self.alice_singles = dict(zip(singles, ops[0::2]))
-        self.bob_singles = dict(zip(singles, ops[1::2]))
-        self.alice_pair_povms = dict(zip(keys, povms[:len(keys)]))
-        self.bob_pair_povms = dict(zip(keys, povms[len(keys):]))
+                               d, 4, pair_labels * 2).reshape(2, -1, d, d)
+        # frozen in place: a second copy would double the strategy's memory
+        self.stacks = tuple(np.concatenate([ops[p::2], povms[p]]) for p in (0, 1))
+        for stack in self.stacks:
+            stack.setflags(write=False)
+        ns = 2 * self.n
+        self.alice_singles, self.bob_singles = (dict(zip(singles, s[:ns])) for s in self.stacks)
+        self.alice_pair_povms, self.bob_pair_povms = (
+            dict(zip(keys, s[ns:].reshape(-1, 4, d, d))) for s in self.stacks)
 
     @property
     def dim(self) -> int:
@@ -607,17 +623,9 @@ def canonical_two_out_of_n_strategy(n: int, n_prime: int | None = None,
         reg = registers[i - 1]
         singles[(i, 0)] = embed_on_register(SIGMA_Z, n_prime, reg)
         singles[(i, 1)] = embed_on_register(SIGMA_X, n_prime, reg)
-    pair_povms = {}
-    d = 2 ** n_prime
-    for i, y, j, z in _pair_keys(n):
-        oi = embed_on_register(_pair_basis_observable(y), n_prime, registers[i - 1])
-        oj = embed_on_register(_pair_basis_observable(z), n_prime, registers[j - 1])
-        elems = []
-        for a in (1, -1):
-            for b in (1, -1):
-                e = (np.eye(d) + a * oi) / 2 @ (np.eye(d) + b * oj) / 2
-                elems.append((e + e.conj().T) / 2)
-        pair_povms[(i, y, j, z)] = np.stack(elems)
+    pair_povms = {(i, y, j, z): _commuting_projector_povm(
+        [embed_on_register(_pair_basis_observable(u), n_prime, registers[k - 1])
+         for k, u in ((i, y), (j, z))]) for i, y, j, z in _pair_keys(n)}
     return TwoOutOfNStrategy(n, n_prime, singles, singles, pair_povms, pair_povms)
 
 
@@ -658,17 +666,19 @@ def _basis_pair(m: int) -> tuple[StandardBasis, StandardBasis]:
 class PairEvaluator:
     """Pairs operators under a shared noisy state.  Every game value, both
     SoS certificates, the self-tests and the 2-out-of-n sampler tables use
-    expand_stacks (the 2-out-of-n ones through _two_out_of_n_stacks, whose
-    rows they pair by the contexts of _two_out_of_n_contexts).  Only the
-    CHSH and magic-square samplers use pair (and its id()-keyed expand_a and
-    expand_b).  They stay while the benchmark asserts that the protocol
+    expand_stacks on a strategy's stacks (the magic-square certificate on
+    one question's elements and one variable's observable; the 2-out-of-n
+    ones through _two_out_of_n_stacks, whose rows they pair by the contexts
+    of _two_out_of_n_contexts).  Only the CHSH and magic-square samplers use
+    pair (and its id()-keyed expand_a and expand_b), on the strategy's
+    fields.  They stay while the benchmark asserts that the protocol
     workload re-expands operators and wraps each sampler class by name,
     which stacking those samplers breaks.
 
-    expand_stacks, pair, expand_a and expand_b take members of a strategy
-    only, whose constructor has checked them and holds them read-only, and
-    never re-check them; operators derived from members are signed sums of
-    their rows instead.  Small operators take the dense transform (see
+    expand_stacks, pair, expand_a and expand_b take a strategy's stacks and
+    members only, which its constructor has checked and holds read-only,
+    and never re-check them; operators derived from members are signed sums
+    of their rows instead.  Small operators take the dense transform (see
     `pauli`).
 
     noise is a fidelity rho (depolarizing, in the default bases of local
@@ -759,7 +769,7 @@ def chsh_violation(strategy: ChshStrategy, noise) -> GameValueReport:
     """Value of the CHSH functional; win probability is 1/2 + violation/8."""
     if isinstance(noise, BipartiteState):
         return chsh_violation_dense(strategy, noise)
-    a, b, w = PairEvaluator(noise).expand_stacks(strategy.alice, strategy.bob)
+    a, b, w = PairEvaluator(noise).expand_stacks(*strategy.stacks)
     return _chsh_report((a * w) @ b.T)
 
 
@@ -768,8 +778,7 @@ def chsh_violation_dense(strategy: ChshStrategy, state) -> GameValueReport:
     if not isinstance(state, BipartiteState):
         state = make_depolarized_epr(float(state), strategy.n)
     joint = _dense_joint(state, strategy.dim)
-    corr = np.einsum("xij,ykl,jlik->xy", np.asarray(strategy.alice),
-                     np.asarray(strategy.bob), joint, optimize=True)
+    corr = np.einsum("xij,ykl,jlik->xy", *strategy.stacks, joint, optimize=True)
     return _chsh_report(corr.real)
 
 
@@ -798,22 +807,19 @@ def magic_square_value(strategy: MagicSquareStrategy, rho,
     """
     if dense_state is None:
         return _ms_coeff_report(*_ms_stacks(strategy, rho))
-    povms = np.stack([strategy.alice_povms[q] for q in MS_QUESTIONS])  # (6, 8, d, d)
-    bob = np.stack([strategy.bob_observables[v] for v in _MS_VARIABLES])
     d = strategy.dim
+    povms = strategy.stacks[0].reshape(len(MS_QUESTIONS), 8, d, d)
     masses = np.trace(povms, axis1=-2, axis2=-1).real / d
-    pairs = np.einsum("qaij,qskl,jlik->qas", povms, bob[_MS_SLOT_VARIABLE],
+    pairs = np.einsum("qaij,qskl,jlik->qas", povms, strategy.stacks[1][_MS_SLOT_VARIABLE],
                       _dense_joint(dense_state, d), optimize=True).real
     return _ms_report(masses, pairs)
 
 
 def _ms_stacks(strategy: MagicSquareStrategy, rho) -> tuple:
-    """PairEvaluator.expand_stacks over Alice's POVM elements, returned as a
-    (6, 8, m^(2n)) array in MS_QUESTIONS and ms_outcomes order, and Bob's
-    observables in _MS_VARIABLES order."""
-    povms = np.concatenate([strategy.alice_povms[q] for q in MS_QUESTIONS])
-    bob = np.stack([strategy.bob_observables[v] for v in _MS_VARIABLES])
-    elems, obs, w = PairEvaluator(rho, m=4).expand_stacks(povms, bob)
+    """PairEvaluator.expand_stacks over the strategy's stacks, Alice's
+    element rows returned as a (6, 8, m^(2n)) array in MS_QUESTIONS and
+    ms_outcomes order, Bob's rows in _MS_VARIABLES order."""
+    elems, obs, w = PairEvaluator(rho, m=4).expand_stacks(*strategy.stacks)
     return elems.reshape(len(MS_QUESTIONS), 8, -1), obs, w
 
 
@@ -847,17 +853,12 @@ def magic_square_dense_state(rho: float, n: int) -> BipartiteState:
 
 
 def _two_out_of_n_stacks(strategy: TwoOutOfNStrategy, rho) -> tuple:
-    """PairEvaluator.expand_stacks over each player's stack: its 2n singles
-    (row 2(i-1) + x holds (i, x)), then the four elements of every pair POVM
-    in _pair_keys order (row 2n + 4k + e holds element e of key k)."""
+    """PairEvaluator.expand_stacks over the strategy's stacks, so that each
+    player's row 2(i-1) + x holds single (i, x) and row 2n + 4k + e element
+    e of the POVM of key k (in _pair_keys order)."""
     if strategy.n < 2:
         raise ValidationError(f"2-out-of-n values need n >= 2 indices, got n = {strategy.n}")
-    singles = [(i, x) for i in range(1, strategy.n + 1) for x in (0, 1)]
-    keys = _pair_keys(strategy.n)
-    return PairEvaluator(rho).expand_stacks(*(
-        np.concatenate([np.stack([own[s] for s in singles]), *(povms[key] for key in keys)])
-        for own, povms in ((strategy.alice_singles, strategy.alice_pair_povms),
-                           (strategy.bob_singles, strategy.bob_pair_povms))))
+    return PairEvaluator(rho).expand_stacks(*strategy.stacks)
 
 
 def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
@@ -927,21 +928,15 @@ def trace_error(strategy) -> float:
     """Largest absolute normalized trace over the game's observable list,
     including derived row/column and pair-marginal observables (signed sums
     of their POVM elements' traces)."""
-    if isinstance(strategy, ChshStrategy):
-        values = [_normalized_traces(np.stack([*strategy.alice, *strategy.bob]))]
-    elif isinstance(strategy, MagicSquareStrategy):
-        povms = np.concatenate([strategy.alice_povms[q] for q in MS_QUESTIONS])
-        elems = _normalized_traces(povms).reshape(len(MS_QUESTIONS), 8)
-        bob = np.stack(list(strategy.bob_observables.values()))
-        values = [elems @ _MS_SIGNS, _normalized_traces(bob)]
-    elif isinstance(strategy, TwoOutOfNStrategy):
-        d = strategy.dim
-        values = []
-        for singles, povms in ((strategy.alice_singles, strategy.alice_pair_povms),
-                               (strategy.bob_singles, strategy.bob_pair_povms)):
-            values.append(_normalized_traces(np.stack(list(singles.values()))))
-            elems = np.asarray(list(povms.values())).reshape(-1, d, d)
-            values.append(_normalized_traces(elems).reshape(-1, 4) @ _PAIR_SIDE_SIGNS.T)
-    else:
+    if not isinstance(strategy, (ChshStrategy, MagicSquareStrategy, TwoOutOfNStrategy)):
         raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
+    first, second = (_normalized_traces(stack) for stack in strategy.stacks)
+    if isinstance(strategy, MagicSquareStrategy):
+        values = [first.reshape(-1, 8) @ _MS_SIGNS, second]
+    elif isinstance(strategy, TwoOutOfNStrategy):
+        ns = 2 * strategy.n
+        values = [part for traces in (first, second)
+                  for part in (traces[:ns], traces[ns:].reshape(-1, 4) @ _PAIR_SIDE_SIGNS.T)]
+    else:
+        values = [first, second]
     return float(max(np.abs(v).max(initial=0.0) for v in values))

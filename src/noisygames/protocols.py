@@ -56,11 +56,12 @@ from .games import (
     _MS_SIGNS,
     _MS_SLOT_VARIABLE,
     _MS_VARIABLES,
+    _normalized_traces,
     _pair_keys,
     _two_out_of_n_contexts,
     _two_out_of_n_stacks,
 )
-from .pauli import ValidationError, normalized_trace
+from .pauli import ValidationError
 
 TRACE_TEST_NOTE = ("trace-test frequencies are computed from the first t game rounds "
                    "of each tracked question; no separate trace rounds are played")
@@ -245,8 +246,7 @@ class ChshSampler:
 
     def __init__(self, strategy: ChshStrategy, rho: float):
         ev = PairEvaluator(rho)
-        tr_p = [normalized_trace(op) for op in strategy.alice]
-        tr_q = [normalized_trace(op) for op in strategy.bob]
+        tr_p, tr_q = (_normalized_traces(stack) for stack in strategy.stacks)
         tables = np.empty((4, 4))
         for x in (0, 1):
             for y in (0, 1):
@@ -273,17 +273,17 @@ class MagicSquareSampler:
 
     def __init__(self, strategy: MagicSquareStrategy, rho: float):
         ev = PairEvaluator(rho, m=4)
+        masses = _normalized_traces(strategy.stacks[0]).reshape(len(MS_QUESTIONS), 8)
         tables = []
-        for q in MS_QUESTIONS:
+        for q, mass in zip(MS_QUESTIONS, masses):
             povm = strategy.alice_povms[q]
-            masses = [normalized_trace(e) for e in povm]
             for slot, (i, j) in enumerate(ms_question_variables(q), start=1):
                 bob = strategy.bob_observables[(i, j)]
                 row = np.empty(16)
                 for ai in range(8):
                     corr = ev.pair(povm[ai], bob)
-                    row[2 * ai] = (masses[ai] + corr) / 2      # b = +1
-                    row[2 * ai + 1] = (masses[ai] - corr) / 2  # b = -1
+                    row[2 * ai] = (mass[ai] + corr) / 2      # b = +1
+                    row[2 * ai + 1] = (mass[ai] - corr) / 2  # b = -1
                 tables.append(row)
         self.cum = _cumulative_table(tables)
         self._guide = _GuideTable(self.cum)

@@ -152,6 +152,8 @@ def _symbolic_strategy(data: dict):
     reads = _SYMBOLIC_FIELDS[kind] - {"register" if game == "two_out_of_n" else "nPrime"}
     _require_keys(data, {"kind"}, {"game", "n", *reads}, f"symbolic {kind} {game} strategy")
     n = _field(data, "n", int, 1)
+    if n < 1:
+        raise ValidationError(f"n must be an integer >= 1, got {n}")
     register = _field(data, "register", int, 1)
     n_prime = _field(data, "nPrime", int, n)
     qubits = {"chsh": n, "magic_square": 2 * n}.get(game, 0)

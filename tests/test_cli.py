@@ -172,6 +172,21 @@ def test_estimate_rho_simulated(capsys):
     assert abs(doc["rhoHat"] - 0.7) < 0.02
 
 
+def test_estimate_rho_simulates_the_requested_game(capsys):
+    # the 2-out-of-3 rounds, not CHSH rounds, give the statistic
+    from noisygames.games import canonical_two_out_of_n_strategy
+    from noisygames.protocols import _fixed_round_rates, _two_out_of_n_game
+
+    code, out, _ = run_cli(capsys, "estimate-rho", "--game", "two_out_of_n", "--n", "3",
+                           "--rho-true", "0.7", "--rounds", "20000", "--seed", "5")
+    assert code == 0
+    game = _two_out_of_n_game(canonical_two_out_of_n_strategy(3), 0.7)
+    assert json.loads(out)["statistic"] == _fixed_round_rates(game, 20000, 5)[0]
+    code, chsh, _ = run_cli(capsys, "estimate-rho", "--game", "chsh",
+                            "--rho-true", "0.7", "--rounds", "20000", "--seed", "5")
+    assert code == 0 and chsh != out
+
+
 def test_estimate_rho_from_transcript_file(tmp_path, capsys):
     out_path = tmp_path / "transcript.json"
     code, _, _ = run_cli(capsys, "simulate", "--game", "chsh",
@@ -394,6 +409,15 @@ def test_threads_flag_removed(capsys):
     (["selftest", "--game", "two_out_of_n", "--n", "2", "--register", "2", "--rho", "0.8",
       "--theta-sweep", "0.1"],
      "symbolic canonical-perturbed two_out_of_n strategy has unknown fields: ['register']"),
+    (["estimate-rho", "--game", "two_out_of_n", "--rho-true", "0.7", "--rounds", "100"],
+     "2-out-of-n rounds need n >= 2 indices, got n = 1"),
+    (["eval", "--game", "chsh", "--n", "0", "--rho", "0.9"], "n must be an integer >= 1, got 0"),
+    (["eval", "--game", "magic_square", "--n", "-1", "--rho", "0.9", "--strategy", "random:3"],
+     "n must be an integer >= 1, got -1"),
+    (["eval", "--game", "two_out_of_n", "--n", "-2", "--rho", "0.9"],
+     "n must be an integer >= 1, got -2"),
+    (["estimate-rho", "--n", "0", "--rho-true", "0.7", "--rounds", "100"],
+     "n must be an integer >= 1, got 0"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
@@ -408,7 +432,9 @@ def test_threads_flag_removed(capsys):
         "strategy-seed-null", "strategy-n-prime-a-list", "strategy-theta-a-list",
         "strategy-trace-bias-a-list", "n-prime-zero", "n-prime-below-n",
         "two-out-of-n-register", "chsh-n-prime", "ms-n-prime", "perturbed-two-out-of-n-n-prime",
-        "random-register", "sweep-dimension-above-cap", "sweep-two-out-of-n-register"])
+        "random-register", "sweep-dimension-above-cap", "sweep-two-out-of-n-register",
+        "estimate-two-out-of-one", "chsh-n-zero", "ms-n-negative", "two-out-of-n-n-negative",
+        "estimate-n-zero"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",
