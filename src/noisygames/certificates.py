@@ -136,10 +136,15 @@ def ms_consistency_certificate(strategy: MagicSquareStrategy, rho: float,
 
 
 def certify(strategy, rho: float, variable: tuple | None = None) -> SoSCertificate:
-    if isinstance(strategy, ChshStrategy):
-        return chsh_sos_certificate(strategy, rho)
+    """The game's certificate; a variable (i, j) is read only by the
+    magic-square certificate, (1, 1) when not given."""
     if isinstance(strategy, MagicSquareStrategy):
         return ms_consistency_certificate(strategy, rho, variable or (1, 1))
+    if variable is not None:
+        raise ValidationError(f"a variable is read only by the magic-square certificate, "
+                              f"not for a {type(strategy).__name__}")
+    if isinstance(strategy, ChshStrategy):
+        return chsh_sos_certificate(strategy, rho)
     raise ValidationError(f"no certificate for strategy type {type(strategy).__name__}")
 
 

@@ -142,14 +142,21 @@ def cmd_selftest(args) -> int:
     from .extraction import general_noise_selftest, selftest
     from .states import bit_phase_flip_epr, diagonalize_correlation
 
-    if args.threshold is not None and math.isnan(args.threshold):
-        raise ValueError(f"--threshold must be a number, got {args.threshold}")
     if args.theta_sweep:
+        # the sweep builds its own canonical-perturbed strategies and tests
+        # no distance against a threshold
+        if args.strategy != "canonical":
+            raise ValueError(f"--theta-sweep does not read --strategy {args.strategy}")
+        for option in ("channel", "threshold"):
+            if getattr(args, option) is not None:
+                raise ValueError(f"--theta-sweep does not read --{option}")
         rows = _theta_sweep_rows(args)
         text = "theta,epsV,maxDistance\n" + "".join(
             f"{t},{e},{d}\n" for t, e, d in rows)
         _write(text, args.out)
         return EXIT_OK
+    if args.threshold is not None and math.isnan(args.threshold):
+        raise ValueError(f"--threshold must be a number, got {args.threshold}")
     strategy = _load_strategy(args)
     if args.channel == "bit-phase-flip":
         spectrum = diagonalize_correlation(bit_phase_flip_epr(args.rho))

@@ -133,19 +133,28 @@ def _require_observables(ops, dim: int, labels: list) -> np.ndarray:
     return owned
 
 
-def _require_povms(povms, dim: int, outcomes: int | None, labels: list) -> np.ndarray:
-    """Check POVMs as (k, outcomes, dim, dim) stacks and return one
-    read-only complex copy stack: every element must be finite, Hermitian
-    and PSD, and each POVM must sum to the identity.  An error names the
-    first bad POVM, labels[i], and the first check it fails; outcomes None
-    accepts any count (one POVM)."""
+def _povm_arrays(povms, dim: int, outcomes: int | None, labels: list) -> list:
+    """POVMs as arrays, each checked to be a stack of `outcomes` (any count
+    when None) dim x dim matrices; an error names the first bad one."""
     arrays = [np.asarray(p) for p in povms]
     for arr, label in zip(arrays, labels):
         if arr.ndim != 3 or arr.shape[1:] != (dim, dim):
             raise ValidationError(f"{label} must be a stack of {dim}x{dim} matrices")
         if outcomes is not None and len(arr) != outcomes:
             raise ValidationError(f"{label} must have {outcomes} outcomes")
-    owned = _frozen_stack(arrays)
+    return arrays
+
+
+def _require_povms(povms, dim: int, outcomes: int | None, labels: list) -> np.ndarray:
+    """Check POVMs and return one read-only complex copy stack of them."""
+    return _check_povms(_frozen_stack(_povm_arrays(povms, dim, outcomes, labels)), dim, labels)
+
+
+def _check_povms(owned: np.ndarray, dim: int, labels: list) -> np.ndarray:
+    """Check a (k, outcomes, dim, dim) stack of POVMs in place and return it:
+    every element must be finite, Hermitian and PSD, and each POVM must sum
+    to the identity.  An error names the first bad POVM, labels[i], and the
+    first check it fails."""
     for lo, stack in _chunks(owned):
         finite, dev, eigs = _spectra(stack)
         low = eigs.min(axis=-1)
@@ -222,6 +231,13 @@ def random_traceless_binary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-conjugated balanced sign observable: traceless, squares to I."""
     signs = _balanced_signs(d)
     return _conjugated_diagonals(haar_unitary(d, rng), signs)
+
+
+def _require_kind(game: str, kind, kinds: tuple):
+    """A random constructor's kind, one of `kinds`, checked before any draw."""
+    if kind not in kinds:
+        raise ValidationError(f"unknown random {game} strategy kind {kind!r}; "
+                              f"expected one of {', '.join(kinds)}")
 
 
 def _require_trace_bias(trace_bias: float):
@@ -301,6 +317,7 @@ def random_chsh_strategy(n: int, rng: np.random.Generator, kind: str = "binary",
     'bounded' general traceless contractions.  trace_bias mixes in identity
     components with random signs bounded by the given value, which must lie
     in [0, 1]."""
+    _require_kind("CHSH", kind, ("binary", "bounded"))
     _require_trace_bias(trace_bias)
     d = 2 ** n
     signs = _balanced_signs(d) if kind == "binary" else None
@@ -472,6 +489,7 @@ def random_magic_square_strategy(n: int, rng: np.random.Generator,
     trace_bias, in [0, 1], skews the sign patterns toward +1 and mixes
     identity components into Bob's observables.
     """
+    _require_kind("magic-square", kind, ("projective", "mixed", "raw"))
     _require_trace_bias(trace_bias)
     d = 4 ** n
     projective = kind in ("projective", "mixed")
@@ -578,14 +596,16 @@ class TwoOutOfNStrategy:
         # first that a check of one operator at a time would have named
         ops = _require_observables([op for both in zip(alice, bob) for op in both], d,
                                    [s for both in zip(p_labels, q_labels) for s in both])
-        povms = _require_povms(_lookup(self.alice_pair_povms, keys, pair_labels)
-                               + _lookup(self.bob_pair_povms, keys, pair_labels),
-                               d, 4, pair_labels * 2).reshape(2, -1, d, d)
-        # frozen in place: a second copy would double the strategy's memory
-        self.stacks = tuple(np.concatenate([ops[p::2], povms[p]]) for p in (0, 1))
+        povms = _povm_arrays(_lookup(self.alice_pair_povms, keys, pair_labels)
+                             + _lookup(self.bob_pair_povms, keys, pair_labels),
+                             d, 4, pair_labels * 2)
+        ns, k = 2 * self.n, len(keys)
+        # each player's stack is the strategy's one copy of its pair POVMs
+        self.stacks = tuple(
+            _frozen_stack([*ops[p::2], *itertools.chain(*povms[p * k:(p + 1) * k])])
+            for p in (0, 1))
         for stack in self.stacks:
-            stack.setflags(write=False)
-        ns = 2 * self.n
+            _check_povms(stack[ns:].reshape(k, 4, d, d), d, pair_labels)
         self.alice_singles, self.bob_singles = (dict(zip(singles, s[:ns])) for s in self.stacks)
         self.alice_pair_povms, self.bob_pair_povms = (
             dict(zip(keys, s[ns:].reshape(-1, 4, d, d))) for s in self.stacks)

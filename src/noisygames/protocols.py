@@ -1,30 +1,27 @@
 """Monte-Carlo simulation of the game-repetition + trace-test protocols under
 the i.i.d. assumption, plus Hoeffding-based noise-rate estimation.
 
-Determinism: rounds are generated in blocks, each from a Philox bit
-generator keyed by (master seed, block index).  The first block of a run
-holds max(est(t), 8192) rounds, where est(t) is the game's estimate of the
-rounds needed for every tracked question to come up t times; each later
-block holds 8192.  Blocks are independent streams, so transcripts are
-reproducible byte-for-byte and blocks could be drawn in parallel without
-changing results.  Because the first block's size depends on t, the rounds
-drawn for one seed change with t.
-
-Within a block, all context ids are drawn first, by 32-bit integers()
-calls; drawing them in pieces would give the same ids, but interleaving
-them with the block's uniforms would move the uniforms in the stream.  The
-uniforms and outcomes are then drawn in chunks of 2**15 rounds, so that
-each chunk's arrays stay in cache, and the run ends with the chunk in which
-the last tracked question comes up for the t-th time: nothing after that
-chunk is drawn.  Drawing a block's uniforms a chunk at a time gives the
-same doubles as one call, so the chunk size changes no transcript.
+Determinism: every game draws its rounds by one rule.  Block k of a run
+holds rounds k * 2**15 to (k + 1) * 2**15 - 1 and comes from its own Philox
+bit generator keyed by (master seed, k): first the block's context ids, from
+one 16-bit integers() call over the game's contexts (narrowed to one byte
+when every id fits), then one uniform a round.  Round r of a seed is thus
+the same for every t, and a run is a prefix of any run of the same seed with
+a larger t.  Philox is counter-based, so blocks are independent streams
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11):
+transcripts are reproducible byte-for-byte, and blocks could be drawn in
+parallel without changing results.  A run ends with the block in which the
+last tracked question comes up for the t-th time; nothing after that block
+is drawn.  A run expected to need more than 2**25 rounds, t times the
+number of contexts over the contexts of the game's rarest tracked question,
+is rejected before any draw.
 
 A round's outcome is the inverse-CDF draw of its uniform in its context's
 row.  A guide table of 2**bits buckets per row gives it with one gather;
 only a uniform in a bucket that holds a bound of its row is counted against
 the row's bounds, and the outcomes are bit-for-bit those of the full count.
 
-Each chunk is counted once, into a run-level (context, outcome) histogram;
+Each block is counted once, into a run-level (context, outcome) histogram;
 per-question counts and first-t histograms follow from it through 0/1
 question x context matrices, and the win and consistency rates from its
 sums over each game's win and consistency tables.  A run keeps its context
@@ -66,15 +63,13 @@ from .pauli import ValidationError
 TRACE_TEST_NOTE = ("trace-test frequencies are computed from the first t game rounds "
                    "of each tracked question; no separate trace rounds are played")
 
-_BLOCK = 8192
-# rounds sampled and counted at a time: a chunk's uniforms (256 KB) and its
-# outcome and key arrays stay in a 4 MiB L2 cache across every category and
-# key pass
-_CHUNK = 2 ** 15
-# the largest first block a run may draw (CHSH at t = 1.5e7): its context
-# draws alone take 8 bytes a round, and the int64 round columns of a run
-# that long, built only when read, take several GB
-_MAX_FIRST_BLOCK = 2 ** 25
+# rounds a block holds, each drawn and counted at a time: a block's uniforms
+# (256 KB) and its outcome and key arrays stay in a 4 MiB L2 cache across
+# every category and key pass
+_BLOCK = 2 ** 15
+# the most rounds a run may be expected to need (CHSH at t = 2**24): the int64
+# round columns of a run that long, built only when read, take several GB
+_MAX_ROUNDS = 2 ** 25
 
 
 def derive_delta(t: int, p: float) -> float:
@@ -189,7 +184,7 @@ class RoundColumns(Mapping):
     shape (t',), each round's entry of the game's (context, outcome) table of
     that name.  Only the run's context ids and outcome categories are kept
     until the first read, which builds every column together into one
-    (columns, t') block, a chunk of rounds at a time, and drops them."""
+    (columns, t') block, a block of rounds at a time, and drops them."""
 
     def __init__(self, ctx: np.ndarray, out: np.ndarray, tables: dict):
         self._ctx, self._out, self._tables = ctx, out, tables
@@ -212,10 +207,10 @@ class RoundColumns(Mapping):
         flat = [np.asarray(table, dtype=np.int64).ravel() for table in self._tables.values()]
         n_out = next(iter(self._tables.values())).shape[1]
         block = np.empty((len(flat), len(self._ctx)), dtype=np.int64)
-        for lo in range(0, len(self._ctx), _CHUNK):
-            cells = self._ctx[lo: lo + _CHUNK].astype(np.intp) * n_out + self._out[lo: lo + _CHUNK]
+        for lo in range(0, len(self._ctx), _BLOCK):
+            cells = self._ctx[lo: lo + _BLOCK].astype(np.intp) * n_out + self._out[lo: lo + _BLOCK]
             for table, row in zip(flat, block):
-                table.take(cells, out=row[lo: lo + _CHUNK], mode="clip")
+                table.take(cells, out=row[lo: lo + _BLOCK], mode="clip")
         block.flags.writeable = False
         self._block, self._ctx, self._out = block, None, None
 
@@ -327,8 +322,8 @@ class TwoOutOfNSampler:
 
 
 def _id_table(values) -> np.ndarray:
-    """Integer ids in the narrowest dtype that holds them: a run's context
-    ids take one byte a round, and a chunk's key ids are compared narrow."""
+    """Integer ids in the narrowest dtype that holds them: a block's key ids
+    are compared narrow."""
     values = np.asarray(values)
     return values.astype(np.min_scalar_type(values.max()))
 
@@ -339,34 +334,23 @@ class _Game:
     table) and outcome categories.
 
     questions: per context, its questions in the form sample_round takes.
-    draw_contexts(rng, size): one block's context ids; the outcomes' uniforms
-    are drawn after them.  Its integers() calls ask for uint32: numpy's
-    default int64 call takes the same 32-bit bounded path for ranges below
-    2**32, so the ids and the stream position after them are unchanged, and
-    the ids are built without int64 arrays.
     columns: per (context, outcome), the value of each transcript round
     column, plus a bool "win" table and, for the magic square, "consistent".
     key_sets: per key set, a context -> key id table and, per key, its count
     label and its trace tests (label, the outcome bit set where the answer is
     -1, reject reason with an {f} field for the frequency of +1).
-    first_block(t): the size of the first block of a run.
     answer(values): sample_round's answers from the column values of one
     (context, outcome).
     """
 
     sampler: object
     questions: list
-    draw_contexts: Callable
     columns: dict
     key_sets: list
-    first_block: Callable
     answer: Callable
 
 
 def _chsh_game(strategy: ChshStrategy, rho: float) -> _Game:
-    def draw_contexts(rng, size):
-        return rng.integers(0, 4, size=size, dtype=np.uint32).astype(np.uint8)
-
     # context 2x + y, outcome 2 bit(a) + bit(b); Alice's key is x, Bob's y
     qq, oo = np.indices((4, 4))
     x, y = qq // 2, qq % 2
@@ -374,19 +358,12 @@ def _chsh_game(strategy: ChshStrategy, rho: float) -> _Game:
     key_sets = [(_id_table(keys), [
         (f"{pl}{q}", [(f"{pl}{q}", bit, f"player {pl} question {q}: |{{f:.4f}} - 1/2| >= delta")])
         for q in (0, 1)]) for pl, keys, bit in (("A", [0, 0, 1, 1], 2), ("B", [0, 1, 0, 1], 1))]
-    return _Game(ChshSampler(strategy, rho), [divmod(c, 2) for c in range(4)], draw_contexts,
+    return _Game(ChshSampler(strategy, rho), [divmod(c, 2) for c in range(4)],
                  {"x": x, "y": y, "a": a, "b": b, "win": (a != b).astype(int) == (x & y)},
-                 key_sets, lambda t: int(2.2 * t) + 64, lambda v: (v["a"], v["b"]))
+                 key_sets, lambda v: (v["a"], v["b"]))
 
 
 def _ms_game(strategy: MagicSquareStrategy, rho: float) -> _Game:
-    def draw_contexts(rng, size):
-        ids = rng.integers(0, 6, size=size, dtype=np.uint32)  # question
-        ids *= 3
-        # slot - 1: the stream's integers(1, 4) is integers(0, 3) + 1
-        ids += rng.integers(0, 3, size=size, dtype=np.uint32)
-        return ids.astype(np.uint8)
-
     # context 3 question + slot - 1, outcome 2 a_idx + bit(b)
     cc, oo = np.indices((18, 16))
     q, slot = cc // 3, cc % 3 + 1
@@ -403,20 +380,18 @@ def _ms_game(strategy: MagicSquareStrategy, rho: float) -> _Game:
     bob = [(f"B:s{i}{j}", [(f"B:s{i}{j}", 1, f"Bob variable s{i}{j}: bias {{f:.4f}}")])
            for i, j in _MS_VARIABLES]
     return _Game(MagicSquareSampler(strategy, rho),
-                 [(question, sl) for question in MS_QUESTIONS for sl in (1, 2, 3)], draw_contexts,
+                 [(question, sl) for question in MS_QUESTIONS for sl in (1, 2, 3)],
                  {"question": q, "slot": slot, "alice_outcome": a_idx, "b": b,
                   "win": (_MS_PARITY[q, a_idx] == 1) & consistent,
                   "consistent": consistent},
                  [(_id_table(np.arange(18) // 3), alice),
                   (_id_table(_MS_SLOT_VARIABLE.ravel()), bob)],
-                 lambda t: int(9.3 * t) + 128,
                  lambda v: (ms_outcomes()[v["alice_outcome"]], v["b"]))
 
 
 def _two_out_of_n_game(strategy: TwoOutOfNStrategy, rho: float) -> _Game:
     sampler = TwoOutOfNSampler(strategy, rho)
     n = strategy.n
-    n_pairs = n * (n - 1)
     keys = _pair_keys(n)
     # tracked keys per player: single (i, x) and pair questions in canonical form
     single_keys = [(pl, i, x) for pl in "AB" for i in range(1, n + 1) for x in (0, 1)]
@@ -427,18 +402,6 @@ def _two_out_of_n_game(strategy: TwoOutOfNStrategy, rho: float) -> _Game:
     table = _two_out_of_n_contexts(n)
     ctx_single = _id_table(np.concatenate([table[:, 5], 2 * n + table[:, 5]]))
     ctx_pair = _id_table(np.concatenate([len(keys) + table[:, 6], table[:, 6]]))
-    ctx_dtype = np.min_scalar_type(len(contexts) - 1)
-
-    def draw_contexts(rng, size):
-        # the flat index (role * n(n-1) + ordered pair) * 8 + xyz is the
-        # context id, the sampler's context_index order
-        ids = rng.integers(0, 2, size=size, dtype=np.uint32)
-        ids *= n_pairs
-        ids += rng.integers(0, n_pairs, size=size, dtype=np.uint32)
-        ids <<= 3
-        ids += rng.integers(0, 8, size=size, dtype=np.uint32)  # xyz
-        return ids.astype(ctx_dtype)
-
     singles = [(f"{pl}:single({i},{x})", [
         (f"{pl}:single({i},{x})", 4, f"player {pl} single question ({i},{x}): bias {{f:.4f}}")])
         for pl, i, x in single_keys]
@@ -457,12 +420,11 @@ def _two_out_of_n_game(strategy: TwoOutOfNStrategy, rho: float) -> _Game:
     # answer of the pair player for the SHARED index i (keys are i<j canonical)
     b_shared = np.where(i < j, b_first, b_second)
     b_other = np.where(i < j, b_second, b_first)
-    return _Game(sampler, contexts, draw_contexts,
+    return _Game(sampler, contexts,
                  {"role": role, "i": i, "j": j, "x": x, "y": y, "z": z,
                   "a": a, "b_shared": b_shared, "b_other": b_other,
                   "win": (a != b_shared).astype(int) == (x & y)},
                  [(ctx_single, singles), (ctx_pair, pair_tests)],
-                 lambda t: int(4 * n_pairs * t * 1.25) + 256,
                  lambda v: (v["a"], (v["b_shared"], v["b_other"])))
 
 
@@ -494,30 +456,25 @@ def sample_round(strategy, noise, questions, rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# protocol runner: per block, its context ids; per chunk of a block, its
-# uniforms, outcomes, per-key counts and first-t histograms, up to the chunk
-# in which the last key reaches t
+# protocol runner: per block, its context ids, uniforms, outcomes, per-key
+# counts and first-t histograms, up to the block in which the last key
+# reaches t
 
 
-def _chunks(seed: int, game: _Game, first: int):
-    """Successive chunks of rounds as (context ids, uniforms).  Each block's
-    context ids are drawn before its uniforms, since interleaving the two
-    would change the stream (splitting the 32-bit id draws alone would not);
-    its uniforms are then drawn a chunk at a time, which gives the same
-    doubles as one call.  Nothing is drawn for a chunk that is not asked
-    for."""
-    block = 0
-    while True:
+def _blocks(seed: int, n_ctx: int):
+    """Successive blocks of a run as (context ids, uniforms): block k's stream,
+    keyed by (seed, k), gives _BLOCK context ids from one uint16 integers()
+    call over n_ctx contexts (kept as uint8 when n_ctx <= 256), then _BLOCK
+    uniforms.  Nothing is drawn for a block that is not asked for."""
+    ctx_type = np.min_scalar_type(n_ctx - 1)
+    for block in itertools.count():
         rng = _rng_for_block(seed, block)
-        ctx = game.draw_contexts(rng, first if block == 0 else _BLOCK)
-        for lo in range(0, len(ctx), _CHUNK):
-            chunk = ctx[lo: lo + _CHUNK]
-            yield chunk, rng.random(len(chunk))
-        block += 1
+        ctx = rng.integers(0, n_ctx, size=_BLOCK, dtype=np.uint16)
+        yield ctx.astype(ctx_type, copy=False), rng.random(_BLOCK)
 
 
 def _play_blocks(params: ProtocolParams, game: _Game):
-    """Play chunks of rounds until every key of every key set has come up t
+    """Play blocks of rounds until every key of every key set has come up t
     times.
 
     Returns the context ids and outcomes up to the exact stopping round;
@@ -525,11 +482,14 @@ def _play_blocks(params: ProtocolParams, game: _Game):
     histogram of outcome categories over its first t rounds; and the
     (context, outcome) histogram of the rounds up to that round."""
     t = params.t
-    first = max(game.first_block(t), _BLOCK)
-    if first > _MAX_FIRST_BLOCK:
-        raise ValidationError(f"t = {t} needs a first block of {first} rounds, "
-                              f"above the limit of {_MAX_FIRST_BLOCK}")
     n_ctx, n_out = game.sampler.cum.shape
+    # the rounds a run is expected to need: t times the contexts per context
+    # of the rarest key (2t for CHSH, 9t for the magic square, 4n(n-1)t for
+    # 2-out-of-n)
+    need = t * n_ctx // min(int(np.bincount(keys).min()) for keys, _ in game.key_sets)
+    if need > _MAX_ROUNDS:
+        raise ValidationError(f"t = {t} is expected to need {need} rounds, "
+                              f"above the limit of {_MAX_ROUNDS}")
     # cell ids in the narrowest dtype that holds them, built in place
     cell_type = np.min_scalar_type(n_ctx * n_out - 1)
 
@@ -550,16 +510,16 @@ def _play_blocks(params: ProtocolParams, game: _Game):
     joint = np.zeros((n_ctx, n_out), dtype=np.int64)
     ctxs, outs = [], []
     start = last = 0
-    for ctx, u in _chunks(params.seed, game, first):
+    for ctx, u in _blocks(params.seed, n_ctx):
         out = game.sampler.draw(ctx, u)
         ctxs.append(ctx)
         outs.append(out)
-        chunk = histogram(ctx, out)
-        per_ctx = chunk.sum(axis=1)
+        counted = histogram(ctx, out)
+        per_ctx = counted.sum(axis=1)
         for (keys, member), count, hist in zip(tables, counts, hists):
             after = count + member @ per_ctx
-            # a key's first t rounds are its rounds before this chunk, all in
-            # joint, and its first t - count rounds in this chunk
+            # a key's first t rounds are its rounds before this block, all in
+            # joint, and its first t - count rounds in this block
             crossing = np.flatnonzero((count < t) & (after >= t))
             if len(crossing):
                 ids = keys.take(ctx)
@@ -568,12 +528,12 @@ def _play_blocks(params: ProtocolParams, game: _Game):
                     last = max(last, start + int(rounds[-1]))
                     hist[k] = member[k] @ joint + np.bincount(out[rounds], minlength=n_out)
             count[:] = after
-        joint += chunk
+        joint += counted
         if all(count.min() >= t for count in counts):
             break
         start += len(ctx)
     t_prime = last + 1
-    # drop the stopping chunk's rounds after the stopping round
+    # drop the stopping block's rounds after the stopping round
     cut = t_prime - start
     joint -= histogram(ctx[cut:], out[cut:])
     ctxs[-1], outs[-1] = ctx[:cut], out[:cut]

@@ -36,6 +36,9 @@ from .protocols import NoiseEstimate, ProtocolTranscript
 from .states import BipartiteState, make_depolarized_epr, make_epr_power
 
 SCHEMA_VERSION = 1
+# run transcripts: version 2 draws every game's rounds in fixed blocks keyed
+# by (seed, block) (see protocols); version 1 sized the first block by t
+TRANSCRIPT_SCHEMA_VERSION = 2
 
 # symbolic strategies act on at most 2**6 dimensions per player, so that
 # their joint states fit states.JOINT_DIM_CAP; a canonical 2-out-of-6
@@ -372,7 +375,7 @@ def selftest_to_json(report) -> dict:
 
 def transcript_to_json(transcript: ProtocolTranscript, include_rounds: bool = False) -> dict:
     out = {
-        "schemaVersion": SCHEMA_VERSION, "game": transcript.game,
+        "schemaVersion": TRANSCRIPT_SCHEMA_VERSION, "game": transcript.game,
         "params": {"t": transcript.params.t, "p": transcript.params.p,
                    "delta": transcript.params.delta, "seed": transcript.params.seed,
                    "rho": transcript.params.rho},

@@ -199,6 +199,23 @@ def test_estimate_rho_from_transcript_file(tmp_path, capsys):
     assert abs(json.loads(out)["rhoHat"] - 0.7) < 0.1
 
 
+def test_estimate_rho_reads_schema_v1_and_v2_transcripts(tmp_path, capsys):
+    v2 = tmp_path / "v2.json"
+    code, _, _ = run_cli(capsys, "simulate", "--game", "magic_square", "--rho", "0.7",
+                         "--t", "300", "--seed", "4", "--out", str(v2))
+    doc = json.loads(v2.read_text())
+    assert code == 0 and doc["schemaVersion"] == 2
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps({**doc, "schemaVersion": 1}))
+    estimates = []
+    for path in (v1, v2):
+        code, out, _ = run_cli(capsys, "estimate-rho", "--transcript", str(path))
+        assert code == 0
+        estimates.append(out)
+    assert estimates[0] == estimates[1]
+    assert json.loads(estimates[0])["nRounds"] == doc["tPrime"]
+
+
 def test_estimate_rho_needs_input(capsys):
     code, _, err = run_cli(capsys, "estimate-rho", "--game", "chsh")
     assert code == 2
@@ -223,11 +240,11 @@ def test_unknown_constructor_rejected(capsys):
 # sha256 of `simulate --include-rounds` stdout for one (game, n, t, rho)
 # fixture per game at seed 11; pins the JSON rendering and the round stream.
 GOLDEN_SIMULATE = {
-    ("chsh", 1, 500, 0.8): "a4e5fa8eca50c9fec6513b2987c6ae0df2883a6cc5d4c098aef10ec37b04c775",
+    ("chsh", 1, 500, 0.8): "5a2f72a0900d53c61b770b8a89123b668c9108d25710269a4bd3f61c3d7ab9c2",
     ("magic_square", 1, 200, 0.9):
-        "8ae1d4f53d2d38dfd4c6de4138dddc3b9d8884ebf441c7f6bc1f16d6788ad252",
+        "88e6441d533037dd1b5fbceb94193dfe4c2312bb608af430cdb4cd953d51a412",
     ("two_out_of_n", 3, 40, 0.9):
-        "94a6dbf401905685a0ae3225cee352a603779ab1e574a5c924ed3a5f7314d679",
+        "96f7fe3f6ed133f64025c9943dcb30518abf58948bbc8d607793479841a80b20",
 }
 
 
@@ -244,13 +261,12 @@ def test_simulate_include_rounds_golden_digest(tmp_path, capsys, game, n, t, rho
     assert out_path.read_text() == out
 
 
-# Multi-block runs recorded before the sampling and stopping layers were
-# rewritten; see GOLDEN_CSV_MULTI_BLOCK in test_protocols.py.
+# Multi-block runs; see GOLDEN_CSV_MULTI_BLOCK in test_protocols.py.
 GOLDEN_SIMULATE_MULTI_BLOCK = {
-    ("two_out_of_n", 5, 100, 3, 0.9):
-        "d570a2027c981a2840ca3111c87390f596112f3eb309a8e89a11a5244ad2aa36",
-    ("magic_square", 1, 1000, 1, 0.9):
-        "bd348d68805b2834365a4a2f43d77271217d706a512d138039dd0c9b93bd151d",
+    ("two_out_of_n", 5, 400, 3, 0.9):
+        "34635cbf90616065604cba0ae38dbf6e4979978ef74823cd71b4c367238cec13",
+    ("magic_square", 1, 4000, 1, 0.9):
+        "71741c2628be2aa64bd51e6d3c3fa2faeaa089b1bb6c492d338118a46a049008",
 }
 
 
@@ -371,7 +387,7 @@ def test_threads_flag_removed(capsys):
      "trace_bias must be a finite number in [0, 1], got 1.5"),
     (["selftest", "--rho", "0.8", "--threshold", "nan"], "--threshold must be a number, got nan"),
     (["simulate", "--game", "chsh", "--rho", "0.9", "--t", "1000000000000000", "--seed", "1"],
-     "t = 1000000000000000 needs a first block of 2200000000000064 rounds, "
+     "t = 1000000000000000 is expected to need 2000000000000000 rounds, "
      "above the limit of 33554432"),
     (["eval", "--rho", "0.9", "--n", "7"],
      "a chsh strategy with n = 7 has local dimension 2**7, above the cap of 2**6"),
@@ -418,6 +434,17 @@ def test_threads_flag_removed(capsys):
      "n must be an integer >= 1, got -2"),
     (["estimate-rho", "--n", "0", "--rho-true", "0.7", "--rounds", "100"],
      "n must be an integer >= 1, got 0"),
+    (["eval", "--game", "magic_square", "--rho", "0.5", "--strategy", "random-bounded:3"],
+     "unknown random magic-square strategy kind 'bounded'; expected one of projective, mixed, "
+     "raw"),
+    (["selftest", "--rho", "0.8", "--theta-sweep", "0.1", "--strategy", "random:3"],
+     "--theta-sweep does not read --strategy random:3"),
+    (["selftest", "--rho", "0.8", "--theta-sweep", "0.1", "--channel", "bit-phase-flip"],
+     "--theta-sweep does not read --channel"),
+    (["selftest", "--rho", "0.8", "--theta-sweep", "0.1", "--threshold", "0.0"],
+     "--theta-sweep does not read --threshold"),
+    (["certify", "--game", "chsh", "--rho", "0.8", "--variable", "1,1"],
+     "a variable is read only by the magic-square certificate, not for a ChshStrategy"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
@@ -434,7 +461,8 @@ def test_threads_flag_removed(capsys):
         "two-out-of-n-register", "chsh-n-prime", "ms-n-prime", "perturbed-two-out-of-n-n-prime",
         "random-register", "sweep-dimension-above-cap", "sweep-two-out-of-n-register",
         "estimate-two-out-of-one", "chsh-n-zero", "ms-n-negative", "two-out-of-n-n-negative",
-        "estimate-n-zero"])
+        "estimate-n-zero", "ms-random-bounded", "sweep-strategy", "sweep-channel",
+        "sweep-threshold", "chsh-variable"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",

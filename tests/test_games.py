@@ -517,6 +517,18 @@ def test_random_constructors_reject_a_bad_trace_bias_before_drawing(build, bias)
     assert rng.random() == np.random.default_rng(5).random()
 
 
+@pytest.mark.parametrize("build, kind, kinds", [
+    (random_chsh_strategy, "typo", "binary, bounded"),
+    (random_chsh_strategy, "projective", "binary, bounded"),
+    (random_magic_square_strategy, "typo", "projective, mixed, raw"),
+    (random_magic_square_strategy, "bounded", "projective, mixed, raw")])
+def test_random_constructors_reject_an_unknown_kind_before_drawing(build, kind, kinds):
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValidationError, match=rf"kind '{kind}'; expected one of {kinds}$"):
+        build(1, rng, kind=kind)
+    assert rng.random() == np.random.default_rng(5).random()
+
+
 @pytest.mark.parametrize("build", [random_chsh_strategy, random_magic_square_strategy])
 def test_random_constructors_accept_full_trace_bias(build):
     assert trace_error(build(1, np.random.default_rng(5), trace_bias=1.0)) <= 1.0 + 1e-12

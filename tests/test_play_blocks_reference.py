@@ -1,6 +1,7 @@
 """The protocol runner's rounds, stopping round, counts and first-t
-histograms against a reference runner that draws every block whole and finds
-each key's rounds with one stable sort over the run."""
+histograms against a reference runner that draws every block by its own
+integers() and random() calls and finds each key's rounds with one stable
+sort over the run."""
 
 import json
 
@@ -31,16 +32,17 @@ def _reference_play_blocks(params, game):
     outcomes."""
     t = params.t
     key_tables = [keys for keys, _ in game.key_sets]
-    first = max(game.first_block(t), _BLOCK)
+    n_ctx = len(game.questions)
     ctxs, outs = [], []
-    ctx_counts = np.zeros(len(game.questions), dtype=np.int64)
+    ctx_counts = np.zeros(n_ctx, dtype=np.int64)
     block = 0
     while True:
-        size = first if block == 0 else _BLOCK
         rng = _rng_for_block(params.seed, block)
-        ctx = game.draw_contexts(rng, size)
+        ctx = rng.integers(0, n_ctx, size=_BLOCK, dtype=np.uint16)
+        if n_ctx <= 256:
+            ctx = ctx.astype(np.uint8)
         ctxs.append(ctx)
-        outs.append(game.sampler.draw(ctx, rng.random(size)))
+        outs.append(game.sampler.draw(ctx, rng.random(_BLOCK)))
         ctx_counts += np.bincount(ctx, minlength=len(ctx_counts))
         block += 1
         if all(np.bincount(keys, weights=ctx_counts).min() >= t for keys in key_tables):
@@ -117,24 +119,25 @@ _GRID = [(game, kind, t, _SEEDS[(c + j) % 3], _RHOS[(c + 2 * j + g) % 3])
          for c, kind in enumerate(("canonical", "perturbed", "trace-biased"))
          for j, t in enumerate(_TS)]
 
-# (game, kind, t, seed, rho) -> t': runs whose stopping round lies past the
-# first block, and runs that stop on the last round of a 2**15-round stretch
-# of the first block (t' = 32768) or on the round after it
+# (game, kind, t, seed, rho) -> t': runs that stop near the end of block 0
+# or within block 1, and runs that stop on the last round of a block
+# (t' = 32768 or 65536) or on the first round of the next (32769, 65537)
 _PINNED = {
-    ("magic_square", "canonical", 873, 1, 0.85): 8652,
-    ("magic_square", "trace-biased", 896, 2, 1.0): 8713,
-    ("two_out_of_n", "canonical-n5", 95, 0, 0.85): 10247,
-    ("two_out_of_n", "perturbed-n5", 103, 0, 0.0): 11033,
-    ("chsh", "canonical", 16290, 5, 0.85): 32768,
-    ("chsh", "trace-biased", 16291, 5, 0.0): 32769,
-    ("magic_square", "perturbed", 3523, 20, 1.0): 32768,
-    ("magic_square", "canonical", 3557, 27, 0.85): 32769,
+    ("magic_square", "canonical", 873, 1, 0.85): 8309,
+    ("magic_square", "trace-biased", 896, 2, 1.0): 8588,
+    ("two_out_of_n", "canonical-n5", 95, 0, 0.85): 9518,
+    ("two_out_of_n", "perturbed-n5", 103, 0, 0.0): 10387,
+    ("chsh", "canonical", 16290, 5, 0.85): 32625,
+    ("chsh", "trace-biased", 16291, 5, 0.0): 32627,
+    ("magic_square", "perturbed", 3523, 20, 1.0): 32561,
+    ("magic_square", "canonical", 3557, 27, 0.85): 32842,
+    ("chsh", "canonical", 16341, 0, 0.85): 32768,
+    ("chsh", "trace-biased", 16372, 8, 0.0): 32769,
+    ("magic_square", "perturbed", 7119, 2, 1.0): 65536,
+    ("magic_square", "canonical", 7184, 9, 0.85): 65537,
+    ("two_out_of_n", "canonical-n5", 357, 210, 0.85): 32768,
+    ("two_out_of_n", "perturbed-n5", 759, 84, 0.0): 65537,
 }
-
-
-def _first_block(game, kind, t):
-    build = _GAMES[game][1]
-    return max(build(_STRATEGIES[(game, kind)](), 0.5).first_block(t), _BLOCK)
 
 
 def _check_against_reference(monkeypatch, game, kind, t, seed, rho):
@@ -183,14 +186,19 @@ def test_runner_matches_reference(monkeypatch, game, kind, t, seed, rho):
 
 @pytest.mark.parametrize("game, kind, t, seed, rho", list(_PINNED))
 def test_runner_matches_reference_at_pinned_stops(monkeypatch, game, kind, t, seed, rho):
+    # the runner draws the blocks up to the one that holds the stopping
+    # round, and none after it
+    drawn = []
+
+    def counting(seed, block):
+        drawn.append(block)
+        return _rng_for_block(seed, block)
+
+    monkeypatch.setattr(protocols, "_rng_for_block", counting)
     tr = _check_against_reference(monkeypatch, game, kind, t, seed, rho)
     t_prime = _PINNED[(game, kind, t, seed, rho)]
     assert tr.t_prime == t_prime
-    first = _first_block(game, kind, t)
-    if t_prime % 2 ** 15 in (0, 1):
-        assert t_prime <= first
-    else:
-        assert t_prime > first
+    assert drawn == list(range((t_prime - 1) // _BLOCK + 1))
 
 
 @pytest.mark.parametrize("game, n, t", [

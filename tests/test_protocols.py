@@ -30,6 +30,7 @@ from noisygames.pauli import (
     pauli_expand,
 )
 from noisygames.protocols import (
+    _BLOCK,
     _GAMES,
     _SENTINEL,
     ChshSampler,
@@ -37,6 +38,7 @@ from noisygames.protocols import (
     TwoOutOfNSampler,
     _cumulative_table,
     _GuideTable,
+    _blocks,
     _rng_for_block,
     _sample_categories,
     _two_out_of_n_game,
@@ -318,11 +320,11 @@ def test_transcript_csv():
 # A change that moves one of these changes transcripts: bump the transcript
 # schema version and say so in CHANGES.md.
 GOLDEN_CSV = {
-    ("chsh", 1, 500, 0.8): "be9e79b0d90f9d255ccb4e1f5c11dd76ce5fe52d8dbe63ee2e1a26b7cf3e2f80",
+    ("chsh", 1, 500, 0.8): "711ad07025df5d8e87627315effa2d034577b68441eaf6468f1c9672fd10a782",
     ("magic_square", 1, 200, 0.9):
-        "911dbfeff583f506acf3126bef33db30478f925d03b2962a2a65b2eeba82c176",
+        "2ea682520cb07def642ba15fcc8e0be1ede3a331a7f28cd051391b249b6499c6",
     ("two_out_of_n", 3, 40, 0.9):
-        "4d1da5aebfbe06af6372742003119985f5e0b9c1beccd19f42be5532025a0cb6",
+        "cbd145c85b56e93933040bf002d1d5c9401edce8c6f567bef07c084e8d73a2be",
 }
 
 
@@ -336,14 +338,13 @@ def test_transcript_csv_golden_digest(game, n, t, rho):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CSV[(game, n, t, rho)]
 
 
-# Runs whose rounds span more than the first block (t' is above the first
-# block's size), recorded before the sampling and stopping layers were
-# rewritten: (game, n, t, seed, rho) -> (t', sha256 of transcript_rounds_csv).
+# Runs whose rounds span more than one block (t' is above _BLOCK):
+# (game, n, t, seed, rho) -> (t', sha256 of transcript_rounds_csv).
 GOLDEN_CSV_MULTI_BLOCK = {
-    ("two_out_of_n", 5, 100, 3, 0.9):
-        (10756, "fcef04e23b18397210ec40222a7552917e564efb8c02afbf370f748d47d5f435"),
-    ("magic_square", 1, 1000, 1, 0.9):
-        (9648, "26d0501248aa279144de1b2ee08709861f1c8941e542dd8a244fa436558f0337"),
+    ("two_out_of_n", 5, 400, 3, 0.9):
+        (35486, "a5394eebd00e6e7971652a6181efa730854feac991cc5c01d28115e9d4fb0d8a"),
+    ("magic_square", 1, 4000, 1, 0.9):
+        (36875, "be4862ea845ce17be6029ab3ade486d26b0e76002ee5a7d747e5806b10c86aa9"),
 }
 
 
@@ -352,10 +353,8 @@ def test_transcript_csv_golden_digest_multi_block(game, n, t, seed, rho):
     strategy = {"magic_square": canonical_magic_square_strategy,
                 "two_out_of_n": canonical_two_out_of_n_strategy}[game](n)
     tr = run_protocol(ProtocolParams(game, t, 0.05, seed=seed, rho=rho), strategy)
-    first_block = {"magic_square": int(9.3 * t) + 128,
-                   "two_out_of_n": int(4 * n * (n - 1) * t * 1.25) + 256}[game]
     t_prime, digest = GOLDEN_CSV_MULTI_BLOCK[(game, n, t, seed, rho)]
-    assert tr.t_prime == t_prime > first_block
+    assert tr.t_prime == t_prime > _BLOCK
     assert hashlib.sha256(transcript_rounds_csv(tr).encode()).hexdigest() == digest
 
 
@@ -446,25 +445,10 @@ def test_guide_tables_stay_small(game, strategy, bits):
     assert (guide.table == _SENTINEL).mean() < 0.05
 
 
-def _int64_contexts(name, strategy, game, rng, size):
-    """A frozen copy of the int64 context draws that the transcript pins were
-    recorded with."""
-    if name == "chsh":
-        return rng.integers(0, 4, size=size).astype(np.uint8)
-    if name == "magic_square":
-        q = rng.integers(0, 6, size=size).astype(np.uint8)
-        slot = rng.integers(1, 4, size=size).astype(np.uint8)
-        return 3 * q + slot - 1
-    n = strategy.n
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    index = {ctx: k for k, ctx in enumerate(game.questions)}
-    ctx_of = np.array([[[index[(role, i, j, xyz // 4, (xyz // 2) % 2, xyz % 2)]
-                         for xyz in range(8)] for i, j in pairs] for role in (0, 1)])
-    ctx_of = ctx_of.astype(np.min_scalar_type(ctx_of.max()))
-    role = rng.integers(0, 2, size=size)
-    pr = rng.integers(0, len(pairs), size=size)
-    xyz = rng.integers(0, 8, size=size)
-    return ctx_of[role, pr, xyz]
+def _rounds_per_t(game):
+    """The rounds a run is expected to need per unit of t: the contexts per
+    context of the game's rarest tracked question."""
+    return len(game.questions) // min(int(np.bincount(keys).min()) for keys, _ in game.key_sets)
 
 
 @pytest.mark.parametrize("name, strategy", [
@@ -476,33 +460,86 @@ def _int64_contexts(name, strategy, game, rng, size):
 @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
 @pytest.mark.parametrize("block", [0, 3])
 def test_context_draws_match_the_int64_stream(name, strategy, seed, block):
+    # the int64 question columns of a run's rounds in block `block` are the
+    # questions of that block's context ids, drawn by one uint16 integers()
+    # call of the block's own stream
     game = _GAMES[name][1](strategy, 0.8)
-    for size in (2 ** 15 + 1, 3 * 2 ** 15 + 12345):
-        rng, ref_rng = _rng_for_block(seed, block), _rng_for_block(seed, block)
-        ids = game.draw_contexts(rng, size)
-        ref = _int64_contexts(name, strategy, game, ref_rng, size)
-        assert ids.dtype == ref.dtype and np.array_equal(ids, ref)
-        # the outcomes' uniforms start where they did
-        assert np.array_equal(rng.random(size), ref_rng.random(size))
+    n_ctx = len(game.questions)
+    lo = block * _BLOCK
+    t = (lo + 1000) // _rounds_per_t(game)
+    tr = run_protocol(ProtocolParams(name, t, 0.05, seed=seed, rho=0.8), strategy)
+    assert lo + 100 <= tr.t_prime <= lo + _BLOCK
+    ids = _rng_for_block(seed, block).integers(0, n_ctx, size=_BLOCK, dtype=np.uint16)
+    ids = ids[: tr.t_prime - lo].astype(np.intp)
+    questions = [column for column, table in game.columns.items()
+                 if column in tr.rounds and (table == table[:, :1]).all()]
+    assert len(questions) == len(game.questions[0])
+    for column in questions:
+        assert tr.rounds[column].dtype == np.int64
+        assert np.array_equal(tr.rounds[column][lo:], game.columns[column][ids, 0]), column
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_two_out_of_n_context_ids_are_the_flat_question_index(n):
-    # contexts are numbered in (role, i, j, x, y, z) order, so the drawn
-    # flat index (role * n(n-1) + ordered pair) * 8 + xyz is the context id
+    # contexts are numbered in (role, i, j, x, y, z) order, so a drawn id is
+    # the flat index (role * n(n-1) + ordered pair) * 8 + xyz
     game = _two_out_of_n_game(canonical_two_out_of_n_strategy(n), 0.8)
     product = [ctx for ctx in itertools.product((0, 1), range(1, n + 1), range(1, n + 1),
                                                 (0, 1), (0, 1), (0, 1)) if ctx[1] != ctx[2]]
     assert list(game.sampler.context_index.items()) == [(ctx, k) for k, ctx in enumerate(product)]
     assert game.questions == product
-    size, n_pairs = 5000, n * (n - 1)
-    rng, ref_rng = _rng_for_block(n, 0), _rng_for_block(n, 0)
-    ids = game.draw_contexts(rng, size)
-    role = ref_rng.integers(0, 2, size=size)
-    pair = ref_rng.integers(0, n_pairs, size=size)
-    xyz = ref_rng.integers(0, 8, size=size)
+    n_pairs = n * (n - 1)
+    ids, _ = next(_blocks(n, len(product)))
     assert ids.dtype == (np.uint8 if n < 5 else np.uint16)
-    assert np.array_equal(ids, (role * n_pairs + pair) * 8 + xyz)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    role, rest = np.divmod(ids.astype(np.intp), 8 * n_pairs)
+    pair, xyz = np.divmod(rest, 8)
+    flat = [(int(r), *pairs[p], int(q) >> 2, (int(q) >> 1) & 1, int(q) & 1)
+            for r, p, q in zip(role[:2000], pair[:2000], xyz[:2000])]
+    assert flat == [game.questions[k] for k in ids[:2000]]
+    assert set(np.unique(ids)) == set(range(len(product)))
+
+
+# (seed, block, contexts) -> the first six context ids and the first two
+# uniforms of the block
+STREAM_PINS = {
+    (0, 0, 4): ([3, 0, 2, 0, 3, 2], [0.05551883674435831, 0.12197388730581438]),
+    (0, 0, 18): ([15, 0, 13, 0, 13, 11], [0.28498998060412484, 0.9338087756358016]),
+    (0, 0, 96): ([81, 3, 69, 1, 74, 58], [0.5153559037637536, 0.5713924580747104]),
+    (0, 0, 320): ([270, 11, 232, 3, 247, 195], [0.9976542604121343, 0.3725940407167728]),
+    (0, 3, 4): ([0, 0, 0, 1, 2, 1], [0.0830480176768138, 0.6160241910652059]),
+    (0, 3, 18): ([1, 2, 0, 8, 9, 7], [0.02187552838952178, 0.05683147181933601]),
+    (0, 3, 96): ([10, 11, 2, 45, 52, 42], [0.821851381992473, 0.342650578247345]),
+    (0, 3, 320): ([34, 38, 9, 152, 173, 140], [0.08529492553259255, 0.1944515000072864]),
+    (2 ** 64 - 1, 0, 4): ([1, 2, 0, 0, 0, 2], [0.5232560546420364, 0.9058556980482941]),
+    (2 ** 64 - 1, 0, 18): ([6, 9, 2, 4, 0, 12], [0.347117348274396, 0.9801463015208225]),
+    (2 ** 64 - 1, 0, 96): ([34, 53, 12, 22, 2, 65], [0.3988011189142969, 0.9752696604301212]),
+    (2 ** 64 - 1, 0, 320): ([114, 177, 42, 75, 8, 217],
+                            [0.20549946906481653, 0.5773671726919886]),
+    (2 ** 64 - 1, 3, 4): ([1, 1, 3, 1, 2, 1], [0.3721893981582173, 0.8044959453878049]),
+    (2 ** 64 - 1, 3, 18): ([7, 7, 13, 7, 11, 4], [0.415310521139031, 0.545656897831388]),
+    (2 ** 64 - 1, 3, 96): ([38, 42, 73, 40, 60, 25], [0.9660043541044302, 0.5732729316293066]),
+    (2 ** 64 - 1, 3, 320): ([128, 140, 246, 133, 201, 85],
+                            [0.7586576945169542, 0.9386312465054184]),
+}
+
+
+def test_round_stream_is_philox_keyed_by_seed_and_block():
+    # the one rule every game's rounds follow: block k of a seed holds
+    # _BLOCK ids from one uint16 integers() call of the Philox stream keyed
+    # by (seed, k), then _BLOCK uniforms.  The key is given as two uint64
+    # scalars: Philox(key=(2**64 - 1, k)) with Python ints loses the seed
+    # in a float cast.  A numpy change to Philox, integers() or random()
+    # fails here
+    assert _BLOCK == 2 ** 15
+    for (seed, block, n_ctx), (first_ids, first_u) in STREAM_PINS.items():
+        rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(block))))
+        ids = rng.integers(0, n_ctx, size=_BLOCK, dtype=np.uint16)
+        u = rng.random(_BLOCK)
+        ctx, runner_u = next(itertools.islice(_blocks(seed, n_ctx), block, None))
+        assert ctx.dtype == (np.uint8 if n_ctx <= 256 else np.uint16)
+        assert np.array_equal(ctx, ids) and np.array_equal(runner_u, u)
+        assert ids[:6].tolist() == first_ids and u[:2].tolist() == first_u
 
 
 def test_two_out_of_n_needs_two_indices():
@@ -610,24 +647,23 @@ def _rejected_strategy(game):
     return TwoOutOfNStrategy(2, 2, base.alice_singles, singles, pairs, base.bob_pair_povms)
 
 
-# Rejecting runs, recorded before the three runners became one:
-# (game, t, seed) -> (reject reasons, sha256 of json.dumps(transcript_to_json)
+# Rejecting runs: (game, t, seed) -> (reject reasons, sha256 of json.dumps(transcript_to_json)
 # with rounds).  These pin the reason strings and the order of the counts and
 # trace frequencies as well as the rounds.
 GOLDEN_REJECTED = {
     ("chsh", 2000, 0): (
-        ["player A question 0: |0.6015 - 1/2| >= delta",
-         "player B question 1: |0.4185 - 1/2| >= delta"],
-        "254f5abf53a45cc15a36c23ea4a63bfc2762f2b9383ffa8e14a61210a78184cf"),
+        ["player A question 0: |0.5910 - 1/2| >= delta",
+         "player B question 1: |0.3830 - 1/2| >= delta"],
+        "cb7478fc1a92ffe1ed6001f007b4db955144d388ba68775d2a23e1e180671b00"),
     ("magic_square", 800, 1): (
-        ["Alice c2 variable s12: bias 0.7188", "Alice c2 variable s22: bias 0.7412",
-         "Alice c2 variable s32: bias 0.7600", "Bob variable s23: bias 0.7662"],
-        "115b39388929456b49e8805788a55052d33e26f4860c9cb4d73197a061d12325"),
+        ["Alice c2 variable s12: bias 0.7488", "Alice c2 variable s22: bias 0.7462",
+         "Alice c2 variable s32: bias 0.7450", "Bob variable s23: bias 0.7625"],
+        "3451302fd50dd1edd1079643f2563bc05a20a8a1a36c98fbe100c78f223accd7"),
     ("two_out_of_n", 800, 3): (
-        ["player B single question (1,0): bias 0.7188",
-         "player A pair (1,1,2,0) slot (1,1): bias 0.7450",
-         "player A pair (1,1,2,0) slot (2,0): bias 0.7625"],
-        "8443cff226cf17cb492310f668f74852473229b0e1fa8cf95339667e375ac310"),
+        ["player B single question (1,0): bias 0.7375",
+         "player A pair (1,1,2,0) slot (1,1): bias 0.7712",
+         "player A pair (1,1,2,0) slot (2,0): bias 0.7700"],
+        "915cdd07369f2ae6fe0277a082ad8ac5b035f4a6b1b6edc7b53f29fc0e587dc3"),
 }
 
 
@@ -754,53 +790,70 @@ def test_two_out_of_n_sampler_expands_each_player_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# chunked rounds: what is drawn, and the tables rounds are drawn from
+# rounds drawn a block at a time: what is drawn, and the tables rounds are
+# drawn from
 
 
-_CHUNK_GAMES = {
+_BLOCK_GAMES = {
     "chsh": canonical_chsh_strategy(1),
     "magic_square": canonical_magic_square_strategy(1),
     "two_out_of_n": canonical_two_out_of_n_strategy(3),
 }
 
 
+def _recording_draws(monkeypatch, game):
+    """The (context ids, uniforms) of every sampler draw of a game's runs."""
+    sampler = type(_GAMES[game][1](_BLOCK_GAMES[game], 0.8).sampler)
+    draw, drawn = sampler.draw, []
+
+    def recording(self, ctx, u):
+        drawn.append((ctx, u))
+        return draw(self, ctx, u)
+
+    monkeypatch.setattr(sampler, "draw", recording)
+    return drawn
+
+
 @pytest.mark.parametrize("game, t, seed", [
     ("chsh", 200_000, 3), ("magic_square", 200_000, 4), ("two_out_of_n", 10_000, 5)])
 def test_draws_stop_within_a_chunk_of_the_stopping_round(monkeypatch, game, t, seed):
-    # t is large enough that the first block outlasts the stopping round by
-    # more than a chunk, so drawing it whole would break the bound
-    import noisygames.protocols as protocols
-
-    strategy = _CHUNK_GAMES[game]
-    tables = protocols._GAMES[game][1](strategy, 0.8)
-    sampler = type(tables.sampler)
-    draw, drawn = sampler.draw, []
-
-    def counting(self, ctx, u):
-        drawn.append(len(u))
-        return draw(self, ctx, u)
-
-    monkeypatch.setattr(sampler, "draw", counting)
-    tr = run_protocol(ProtocolParams(game, t, 0.01, seed=seed, rho=0.8), strategy)
-    assert tables.first_block(t) > tr.t_prime + protocols._CHUNK
-    assert tr.t_prime <= sum(drawn) <= tr.t_prime + protocols._CHUNK
-    assert max(drawn) <= protocols._CHUNK
+    # rounds are drawn and counted a block at a time, and no block after
+    # the one holding the stopping round is drawn
+    drawn = _recording_draws(monkeypatch, game)
+    tr = run_protocol(ProtocolParams(game, t, 0.01, seed=seed, rho=0.8), _BLOCK_GAMES[game])
+    sizes = [len(u) for _, u in drawn]
+    assert tr.t_prime > 2 * _BLOCK and sizes == [_BLOCK] * len(sizes)
+    assert tr.t_prime <= sum(sizes) < tr.t_prime + _BLOCK
 
 
-@pytest.mark.parametrize("game", list(_CHUNK_GAMES))
+@pytest.mark.parametrize("game", list(_BLOCK_GAMES))
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
-def test_uniforms_drawn_in_chunks_match_one_call(game, seed):
-    # a block's context ids are drawn whole; its uniforms drawn a chunk at a
-    # time after them are the doubles one call would give
-    from noisygames.protocols import _CHUNK, _GAMES, _rng_for_block
+def test_uniforms_drawn_in_chunks_match_one_call(monkeypatch, game, seed):
+    # the sampler gets each block whole: its context ids from one integers()
+    # call of the block's stream, and its uniforms from the one random()
+    # call after it
+    drawn = _recording_draws(monkeypatch, game)
+    tables = _GAMES[game][1](_BLOCK_GAMES[game], 0.8)
+    t = 3 * _BLOCK // _rounds_per_t(tables)
+    run_protocol(ProtocolParams(game, t, 0.01, seed=seed, rho=0.8), _BLOCK_GAMES[game])
+    assert len(drawn) >= 3
+    n_ctx = len(tables.questions)
+    for block, (ctx, u) in enumerate(drawn):
+        rng = _rng_for_block(seed, block)
+        assert np.array_equal(ctx, rng.integers(0, n_ctx, size=_BLOCK, dtype=np.uint16))
+        assert np.array_equal(u, rng.random(_BLOCK))
 
-    contexts = _GAMES[game][1](_CHUNK_GAMES[game], 0.8).draw_contexts
-    size = 2 * _CHUNK + 1234
-    whole, chunked = _rng_for_block(seed, 0), _rng_for_block(seed, 0)
-    assert np.array_equal(contexts(whole, size), contexts(chunked, size))
-    parts = [chunked.random(len(range(lo, min(lo + _CHUNK, size))))
-             for lo in range(0, size, _CHUNK)]
-    assert np.array_equal(np.concatenate(parts), whole.random(size))
+
+@pytest.mark.parametrize("game", list(_BLOCK_GAMES))
+def test_a_run_is_a_prefix_of_a_run_with_a_larger_t(game):
+    # round r of a seed does not depend on t
+    strategy = _BLOCK_GAMES[game]
+    short, long = (run_protocol(ProtocolParams(game, t, 0.01, seed=9, rho=0.8), strategy)
+                   for t in (40, 40 + _BLOCK // _rounds_per_t(_GAMES[game][1](strategy, 0.8))))
+    assert short.t_prime < _BLOCK < long.t_prime
+    assert list(short.rounds) == list(long.rounds)
+    for name, column in short.rounds.items():
+        assert np.array_equal(column, long.rounds[name][: short.t_prime]), name
 
 
 def test_draw_above_a_row_sum_below_one_stays_in_range():
@@ -870,17 +923,26 @@ def test_sampler_rows_are_cumulative_distributions(game, n, theta, bias, rho):
     assert (cum[:, -1] == 1.0).all()
 
 
-def test_oversized_first_block_rejected_before_drawing(monkeypatch):
+def test_oversized_run_rejected_before_drawing(monkeypatch):
     import noisygames.protocols as protocols
 
     def no_draws(seed, block):
         raise AssertionError("a block was drawn")
 
     monkeypatch.setattr(protocols, "_rng_for_block", no_draws)
-    t = protocols._MAX_FIRST_BLOCK // 2
-    with pytest.raises(ValidationError, match=rf"t = {t} needs a first block of {int(2.2 * t) + 64} "
-                                              rf"rounds, above the limit of 33554432"):
-        run_protocol(ProtocolParams("chsh", t, 0.01, seed=1, rho=0.9), canonical_chsh_strategy(1))
-    # CHSH at t = 10**7 stays within the limit
-    assert protocols._chsh_game(canonical_chsh_strategy(1), 0.9).first_block(10 ** 7) \
-        <= protocols._MAX_FIRST_BLOCK
+    # a run is expected to need t times the contexts per context of the
+    # rarest key: 2t rounds for CHSH, 9t for the magic square and 4n(n-1)t
+    # for 2-out-of-n
+    cases = [("chsh", canonical_chsh_strategy(1), 2),
+             ("magic_square", canonical_magic_square_strategy(1), 9),
+             ("two_out_of_n", canonical_two_out_of_n_strategy(3), 24),
+             ("two_out_of_n", canonical_two_out_of_n_strategy(5), 80)]
+    for game, strategy, per_t in cases:
+        t = 2 ** 25 // per_t + 1
+        with pytest.raises(ValidationError, match=rf"^t = {t} is expected to need {per_t * t} "
+                                                  rf"rounds, above the limit of 33554432$"):
+            run_protocol(ProtocolParams(game, t, 0.01, seed=1, rho=0.9), strategy)
+    # CHSH at t = 2**24 stays within the limit, so its first block is drawn
+    with pytest.raises(AssertionError, match="a block was drawn"):
+        run_protocol(ProtocolParams("chsh", 2 ** 24, 0.01, seed=1, rho=0.9),
+                     canonical_chsh_strategy(1))

@@ -237,3 +237,35 @@ def test_transcript_and_estimate_serialization():
     json.dumps(doc)
     est = estimate_noise_rate("chsh", statistic=0.74, n_rounds=1000)
     json.dumps(estimate_to_json(est))
+
+
+def test_only_transcripts_carry_schema_version_2():
+    from noisygames.extraction import general_noise_selftest
+    from noisygames.states import bit_phase_flip_epr, diagonalize_correlation
+
+    chsh = canonical_chsh_strategy(1)
+    tr = run_protocol(ProtocolParams("chsh", 20, 0.05, seed=3, rho=0.8), chsh)
+    assert transcript_to_json(tr)["schemaVersion"] == 2
+    assert transcript_to_json(tr, include_rounds=True)["schemaVersion"] == 2
+    spectrum = diagonalize_correlation(bit_phase_flip_epr(0.8))
+    others = [
+        state_to_json(make_depolarized_epr(0.8, 1)),
+        *(strategy_to_json(s) for s in (chsh, canonical_magic_square_strategy(1),
+                                        canonical_two_out_of_n_strategy(2))),
+        game_value_to_json(chsh_violation(chsh, 0.9)),
+        game_value_to_json(magic_square_value(canonical_magic_square_strategy(1), 0.9)),
+        game_value_to_json(two_out_of_n_value(canonical_two_out_of_n_strategy(2), 0.9)),
+        certificate_to_json(chsh_sos_certificate(chsh, 0.8), eps_tr=0.0),
+        selftest_to_json(chsh_selftest(chsh, 0.7)),
+        selftest_to_json(ms_selftest(canonical_magic_square_strategy(1), 0.7)),
+        selftest_to_json(two_out_of_n_selftest(canonical_two_out_of_n_strategy(2), 0.7)),
+        selftest_to_json(general_noise_selftest(chsh, spectrum)),
+        estimate_to_json(estimate_noise_rate("chsh", statistic=0.74, n_rounds=1000)),
+    ]
+    assert [doc["schemaVersion"] for doc in others] == [1] * len(others)
+
+
+@pytest.mark.parametrize("game", ["chsh", "magic_square"])
+def test_symbolic_random_strategy_rejects_an_unknown_variant(game):
+    with pytest.raises(ValidationError, match="unknown random .* kind 'typo'"):
+        strategy_from_json({"kind": "random", "game": game, "variant": "typo"})

@@ -1,7 +1,6 @@
 """Transcripts written without rounds, and the repr of both empirical rates,
-pinned over a grid of games, t, seeds and noise rates.  The digests were
-recorded from the runner that built every round column before computing the
-rates; a change to how rates and counts are accumulated must leave them
+pinned over a grid of games, t, seeds and noise rates (schema-v2 stream).
+A change to how rates and counts are accumulated must leave them
 unchanged."""
 
 import hashlib
@@ -27,26 +26,26 @@ _RHOS = (0.0, 0.37, 0.85, 1.0)
 # order, of json.dumps(transcript_to_json(tr)) followed by the repr of the
 # win and consistency rates
 PINS = {
-    ("chsh", 1, 1): "d86e1db2b8a004f247d735237cfb2d0a50a8c0a372693968474dea14e1dea022",
-    ("chsh", 1, 7): "480859822446f16d0c01f96e1ce9fb35a2401709cc081369da75824ea6860b0c",
-    ("chsh", 1, 100): "8790fd39364854b3a16e9dca7378c0138fe865bcb26144cca383fc553c76a027",
-    ("chsh", 1, 3000): "678a3cc72b4303fb37fd35ef2f9f6c8517bbb5add68d807da8305d2608c8f9a7",
-    ("chsh", 2, 1): "d86e1db2b8a004f247d735237cfb2d0a50a8c0a372693968474dea14e1dea022",
-    ("chsh", 2, 7): "480859822446f16d0c01f96e1ce9fb35a2401709cc081369da75824ea6860b0c",
-    ("chsh", 2, 100): "8790fd39364854b3a16e9dca7378c0138fe865bcb26144cca383fc553c76a027",
-    ("chsh", 2, 3000): "678a3cc72b4303fb37fd35ef2f9f6c8517bbb5add68d807da8305d2608c8f9a7",
-    ("magic_square", 1, 1): "4e45fcef14627fe2e723ac147dc24d7eafb9643ba8431e1103c7accb18e52469",
-    ("magic_square", 1, 7): "7ed5ea6487e262a0d6806a4997bcd1ab065b68d12677c8e1b8ed3f0132b152b5",
-    ("magic_square", 1, 100): "ad15b8d2e39118ee85c13d9dd290a541acae4fb9af4784ddcb18e1d35b607261",
-    ("magic_square", 1, 3000): "b29e169f680830714c5dd42e68c72bcbc013ede8eba1f5560caa8260bdc1672a",
-    ("two_out_of_n", 2, 1): "c43d638d1b693af04a0f6926d19f5fbe63ca1e1c69651662505d6f8e3b14f160",
-    ("two_out_of_n", 2, 7): "9ed1d044662c2ac9b13189dc6024613a259435ab9b494b8fb1cc2cdc4cd8a2c9",
-    ("two_out_of_n", 2, 100): "9393a49568dc3a7316bb5f24f916163cde731673200bfe481964e677b26770b3",
-    ("two_out_of_n", 2, 3000): "61f8dcea54af5f72ab2566749f1e0703711ab70112ae91c65b8f0601579daed7",
-    ("two_out_of_n", 3, 1): "5035000eb84528eee8f9a71077f9e520162e1787342ef1bec7e7cc1b1ea359e4",
-    ("two_out_of_n", 3, 7): "dc87460b6c95426bea8086d98a46c81bfbc8699a73f239232986aaa274c0a227",
-    ("two_out_of_n", 3, 100): "484bb42c7c30b8f2de201796c02690e1f6b5a14297703e5015212fb437a46f71",
-    ("two_out_of_n", 3, 3000): "7a1b358fb1d3e84818dcf65e4d02dfa4f675f82dfa1389f8121c5db22442c90a",
+    ("chsh", 1, 1): "b083f6d2416716d4276fa697ec0128f95d99a74da2ff69ad37cca2832246e26c",
+    ("chsh", 1, 7): "91d7a384468a3b13cb74909f75545571b2aa0e555c74cc7bdf15b6894b61ae15",
+    ("chsh", 1, 100): "487e679ad2032f38b4bd68a6c2feac466e29531f1ec3ce93d11568b39b14c39a",
+    ("chsh", 1, 3000): "e516ebf1109fac0b213f7172c0741077e979ceddf75127e3b4aa030aeed35373",
+    ("chsh", 2, 1): "b083f6d2416716d4276fa697ec0128f95d99a74da2ff69ad37cca2832246e26c",
+    ("chsh", 2, 7): "91d7a384468a3b13cb74909f75545571b2aa0e555c74cc7bdf15b6894b61ae15",
+    ("chsh", 2, 100): "487e679ad2032f38b4bd68a6c2feac466e29531f1ec3ce93d11568b39b14c39a",
+    ("chsh", 2, 3000): "e516ebf1109fac0b213f7172c0741077e979ceddf75127e3b4aa030aeed35373",
+    ("magic_square", 1, 1): "c651de2435746b04935cb9b0fd9593fc9b9b3aecbdb005dfce50b7e3574160ac",
+    ("magic_square", 1, 7): "c31d9827943973a1111d47c26236d6f0930ef021533116980be6ff3beb7b1287",
+    ("magic_square", 1, 100): "ff4649984c446cd44af6afd59c10882001261d5eb2b23769c7fb931c4becb586",
+    ("magic_square", 1, 3000): "b0f78a0a1de77912d4006ed6fce13175b976baa9d8ce9fc3c512df313de7e7e0",
+    ("two_out_of_n", 2, 1): "645683e86bd9ffd10f453f96ea7b7c3529e8864edd091cef553de74c86d03e27",
+    ("two_out_of_n", 2, 7): "c3773243d2c18e248a2703d1812e128706ea16fc56d7baf76eb9673aa09285b2",
+    ("two_out_of_n", 2, 100): "eda92e717bb26c667b8263e642b12d69bc796caa6943cc10078f317073c96830",
+    ("two_out_of_n", 2, 3000): "f0155570a836bbf933b59aaa0156bc81f3447b2304079f9a658c83e8500cb7da",
+    ("two_out_of_n", 3, 1): "a97304097e4e42033703af8664bf5ce048a9c2459f8e3a388649ad8e3c859c00",
+    ("two_out_of_n", 3, 7): "043bad796b7bc2d95a30a35bf49723f150cb9be0b5f9420f400af8607144c1d1",
+    ("two_out_of_n", 3, 100): "c4c3759243b42bbc1598f284956cf34b8f335f7e48ddcf225b4f4f107b5da56d",
+    ("two_out_of_n", 3, 3000): "d51fdc1d27acb4aa285cb231e4d3d890f364d2a0cb5010f788ca77c61734c4dc",
 }
 
 
