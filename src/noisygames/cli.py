@@ -178,8 +178,10 @@ def cmd_simulate(args) -> int:
     transcript = run_protocol(params, strategy)
     if args.export_csv:
         _write(transcript_rounds_csv(transcript), args.export_csv)
-    _emit(serialize.transcript_to_json(transcript, include_rounds=args.include_rounds),
-          args)
+    if args.include_rounds:
+        _write(serialize.transcript_rounds_json(transcript) + "\n", args.out)
+    else:
+        _emit(serialize.transcript_to_json(transcript), args)
     return EXIT_OK
 
 
@@ -193,6 +195,11 @@ def cmd_estimate_rho(args) -> int:
         if not isinstance(doc, dict) or not {"game", "tPrime"} <= doc.keys():
             raise ValueError(f"--transcript {args.transcript}: need a simulate JSON "
                              "object with 'game' and 'tPrime' keys")
+        version = doc.get("schemaVersion", 1)
+        if type(version) is not int or not 1 <= version <= serialize.TRANSCRIPT_SCHEMA_VERSION:
+            raise ValueError(f"--transcript {args.transcript}: unknown transcript schemaVersion "
+                             f"{version!r}; this version reads 1 to "
+                             f"{serialize.TRANSCRIPT_SCHEMA_VERSION}")
         statistic = doc.get("empiricalConsistencyRate"
                             if doc["game"] == "magic_square" else "empiricalWinRate")
         try:

@@ -24,9 +24,10 @@ the row's bounds, and the outcomes are bit-for-bit those of the full count.
 Each block is counted once, into a run-level (context, outcome) histogram;
 per-question counts and first-t histograms follow from it through 0/1
 question x context matrices, and the win and consistency rates from its
-sums over each game's win and consistency tables.  A run keeps its context
-ids and outcome categories (one or two bytes a round); the per-round
-columns of a transcript are built only when they are read.
+sums over each game's win and consistency tables.  A run keeps one cell id
+a round, context * n_out + outcome (one or two bytes); each per-round column
+of a transcript is built from them when it is read, and the CSV and JSON
+round exports render their text from them a block of rounds at a time.
 
 Interpretation note: trace-test counts reuse the game rounds themselves (the
 protocol counts answers "when asked question x" within the same repetitions);
@@ -182,37 +183,39 @@ def _cumulative_table(tables) -> np.ndarray:
 class RoundColumns(Mapping):
     """A run's per-round columns, read-only: column name -> int64 array of
     shape (t',), each round's entry of the game's (context, outcome) table of
-    that name.  Only the run's context ids and outcome categories are kept
-    until the first read, which builds every column together into one
-    (columns, t') block, a block of rounds at a time, and drops them."""
+    that name.  The run keeps one cell id a round (cells, context * n_out +
+    outcome) and each column's flat table (tables); each read takes that one
+    column from its table, a block of rounds at a time, and neither builds
+    nor keeps the others."""
 
-    def __init__(self, ctx: np.ndarray, out: np.ndarray, tables: dict):
-        self._ctx, self._out, self._tables = ctx, out, tables
-        self._rows = {name: row for row, name in enumerate(tables)}
-        self._block = None
+    def __init__(self, cells: np.ndarray, tables: dict):
+        self.cells = cells
+        self.tables = {name: np.asarray(table, dtype=np.int64).ravel()
+                       for name, table in tables.items()}
 
     def __getitem__(self, name):
-        row = self._rows[name]
-        if self._block is None:
-            self._build()
-        return self._block[row]
+        table = self.tables[name]
+        column = np.empty(len(self.cells), dtype=np.int64)
+        # a block at a time, so that take() widens only a block of ids to intp
+        for lo in range(0, len(column), _BLOCK):
+            table.take(self.cells[lo: lo + _BLOCK], out=column[lo: lo + _BLOCK], mode="clip")
+        column.flags.writeable = False
+        return column
 
     def __iter__(self):
-        return iter(self._rows)
+        return iter(self.tables)
 
     def __len__(self):
-        return len(self._rows)
+        return len(self.tables)
 
-    def _build(self):
-        flat = [np.asarray(table, dtype=np.int64).ravel() for table in self._tables.values()]
-        n_out = next(iter(self._tables.values())).shape[1]
-        block = np.empty((len(flat), len(self._ctx)), dtype=np.int64)
-        for lo in range(0, len(self._ctx), _BLOCK):
-            cells = self._ctx[lo: lo + _BLOCK].astype(np.intp) * n_out + self._out[lo: lo + _BLOCK]
-            for table, row in zip(flat, block):
-                table.take(cells, out=row[lo: lo + _BLOCK], mode="clip")
-        block.flags.writeable = False
-        self._block, self._ctx, self._out = block, None, None
+
+def _cell_ids(ctx: np.ndarray, out: np.ndarray, n_ctx: int, n_out: int) -> np.ndarray:
+    """Per round, its (context, outcome) cell id ctx * n_out + out, in the
+    narrowest dtype that holds every cell id."""
+    cells = ctx.astype(np.min_scalar_type(n_ctx * n_out - 1))
+    cells *= n_out
+    cells += out
+    return cells
 
 
 @dataclass
@@ -490,14 +493,10 @@ def _play_blocks(params: ProtocolParams, game: _Game):
     if need > _MAX_ROUNDS:
         raise ValidationError(f"t = {t} is expected to need {need} rounds, "
                               f"above the limit of {_MAX_ROUNDS}")
-    # cell ids in the narrowest dtype that holds them, built in place
-    cell_type = np.min_scalar_type(n_ctx * n_out - 1)
 
     def histogram(ctx, out):
-        cells = ctx.astype(cell_type)
-        cells *= n_out
-        cells += out
-        return np.bincount(cells, minlength=n_ctx * n_out).reshape(n_ctx, n_out)
+        return np.bincount(_cell_ids(ctx, out, n_ctx, n_out),
+                           minlength=n_ctx * n_out).reshape(n_ctx, n_out)
 
     # per key set: its context -> key id table and its key x context 0/1
     # matrix, and per key its count and its first-t histogram; joint holds
@@ -580,8 +579,9 @@ def run_protocol(params: ProtocolParams, strategy) -> ProtocolTranscript:
                 f = freqs[test] = _plus_frequency(hist, bit)
                 if abs(f - 0.5) >= params.delta:
                     reasons.append(reason.format(f=f))
-    rounds = RoundColumns(ctx, out, {name: table for name, table in game.columns.items()
-                                     if name not in _RATES})
+    rounds = RoundColumns(_cell_ids(ctx, out, *joint.shape),
+                          {name: table for name, table in game.columns.items()
+                           if name not in _RATES})
     wins, *consistent = _rates(game, joint, len(out))
     return ProtocolTranscript(
         params.game, params, len(out), rounds, counts, freqs, not reasons, reasons, wins,
@@ -685,13 +685,48 @@ def estimate_noise_rate(game: str, statistic: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# CSV export
+# round exports
+
+
+def _render_rows(cells: np.ndarray, texts: list, numbered: bool) -> bytes:
+    """One row of text a round: row r is the decimal r when numbered, then
+    texts[cells[r]] (bytes).
+
+    A numpy byte kernel run a block of rows at a time, so that what it holds
+    besides its output is O(block): each row is laid out left-aligned in a
+    padded (rows, width) uint8 array, the digits of r by integer division
+    over each range of rows whose numbers have the same digit count, and a
+    mask of each row's length gathers the rows in order."""
+    lengths = np.array([len(text) for text in texts], dtype=np.intp)
+    pad = np.zeros((len(texts), lengths.max()), dtype=np.uint8)
+    for row, text in zip(pad, texts):
+        row[:len(text)] = np.frombuffer(text, dtype=np.uint8)
+    parts = []
+    for lo in range(0, len(cells), _BLOCK):
+        ids = cells[lo: lo + _BLOCK]
+        hi = lo + len(ids)
+        # (digits, first row, end row) per digit count; no digits unnumbered
+        spans = [(0, lo, hi)]
+        if numbered:
+            spans = [(d, max(lo, 10 ** (d - 1) if d > 1 else 0), min(hi, 10 ** d))
+                     for d in range(len(str(lo)), len(str(hi - 1)) + 1)]
+        grid = np.zeros((len(ids), spans[-1][0] + pad.shape[1]), dtype=np.uint8)
+        size = lengths[ids]
+        for d, first, end in spans:
+            rows = slice(first - lo, end - lo)
+            r = np.arange(first, end)
+            for k in range(d):
+                grid[rows, k] = r // 10 ** (d - 1 - k) % 10 + ord("0")
+            grid[rows, d: d + pad.shape[1]] = pad[ids[rows]]
+            size[rows] += d
+        parts.append(grid[np.arange(grid.shape[1]) < size[:, None]].tobytes())
+    return b"".join(parts)
 
 
 def transcript_rounds_csv(transcript: ProtocolTranscript) -> str:
     """Per-round records as CSV text (header + one line per round)."""
     cols = transcript.rounds
-    length = len(next(iter(cols.values())))
-    table = np.column_stack([np.arange(length)] + list(cols.values())).astype(np.int64)
-    row = ",".join(["%d"] * table.shape[1]) + "\n"
-    return ",".join(["round", *cols]) + "\n" + (row * length) % tuple(table.ravel().tolist())
+    texts = ["".join(f",{v}" for v in cell).encode() + b"\n"
+             for cell in zip(*(table.tolist() for table in cols.tables.values()))]
+    return (",".join(["round", *cols]) + "\n"
+            + _render_rows(cols.cells, texts, numbered=True).decode("ascii"))

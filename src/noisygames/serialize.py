@@ -6,6 +6,8 @@ fail loudly instead of being silently ignored.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .certificates import SoSCertificate
@@ -32,7 +34,7 @@ from .games import (
     random_magic_square_strategy,
 )
 from .pauli import ValidationError, matrix_from_json, matrix_to_json
-from .protocols import NoiseEstimate, ProtocolTranscript
+from .protocols import NoiseEstimate, ProtocolTranscript, _render_rows
 from .states import BipartiteState, make_depolarized_epr, make_epr_power
 
 SCHEMA_VERSION = 1
@@ -391,6 +393,23 @@ def transcript_to_json(transcript: ProtocolTranscript, include_rounds: bool = Fa
     if include_rounds:
         out["rounds"] = {k: np.asarray(v).tolist() for k, v in transcript.rounds.items()}
     return out
+
+
+def transcript_rounds_json(transcript: ProtocolTranscript) -> str:
+    """The text of json.dumps(transcript_to_json(transcript,
+    include_rounds=True), indent=2), with each round column's items
+    rendered from the run's cell ids by a byte kernel instead of json's
+    encoder over Python ints."""
+    text = json.dumps(transcript_to_json(transcript), indent=2)
+    cols = transcript.rounds
+    members = []
+    for name, table in cols.tables.items():
+        # items at depth 3 of the indent, each followed by a comma but the last
+        items = _render_rows(cols.cells, [f"\n      {v},".encode() for v in table.tolist()],
+                             numbered=False)
+        members.append(f"\n    {json.dumps(name)}: [{items[:-1].decode('ascii')}\n    ]")
+    # "rounds" is the document's last member
+    return text[:-2] + ',\n  "rounds": {' + ",".join(members) + "\n  }\n}"
 
 
 def estimate_to_json(est: NoiseEstimate) -> dict:

@@ -280,6 +280,29 @@ def test_simulate_include_rounds_golden_digest_multi_block(capsys, game, n, t, s
         GOLDEN_SIMULATE_MULTI_BLOCK[(game, n, t, seed, rho)]
 
 
+@pytest.mark.parametrize("game, n, t, seed", [
+    ("chsh", 1, 3, 1), ("chsh", 1, 60_000, 2), ("magic_square", 1, 40, 3),
+    ("two_out_of_n", 3, 20, 4)])
+def test_include_rounds_text_is_the_indented_json_dump(tmp_path, capsys, game, n, t, seed):
+    from noisygames.games import (canonical_chsh_strategy, canonical_magic_square_strategy,
+                                  canonical_two_out_of_n_strategy)
+    from noisygames.protocols import ProtocolParams, run_protocol
+    from noisygames.serialize import transcript_to_json
+
+    strategy = {"chsh": canonical_chsh_strategy, "magic_square": canonical_magic_square_strategy,
+                "two_out_of_n": canonical_two_out_of_n_strategy}[game](n)
+    tr = run_protocol(ProtocolParams(game, t, 0.05, seed, 0.8), strategy)
+    want = json.dumps(transcript_to_json(tr, include_rounds=True), indent=2) + "\n"
+    argv = ["simulate", "--game", game, "--n", str(n), "--rho", "0.8", "--t", str(t),
+            "--p", "0.05", "--seed", str(seed), "--include-rounds"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+    out_path = tmp_path / "transcript.json"
+    code, stdout, _ = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and stdout == ""
+    assert out_path.read_text() == want
+
+
 def _fresh_python(*args):
     src = str(Path(noisygames.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -445,6 +468,10 @@ def test_threads_flag_removed(capsys):
      "--theta-sweep does not read --threshold"),
     (["certify", "--game", "chsh", "--rho", "0.8", "--variable", "1,1"],
      "a variable is read only by the magic-square certificate, not for a ChshStrategy"),
+    (["estimate-rho", "--transcript", "{v99}"],
+     "--transcript {v99}: unknown transcript schemaVersion 99; this version reads 1 to 2"),
+    (["estimate-rho", "--transcript", "{v_true}"],
+     "--transcript {v_true}: unknown transcript schemaVersion True; this version reads 1 to 2"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
@@ -462,7 +489,7 @@ def test_threads_flag_removed(capsys):
         "random-register", "sweep-dimension-above-cap", "sweep-two-out-of-n-register",
         "estimate-two-out-of-one", "chsh-n-zero", "ms-n-negative", "two-out-of-n-n-negative",
         "estimate-n-zero", "ms-random-bounded", "sweep-strategy", "sweep-channel",
-        "sweep-threshold", "chsh-variable"])
+        "sweep-threshold", "chsh-variable", "transcript-schema-99", "transcript-schema-bool"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",
@@ -480,6 +507,10 @@ def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files["no_game"].write_text(json.dumps({"tPrime": 10, "empiricalWinRate": 0.8}))
     files["a_list"].write_text("[1, 2]")
     files["ghz"].write_text(json.dumps({"game": "ghz", "tPrime": 10, "empiricalWinRate": 0.8}))
+    for key, version in (("v99", 99), ("v_true", True)):
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps({"schemaVersion": version, "game": "chsh",
+                                          "tPrime": 10, "empiricalWinRate": 0.8}))
     files["t_abc"].write_text(json.dumps({"game": "chsh", "tPrime": "abc",
                                           "empiricalWinRate": 0.8}))
     files["rate_x"].write_text(json.dumps({"game": "chsh", "tPrime": 10,

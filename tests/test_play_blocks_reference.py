@@ -205,7 +205,7 @@ def test_runner_matches_reference_at_pinned_stops(monkeypatch, game, kind, t, se
     ("chsh", 1, 200_000), ("magic_square", 1, 30_000), ("two_out_of_n", 3, 3000)])
 def test_run_keeps_a_few_bytes_a_round_until_rounds_are_read(game, n, t):
     # a transcript written without rounds needs no round column: the run
-    # keeps its context ids and outcomes, and builds the columns when read
+    # keeps one cell id a round, and builds a column each time it is read
     import tracemalloc
 
     strategy = {"chsh": canonical_chsh_strategy,

@@ -2,6 +2,8 @@ import functools
 import hashlib
 import itertools
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,10 +37,12 @@ from noisygames.protocols import (
     _SENTINEL,
     ChshSampler,
     ProtocolParams,
+    RoundColumns,
     TwoOutOfNSampler,
     _cumulative_table,
     _GuideTable,
     _blocks,
+    _render_rows,
     _rng_for_block,
     _sample_categories,
     _two_out_of_n_game,
@@ -301,6 +305,16 @@ def test_play_rounds_deterministic_and_close():
     assert abs(cons - 0.85) < 0.01
 
 
+def _reference_csv(tr) -> str:
+    """One Python-formatted line per round, each column read once."""
+    cols = tr.rounds
+    values = [cols[name] for name in cols]
+    expected = ["round," + ",".join(cols)] + [
+        ",".join([str(r)] + [str(int(v[r])) for v in values])
+        for r in range(len(values[0]))]
+    return "\n".join(expected) + "\n"
+
+
 def test_transcript_csv():
     tr = run_protocol(ProtocolParams("chsh", 50, 0.1, seed=14, rho=0.9),
                       canonical_chsh_strategy(1))
@@ -308,12 +322,73 @@ def test_transcript_csv():
     lines = text.strip().split("\n")
     assert lines[0] == "round,x,y,a,b"
     assert len(lines) == tr.t_prime + 1
-    # reference: one Python-formatted line per round
-    cols = tr.rounds
-    expected = ["round," + ",".join(cols)] + [
-        ",".join([str(r)] + [str(int(v[r])) for v in cols.values()])
-        for r in range(tr.t_prime)]
-    assert text == "\n".join(expected) + "\n"
+    assert text == _reference_csv(tr)
+
+
+_CANONICAL = {"chsh": canonical_chsh_strategy,
+              "magic_square": canonical_magic_square_strategy,
+              "two_out_of_n": canonical_two_out_of_n_strategy}
+
+
+# per game, runs whose round numbers stay below 10 or 100 and runs whose
+# t' passes 10**5, which span several render blocks of _BLOCK rows
+@pytest.mark.parametrize("game, n, t, seed", [
+    ("chsh", 1, 1, 0), ("chsh", 1, 30, 1), ("chsh", 1, 60_000, 2),
+    ("magic_square", 1, 1, 0), ("magic_square", 1, 12_000, 3),
+    ("two_out_of_n", 3, 1, 0), ("two_out_of_n", 3, 5_000, 4)])
+def test_csv_equals_the_reference_formatter(game, n, t, seed):
+    tr = run_protocol(ProtocolParams(game, t, 0.05, seed=seed, rho=0.8), _CANONICAL[game](n))
+    assert tr.t_prime < 100 or tr.t_prime > 10 ** 5 > 3 * _BLOCK
+    assert transcript_rounds_csv(tr) == _reference_csv(tr)
+
+
+def test_csv_renders_negative_and_multi_digit_values():
+    # per (context, outcome) cell, values of either sign and several widths
+    tables = {"v": np.array([[-1234567, 0], [5, -9]]), "w": np.array([[-1, 20], [-300, 4]])}
+    cells = np.random.default_rng(0).integers(0, 4, size=2 * _BLOCK + 7).astype(np.uint8)
+    tr = SimpleNamespace(rounds=RoundColumns(cells, tables))
+    assert transcript_rounds_csv(tr) == _reference_csv(tr)
+
+
+@pytest.mark.parametrize("numbered", [False, True])
+@pytest.mark.parametrize("rows", [0, 1, 10, 11, _BLOCK, 3 * _BLOCK + 5])
+def test_render_rows_is_the_python_join(numbered, rows):
+    texts = [b",-42\n", b"", b",7,-1", b"x" * 40]
+    cells = np.random.default_rng(rows).integers(0, len(texts), size=rows).astype(np.uint16)
+    want = b"".join((str(r).encode() if numbered else b"") + texts[c]
+                    for r, c in enumerate(cells.tolist()))
+    assert _render_rows(cells, texts, numbered) == want
+
+
+@pytest.mark.parametrize("game, n, t", [
+    ("chsh", 1, 100_000), ("magic_square", 1, 12_000), ("two_out_of_n", 3, 4_000)])
+def test_reading_a_column_allocates_only_that_column(game, n, t):
+    tr = run_protocol(ProtocolParams(game, t, 0.05, seed=6, rho=0.8), _CANONICAL[game](n))
+    assert len(tr.rounds) >= 4
+    tracemalloc.start()
+    try:
+        column = tr.rounds[next(iter(tr.rounds))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert column.shape == (tr.t_prime,)
+    # the column itself, plus one block of ids widened to intp
+    assert peak <= 8 * tr.t_prime + 16 * _BLOCK
+
+
+def test_csv_peak_memory_is_a_small_multiple_of_its_text():
+    tr = run_protocol(ProtocolParams("chsh", 500_000, 0.05, seed=7, rho=0.8),
+                      canonical_chsh_strategy(1))
+    transcript_rounds_csv(run_protocol(ProtocolParams("chsh", 5, 0.05, seed=7, rho=0.8),
+                                       canonical_chsh_strategy(1)))  # warm caches
+    tracemalloc.start()
+    try:
+        text = transcript_rounds_csv(tr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 10 ** 7
+    assert peak <= 3 * len(text)
 
 
 # sha256 of transcript_rounds_csv for one (game, seed, t) fixture per game.
@@ -367,6 +442,7 @@ def test_round_columns_are_int64(game, n):
     for name, column in tr.rounds.items():
         assert column.dtype == np.int64, name
         assert column.shape == (tr.t_prime,), name
+        assert not column.flags.writeable, name
 
 
 @pytest.mark.parametrize("n_cat", [4, 8, 16])
