@@ -351,15 +351,43 @@ def lp_min_closed_form(a, t1: float, t2: float) -> float:
 
 
 def lp_min_bruteforce(a, t1: float, t2: float) -> float:
-    """Independent oracle: solve the same LP numerically."""
-    from scipy.optimize import linprog  # only this oracle needs scipy; keep it off import
+    """Independent oracle for the same LP, exact up to rounding: the
+    minimum of sum a_i x_i over its basic feasible solutions.
 
+    The feasible set {x >= 0 : sum x_i = t1, sum a_i^2 x_i = t2} is
+    bounded, so a feasible LP over it attains its minimum at a vertex, a
+    basic feasible solution.  With two equality rows a basic solution has
+    support {i} (x_i = t1, which needs a_i^2 t1 = t2) or {i, j} with
+    a_i^2 != a_j^2 (the 2x2 system on those columns).  Every such support
+    is solved, the solutions with x >= -1e-9 max(1, |t1|) kept and the
+    least objective returned; nothing is assumed about the order of a or
+    about which support is optimal.  No feasible support means the LP is
+    infeasible, which raises ValidationError."""
     a = np.asarray(a, dtype=float)
-    res = linprog(c=a, A_eq=np.vstack([np.ones_like(a), a ** 2]),
-                  b_eq=[t1, t2], bounds=[(0, None)] * a.size, method="highs")
-    if not res.success:
-        raise ValidationError(f"LP oracle failed: {res.message}")
-    return float(res.fun)
+    t1, t2 = float(t1), float(t2)
+    if a.ndim != 1 or a.size < 1 or not np.all(np.isfinite([*a, t1, t2])):
+        raise ValidationError("the LP needs a non-empty 1-D array of coefficients "
+                              "and finite inputs")
+    sq = a ** 2
+    tol = 1e-9 * max(1.0, abs(t1))
+    # support {i}: x_i = t1 must also satisfy the second row
+    single = (t1 >= -tol) & (np.abs(sq * t1 - t2) <= tol * np.maximum(1.0, sq))
+    values = [a[single] * t1]
+    # support {i, j}: the 2x2 system, singular for ties; x_j = t1 - x_i
+    # keeps the objective's error at rounding size however close a_i^2 and
+    # a_j^2 are, since the error x_i carries cancels in a_i x_i + a_j x_j
+    i, j = np.triu_indices(a.size, 1)
+    det = sq[i] - sq[j]
+    keep = det != 0
+    i, j, det = i[keep], j[keep], det[keep]
+    xi = (t2 - sq[j] * t1) / det
+    xj = t1 - xi
+    feasible = (xi >= -tol) & (xj >= -tol)
+    values.append(a[i][feasible] * xi[feasible] + a[j][feasible] * xj[feasible])
+    values = np.concatenate(values)
+    if values.size == 0:
+        raise ValidationError(f"infeasible: no basic solution with x >= 0 for t1={t1}, t2={t2}")
+    return float(values.min())
 
 
 @dataclass

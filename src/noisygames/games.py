@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,9 +190,13 @@ def require_povm(elements: np.ndarray, dim: int, label: str = "POVM") -> np.ndar
     return _require_povms([elements], dim, None, [label])[0]
 
 
-def _gaussians(d: int, rng: np.random.Generator) -> np.ndarray:
-    """A d x d complex Gaussian matrix: real parts drawn first."""
-    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def _gaussians(d: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """A d x d complex Gaussian matrix: real parts drawn first.  With a
+    count, a (count, d, d) stack from one (count, 2, d, d) block, which
+    holds the values of count such draws in turn."""
+    g = rng.normal(size=(1 if count is None else count, 2, d, d))
+    g = g[:, 0] + 1j * g[:, 1]
+    return g[0] if count is None else g
 
 
 def _haar_from_gaussians(g: np.ndarray) -> np.ndarray:
@@ -227,10 +232,17 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return _haar_from_gaussians(_gaussians(d, rng))
 
 
-def random_traceless_binary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-conjugated balanced sign observable: traceless, squares to I."""
+def random_traceless_binary(d: int, rng: np.random.Generator,
+                            count: int | None = None) -> np.ndarray:
+    """Haar-conjugated balanced sign observable: traceless, squares to I.
+    With a count, a (count, d, d) stack of them from one stacked QR and
+    conjugation, equal to count single draws in turn and leaving rng where
+    they would."""
     signs = _balanced_signs(d)
-    return _conjugated_diagonals(haar_unitary(d, rng), signs)
+    if count is not None and (isinstance(count, bool) or not isinstance(count, numbers.Integral)
+                              or count < 1):
+        raise ValidationError(f"count must be a positive integer, got {count!r}")
+    return _conjugated_diagonals(_haar_from_gaussians(_gaussians(d, rng, count)), signs)
 
 
 def _require_kind(game: str, kind, kinds: tuple):

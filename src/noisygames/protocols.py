@@ -690,18 +690,22 @@ def estimate_noise_rate(game: str, statistic: float | None = None,
 
 def _render_rows(cells: np.ndarray, texts: list, numbered: bool) -> bytes:
     """One row of text a round: row r is the decimal r when numbered, then
-    texts[cells[r]] (bytes).
+    texts[cells[r]] (bytes)."""
+    return b"".join(_render_blocks(cells, texts, numbered))
 
-    A numpy byte kernel run a block of rows at a time, so that what it holds
-    besides its output is O(block): each row is laid out left-aligned in a
-    padded (rows, width) uint8 array, the digits of r by integer division
-    over each range of rows whose numbers have the same digit count, and a
-    mask of each row's length gathers the rows in order."""
+
+def _render_blocks(cells: np.ndarray, texts: list, numbered: bool):
+    """The bytes of _render_rows, yielded a block of rows at a time.
+
+    A numpy byte kernel, so that what it holds besides the block it yields
+    is O(block): each row is laid out left-aligned in a padded (rows, width)
+    uint8 array, the digits of r by integer division over each range of
+    rows whose numbers have the same digit count, and a mask of each row's
+    length gathers the rows in order."""
     lengths = np.array([len(text) for text in texts], dtype=np.intp)
     pad = np.zeros((len(texts), lengths.max()), dtype=np.uint8)
     for row, text in zip(pad, texts):
         row[:len(text)] = np.frombuffer(text, dtype=np.uint8)
-    parts = []
     for lo in range(0, len(cells), _BLOCK):
         ids = cells[lo: lo + _BLOCK]
         hi = lo + len(ids)
@@ -719,8 +723,7 @@ def _render_rows(cells: np.ndarray, texts: list, numbered: bool) -> bytes:
                 grid[rows, k] = r // 10 ** (d - 1 - k) % 10 + ord("0")
             grid[rows, d: d + pad.shape[1]] = pad[ids[rows]]
             size[rows] += d
-        parts.append(grid[np.arange(grid.shape[1]) < size[:, None]].tobytes())
-    return b"".join(parts)
+        yield grid[np.arange(grid.shape[1]) < size[:, None]].tobytes()
 
 
 def transcript_rounds_csv(transcript: ProtocolTranscript) -> str:

@@ -34,7 +34,7 @@ from .games import (
     random_magic_square_strategy,
 )
 from .pauli import ValidationError, matrix_from_json, matrix_to_json
-from .protocols import NoiseEstimate, ProtocolTranscript, _render_rows
+from .protocols import NoiseEstimate, ProtocolTranscript, _render_blocks
 from .states import BipartiteState, make_depolarized_epr, make_epr_power
 
 SCHEMA_VERSION = 1
@@ -400,16 +400,26 @@ def transcript_rounds_json(transcript: ProtocolTranscript) -> str:
     include_rounds=True), indent=2), with each round column's items
     rendered from the run's cell ids by a byte kernel instead of json's
     encoder over Python ints."""
+    return "".join(transcript_rounds_json_pieces(transcript))
+
+
+def transcript_rounds_json_pieces(transcript: ProtocolTranscript):
+    """The text of transcript_rounds_json as a generator of pieces: the
+    head, then each block of each round column as it is rendered, then the
+    tail, so that a writer holds one block's text at a time."""
     text = json.dumps(transcript_to_json(transcript), indent=2)
-    cols = transcript.rounds
-    members = []
-    for name, table in cols.tables.items():
-        # items at depth 3 of the indent, each followed by a comma but the last
-        items = _render_rows(cols.cells, [f"\n      {v},".encode() for v in table.tolist()],
-                             numbered=False)
-        members.append(f"\n    {json.dumps(name)}: [{items[:-1].decode('ascii')}\n    ]")
     # "rounds" is the document's last member
-    return text[:-2] + ',\n  "rounds": {' + ",".join(members) + "\n  }\n}"
+    yield text[:-2] + ',\n  "rounds": {'
+    cols = transcript.rounds
+    for k, (name, table) in enumerate(cols.tables.items()):
+        yield f"{',' if k else ''}\n    {json.dumps(name)}: ["
+        # items at depth 3 of the indent, each after a comma but the first
+        blocks = _render_blocks(cols.cells, [f",\n      {v}".encode() for v in table.tolist()],
+                                numbered=False)
+        for b, block in enumerate(blocks):
+            yield str(memoryview(block)[0 if b else 1:], "ascii")
+        yield "\n    ]"
+    yield "\n  }\n}"
 
 
 def estimate_to_json(est: NoiseEstimate) -> dict:

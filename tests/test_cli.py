@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -316,12 +317,32 @@ def test_cold_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_lemma_check_fresh_interpreter_loads_linprog():
+def test_lemma_check_fresh_interpreter_leaves_scipy_unloaded():
     proc = _fresh_python("-m", "noisygames.cli", "lemma-check", "--seed", "3")
     assert proc.returncode == 0, proc.stderr
     checks = json.loads(proc.stdout)["checks"]
     assert all(c["pass"] for c in checks)
     assert "lp_closed_form_vs_linear_program" in {c["name"] for c in checks}
+    # the LP oracle enumerates vertices: no command reaches for scipy
+    proc = _fresh_python("-c", "import sys, noisygames.cli; "
+                               "code = noisygames.cli.main(['lemma-check', '--seed', '3']); "
+                               "print(code, 'scipy' in sys.modules, file=sys.stderr)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["0", "False"]
+    assert all(c["pass"] for c in json.loads(proc.stdout)["checks"])
+
+
+def test_no_package_module_imports_scipy():
+    package = Path(noisygames.__file__).resolve().parent
+    imports = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.append((path.name, node.module))
+    assert imports, "the scan found no import statements"
+    assert [(f, m) for f, m in imports if m.split(".")[0] == "scipy"] == []
 
 
 SIMULATE = ["simulate", "--game", "chsh", "--rho", "0.8", "--t", "50", "--p", "0.1"]
