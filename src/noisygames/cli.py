@@ -172,13 +172,13 @@ def cmd_selftest(args) -> int:
 
 def cmd_simulate(args) -> int:
     from . import serialize
-    from .protocols import ProtocolParams, run_protocol, transcript_rounds_csv
+    from .protocols import ProtocolParams, run_protocol, transcript_rounds_csv_pieces
 
     strategy = _load_strategy(args)
     params = ProtocolParams(args.game, args.t, args.p, args.seed, args.rho)
     transcript = run_protocol(params, strategy)
     if args.export_csv:
-        _write((transcript_rounds_csv(transcript),), args.export_csv)
+        _write(transcript_rounds_csv_pieces(transcript), args.export_csv)
     if args.include_rounds:
         _write(itertools.chain(serialize.transcript_rounds_json_pieces(transcript), ("\n",)),
                args.out)
@@ -378,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(seed):
-    """--seed, else NOISYGAMES_SEED, else 0; it keys a uint64 Philox stream."""
+    """--seed, else NOISYGAMES_SEED, else 0, in [0, 2**64): simulate seeds its
+    SFC64 blocks' SeedSequence with it, and estimate-rho keys a Philox stream."""
     if seed is None:
         text = os.environ.get("NOISYGAMES_SEED", "0")
         try:

@@ -2,32 +2,33 @@
 the i.i.d. assumption, plus Hoeffding-based noise-rate estimation.
 
 Determinism: every game draws its rounds by one rule.  Block k of a run
-holds rounds k * 2**15 to (k + 1) * 2**15 - 1 and comes from its own Philox
-bit generator keyed by (master seed, k): first the block's context ids, from
-one 16-bit integers() call over the game's contexts (narrowed to one byte
-when every id fits), then one uniform a round.  Round r of a seed is thus
-the same for every t, and a run is a prefix of any run of the same seed with
-a larger t.  Philox is counter-based, so blocks are independent streams
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11):
-transcripts are reproducible byte-for-byte, and blocks could be drawn in
-parallel without changing results.  A run ends with the block in which the
-last tracked question comes up for the t-th time; nothing after that block
-is drawn.  A run expected to need more than 2**25 rounds, t times the
-number of contexts over the contexts of the game's rarest tracked question,
-is rejected before any draw.
+holds rounds k * 2**15 to (k + 1) * 2**15 - 1 and comes from its own SFC64
+bit generator seeded by SeedSequence(seed, spawn_key=(k,)): first the
+block's context ids, from one 16-bit integers() call over the game's
+contexts (narrowed to one byte when every id fits), then one uniform a
+round.  Round r of a seed is thus the same for every t, and a run is a
+prefix of any run of the same seed with a larger t.  Spawn keys make blocks
+independent streams: transcripts are reproducible byte-for-byte, and blocks
+could be drawn in any order without changing results.  A run ends with the
+block in which the last tracked question comes up for the t-th time;
+nothing after that block is drawn.  A run expected to need more than 2**25
+rounds, t times the number of contexts over the contexts of the game's
+rarest tracked question, is rejected before any draw.  (The fixed-round
+player, _fixed_round_rates, draws from a Philox stream keyed by the seed.)
 
 A round's outcome is the inverse-CDF draw of its uniform in its context's
 row.  A guide table of 2**bits buckets per row gives it with one gather;
 only a uniform in a bucket that holds a bound of its row is counted against
 the row's bounds, and the outcomes are bit-for-bit those of the full count.
 
-Each block is counted once, into a run-level (context, outcome) histogram;
+Each block becomes one cell id a round, context * n_out + outcome (one or
+two bytes), counted once into a run-level (context, outcome) histogram;
 per-question counts and first-t histograms follow from it through 0/1
 question x context matrices, and the win and consistency rates from its
-sums over each game's win and consistency tables.  A run keeps one cell id
-a round, context * n_out + outcome (one or two bytes); each per-round column
-of a transcript is built from them when it is read, and the CSV and JSON
-round exports render their text from them a block of rounds at a time.
+sums over each game's win and consistency tables.  The run keeps its cell
+ids; each per-round column of a transcript is built from them when it is
+read, and the CSV and JSON round exports render their text from them a
+block of rounds at a time.
 
 Interpretation note: trace-test counts reuse the game rounds themselves (the
 protocol counts answers "when asked question x" within the same repetitions);
@@ -100,7 +101,7 @@ class ProtocolParams:
 
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(block))))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
 def _sample_categories(cum: np.ndarray, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -465,10 +466,10 @@ def sample_round(strategy, noise, questions, rng: np.random.Generator):
 
 
 def _blocks(seed: int, n_ctx: int):
-    """Successive blocks of a run as (context ids, uniforms): block k's stream,
-    keyed by (seed, k), gives _BLOCK context ids from one uint16 integers()
-    call over n_ctx contexts (kept as uint8 when n_ctx <= 256), then _BLOCK
-    uniforms.  Nothing is drawn for a block that is not asked for."""
+    """Successive blocks of a run as (context ids, uniforms): block k's stream
+    gives _BLOCK context ids from one uint16 integers() call over n_ctx
+    contexts (kept as uint8 when n_ctx <= 256), then _BLOCK uniforms.
+    Nothing is drawn for a block that is not asked for."""
     ctx_type = np.min_scalar_type(n_ctx - 1)
     for block in itertools.count():
         rng = _rng_for_block(seed, block)
@@ -480,10 +481,10 @@ def _play_blocks(params: ProtocolParams, game: _Game):
     """Play blocks of rounds until every key of every key set has come up t
     times.
 
-    Returns the context ids and outcomes up to the exact stopping round;
-    per key set and key, the number of its rounds up to that round and the
-    histogram of outcome categories over its first t rounds; and the
-    (context, outcome) histogram of the rounds up to that round."""
+    Returns the cell ids (_cell_ids) of the rounds up to the exact stopping
+    round; per key set and key, the number of its rounds up to that round
+    and the histogram of outcome categories over its first t rounds; and
+    the (context, outcome) histogram of the rounds up to that round."""
     t = params.t
     n_ctx, n_out = game.sampler.cum.shape
     # the rounds a run is expected to need: t times the contexts per context
@@ -494,26 +495,25 @@ def _play_blocks(params: ProtocolParams, game: _Game):
         raise ValidationError(f"t = {t} is expected to need {need} rounds, "
                               f"above the limit of {_MAX_ROUNDS}")
 
-    def histogram(ctx, out):
-        return np.bincount(_cell_ids(ctx, out, n_ctx, n_out),
-                           minlength=n_ctx * n_out).reshape(n_ctx, n_out)
+    def histogram(cells):
+        return np.bincount(cells, minlength=n_ctx * n_out).reshape(n_ctx, n_out)
 
-    # per key set: its context -> key id table and its key x context 0/1
+    # per key set: its cell -> key id table and its key x context 0/1
     # matrix, and per key its count and its first-t histogram; joint holds
     # the run's rounds so far, and last is the latest round at which a key
     # came up for the t-th time
-    tables = [(keys, (np.arange(int(keys.max()) + 1)[:, None] == keys).astype(np.int64))
+    tables = [(np.repeat(keys, n_out),
+               (np.arange(int(keys.max()) + 1)[:, None] == keys).astype(np.int64))
               for keys, _ in game.key_sets]
     counts = [np.zeros(len(member), dtype=np.int64) for _, member in tables]
     hists = [np.zeros((len(c), n_out), dtype=np.int64) for c in counts]
     joint = np.zeros((n_ctx, n_out), dtype=np.int64)
-    ctxs, outs = [], []
+    drawn = []
     start = last = 0
     for ctx, u in _blocks(params.seed, n_ctx):
-        out = game.sampler.draw(ctx, u)
-        ctxs.append(ctx)
-        outs.append(out)
-        counted = histogram(ctx, out)
+        cells = _cell_ids(ctx, game.sampler.draw(ctx, u), n_ctx, n_out)
+        drawn.append(cells)
+        counted = histogram(cells)
         per_ctx = counted.sum(axis=1)
         for (keys, member), count, hist in zip(tables, counts, hists):
             after = count + member @ per_ctx
@@ -521,25 +521,24 @@ def _play_blocks(params: ProtocolParams, game: _Game):
             # joint, and its first t - count rounds in this block
             crossing = np.flatnonzero((count < t) & (after >= t))
             if len(crossing):
-                ids = keys.take(ctx)
+                ids = keys.take(cells)
                 for k in crossing:
                     rounds = np.flatnonzero(ids == k)[: t - count[k]]
                     last = max(last, start + int(rounds[-1]))
-                    hist[k] = member[k] @ joint + np.bincount(out[rounds], minlength=n_out)
+                    outs = cells[rounds] % n_out
+                    hist[k] = member[k] @ joint + np.bincount(outs, minlength=n_out)
             count[:] = after
         joint += counted
         if all(count.min() >= t for count in counts):
             break
-        start += len(ctx)
-    t_prime = last + 1
+        start += len(cells)
     # drop the stopping block's rounds after the stopping round
-    cut = t_prime - start
-    joint -= histogram(ctx[cut:], out[cut:])
-    ctxs[-1], outs[-1] = ctx[:cut], out[:cut]
+    cut = last + 1 - start
+    joint -= histogram(cells[cut:])
+    drawn[-1] = cells[:cut]
     per_ctx = joint.sum(axis=1)
-    return np.concatenate(ctxs), np.concatenate(outs), [
-        [(int(c), h) for c, h in zip(member @ per_ctx, hist)]
-        for (_, member), hist in zip(tables, hists)], joint
+    return np.concatenate(drawn), [[(int(c), h) for c, h in zip(member @ per_ctx, hist)]
+                                  for (_, member), hist in zip(tables, hists)], joint
 
 
 # the game tables that give rates, not round columns
@@ -570,7 +569,7 @@ def run_protocol(params: ProtocolParams, strategy) -> ProtocolTranscript:
     if not isinstance(strategy, cls):
         raise ValidationError(f"{params.game} protocol needs a {cls.__name__}")
     game = build(strategy, params.rho)
-    ctx, out, seen, joint = _play_blocks(params, game)
+    cells, seen, joint = _play_blocks(params, game)
     counts, freqs, reasons = {}, {}, []
     for (_, keys), key_seen in zip(game.key_sets, seen):
         for (label, tests), (count, hist) in zip(keys, key_seen):
@@ -579,12 +578,11 @@ def run_protocol(params: ProtocolParams, strategy) -> ProtocolTranscript:
                 f = freqs[test] = _plus_frequency(hist, bit)
                 if abs(f - 0.5) >= params.delta:
                     reasons.append(reason.format(f=f))
-    rounds = RoundColumns(_cell_ids(ctx, out, *joint.shape),
-                          {name: table for name, table in game.columns.items()
-                           if name not in _RATES})
-    wins, *consistent = _rates(game, joint, len(out))
+    rounds = RoundColumns(cells, {name: table for name, table in game.columns.items()
+                                  if name not in _RATES})
+    wins, *consistent = _rates(game, joint, len(cells))
     return ProtocolTranscript(
-        params.game, params, len(out), rounds, counts, freqs, not reasons, reasons, wins,
+        params.game, params, len(cells), rounds, counts, freqs, not reasons, reasons, wins,
         empirical_consistency_rate=consistent[0] if consistent else None)
 
 
@@ -728,8 +726,14 @@ def _render_blocks(cells: np.ndarray, texts: list, numbered: bool):
 
 def transcript_rounds_csv(transcript: ProtocolTranscript) -> str:
     """Per-round records as CSV text (header + one line per round)."""
+    return "".join(transcript_rounds_csv_pieces(transcript))
+
+
+def transcript_rounds_csv_pieces(transcript: ProtocolTranscript):
+    """The text of transcript_rounds_csv: the header, then each rendered
+    block of rows."""
     cols = transcript.rounds
+    yield ",".join(["round", *cols]) + "\n"
     texts = ["".join(f",{v}" for v in cell).encode() + b"\n"
              for cell in zip(*(table.tolist() for table in cols.tables.values()))]
-    return (",".join(["round", *cols]) + "\n"
-            + _render_rows(cols.cells, texts, numbered=True).decode("ascii"))
+    yield from (str(block, "ascii") for block in _render_blocks(cols.cells, texts, numbered=True))

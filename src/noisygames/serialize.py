@@ -38,9 +38,9 @@ from .protocols import NoiseEstimate, ProtocolTranscript, _render_blocks
 from .states import BipartiteState, make_depolarized_epr, make_epr_power
 
 SCHEMA_VERSION = 1
-# run transcripts: version 2 draws every game's rounds in fixed blocks keyed
-# by (seed, block) (see protocols); version 1 sized the first block by t
-TRANSCRIPT_SCHEMA_VERSION = 2
+# run transcripts: version 3 draws each fixed block from SFC64 (see
+# protocols), version 2 from Philox; version 1 sized the first block by t
+TRANSCRIPT_SCHEMA_VERSION = 3
 
 # symbolic strategies act on at most 2**6 dimensions per player, so that
 # their joint states fit states.JOINT_DIM_CAP; a canonical 2-out-of-6
@@ -395,18 +395,12 @@ def transcript_to_json(transcript: ProtocolTranscript, include_rounds: bool = Fa
     return out
 
 
-def transcript_rounds_json(transcript: ProtocolTranscript) -> str:
-    """The text of json.dumps(transcript_to_json(transcript,
-    include_rounds=True), indent=2), with each round column's items
-    rendered from the run's cell ids by a byte kernel instead of json's
-    encoder over Python ints."""
-    return "".join(transcript_rounds_json_pieces(transcript))
-
-
 def transcript_rounds_json_pieces(transcript: ProtocolTranscript):
-    """The text of transcript_rounds_json as a generator of pieces: the
-    head, then each block of each round column as it is rendered, then the
-    tail, so that a writer holds one block's text at a time."""
+    """The text of json.dumps(transcript_to_json(transcript,
+    include_rounds=True), indent=2) as a generator of pieces: the head, then
+    each block of each round column as a byte kernel renders it from the
+    run's cell ids, then the tail, so that a writer holds one block's text
+    at a time."""
     text = json.dumps(transcript_to_json(transcript), indent=2)
     # "rounds" is the document's last member
     yield text[:-2] + ',\n  "rounds": {'

@@ -201,19 +201,22 @@ def test_estimate_rho_from_transcript_file(tmp_path, capsys):
 
 
 def test_estimate_rho_reads_schema_v1_and_v2_transcripts(tmp_path, capsys):
-    v2 = tmp_path / "v2.json"
+    # a v3 transcript, and the same document tagged with either older version
+    v3 = tmp_path / "v3.json"
     code, _, _ = run_cli(capsys, "simulate", "--game", "magic_square", "--rho", "0.7",
-                         "--t", "300", "--seed", "4", "--out", str(v2))
-    doc = json.loads(v2.read_text())
-    assert code == 0 and doc["schemaVersion"] == 2
+                         "--t", "300", "--seed", "4", "--out", str(v3))
+    doc = json.loads(v3.read_text())
+    assert code == 0 and doc["schemaVersion"] == 3
     v1 = tmp_path / "v1.json"
     v1.write_text(json.dumps({**doc, "schemaVersion": 1}))
+    v2 = tmp_path / "v2.json"
+    v2.write_text(json.dumps({**doc, "schemaVersion": 2}))
     estimates = []
-    for path in (v1, v2):
+    for path in (v1, v2, v3):
         code, out, _ = run_cli(capsys, "estimate-rho", "--transcript", str(path))
         assert code == 0
         estimates.append(out)
-    assert estimates[0] == estimates[1]
+    assert estimates[0] == estimates[1] == estimates[2]
     assert json.loads(estimates[0])["nRounds"] == doc["tPrime"]
 
 
@@ -241,11 +244,11 @@ def test_unknown_constructor_rejected(capsys):
 # sha256 of `simulate --include-rounds` stdout for one (game, n, t, rho)
 # fixture per game at seed 11; pins the JSON rendering and the round stream.
 GOLDEN_SIMULATE = {
-    ("chsh", 1, 500, 0.8): "5a2f72a0900d53c61b770b8a89123b668c9108d25710269a4bd3f61c3d7ab9c2",
+    ("chsh", 1, 500, 0.8): "2529fe61d003850fffe1b57f77c2de576919023c1ee898cfa7aef957f81d8c94",
     ("magic_square", 1, 200, 0.9):
-        "88e6441d533037dd1b5fbceb94193dfe4c2312bb608af430cdb4cd953d51a412",
+        "00b4b38f3ce54cbabbbe062de0e4d36c0b8252ffbc41278b81c73dd3aaa06699",
     ("two_out_of_n", 3, 40, 0.9):
-        "96f7fe3f6ed133f64025c9943dcb30518abf58948bbc8d607793479841a80b20",
+        "468c2cf8b8205acf5537e1be91ab1c8cb99abbf9136bd131db613ed88ffb8ffb",
 }
 
 
@@ -265,9 +268,9 @@ def test_simulate_include_rounds_golden_digest(tmp_path, capsys, game, n, t, rho
 # Multi-block runs; see GOLDEN_CSV_MULTI_BLOCK in test_protocols.py.
 GOLDEN_SIMULATE_MULTI_BLOCK = {
     ("two_out_of_n", 5, 400, 3, 0.9):
-        "34635cbf90616065604cba0ae38dbf6e4979978ef74823cd71b4c367238cec13",
+        "81d8fbc9a71e0f1c7711a577071dc5d86a2b2c0155da6a7e25f039021d2a5cc8",
     ("magic_square", 1, 4000, 1, 0.9):
-        "71741c2628be2aa64bd51e6d3c3fa2faeaa089b1bb6c492d338118a46a049008",
+        "882e00663c35cfb5a93a48563107d077e1c4080d0cd264cbe7c260160a07e9d8",
 }
 
 
@@ -302,6 +305,32 @@ def test_include_rounds_text_is_the_indented_json_dump(tmp_path, capsys, game, n
     code, stdout, _ = run_cli(capsys, *argv, "--out", str(out_path))
     assert code == 0 and stdout == ""
     assert out_path.read_text() == want
+
+
+@pytest.mark.parametrize("game, n, t, seed", [
+    ("chsh", 1, 3, 1), ("chsh", 1, 40_000, 2), ("magic_square", 1, 40, 3),
+    ("two_out_of_n", 3, 1600, 4)])
+def test_export_csv_file_is_the_rounds_csv(tmp_path, capsys, game, n, t, seed):
+    # simulate writes the CSV a block of rows at a time; the file holds the
+    # bytes of transcript_rounds_csv, which joins the same pieces
+    from noisygames.games import (canonical_chsh_strategy, canonical_magic_square_strategy,
+                                  canonical_two_out_of_n_strategy)
+    from noisygames.protocols import (ProtocolParams, run_protocol, transcript_rounds_csv,
+                                      transcript_rounds_csv_pieces)
+
+    strategy = {"chsh": canonical_chsh_strategy, "magic_square": canonical_magic_square_strategy,
+                "two_out_of_n": canonical_two_out_of_n_strategy}[game](n)
+    tr = run_protocol(ProtocolParams(game, t, 0.05, seed, 0.8), strategy)
+    want = transcript_rounds_csv(tr)
+    pieces = list(transcript_rounds_csv_pieces(tr))
+    assert "".join(pieces) == want and pieces[0] == want[: want.index("\n") + 1]
+    assert len(pieces) == 1 + -(-tr.t_prime // 2 ** 15)
+    csv_path = tmp_path / "rounds.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--game", game, "--n", str(n), "--rho", "0.8",
+                         "--t", str(t), "--p", "0.05", "--seed", str(seed),
+                         "--export-csv", str(csv_path))
+    assert code == 0
+    assert csv_path.read_bytes() == want.encode("ascii")
 
 
 def _fresh_python(*args):
@@ -490,9 +519,9 @@ def test_threads_flag_removed(capsys):
     (["certify", "--game", "chsh", "--rho", "0.8", "--variable", "1,1"],
      "a variable is read only by the magic-square certificate, not for a ChshStrategy"),
     (["estimate-rho", "--transcript", "{v99}"],
-     "--transcript {v99}: unknown transcript schemaVersion 99; this version reads 1 to 2"),
+     "--transcript {v99}: unknown transcript schemaVersion 99; this version reads 1 to 3"),
     (["estimate-rho", "--transcript", "{v_true}"],
-     "--transcript {v_true}: unknown transcript schemaVersion True; this version reads 1 to 2"),
+     "--transcript {v_true}: unknown transcript schemaVersion True; this version reads 1 to 3"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",

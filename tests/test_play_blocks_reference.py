@@ -61,12 +61,15 @@ def _reference_play_blocks(params, game):
 
 
 def _reference_with_histogram(params, game):
-    """The reference runner's results plus the (context, outcome) histogram
-    of its own rounds."""
+    """The reference runner's results as the runner returns them: each
+    round's (context, outcome) cell id ctx * n_out + out, the counts and
+    first-t histograms, and the histogram of the cell ids."""
     ctx, out, seen = _reference_play_blocks(params, game)
     n_ctx, n_out = game.sampler.cum.shape
-    joint = np.bincount(ctx.astype(np.intp) * n_out + out, minlength=n_ctx * n_out)
-    return ctx, out, seen, joint.reshape(n_ctx, n_out)
+    assert out.dtype == np.uint8
+    cells = ctx.astype(np.intp) * n_out + out
+    joint = np.bincount(cells, minlength=n_ctx * n_out)
+    return cells, seen, joint.reshape(n_ctx, n_out)
 
 
 def _biased_povm(povm, weight):
@@ -119,24 +122,25 @@ _GRID = [(game, kind, t, _SEEDS[(c + j) % 3], _RHOS[(c + 2 * j + g) % 3])
          for c, kind in enumerate(("canonical", "perturbed", "trace-biased"))
          for j, t in enumerate(_TS)]
 
-# (game, kind, t, seed, rho) -> t': runs that stop near the end of block 0
-# or within block 1, and runs that stop on the last round of a block
-# (t' = 32768 or 65536) or on the first round of the next (32769, 65537)
+# (game, kind, t, seed, rho) -> t': runs that stop in the last 256 rounds
+# of block 0 or in the first rounds of block 1, and runs that stop on the
+# last round of a block (t' = 32768 or 65536) or on the first round of the
+# next (32769, 65537)
 _PINNED = {
-    ("magic_square", "canonical", 873, 1, 0.85): 8309,
-    ("magic_square", "trace-biased", 896, 2, 1.0): 8588,
-    ("two_out_of_n", "canonical-n5", 95, 0, 0.85): 9518,
-    ("two_out_of_n", "perturbed-n5", 103, 0, 0.0): 10387,
-    ("chsh", "canonical", 16290, 5, 0.85): 32625,
-    ("chsh", "trace-biased", 16291, 5, 0.0): 32627,
-    ("magic_square", "perturbed", 3523, 20, 1.0): 32561,
-    ("magic_square", "canonical", 3557, 27, 0.85): 32842,
-    ("chsh", "canonical", 16341, 0, 0.85): 32768,
-    ("chsh", "trace-biased", 16372, 8, 0.0): 32769,
-    ("magic_square", "perturbed", 7119, 2, 1.0): 65536,
-    ("magic_square", "canonical", 7184, 9, 0.85): 65537,
-    ("two_out_of_n", "canonical-n5", 357, 210, 0.85): 32768,
-    ("two_out_of_n", "perturbed-n5", 759, 84, 0.0): 65537,
+    ("magic_square", "canonical", 3561, 1, 0.85): 32512,
+    ("magic_square", "trace-biased", 3522, 2, 1.0): 32529,
+    ("two_out_of_n", "canonical-n5", 368, 1, 0.85): 32662,
+    ("two_out_of_n", "perturbed-n5", 362, 3, 0.0): 32550,
+    ("chsh", "canonical", 16290, 0, 0.85): 32883,
+    ("chsh", "trace-biased", 16331, 6, 0.0): 32771,
+    ("magic_square", "perturbed", 3571, 20, 1.0): 32774,
+    ("magic_square", "canonical", 3603, 27, 0.85): 32770,
+    ("chsh", "canonical", 16341, 27, 0.85): 32768,
+    ("chsh", "trace-biased", 16306, 8, 0.0): 32769,
+    ("magic_square", "perturbed", 7206, 12, 1.0): 65536,
+    ("magic_square", "canonical", 7017, 9, 0.85): 65537,
+    ("two_out_of_n", "canonical-n5", 350, 270, 0.85): 32768,
+    ("two_out_of_n", "perturbed-n5", 756, 141, 0.0): 65537,
 }
 
 
@@ -159,11 +163,12 @@ def _check_against_reference(monkeypatch, game, kind, t, seed, rho):
     ref = run_protocol(params, strategy)
     monkeypatch.setattr(protocols, "_play_blocks", runner)
 
-    (ctx, out, seen, joint), n_out = played["runner"]
-    (ref_ctx, ref_out, ref_seen, ref_joint), _ = played["reference"]
-    assert tr.t_prime == ref.t_prime == len(ref_ctx)
-    assert ctx.dtype == ref_ctx.dtype and out.dtype == ref_out.dtype == np.uint8
-    assert np.array_equal(ctx, ref_ctx) and np.array_equal(out, ref_out)
+    (cells, seen, joint), n_out = played["runner"]
+    (ref_cells, ref_seen, ref_joint), _ = played["reference"]
+    assert tr.t_prime == ref.t_prime == len(ref_cells)
+    # one or two bytes a round, the narrowest that holds every cell id
+    assert cells.dtype == np.min_scalar_type(joint.size - 1)
+    assert np.array_equal(cells, ref_cells)
     assert joint.shape == ref_joint.shape and np.array_equal(joint, ref_joint)
     assert len(seen) == len(ref_seen)
     for key_seen, ref_key_seen in zip(seen, ref_seen):

@@ -395,11 +395,11 @@ def test_csv_peak_memory_is_a_small_multiple_of_its_text():
 # A change that moves one of these changes transcripts: bump the transcript
 # schema version and say so in CHANGES.md.
 GOLDEN_CSV = {
-    ("chsh", 1, 500, 0.8): "711ad07025df5d8e87627315effa2d034577b68441eaf6468f1c9672fd10a782",
+    ("chsh", 1, 500, 0.8): "d33604234cccd23cd08df4036313326d40571f81cf5eefe09dc9dec23fa3a4ce",
     ("magic_square", 1, 200, 0.9):
-        "2ea682520cb07def642ba15fcc8e0be1ede3a331a7f28cd051391b249b6499c6",
+        "74a5daa30a112e4f287ab29f4743e8f7b05812db5741f80d7e83e57d5111c511",
     ("two_out_of_n", 3, 40, 0.9):
-        "cbd145c85b56e93933040bf002d1d5c9401edce8c6f567bef07c084e8d73a2be",
+        "d2fd98bf2784e6a93c0a6d99475b838984141cb9e60e0e3ca80417d564a160bc",
 }
 
 
@@ -417,9 +417,9 @@ def test_transcript_csv_golden_digest(game, n, t, rho):
 # (game, n, t, seed, rho) -> (t', sha256 of transcript_rounds_csv).
 GOLDEN_CSV_MULTI_BLOCK = {
     ("two_out_of_n", 5, 400, 3, 0.9):
-        (35486, "a5394eebd00e6e7971652a6181efa730854feac991cc5c01d28115e9d4fb0d8a"),
+        (35363, "5af201bd997913aac8f9dacbff6687aae48983a98670f05ba05d2fbda15e0428"),
     ("magic_square", 1, 4000, 1, 0.9):
-        (36875, "be4862ea845ce17be6029ab3ade486d26b0e76002ee5a7d747e5806b10c86aa9"),
+        (36589, "f3f51bd80df472dacbebfa956bdb0b75f8aee7be4fd8ae9628e316983c3eb46c"),
 }
 
 
@@ -579,43 +579,46 @@ def test_two_out_of_n_context_ids_are_the_flat_question_index(n):
 # (seed, block, contexts) -> the first six context ids and the first two
 # uniforms of the block
 STREAM_PINS = {
-    (0, 0, 4): ([3, 0, 2, 0, 3, 2], [0.05551883674435831, 0.12197388730581438]),
-    (0, 0, 18): ([15, 0, 13, 0, 13, 11], [0.28498998060412484, 0.9338087756358016]),
-    (0, 0, 96): ([81, 3, 69, 1, 74, 58], [0.5153559037637536, 0.5713924580747104]),
-    (0, 0, 320): ([270, 11, 232, 3, 247, 195], [0.9976542604121343, 0.3725940407167728]),
-    (0, 3, 4): ([0, 0, 0, 1, 2, 1], [0.0830480176768138, 0.6160241910652059]),
-    (0, 3, 18): ([1, 2, 0, 8, 9, 7], [0.02187552838952178, 0.05683147181933601]),
-    (0, 3, 96): ([10, 11, 2, 45, 52, 42], [0.821851381992473, 0.342650578247345]),
-    (0, 3, 320): ([34, 38, 9, 152, 173, 140], [0.08529492553259255, 0.1944515000072864]),
-    (2 ** 64 - 1, 0, 4): ([1, 2, 0, 0, 0, 2], [0.5232560546420364, 0.9058556980482941]),
-    (2 ** 64 - 1, 0, 18): ([6, 9, 2, 4, 0, 12], [0.347117348274396, 0.9801463015208225]),
-    (2 ** 64 - 1, 0, 96): ([34, 53, 12, 22, 2, 65], [0.3988011189142969, 0.9752696604301212]),
-    (2 ** 64 - 1, 0, 320): ([114, 177, 42, 75, 8, 217],
-                            [0.20549946906481653, 0.5773671726919886]),
-    (2 ** 64 - 1, 3, 4): ([1, 1, 3, 1, 2, 1], [0.3721893981582173, 0.8044959453878049]),
-    (2 ** 64 - 1, 3, 18): ([7, 7, 13, 7, 11, 4], [0.415310521139031, 0.545656897831388]),
-    (2 ** 64 - 1, 3, 96): ([38, 42, 73, 40, 60, 25], [0.9660043541044302, 0.5732729316293066]),
-    (2 ** 64 - 1, 3, 320): ([128, 140, 246, 133, 201, 85],
-                            [0.7586576945169542, 0.9386312465054184]),
+    (0, 0, 4): ([2, 0, 0, 2, 2, 0], [0.6027700690052553, 0.45581420648697524]),
+    (0, 0, 18): ([10, 0, 3, 9, 9, 2], [0.08600004597893873, 0.47572220090949846]),
+    (0, 0, 96): ([58, 0, 16, 52, 52, 15], [0.09424292687759417, 0.4407048846998105]),
+    (0, 0, 320): ([194, 1, 56, 175, 173, 50], [0.16783002422370563, 0.5827581675762906]),
+    (0, 3, 4): ([3, 2, 3, 3, 1, 0], [0.798659400880905, 0.6144924075209378]),
+    (0, 3, 18): ([15, 9, 16, 17, 4, 3], [0.9615803556007968, 0.06861777328442553]),
+    (0, 3, 96): ([84, 51, 87, 93, 24, 17], [0.4410335711841523, 0.4277024318022359]),
+    (0, 3, 320): ([280, 170, 292, 311, 80, 56], [0.616663316132788, 0.6415500725259592]),
+    (2 ** 64 - 1, 0, 4): ([2, 3, 2, 0, 1, 0], [0.9567117299598976, 0.8539166853074771]),
+    (2 ** 64 - 1, 0, 18): ([12, 15, 9, 3, 8, 2], [0.8539166853074771, 0.8483611984601951]),
+    (2 ** 64 - 1, 0, 96): ([68, 83, 52, 19, 47, 15], [0.05483290457816958, 0.9172955861979328]),
+    (2 ** 64 - 1, 0, 320): ([226, 277, 174, 64, 158, 52],
+                            [0.7323509475465722, 0.11407177091729348]),
+    (2 ** 64 - 1, 3, 4): ([3, 0, 0, 3, 0, 1], [0.5049790590962755, 0.8138512504165873]),
+    (2 ** 64 - 1, 3, 18): ([14, 3, 2, 13, 2, 5], [0.3047131880625301, 0.3247783229415585]),
+    (2 ** 64 - 1, 3, 96): ([75, 16, 13, 72, 12, 28], [0.4037267966263678, 0.03169903074313485]),
+    (2 ** 64 - 1, 3, 320): ([251, 54, 43, 242, 40, 93],
+                            [0.18718055007936552, 0.4828431234479509]),
 }
 
 
-def test_round_stream_is_philox_keyed_by_seed_and_block():
+def test_round_stream_is_sfc64_keyed_by_seed_sequence_spawn():
     # the one rule every game's rounds follow: block k of a seed holds
-    # _BLOCK ids from one uint16 integers() call of the Philox stream keyed
-    # by (seed, k), then _BLOCK uniforms.  The key is given as two uint64
-    # scalars: Philox(key=(2**64 - 1, k)) with Python ints loses the seed
-    # in a float cast.  A numpy change to Philox, integers() or random()
-    # fails here
+    # _BLOCK ids from one uint16 integers() call of the SFC64 stream seeded
+    # by SeedSequence(seed, spawn_key=(k,)), the k-th child that
+    # SeedSequence(seed).spawn() gives, then _BLOCK uniforms.  A numpy change
+    # to SeedSequence, SFC64, integers() or random() fails here
     assert _BLOCK == 2 ** 15
     for (seed, block, n_ctx), (first_ids, first_u) in STREAM_PINS.items():
-        rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(block))))
+        child = np.random.SeedSequence(seed).spawn(block + 1)[block]
+        rng = np.random.Generator(np.random.SFC64(child))
         ids = rng.integers(0, n_ctx, size=_BLOCK, dtype=np.uint16)
         u = rng.random(_BLOCK)
         ctx, runner_u = next(itertools.islice(_blocks(seed, n_ctx), block, None))
         assert ctx.dtype == (np.uint8 if n_ctx <= 256 else np.uint16)
         assert np.array_equal(ctx, ids) and np.array_equal(runner_u, u)
         assert ids[:6].tolist() == first_ids and u[:2].tolist() == first_u
+    # seed 2**64 - 1 is not folded onto another seed
+    assert not np.array_equal(_rng_for_block(2 ** 64 - 1, 0).random(8),
+                              _rng_for_block(0, 0).random(8))
 
 
 def test_two_out_of_n_needs_two_indices():
@@ -728,18 +731,18 @@ def _rejected_strategy(game):
 # trace frequencies as well as the rounds.
 GOLDEN_REJECTED = {
     ("chsh", 2000, 0): (
-        ["player A question 0: |0.5910 - 1/2| >= delta",
-         "player B question 1: |0.3830 - 1/2| >= delta"],
-        "cb7478fc1a92ffe1ed6001f007b4db955144d388ba68775d2a23e1e180671b00"),
+        ["player A question 0: |0.5875 - 1/2| >= delta",
+         "player B question 1: |0.3800 - 1/2| >= delta"],
+        "2873d3417446190115814fbd54705580090730e4dda991da1923b59dfb3ad700"),
     ("magic_square", 800, 1): (
-        ["Alice c2 variable s12: bias 0.7488", "Alice c2 variable s22: bias 0.7462",
-         "Alice c2 variable s32: bias 0.7450", "Bob variable s23: bias 0.7625"],
-        "3451302fd50dd1edd1079643f2563bc05a20a8a1a36c98fbe100c78f223accd7"),
+        ["Alice c2 variable s12: bias 0.7350", "Alice c2 variable s22: bias 0.7538",
+         "Alice c2 variable s32: bias 0.7712", "Bob variable s23: bias 0.7512"],
+        "d0af3a2c34c3f4072a1b7e3f5c776e86111020a758501f2f656135556ffbd438"),
     ("two_out_of_n", 800, 3): (
-        ["player B single question (1,0): bias 0.7375",
-         "player A pair (1,1,2,0) slot (1,1): bias 0.7712",
-         "player A pair (1,1,2,0) slot (2,0): bias 0.7700"],
-        "915cdd07369f2ae6fe0277a082ad8ac5b035f4a6b1b6edc7b53f29fc0e587dc3"),
+        ["player B single question (1,0): bias 0.7762",
+         "player A pair (1,1,2,0) slot (1,1): bias 0.7500",
+         "player A pair (1,1,2,0) slot (2,0): bias 0.7475"],
+        "a48372a82e099997bd73d9e835e74c51bbe492896c9f0bdd644e7ace667c760c"),
 }
 
 

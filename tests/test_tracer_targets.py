@@ -1,6 +1,7 @@
 """The traced benchmark (bench/tracing.py) wraps package methods by class
 and name and hooks three package functions; a rename in the package alone
-would break every traced run.  The tracer's source is read and executed
+would break every traced run, and a runner that bypassed a wrapped method
+would leave its layer reading 0.  The tracer's source is read and executed
 here without importing the bench package or writing bytecode."""
 
 import importlib
@@ -35,3 +36,28 @@ def test_every_hooked_function_exists(tracing):
         modname, attr = name.split(".")
         assert modname in tracing.MODULES
         assert inspect.isfunction(getattr(importlib.import_module(f"noisygames.{modname}"), attr))
+
+
+@pytest.mark.parametrize("game, n, t", [
+    ("chsh", 1, 20_000), ("magic_square", 1, 4000), ("two_out_of_n", 3, 1500)])
+def test_traced_sampler_draws_see_every_drawn_round(tracing, game, n, t):
+    # the tracer counts rounds drawn at each sampler's draw: a run draws
+    # whole blocks up to the one that holds its stopping round, every one of
+    # them through game.sampler.draw, so a runner that bypassed it would
+    # read 0 rounds drawn here and in every traced benchmark run
+    from noisygames import games, protocols
+
+    strategy = getattr(games, f"canonical_{game}_strategy")(n)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        tr = protocols.run_protocol(protocols.ProtocolParams(game, t, 0.05, seed=1, rho=0.8),
+                                    strategy)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert tr.t_prime > protocols._BLOCK
+    blocks = (tr.t_prime - 1) // protocols._BLOCK + 1
+    assert tracer.counters["rounds_drawn"] == blocks * protocols._BLOCK
+    assert tracer.counters["rounds_kept"] == tr.t_prime

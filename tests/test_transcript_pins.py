@@ -1,5 +1,5 @@
 """Transcripts written without rounds, and the repr of both empirical rates,
-pinned over a grid of games, t, seeds and noise rates (schema-v2 stream).
+pinned over a grid of games, t, seeds and noise rates (schema-v3 stream).
 A change to how rates and counts are accumulated must leave them
 unchanged."""
 
@@ -26,26 +26,26 @@ _RHOS = (0.0, 0.37, 0.85, 1.0)
 # order, of json.dumps(transcript_to_json(tr)) followed by the repr of the
 # win and consistency rates
 PINS = {
-    ("chsh", 1, 1): "b083f6d2416716d4276fa697ec0128f95d99a74da2ff69ad37cca2832246e26c",
-    ("chsh", 1, 7): "91d7a384468a3b13cb74909f75545571b2aa0e555c74cc7bdf15b6894b61ae15",
-    ("chsh", 1, 100): "487e679ad2032f38b4bd68a6c2feac466e29531f1ec3ce93d11568b39b14c39a",
-    ("chsh", 1, 3000): "e516ebf1109fac0b213f7172c0741077e979ceddf75127e3b4aa030aeed35373",
-    ("chsh", 2, 1): "b083f6d2416716d4276fa697ec0128f95d99a74da2ff69ad37cca2832246e26c",
-    ("chsh", 2, 7): "91d7a384468a3b13cb74909f75545571b2aa0e555c74cc7bdf15b6894b61ae15",
-    ("chsh", 2, 100): "487e679ad2032f38b4bd68a6c2feac466e29531f1ec3ce93d11568b39b14c39a",
-    ("chsh", 2, 3000): "e516ebf1109fac0b213f7172c0741077e979ceddf75127e3b4aa030aeed35373",
-    ("magic_square", 1, 1): "c651de2435746b04935cb9b0fd9593fc9b9b3aecbdb005dfce50b7e3574160ac",
-    ("magic_square", 1, 7): "c31d9827943973a1111d47c26236d6f0930ef021533116980be6ff3beb7b1287",
-    ("magic_square", 1, 100): "ff4649984c446cd44af6afd59c10882001261d5eb2b23769c7fb931c4becb586",
-    ("magic_square", 1, 3000): "b0f78a0a1de77912d4006ed6fce13175b976baa9d8ce9fc3c512df313de7e7e0",
-    ("two_out_of_n", 2, 1): "645683e86bd9ffd10f453f96ea7b7c3529e8864edd091cef553de74c86d03e27",
-    ("two_out_of_n", 2, 7): "c3773243d2c18e248a2703d1812e128706ea16fc56d7baf76eb9673aa09285b2",
-    ("two_out_of_n", 2, 100): "eda92e717bb26c667b8263e642b12d69bc796caa6943cc10078f317073c96830",
-    ("two_out_of_n", 2, 3000): "f0155570a836bbf933b59aaa0156bc81f3447b2304079f9a658c83e8500cb7da",
-    ("two_out_of_n", 3, 1): "a97304097e4e42033703af8664bf5ce048a9c2459f8e3a388649ad8e3c859c00",
-    ("two_out_of_n", 3, 7): "043bad796b7bc2d95a30a35bf49723f150cb9be0b5f9420f400af8607144c1d1",
-    ("two_out_of_n", 3, 100): "c4c3759243b42bbc1598f284956cf34b8f335f7e48ddcf225b4f4f107b5da56d",
-    ("two_out_of_n", 3, 3000): "d51fdc1d27acb4aa285cb231e4d3d890f364d2a0cb5010f788ca77c61734c4dc",
+    ("chsh", 1, 1): "64a012187c4d05719aaf86275dc603d0fe6abe1fa414d6fb6c76344df066dcc7",
+    ("chsh", 1, 7): "7f4b12bef769b83336617a3adaf20d742c0891acc793dafbe3d723fbb951e47e",
+    ("chsh", 1, 100): "aa09c55ec3fe1a0194d65d9bfb2e8110056bca6a58e5bc843ee4d65cae856e98",
+    ("chsh", 1, 3000): "81d179765b264fb9f9fdadd493e01ff27be4d29b66e43f91506ddd2fa44bd55a",
+    ("chsh", 2, 1): "64a012187c4d05719aaf86275dc603d0fe6abe1fa414d6fb6c76344df066dcc7",
+    ("chsh", 2, 7): "7f4b12bef769b83336617a3adaf20d742c0891acc793dafbe3d723fbb951e47e",
+    ("chsh", 2, 100): "aa09c55ec3fe1a0194d65d9bfb2e8110056bca6a58e5bc843ee4d65cae856e98",
+    ("chsh", 2, 3000): "81d179765b264fb9f9fdadd493e01ff27be4d29b66e43f91506ddd2fa44bd55a",
+    ("magic_square", 1, 1): "2bed3d61cba55624516773804ac93fad15647cacdf07f5724605598564b44364",
+    ("magic_square", 1, 7): "acef9d4aaa7d02a8535dc91e406bf6b4970fbc5d97fdace1dcc51f201decd9a1",
+    ("magic_square", 1, 100): "b14054016c193c13c4de89598a016a9563b37a2cd69760b4b71ec18d45b0e712",
+    ("magic_square", 1, 3000): "2beaeb677a9bf5bae6a878171462d4e0caea2470b02f82ed106c95ee0d7e9531",
+    ("two_out_of_n", 2, 1): "056f5586dc0cc5f577b6970a58a1a08934f521ec2eaea420cdd6b935bae8e0d7",
+    ("two_out_of_n", 2, 7): "0c1df02adb6491835d133738625dc272a0c594198fb7e93a92435d6f24a73008",
+    ("two_out_of_n", 2, 100): "26f46c860623cd7aeff16ba10600c44442db9aad0967919a94d691eacfa86f36",
+    ("two_out_of_n", 2, 3000): "5f676d2ff89c850a27f7c25782c882b402bad5ddc0e27954fd8452e9d7397917",
+    ("two_out_of_n", 3, 1): "4eeac0ef8de4cc3d01784a38f768fae5017faccf4af5abda2683587a1d5ce332",
+    ("two_out_of_n", 3, 7): "73a899a0b139d2d5751a95f860f2008faa32d88c9e87095212dbcb6857927744",
+    ("two_out_of_n", 3, 100): "ab9c83e19cedb3852117f8427a8d341adff23c844b7e544d0b44b3fa7efcbf1a",
+    ("two_out_of_n", 3, 3000): "fec54e557d5cbafdb7d149d21b39bee3c3adc1e2c17ff400828b6c571125d22d",
 }
 
 
