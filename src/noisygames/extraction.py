@@ -687,7 +687,7 @@ def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNS
         raise ValidationError("self-testing is defined for rho in (0, 1)")
     n = strategy.n
     a, b, w = _two_out_of_n_stacks(strategy, rho)
-    value = _two_out_of_n_report(n, a, b, w)
+    value = _two_out_of_n_report(n, (a[:2 * n] * w) @ b[2 * n:].T, (b[:2 * n] * w) @ a[2 * n:].T)
     eps_v = 2 * np.sqrt(2) * rho - value.violation
 
     anti = {}

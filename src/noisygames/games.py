@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pauli import (
+    COEFF_IMAG_ATOL,
     HERMITIAN_ATOL,
     SIGMA_X,
     SIGMA_Y,
@@ -29,6 +30,7 @@ from .pauli import (
     hermitian_deviation,
     noisy_epr_expectation,
     pauli_expand,
+    pauli_reconstruct,
     register_weight_vector,
 )
 from .states import (
@@ -696,22 +698,21 @@ def _basis_pair(m: int) -> tuple[StandardBasis, StandardBasis]:
 
 
 class PairEvaluator:
-    """Pairs operators under a shared noisy state.  Every game value, both
-    SoS certificates, the self-tests and the 2-out-of-n sampler tables use
-    expand_stacks on a strategy's stacks (the magic-square certificate on
-    one question's elements and one variable's observable; the 2-out-of-n
-    ones through _two_out_of_n_stacks, whose rows they pair by the contexts
-    of _two_out_of_n_contexts).  Only the CHSH and magic-square samplers use
-    pair (and its id()-keyed expand_a and expand_b), on the strategy's
-    fields.  They stay while the benchmark asserts that the protocol
-    workload re-expands operators and wraps each sampler class by name,
-    which stacking those samplers breaks.
+    """Pairs operators under a shared noisy state.  The CHSH and magic-square
+    values, both SoS certificates and the self-tests use expand_stacks on a
+    strategy's stacks (the magic-square certificate on one question's
+    elements and one variable's observable); the 2-out-of-n value and
+    sampler use gram (_two_out_of_n_grams).  Only the CHSH and magic-square
+    samplers use pair (and its id()-keyed expand_a and expand_b), on the
+    strategy's fields.  They stay while the benchmark asserts that the
+    protocol workload re-expands operators and wraps each sampler class by
+    name, which stacking those samplers breaks.
 
-    expand_stacks, pair, expand_a and expand_b take a strategy's stacks and
-    members only, which its constructor has checked and holds read-only,
-    and never re-check them; operators derived from members are signed sums
-    of their rows instead.  Small operators take the dense transform (see
-    `pauli`).
+    expand_stacks, gram, pair, expand_a and expand_b take a strategy's
+    stacks and members only, which its constructor has checked and holds
+    read-only, and never re-check them; operators derived from members are
+    signed sums of their rows instead.  Small operators take the dense
+    transform (see `pauli`).
 
     noise is a fidelity rho (depolarizing, in the default bases of local
     dimension m) or a CorrelationSpectrum (its bases and values)."""
@@ -751,6 +752,22 @@ class PairEvaluator:
         if (exp_a.m, exp_a.n) != (exp_b.m, exp_b.n):
             raise ValidationError("operands live on different register structures")
         return exp_a.coeffs, exp_b.coeffs, self.weight_vector(exp_a.n)
+
+    def gram(self, few, many, first: bool = True) -> np.ndarray:
+        """The expectations of few[r] (x) many[c], few held by the first player
+        if first, else by the second.  Only the few are expanded: sum_x w(x)
+        F_hat(x) M_hat(x) = tr(F~ M) / d for F~ = sum_x w(x) F_hat(x) B'_x in
+        the other player's basis B'.  The discarded imaginary part is checked."""
+        own, other = (self.basis_a, self.basis_b) if first else (self.basis_b, self.basis_a)
+        exp = pauli_expand(few, own, validated=True)
+        moved = pauli_reconstruct(PauliExpansion(
+            exp.m, exp.n, exp.coeffs * self.weight_vector(exp.n) / exp.dim, other))
+        # tr(F~ M) / d = sum_ij F~^T[i, j] M[i, j] / d
+        g = moved.transpose(0, 2, 1).reshape(len(moved), -1) @ many.reshape(-1, exp.dim ** 2).T
+        residue = float(np.abs(g.imag).max()) if g.size else 0.0
+        if not residue <= COEFF_IMAG_ATOL:  # also true for NaN
+            raise ValidationError(f"pairings have imaginary residue {residue:.3e}")
+        return g.real.copy()
 
     def expand_a(self, op: np.ndarray) -> PauliExpansion:
         key = id(op)
@@ -888,20 +905,25 @@ def _two_out_of_n_stacks(strategy: TwoOutOfNStrategy, rho) -> tuple:
     """PairEvaluator.expand_stacks over the strategy's stacks, so that each
     player's row 2(i-1) + x holds single (i, x) and row 2n + 4k + e element
     e of the POVM of key k (in _pair_keys order)."""
-    if strategy.n < 2:
-        raise ValidationError(f"2-out-of-n values need n >= 2 indices, got n = {strategy.n}")
     return PairEvaluator(rho).expand_stacks(*strategy.stacks)
+
+
+def _two_out_of_n_grams(strategy: TwoOutOfNStrategy, rho) -> tuple:
+    """PairEvaluator.gram of Alice's singles with Bob's pair-POVM elements and
+    of Bob's with Alice's, in the stacks' row order (2(i-1) + x, 4k + e)."""
+    ev, ns, (alice, bob) = PairEvaluator(rho), 2 * strategy.n, strategy.stacks
+    return ev.gram(alice[:ns], bob[ns:]), ev.gram(bob[:ns], alice[ns:], first=False)
 
 
 def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
     """Average CHSH pass probability over shared indices, role swap and
     questions; reported violation is 8 * (win - 1/2).
 
-    Each player's singles and pair-POVM elements are expanded in one stack;
-    the pair marginals are signed sums of element coefficients, and the
-    contexts (_two_out_of_n_contexts) say which single row meets which
-    marginal row."""
-    return _two_out_of_n_report(strategy.n, *_two_out_of_n_stacks(strategy, rho))
+    Each player's singles are moved through the noise and paired with the
+    other player's raw pair-POVM elements (_two_out_of_n_grams); the pair
+    marginals are signed sums of element pairings, and the contexts
+    (_two_out_of_n_contexts) say which single meets which marginal."""
+    return _two_out_of_n_report(strategy.n, *_two_out_of_n_grams(strategy, rho))
 
 
 def _pair_marginal_rows(n: int, rows: np.ndarray) -> np.ndarray:
@@ -930,15 +952,16 @@ def _two_out_of_n_contexts(n: int) -> np.ndarray:
     return table
 
 
-def _two_out_of_n_report(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> GameValueReport:
-    """two_out_of_n_value from the rows and weights of _two_out_of_n_stacks:
-    per context, the CHSH pass probability averaged over the two roles; per
+def _two_out_of_n_report(n: int, alice: np.ndarray, bob: np.ndarray) -> GameValueReport:
+    """two_out_of_n_value from the Gram pair of _two_out_of_n_grams: per
+    context, the CHSH pass probability averaged over the two roles; per
     ordered index pair (i, j), the average over its 8 contexts."""
-    ns = 2 * n
+    if n < 2:
+        raise ValidationError(f"2-out-of-n values need n >= 2 indices, got n = {n}")
     i, j, x, y, _, single, key, side = _two_out_of_n_contexts(n).T
-    # single player Alice against Bob's marginals, and roles exchanged
-    corr = np.stack([(a[:ns] * w) @ _pair_marginal_rows(n, b).T,
-                     (b[:ns] * w) @ _pair_marginal_rows(n, a).T])[:, single, 2 * key + side]
+    # single player Alice against Bob's marginals (signed element sums), and back
+    corr = np.stack([g.reshape(2 * n, -1, 4) @ _PAIR_SIDE_SIGNS.T
+                     for g in (alice, bob)])[:, single, key, side]
     sign = 1 - 2 * (x & y)  # CHSH_SIGNS
     per_pair = ((1 + sign * corr) / 2).mean(axis=0).reshape(-1, 8).mean(axis=1)
     pair_totals = {f"{pi},{pj}": float(v) for pi, pj, v in zip(i[::8], j[::8], per_pair)}

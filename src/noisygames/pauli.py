@@ -342,16 +342,20 @@ def pauli_expand_naive(mat: np.ndarray, basis: StandardBasis) -> PauliExpansion:
 
 
 def pauli_reconstruct(exp: PauliExpansion) -> np.ndarray:
-    """Rebuild the matrix sum_x coeffs(x) B_x; inverse of pauli_expand."""
+    """Rebuild the matrix sum_x coeffs(x) B_x; inverse of pauli_expand.  A
+    (k, m^(2n)) coeffs array rebuilds the (k, d, d) stack, each member bit for
+    bit as its row alone: numpy takes a stacked product member by member."""
     m, n = exp.m, exp.n
     m2 = m * m
-    t = exp.coeffs.reshape((m2,) * n).astype(complex)
-    for k in range(n):
-        t = np.tensordot(t, exp.basis.elements, axes=([n - 1 - k], [0]))
-    # axes are now (i_n, j_n, i_{n-1}, j_{n-1}, ..., i_1, j_1)
-    perm = [2 * (n - 1 - k) for k in range(n)] + [2 * (n - 1 - k) + 1 for k in range(n)]
+    entries = exp.basis.elements.reshape(m2, m2).T  # entry (i, j) x digit
+    t = exp.coeffs.reshape(-1, m2 ** n).astype(complex)  # (k, a_1 ... a_n)
+    for _ in range(n):
+        # contract the leading digit and rotate its entries to the end
+        t = (entries @ t.reshape(len(t), m2, -1)).transpose(0, 2, 1)
+    # axes are now (k, i_1, j_1, ..., i_n, j_n)
+    perm = [0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2)]
     d = m ** n
-    return t.transpose(perm).reshape(d, d)
+    return t.reshape((-1,) + (m,) * (2 * n)).transpose(perm).reshape(exp.coeffs.shape[:-1] + (d, d))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from .games import (
     _normalized_traces,
     _pair_keys,
     _two_out_of_n_contexts,
-    _two_out_of_n_stacks,
+    _two_out_of_n_grams,
 )
 from .pauli import ValidationError
 
@@ -294,24 +294,23 @@ class MagicSquareSampler:
 class TwoOutOfNSampler:
     """Joint distribution over (single answer, pair outcome) per context
     (role, then a row of games._two_out_of_n_contexts); 8 categories each,
-    gathered from one product per role over each player's stacked
-    expansion."""
+    from the noise-moved singles paired with the raw pair-POVM elements
+    (games._two_out_of_n_grams) and the elements' traces."""
 
     def __init__(self, strategy: TwoOutOfNStrategy, rho: float):
         if strategy.n < 2:
             raise ValidationError(f"2-out-of-n rounds need n >= 2 indices, got n = {strategy.n}")
         n = strategy.n
-        ns = 2 * n
-        a, b, w = _two_out_of_n_stacks(strategy, rho)
         table = _two_out_of_n_contexts(n)
         self.context_index = {(role, *row): k for k, (role, row) in enumerate(
             itertools.product((0, 1), table[:, :5].tolist()))}
         single, elems = table[:, 5, None], 4 * table[:, 6, None] + np.arange(4)
         # per role: the single player's singles against the other player's
-        # elements, and those elements' masses (identity coefficients)
-        corr = np.concatenate([((own[:ns] * w) @ other[ns:].T)[single, elems]
-                               for own, other in ((a, b), (b, a))])
-        mass = np.concatenate([other[ns:, 0][elems] for other in (b, a)])
+        # elements, and those elements' masses
+        corr = np.concatenate([gram[single, elems]
+                               for gram in _two_out_of_n_grams(strategy, rho)])
+        mass = np.concatenate([_normalized_traces(other[2 * n:])[elems]
+                               for other in strategy.stacks[::-1]])
         # outcome ei: a = +1, element ei; outcome 4 + ei: a = -1
         self.cum = _cumulative_table(np.hstack([(mass + corr) / 2, (mass - corr) / 2]))
         self._guide = _GuideTable(self.cum)
@@ -521,12 +520,16 @@ def _play_blocks(params: ProtocolParams, game: _Game):
             # joint, and its first t - count rounds in this block
             crossing = np.flatnonzero((count < t) & (after >= t))
             if len(crossing):
-                ids = keys.take(cells)
-                for k in crossing:
-                    rounds = np.flatnonzero(ids == k)[: t - count[k]]
-                    last = max(last, start + int(rounds[-1]))
-                    outs = cells[rounds] % n_out
-                    hist[k] = member[k] @ joint + np.bincount(outs, minlength=n_out)
+                # a stable sort by key puts key k's rounds, in order, from slot first[k]
+                order = np.argsort(keys.take(cells), kind="stable")
+                first = (np.cumsum(after - count) - (after - count))[crossing]
+                need = t - count[crossing]
+                which = np.repeat(np.arange(len(crossing)), need)
+                rounds = order[np.arange(len(which)) + (first - np.cumsum(need) + need)[which]]
+                last = max(last, start + int(order[first + need - 1].max()))
+                outs = np.bincount(which * n_out + cells[rounds] % n_out,
+                                   minlength=len(crossing) * n_out)
+                hist[crossing] = member[crossing] @ joint + outs.reshape(-1, n_out)
             count[:] = after
         joint += counted
         if all(count.min() >= t for count in counts):

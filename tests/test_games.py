@@ -40,6 +40,7 @@ from noisygames.games import (
 )
 from noisygames.states import (
     BipartiteState,
+    bit_phase_flip_epr,
     diagonalize_correlation,
     make_depolarized_epr,
     tensor_bipartite,
@@ -430,7 +431,7 @@ def test_two_out_of_n_value_matches_dense(n, rho, seed):
 
 
 def two_out_of_n_report_loop(n, a, b, w):
-    """The value from _two_out_of_n_stacks rows by one nested loop over the
+    """The value from expand_stacks rows by one nested loop over the
     contexts: a frozen copy of the per-context report that the context
     table's gather replaced."""
     from noisygames.games import CHSH_SIGNS, _pair_keys, _pair_marginal_rows
@@ -461,10 +462,16 @@ def two_out_of_n_report_loop(n, a, b, w):
     return 8 * (win - 0.5), win, pair_totals
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("kind", ["perturbed", "random"])
-def test_two_out_of_n_report_matches_the_context_loop(n, kind):
-    from noisygames.games import _two_out_of_n_report, _two_out_of_n_stacks
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind, noise", [
+    ("perturbed", "depolarizing"), ("random", "depolarizing"),
+    ("perturbed", "bit-phase-flip"), ("random", "bit-phase-flip"),
+], ids=["perturbed", "random", "perturbed-bit-phase-flip", "random-bit-phase-flip"])
+def test_two_out_of_n_report_matches_the_context_loop(n, kind, noise):
+    # the report reads the Gram pair of the noise-moved singles against the
+    # raw elements; the loop reads both players' expanded rows, so the two
+    # also cross-check the transfer against the rows
+    from noisygames.games import PairEvaluator, _two_out_of_n_grams, _two_out_of_n_report
 
     rng = np.random.default_rng([1414, n])
     rho = float(rng.uniform(0.3, 1.0))
@@ -473,9 +480,11 @@ def test_two_out_of_n_report_matches_the_context_loop(n, kind):
                                                 index=int(rng.integers(1, n + 1)))
     else:
         strat = random_two_out_of_n_strategy(n, rng)
-    stacks = _two_out_of_n_stacks(strat, rho)
-    report = _two_out_of_n_report(n, *stacks)
-    violation, win, per_pair = two_out_of_n_report_loop(n, *stacks)
+    if noise == "bit-phase-flip":
+        rho = diagonalize_correlation(bit_phase_flip_epr(0.5 + rho / 2))
+    report = _two_out_of_n_report(n, *_two_out_of_n_grams(strat, rho))
+    violation, win, per_pair = two_out_of_n_report_loop(
+        n, *PairEvaluator(rho).expand_stacks(*strat.stacks))
     assert abs(report.violation - violation) <= 1e-12
     assert abs(report.win_prob - win) <= 1e-12
     assert list(report.per_question) == list(per_pair)
@@ -506,6 +515,19 @@ def test_pair_evaluator_builds_one_weight_vector_per_register_count():
     # the cached vector feeds the same expression as before
     assert ev.pair(strat.alice[0], strat.bob[1]) == float(
         np.sum(register_weight_vector(ev.weights, 2) * a.coeffs * b.coeffs))
+
+
+def test_gram_rejects_a_nan_reaching_the_product():
+    # the raw elements are never expanded, so a NaN among them first meets
+    # the Gram product, whose discarded imaginary part is checked as an
+    # expansion's residue is
+    alice, bob = canonical_two_out_of_n_strategy(2).stacks
+    elems = bob[4:].copy()
+    elems[3, 1, 0] = np.nan
+    ev = PairEvaluator(0.8)
+    assert np.isfinite(ev.gram(alice[:4], bob[4:])).all()
+    with pytest.raises(ValidationError, match="pairings have imaginary residue nan"):
+        ev.gram(alice[:4], elems)
 
 
 @pytest.mark.parametrize("build", [random_chsh_strategy, random_magic_square_strategy])

@@ -89,6 +89,16 @@ def test_reconstruct_round_trip():
         h = random_hermitian(basis.m ** n, rng)
         exp = pauli_expand(h, basis)
         assert np.abs(pauli_reconstruct(exp) - h).max() < 1e-10
+    # a (k, m^(2n)) stack rebuilds each member bit for bit as one matrix
+    for basis, n in ((pauli_basis(), 1), (pauli_basis(), 3),
+                     (two_qubit_pauli_basis(), 1), (two_qubit_pauli_basis(), 2)):
+        hs = np.stack([random_hermitian(basis.m ** n, rng) for _ in range(5)])
+        exp = pauli_expand(hs, basis)
+        stack = pauli_reconstruct(exp)
+        assert stack.shape == hs.shape
+        assert np.abs(stack - hs).max() < 1e-10
+        for row, member in zip(exp.coeffs, stack):
+            assert np.array_equal(member, pauli_reconstruct(exp.copy_with(row)))
 
 
 def test_reconstruct_trivial_cases():

@@ -864,8 +864,9 @@ def test_two_out_of_n_sampler_expands_each_player_once(monkeypatch):
 
     monkeypatch.setattr(games, "pauli_expand", counting)
     TwoOutOfNSampler(canonical_two_out_of_n_strategy(4), 0.8)
-    # one stack per player: 8 singles and 24 pair POVMs of 4 elements
-    assert calls == [(8 + 4 * 24, 16, 16)] * 2
+    # one call per role, of that role's 8 singles; the 24 pair POVMs of 4
+    # elements each are paired as they are, and no element is expanded
+    assert calls == [(8, 16, 16)] * 2
 
 
 # ---------------------------------------------------------------------------
