@@ -11,6 +11,7 @@ space, so certifying a strategy never builds a joint operator.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,18 +30,30 @@ from .games import (
 from .pauli import ValidationError
 
 
+_SQRT2 = math.sqrt(2)
+
+
+def _require_bound_domain(rho: float, eps_tr: float):
+    """The closed-form bounds' domain: a fidelity rho in (0, 1] and a finite
+    trace error eps_tr >= 0."""
+    if rho == 0:
+        raise ValidationError("the bound diverges at rho = 0")
+    if not 0.0 < rho <= 1.0:  # also true for NaN
+        raise ValidationError(f"the bound needs rho in (0, 1], got {rho}")
+    if not 0.0 <= eps_tr < math.inf:
+        raise ValidationError(f"the bound needs a finite trace error eps_tr >= 0, got {eps_tr}")
+
+
 def chsh_upper_bound(rho: float, eps_tr: float) -> float:
     """Largest possible CHSH value for trace-bounded observables on shared
     depolarized pairs: 2*sqrt(2)*rho + sqrt(2)*eps_tr^2/rho."""
-    if rho <= 0:
-        raise ValidationError("the bound diverges at rho = 0")
-    return 2 * np.sqrt(2) * rho + np.sqrt(2) * eps_tr ** 2 / rho
+    _require_bound_domain(rho, eps_tr)
+    return 2 * _SQRT2 * rho + _SQRT2 * eps_tr ** 2 / rho
 
 
 def magic_square_upper_bound(rho: float, eps_tr: float) -> float:
     """Consistency-test (hence overall) winning bound: (1+rho)/2 + eps_tr^2/(4 rho)."""
-    if rho <= 0:
-        raise ValidationError("the bound diverges at rho = 0")
+    _require_bound_domain(rho, eps_tr)
     return (1 + rho) / 2 + eps_tr ** 2 / (4 * rho)
 
 

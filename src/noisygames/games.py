@@ -397,6 +397,12 @@ _MS_PARITY = np.array([[float(np.prod(a) == ms_parity_target(q)) for a in ms_out
 _MS_VARIABLES = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
 _MS_SLOT_VARIABLE = np.array([[_MS_VARIABLES.index(v) for v in ms_question_variables(q)]
                          for q in MS_QUESTIONS])
+# (Bob's variable row, Alice's element row) of pairing (q, a, s), as indices
+# into the (9, 48) Gram matrix of the two stacks
+_MS_PAIR_INDEX = (_MS_SLOT_VARIABLE[:, None, :],
+                  np.arange(8 * len(MS_QUESTIONS)).reshape(len(MS_QUESTIONS), 8, 1))
+# the per-variable report keys, in (question, slot) order
+_MS_REPORT_LABELS = [f"{q}:s{i}{j}" for q in MS_QUESTIONS for i, j in ms_question_variables(q)]
 
 
 def variable_slot(question: str, i: int, j: int) -> int:
@@ -698,15 +704,18 @@ def _basis_pair(m: int) -> tuple[StandardBasis, StandardBasis]:
 
 
 class PairEvaluator:
-    """Pairs operators under a shared noisy state.  The CHSH and magic-square
-    values, both SoS certificates and the self-tests use expand_stacks on a
-    strategy's stacks (the magic-square certificate on one question's
-    elements and one variable's observable); the 2-out-of-n value and
-    sampler use gram (_two_out_of_n_grams).  Only the CHSH and magic-square
-    samplers use pair (and its id()-keyed expand_a and expand_b), on the
-    strategy's fields.  They stay while the benchmark asserts that the
-    protocol workload re-expands operators and wraps each sampler class by
-    name, which stacking those samplers breaks.
+    """Pairs operators under a shared noisy state.  The CHSH value, both SoS
+    certificates and the self-tests expand both players' stacks
+    (expand_stacks; the magic-square certificate one question's elements and
+    one variable's observable).  The magic-square and 2-out-of-n values and
+    the 2-out-of-n sampler expand only the smaller side and move it through
+    the noise into the other player's basis (gram): Bob's nine observables
+    against Alice's 48 raw POVM elements, and each player's 2n singles
+    against the other's raw pair-POVM elements (_two_out_of_n_grams).  Only
+    the CHSH and magic-square samplers use pair (and its id()-keyed expand_a
+    and expand_b), on the strategy's fields.  They stay while the benchmark
+    asserts that the protocol workload re-expands operators and wraps each
+    sampler class by name, which stacking those samplers breaks.
 
     expand_stacks, gram, pair, expand_a and expand_b take a strategy's
     stacks and members only, which its constructor has checked and holds
@@ -796,13 +805,14 @@ class GameValueReport:
 
 
 CHSH_SIGNS = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -1.0}
+_CHSH_LABELS = tuple(f"{x}{y}" for x, y in CHSH_SIGNS)
 
 
 def _chsh_report(corr: np.ndarray) -> GameValueReport:
     """CHSH functional from the 2 x 2 correlations <P_x (x) Q_y>."""
-    per = {f"{x}{y}": float(corr[x, y]) for x, y in CHSH_SIGNS}
-    total = sum(sign * per[f"{x}{y}"] for (x, y), sign in CHSH_SIGNS.items())
-    return GameValueReport(total, 0.5 + total / 8.0, per)
+    values = corr.ravel().tolist()
+    total = sum(sign * v for sign, v in zip(CHSH_SIGNS.values(), values))
+    return GameValueReport(total, 0.5 + total / 8.0, dict(zip(_CHSH_LABELS, values)))
 
 
 def _dense_joint(state: BipartiteState, d: int) -> np.ndarray:
@@ -851,16 +861,19 @@ def magic_square_value(strategy: MagicSquareStrategy, rho,
 
     Both are signed sums over POVM elements, so everything follows from each
     element's normalized trace and its pairing with the slot's observable:
-    from one stacked expansion per player (the identity coefficient is the
-    trace), or from explicit traces against `dense_state`.
+    from the Gram matrix of Bob's nine observables, moved through the noise,
+    with Alice's raw elements (PairEvaluator.gram expands only the nine), or
+    from explicit traces against `dense_state`.
     """
+    alice, bob = strategy.stacks
+    masses = _normalized_traces(alice).reshape(len(MS_QUESTIONS), 8)
     if dense_state is None:
-        return _ms_coeff_report(*_ms_stacks(strategy, rho))
-    d = strategy.dim
-    povms = strategy.stacks[0].reshape(len(MS_QUESTIONS), 8, d, d)
-    masses = np.trace(povms, axis1=-2, axis2=-1).real / d
-    pairs = np.einsum("qaij,qskl,jlik->qas", povms, strategy.stacks[1][_MS_SLOT_VARIABLE],
-                      _dense_joint(dense_state, d), optimize=True).real
+        pairs = PairEvaluator(rho, m=4).gram(bob, alice, first=False)[_MS_PAIR_INDEX]
+    else:
+        d = strategy.dim
+        pairs = np.einsum("qaij,qskl,jlik->qas", alice.reshape(len(MS_QUESTIONS), 8, d, d),
+                          bob[_MS_SLOT_VARIABLE], _dense_joint(dense_state, d),
+                          optimize=True).real
     return _ms_report(masses, pairs)
 
 
@@ -887,11 +900,8 @@ def _ms_report(masses: np.ndarray, pairs: np.ndarray) -> MagicSquareReport:
     restricted = np.einsum("qa,as,qas->qs", _MS_PARITY, _MS_SIGNS, pairs)
     consistency = 0.5 + 0.5 * derived
     win = 0.5 * (parity[:, None] + restricted)
-    per_variable = {}
-    for k, q in enumerate(MS_QUESTIONS):
-        for slot, (i, j) in enumerate(ms_question_variables(q)):
-            per_variable[f"{q}:s{i}{j}"] = {"consistency": float(consistency[k, slot]),
-                                            "win": float(win[k, slot])}
+    per_variable = {label: {"consistency": c, "win": v} for label, c, v in zip(
+        _MS_REPORT_LABELS, consistency.ravel().tolist(), win.ravel().tolist())}
     return MagicSquareReport(float(win.sum() / 18.0), float(parity.sum() / 6.0),
                              float(consistency.sum() / 18.0), per_variable)
 
@@ -985,13 +995,15 @@ def trace_error(strategy) -> float:
     of their POVM elements' traces)."""
     if not isinstance(strategy, (ChshStrategy, MagicSquareStrategy, TwoOutOfNStrategy)):
         raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
-    first, second = (_normalized_traces(stack) for stack in strategy.stacks)
-    if isinstance(strategy, MagicSquareStrategy):
-        values = [first.reshape(-1, 8) @ _MS_SIGNS, second]
-    elif isinstance(strategy, TwoOutOfNStrategy):
-        ns = 2 * strategy.n
-        values = [part for traces in (first, second)
-                  for part in (traces[:ns], traces[ns:].reshape(-1, 4) @ _PAIR_SIDE_SIGNS.T)]
+    if isinstance(strategy, ChshStrategy):
+        # one trace over both players' observables
+        values = [_normalized_traces(np.concatenate(strategy.stacks))]
     else:
-        values = [first, second]
+        first, second = (_normalized_traces(stack) for stack in strategy.stacks)
+        if isinstance(strategy, MagicSquareStrategy):
+            values = [first.reshape(-1, 8) @ _MS_SIGNS, second]
+        else:
+            ns = 2 * strategy.n
+            values = [part for traces in (first, second)
+                      for part in (traces[:ns], traces[ns:].reshape(-1, 4) @ _PAIR_SIDE_SIGNS.T)]
     return float(max(np.abs(v).max(initial=0.0) for v in values))

@@ -32,10 +32,23 @@ def test_bound_examples():
     assert chsh_upper_bound(0.5, 0.1) == pytest.approx(1.442498, abs=1e-6)
     assert magic_square_upper_bound(0.6, 0.0) == pytest.approx(0.8)
     assert magic_square_upper_bound(0.6, 0.2) == pytest.approx(0.8 + 0.04 / 2.4, abs=1e-12)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="diverges at rho = 0$"):
         chsh_upper_bound(0.0, 0.1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="diverges at rho = 0$"):
         magic_square_upper_bound(0.0, 0.1)
+    # rho = 1 and eps_tr = 0 are the domain's edges
+    assert chsh_upper_bound(1.0, 0.0) == 2 * np.sqrt(2)
+    assert magic_square_upper_bound(1.0, 0.0) == 1.0
+    for bound in (chsh_upper_bound, magic_square_upper_bound):
+        for rho, eps, named in [(np.nan, 0.1, "rho in \\(0, 1\\], got nan"),
+                                (1.5, 0.1, "rho in \\(0, 1\\], got 1.5"),
+                                (-0.5, 0.1, "rho in \\(0, 1\\], got -0.5"),
+                                (np.inf, 0.1, "rho in \\(0, 1\\], got inf"),
+                                (0.5, np.nan, "eps_tr >= 0, got nan"),
+                                (0.5, np.inf, "eps_tr >= 0, got inf"),
+                                (0.5, -0.1, "eps_tr >= 0, got -0.1")]:
+            with pytest.raises(ValidationError, match=f"{named}$"):
+                bound(rho, eps)
 
 
 def test_bound_monotonicity():

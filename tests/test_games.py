@@ -517,6 +517,25 @@ def test_pair_evaluator_builds_one_weight_vector_per_register_count():
         np.sum(register_weight_vector(ev.weights, 2) * a.coeffs * b.coeffs))
 
 
+@pytest.mark.parametrize("kind", ["projective", "mixed", "raw"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bias", [0.0, 0.2])
+def test_magic_square_gram_value_matches_dense(kind, n, bias):
+    rng = np.random.default_rng([7, n, int(10 * bias)])
+    for _ in range(2):
+        strat = random_magic_square_strategy(n, rng, kind=kind, trace_bias=bias)
+        rho = float(rng.uniform(0.2, 1.0))
+        fast = magic_square_value(strat, rho)
+        dense = magic_square_value(strat, rho, dense_state=magic_square_dense_state(rho, n))
+        for attr in ("overall", "parity_pass", "consistency_pass"):
+            assert getattr(fast, attr) == pytest.approx(getattr(dense, attr), abs=1e-12)
+        assert list(fast.per_variable) == list(dense.per_variable)
+        for key, entry in fast.per_variable.items():
+            assert list(entry) == ["consistency", "win"]
+            for name, value in entry.items():
+                assert value == pytest.approx(dense.per_variable[key][name], abs=1e-12)
+
+
 def test_gram_rejects_a_nan_reaching_the_product():
     # the raw elements are never expanded, so a NaN among them first meets
     # the Gram product, whose discarded imaginary part is checked as an
@@ -558,7 +577,8 @@ def test_random_constructors_accept_full_trace_bias(build):
 
 @pytest.mark.parametrize("run, expected", [
     (lambda: chsh_violation(random_chsh_strategy(2, np.random.default_rng(0)), 0.8), 2),
-    (lambda: magic_square_value(canonical_magic_square_strategy(1), 0.8), 2),
+    # the magic square expands only Bob's nine observables (PairEvaluator.gram)
+    (lambda: magic_square_value(canonical_magic_square_strategy(1), 0.8), 1),
     (lambda: trace_error(canonical_two_out_of_n_strategy(3)), 0),
 ], ids=["chsh-value", "magic-square-value", "trace-error"])
 def test_values_expand_each_player_once_and_trace_error_expands_nothing(monkeypatch, run,

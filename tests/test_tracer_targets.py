@@ -1,7 +1,8 @@
 """The traced benchmark (bench/tracing.py) wraps package methods by class
 and name and hooks three package functions; a rename in the package alone
 would break every traced run, and a runner that bypassed a wrapped method
-would leave its layer reading 0.  The tracer's source is read and executed
+would leave its layer reading 0, as would a deleted or renamed function that
+a `sweep` layer names.  The tracer's source is read and executed
 here without importing the bench package or writing bytecode."""
 
 import importlib
@@ -13,6 +14,9 @@ import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 HOOKED = ("pauli.pauli_expand", "protocols.run_protocol", "protocols.transcript_rounds_csv")
+# the layers of the sweep workload: a name in these groups that the package
+# no longer defines would leave its layer reading 0 without an error
+SWEEP_GROUPS = ("games.value", "games.trace_error", "certificates.sos", "pauli.expand")
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +40,18 @@ def test_every_hooked_function_exists(tracing):
         modname, attr = name.split(".")
         assert modname in tracing.MODULES
         assert inspect.isfunction(getattr(importlib.import_module(f"noisygames.{modname}"), attr))
+
+
+def test_every_sweep_layer_name_is_a_module_level_function(tracing):
+    names = [name for name, group in tracing._GROUP_OF.items() if group in SWEEP_GROUPS]
+    assert {tracing._GROUP_OF[name] for name in names} == set(SWEEP_GROUPS)
+    for name in names:
+        modname, attr = name.split(".")
+        module = importlib.import_module(f"noisygames.{modname}")
+        # what Tracer.install wraps: public functions defined in a module it imports
+        assert modname in tracing.MODULES and not attr.startswith("_"), name
+        fn = getattr(module, attr, None)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
 
 
 @pytest.mark.parametrize("game, n, t", [
