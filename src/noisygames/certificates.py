@@ -1,5 +1,5 @@
 """Sum-of-squares certificates for the noisy-game value bounds, the closed
-form bounds themselves, and classical baselines with enumeration oracles.
+form bounds themselves, and classical enumeration oracles.
 
 The certificates are exact operator identities: the gap between the bound at
 zero trace error and the achieved value decomposes into manifestly
@@ -162,16 +162,7 @@ def certify(strategy, rho: float, variable: tuple | None = None) -> SoSCertifica
 
 
 # ---------------------------------------------------------------------------
-# classical baselines
-
-
-def classical_baselines(game: str) -> float:
-    """Best deterministic classical winning probability."""
-    if game == "chsh":
-        return 0.75
-    if game == "magic_square":
-        return 17.0 / 18.0
-    raise ValidationError(f"no classical baseline for game {game!r}")
+# classical enumeration oracles
 
 
 def classical_chsh_max_enumerated() -> float:

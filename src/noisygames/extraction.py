@@ -26,12 +26,10 @@ from .games import (
     _basis_pair,
     _chsh_report,
     _ms_coeff_report,
-    _ms_stacks,
     _pair_keys,
     _pair_marginal_rows,
     _two_out_of_n_contexts,
     _two_out_of_n_report,
-    _two_out_of_n_stacks,
     chsh_violation,
     magic_square_table,
     ms_parity_target,
@@ -46,7 +44,6 @@ from .pauli import (
     hs_distance,
     hs_norm,
     infer_registers,
-    normalized_trace,
     pauli_expand,
     register_weight_vector,
     require_hermitian,
@@ -63,32 +60,6 @@ CONCENTRATION_FLOOR = 1e-12
 
 # ---------------------------------------------------------------------------
 # elementary diagnostics
-
-
-def observable_scaling_residual(op: np.ndarray, rho: float, m: int = 2,
-                                weights: np.ndarray | None = None,
-                                basis=None) -> float:
-    """Distance between the noise-scaled operator and rho times the operator.
-
-    Zero exactly for traceless degree-one operators; grows with the Parseval
-    mass the operator carries outside degree one.  `weights` switches from
-    depolarizing to per-index diagonal-correlation scaling and then `rho`
-    is the target multiplier.
-    """
-    if not 0.0 < rho < 1.0:
-        raise ValidationError("scaling residual is defined for rho in (0, 1)")
-    exp = pauli_expand(op, basis if basis is not None else default_basis(m))
-    if weights is None:
-        per_index = np.full(exp.m ** 2, rho)
-        per_index[0] = 1.0
-    else:
-        per_index = np.asarray(weights, dtype=float)
-        if per_index.shape != (exp.m ** 2,):
-            raise ValidationError(f"need one weight per basis element ({exp.m ** 2}), "
-                                  f"got shape {per_index.shape}")
-        if abs(per_index[0] - 1.0) > 1e-12:
-            raise ValidationError("identity component must carry weight 1")
-    return float(_scaling_residuals(exp.coeffs, register_weight_vector(per_index, exp.n), rho))
 
 
 def _scaling_residuals(rows: np.ndarray, w: np.ndarray, rho: float) -> np.ndarray:
@@ -390,41 +361,6 @@ def lp_min_bruteforce(a, t1: float, t2: float) -> float:
     return float(values.min())
 
 
-@dataclass
-class PovmProjectivityReport:
-    pairwise_product_norms: dict
-    idempotency_gaps: list
-    wrong_parity_mass: float | None = None
-
-
-# answer parity of each outcome of an 8-outcome POVM, in ms_outcomes order
-_OUTCOME_PARITIES = _MS_SIGNS.prod(axis=1)
-
-
-def povm_projectivity_report(povm: np.ndarray,
-                             parity_target: int | None = None) -> PovmProjectivityReport:
-    """How far the POVM is from a projective measurement: cross products
-    (1/sqrt(d))||E_i E_j||_F and idempotency gaps (1/sqrt(d))||E_i^2 - E_i||_F.
-
-    For parity-structured 8-outcome POVMs the normalized-trace mass on
-    wrong-parity outcomes is reported as well.
-    """
-    povm = np.asarray(povm, dtype=complex)
-    k = povm.shape[0]
-    pairwise = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            pairwise[f"{i},{j}"] = hs_norm(povm[i] @ povm[j])
-    gaps = [hs_norm(e @ e - e) for e in povm]
-    wrong = None
-    if parity_target is not None:
-        if k != len(_OUTCOME_PARITIES):
-            raise ValidationError(f"wrong-parity mass needs an 8-outcome POVM, got {k} outcomes")
-        wrong = float(sum(normalized_trace(e) for e, p in zip(povm, _OUTCOME_PARITIES)
-                          if p != parity_target))
-    return PovmProjectivityReport(pairwise, gaps, wrong)
-
-
 # ---------------------------------------------------------------------------
 # game self-tests
 
@@ -557,7 +493,8 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
     """
     if not 0.0 < rho < 1.0:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
-    elems, q_rows, w = _ms_stacks(strategy, rho)
+    elems, q_rows, w = PairEvaluator(rho, m=4).expand_stacks(*strategy.stacks)
+    elems = elems.reshape(len(MS_QUESTIONS), 8, -1)
     value = _ms_coeff_report(elems, q_rows, w)
     eps_win = (1 + rho) / 2 - value.overall
     idx = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
@@ -686,7 +623,7 @@ def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNS
     if not 0.0 < rho < 1.0:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
     n = strategy.n
-    a, b, w = _two_out_of_n_stacks(strategy, rho)
+    a, b, w = PairEvaluator(rho).expand_stacks(*strategy.stacks)
     value = _two_out_of_n_report(n, (a[:2 * n] * w) @ b[2 * n:].T, (b[:2 * n] * w) @ a[2 * n:].T)
     eps_v = 2 * np.sqrt(2) * rho - value.violation
 

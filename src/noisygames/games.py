@@ -64,10 +64,6 @@ def conjugate_on_register(op: np.ndarray, u: np.ndarray, n: int, register: int,
     return ufull @ op @ ufull.conj().T
 
 
-def spectral_norm(op: np.ndarray) -> float:
-    return float(np.linalg.norm(op, 2))
-
-
 def _dagger(mats: np.ndarray) -> np.ndarray:
     """Conjugate transpose of one matrix or of each matrix in a stack."""
     return np.swapaxes(mats.conj(), -1, -2)
@@ -877,17 +873,12 @@ def magic_square_value(strategy: MagicSquareStrategy, rho,
     return _ms_report(masses, pairs)
 
 
-def _ms_stacks(strategy: MagicSquareStrategy, rho) -> tuple:
-    """PairEvaluator.expand_stacks over the strategy's stacks, Alice's
-    element rows returned as a (6, 8, m^(2n)) array in MS_QUESTIONS and
-    ms_outcomes order, Bob's rows in _MS_VARIABLES order."""
-    elems, obs, w = PairEvaluator(rho, m=4).expand_stacks(*strategy.stacks)
-    return elems.reshape(len(MS_QUESTIONS), 8, -1), obs, w
-
-
 def _ms_coeff_report(elems: np.ndarray, obs: np.ndarray, w: np.ndarray) -> MagicSquareReport:
-    """The game's pass rates from _ms_stacks: element traces are identity
-    coefficients and pairings are noise-weighted products of rows."""
+    """The game's pass rates from PairEvaluator.expand_stacks rows: Alice's
+    element rows as a (6, 8, m^(2n)) array in MS_QUESTIONS and ms_outcomes
+    order, Bob's observable rows in _MS_VARIABLES order, and the weights w.
+    Element traces are identity coefficients and pairings are
+    noise-weighted products of rows."""
     pairs = np.einsum("qax,qsx->qas", elems * w, obs[_MS_SLOT_VARIABLE])
     return _ms_report(elems[..., 0], pairs)
 
@@ -904,18 +895,6 @@ def _ms_report(masses: np.ndarray, pairs: np.ndarray) -> MagicSquareReport:
         _MS_REPORT_LABELS, consistency.ravel().tolist(), win.ravel().tolist())}
     return MagicSquareReport(float(win.sum() / 18.0), float(parity.sum() / 6.0),
                              float(consistency.sum() / 18.0), per_variable)
-
-
-def magic_square_dense_state(rho: float, n: int) -> BipartiteState:
-    """Joint state for the dense cross-check path (4-dim registers)."""
-    return make_depolarized_epr(rho, n, pair_registers=True)
-
-
-def _two_out_of_n_stacks(strategy: TwoOutOfNStrategy, rho) -> tuple:
-    """PairEvaluator.expand_stacks over the strategy's stacks, so that each
-    player's row 2(i-1) + x holds single (i, x) and row 2n + 4k + e element
-    e of the POVM of key k (in _pair_keys order)."""
-    return PairEvaluator(rho).expand_stacks(*strategy.stacks)
 
 
 def _two_out_of_n_grams(strategy: TwoOutOfNStrategy, rho) -> tuple:
@@ -937,8 +916,10 @@ def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
 
 
 def _pair_marginal_rows(n: int, rows: np.ndarray) -> np.ndarray:
-    """The signed pair-marginal rows of one player's _two_out_of_n_stacks
-    rows: row 2k + side is the marginal over that side of key k's POVM."""
+    """The signed pair-marginal rows of one player's expanded stack, whose
+    row 2(i-1) + x holds single (i, x) and row 2n + 4k + e element e of the
+    POVM of key k (in _pair_keys order): row 2k + side is the marginal over
+    that side of key k's POVM."""
     elems = rows[2 * n:].reshape(-1, 4, rows.shape[-1])
     return np.einsum("sa,kax->ksx", _PAIR_SIDE_SIGNS, elems).reshape(-1, rows.shape[-1])
 
@@ -949,7 +930,7 @@ def _two_out_of_n_contexts(n: int) -> np.ndarray:
     player holding (i, x) and a pair player holding {(i, y), (j, z)}: one
     read-only int row (i, j, x, y, z, single, key, side) per context with
     i != j, in i, j, x, y, z order.  single = 2(i-1) + x is the row of (i, x)
-    in _two_out_of_n_stacks, key the index of pair_key(i, y, j, z) in
+    in a player's stack, key the index of pair_key(i, y, j, z) in
     _pair_keys(n), and side = int(i > j), so that 2 key + side is the row of
     index i's marginal in _pair_marginal_rows.  The value, the sampler, the
     protocol's tracked keys and the self-test all read this table."""

@@ -265,11 +265,6 @@ def index_digits(x: int, m: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def index_string(x: int, m: int, n: int) -> str:
-    """Serialize a multi-index as base-m^2 digits, e.g. '301' for Z(x)I(x)X."""
-    return "".join(f"{d:x}" if m > 2 else str(d) for d in index_digits(x, m, n))
-
-
 def infer_registers(dim: int, m: int) -> int:
     n, size = 0, 1
     while size < dim and m > 1:
@@ -378,36 +373,6 @@ def register_weight_vector(per_index: np.ndarray, n: int) -> np.ndarray:
     for _ in range(n):
         w = np.multiply.outer(w, per_index).reshape(-1)
     return w
-
-
-def apply_general_scaling(exp: PauliExpansion, r: float, c: float) -> PauliExpansion:
-    """Scale by r^(#digits in {1,2}) * c^(#digits >= 3) per multi-index.
-
-    This is the coefficient action of diagonal-correlation noise whose two
-    largest nontrivial singular values are r and whose remaining one is c.
-    Requires a qubit-per-register basis.
-    """
-    if exp.m != 2:
-        raise ValidationError("general two-class scaling is defined for m=2 registers")
-    if not 0.0 < c <= r < 1.0:
-        raise ValidationError(f"need 0 < c <= r < 1, got r={r}, c={c}")
-    return exp.copy_with(exp.coeffs * register_weight_vector([1.0, r, r, c], exp.n))
-
-
-@dataclass
-class DegreeProfile:
-    """Parseval mass per degree: weights[k] = sum over |x| = k of coeffs(x)^2."""
-
-    weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def total(self) -> float:
-        return float(self.weights.sum())
-
-
-def degree_profile(exp: PauliExpansion) -> DegreeProfile:
-    deg = degree_vector(exp.m, exp.n)
-    weights = np.bincount(deg, weights=exp.coeffs ** 2, minlength=exp.n + 1)
-    return DegreeProfile(weights)
 
 
 def noisy_epr_expectation(exp_a: PauliExpansion, exp_b: PauliExpansion, noise) -> float:

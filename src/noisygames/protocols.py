@@ -654,7 +654,9 @@ def estimate_noise_rate(game: str, statistic: float | None = None,
     CHSH-family games invert the win rate (rho = 2 sqrt(2) (w - 1/2)); the
     magic square game inverts the consistency rate (rho = 2 w_c - 1).  The
     interval maps the Hoeffding band on the statistic through the inversion
-    and clamps to [0, 1]; it is conservative by construction.
+    and clamps to [0, 1]; it is conservative by construction.  The statistic
+    is a rate: one outside [0, 1] is rejected, while a rate whose estimate
+    falls outside [0, 1] is clamped and flagged.
     """
     if transcript is not None:
         n_rounds = transcript.t_prime
@@ -672,6 +674,9 @@ def estimate_noise_rate(game: str, statistic: float | None = None,
             or not isinstance(statistic, (int, float, np.integer, np.floating))
             or not np.isfinite(statistic)):
         raise ValidationError(f"the statistic must be a finite real number, got {statistic!r}")
+    if not 0.0 <= statistic <= 1.0:
+        raise ValidationError(f"the statistic is a rate and must lie in [0, 1], "
+                              f"got {float(statistic)!r}")
     if not 0.0 < confidence < 1.0:
         raise ValidationError("confidence must lie in (0, 1)")
     invert = _invert_ms if game == "magic_square" else _invert_chsh

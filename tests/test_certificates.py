@@ -6,7 +6,6 @@ from noisygames.certificates import (
     certify,
     chsh_sos_certificate,
     chsh_upper_bound,
-    classical_baselines,
     classical_chsh_max_enumerated,
     classical_ms_max_enumerated,
     magic_square_upper_bound,
@@ -15,9 +14,7 @@ from noisygames.certificates import (
 from noisygames.games import (
     canonical_chsh_strategy,
     canonical_magic_square_strategy,
-    chsh_violation,
     chsh_violation_dense,
-    magic_square_value,
     perturbed_chsh_strategy,
     random_chsh_strategy,
     random_magic_square_strategy,
@@ -164,14 +161,6 @@ def test_certify_dispatch():
         certify("not a strategy", 0.5)
 
 
-def test_classical_baselines():
-    assert classical_baselines("chsh") == pytest.approx(0.75)
-    assert classical_baselines("magic_square") == pytest.approx(17 / 18)
-    with pytest.raises(ValidationError):
-        classical_baselines("ghz")
-
-
 def test_classical_enumeration_oracles():
-    assert classical_chsh_max_enumerated() == pytest.approx(classical_baselines("chsh"))
-    assert classical_ms_max_enumerated() == pytest.approx(
-        classical_baselines("magic_square"), abs=1e-12)
+    assert classical_chsh_max_enumerated() == pytest.approx(0.75)
+    assert classical_ms_max_enumerated() == pytest.approx(17 / 18, abs=1e-12)

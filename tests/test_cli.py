@@ -522,6 +522,12 @@ def test_threads_flag_removed(capsys):
      "--transcript {v99}: unknown transcript schemaVersion 99; this version reads 1 to 3"),
     (["estimate-rho", "--transcript", "{v_true}"],
      "--transcript {v_true}: unknown transcript schemaVersion True; this version reads 1 to 3"),
+    (["estimate-rho", "--game", "chsh", "--statistic", "1.5", "--rounds", "100"],
+     "the statistic is a rate and must lie in [0, 1], got 1.5"),
+    (["estimate-rho", "--game", "chsh", "--statistic", "-0.3", "--rounds", "100"],
+     "the statistic is a rate and must lie in [0, 1], got -0.3"),
+    (["estimate-rho", "--transcript", "{rate_high}"],
+     "--transcript {rate_high}: the statistic is a rate and must lie in [0, 1], got 1.5"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
@@ -539,7 +545,8 @@ def test_threads_flag_removed(capsys):
         "random-register", "sweep-dimension-above-cap", "sweep-two-out-of-n-register",
         "estimate-two-out-of-one", "chsh-n-zero", "ms-n-negative", "two-out-of-n-n-negative",
         "estimate-n-zero", "ms-random-bounded", "sweep-strategy", "sweep-channel",
-        "sweep-threshold", "chsh-variable", "transcript-schema-99", "transcript-schema-bool"])
+        "sweep-threshold", "chsh-variable", "transcript-schema-99", "transcript-schema-bool",
+        "statistic-above-one", "statistic-below-zero", "transcript-rate-above-one"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",
@@ -565,6 +572,9 @@ def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
                                           "empiricalWinRate": 0.8}))
     files["rate_x"].write_text(json.dumps({"game": "chsh", "tPrime": 10,
                                            "empiricalWinRate": "x"}))
+    files["rate_high"] = tmp_path / "rate_high.json"
+    files["rate_high"].write_text(json.dumps({"game": "chsh", "tPrime": 100,
+                                              "empiricalWinRate": 1.5}))
     files["ms_no_povms"].write_text(json.dumps({"game": "magic_square", "n": 1,
                                                "bobObservables": {}}))
     files["t2n_list"].write_text(json.dumps({"game": "two_out_of_n", "n": 2, "aliceSingles": [],

@@ -14,9 +14,7 @@ from noisygames.extraction import (
     ms_local_unitary,
     ms_selftest,
     nearest_binary_observable,
-    observable_scaling_residual,
     pauli_pair_unitary,
-    povm_projectivity_report,
     register_concentration,
     selftest,
     two_out_of_n_selftest,
@@ -34,7 +32,6 @@ from noisygames.games import (
     perturbed_magic_square_strategy,
     perturbed_two_out_of_n_strategy,
     random_traceless_binary,
-    spectral_norm,
 )
 from noisygames.pauli import (
     SIGMA_X,
@@ -54,14 +51,6 @@ from noisygames.states import (
 )
 
 THETAS = (0.02, 0.05, 0.1, 0.2, 0.3)
-
-
-def test_scaling_residual_examples():
-    assert observable_scaling_residual(SIGMA_Z, 0.4) == pytest.approx(0.0)
-    assert observable_scaling_residual(np.kron(SIGMA_Z, SIGMA_Z), 0.5) == pytest.approx(0.25)
-    assert observable_scaling_residual(np.eye(2), 0.7) == pytest.approx(0.3)
-    with pytest.raises(ValidationError):
-        observable_scaling_residual(SIGMA_Z, 1.0)
 
 
 def test_commutation_norms():
@@ -175,7 +164,7 @@ def test_register_concentration_examples():
     assert rc.residual == pytest.approx(0.0)
 
     mix = 0.99 * embed_on_register(SIGMA_Z, 2, 2) + 0.1 * np.kron(SIGMA_Z, SIGMA_Z)
-    rc = register_concentration(mix / spectral_norm(mix))
+    rc = register_concentration(mix / np.linalg.norm(mix, 2))
     assert rc.register == 2
     assert 0.05 < rc.residual < 0.15
 
@@ -248,23 +237,6 @@ def test_lp_examples_and_oracle():
         lp_min_closed_form([2, 1], 1.0, 5.0)
     with pytest.raises(ValidationError):
         lp_min_closed_form([1, 2], 1.0, 1.0)
-
-
-def test_povm_projectivity_report():
-    strat = canonical_magic_square_strategy(1)
-    rep = povm_projectivity_report(strat.alice_povms["r1"], parity_target=1)
-    assert max(rep.pairwise_product_norms.values()) < 1e-12
-    assert max(rep.idempotency_gaps) < 1e-12
-    assert rep.wrong_parity_mass == pytest.approx(0.0)
-    uniform = np.stack([np.eye(4) / 4] * 4)
-    rep = povm_projectivity_report(uniform)
-    assert rep.idempotency_gaps[0] == pytest.approx(3 / 16)
-
-
-@pytest.mark.parametrize("k", [4, 10])
-def test_wrong_parity_mass_needs_eight_outcomes(k):
-    with pytest.raises(ValidationError, match=f"got {k} outcomes"):
-        povm_projectivity_report(np.stack([np.eye(2) / k] * k), parity_target=1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from noisygames.games import (
     derived_observable,
     embed_on_register,
     haar_unitary,
-    magic_square_dense_state,
     magic_square_table,
     magic_square_value,
     marginal_pair_observable,
@@ -59,12 +58,13 @@ def test_canonical_chsh_observables():
 
 
 def test_canonical_embedding_degree_profile():
-    from noisygames.pauli import degree_profile, pauli_basis, pauli_expand
+    from noisygames.pauli import degree_vector, pauli_basis
 
     s = canonical_chsh_strategy(3, register=2)
     for op in (*s.alice, *s.bob):
-        prof = degree_profile(pauli_expand(op, pauli_basis()))
-        assert prof.weights[1] == pytest.approx(1.0)
+        exp = pauli_expand(op, pauli_basis())
+        degree_one = degree_vector(exp.m, exp.n) == 1
+        assert (exp.coeffs[degree_one] ** 2).sum() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("rho", [0.3, 0.7, 0.9, 1.0])
@@ -112,7 +112,7 @@ def test_explicit_state_evaluation_path():
     assert rep.violation == pytest.approx(np.sqrt(2), abs=1e-12)
 
 
-def test_spectral_norm_validation():
+def test_chsh_strategy_rejects_non_contraction():
     with pytest.raises(ValidationError):
         ChshStrategy(1, (2 * SIGMA_Z, SIGMA_X), (SIGMA_Z, SIGMA_X))
 
@@ -149,14 +149,15 @@ def test_magic_square_register_invariance():
 
 def test_magic_square_dense_cross_check():
     strat = canonical_magic_square_strategy(1)
-    dense = magic_square_value(strat, 0.6, dense_state=magic_square_dense_state(0.6, 1))
+    state = make_depolarized_epr(0.6, 1, pair_registers=True)
+    dense = magic_square_value(strat, 0.6, dense_state=state)
     fast = magic_square_value(strat, 0.6)
     assert dense.overall == pytest.approx(fast.overall, abs=1e-10)
 
 
 def test_magic_square_dense_cross_check_random():
     rng = np.random.default_rng(17)
-    state = magic_square_dense_state(0.45, 1)
+    state = make_depolarized_epr(0.45, 1, pair_registers=True)
     for kind in ("projective", "raw"):
         strat = random_magic_square_strategy(1, rng, kind=kind)
         dense = magic_square_value(strat, 0.45, dense_state=state)
@@ -370,7 +371,8 @@ def test_magic_square_value_matches_dense(n, kind, rho, seed):
     strat = random_magic_square_strategy(n, np.random.default_rng(seed), kind=kind,
                                          trace_bias=0.2)
     fast = magic_square_value(strat, rho)
-    dense = magic_square_value(strat, rho, dense_state=magic_square_dense_state(rho, n))
+    state = make_depolarized_epr(rho, n, pair_registers=True)
+    dense = magic_square_value(strat, rho, dense_state=state)
     for attr in ("overall", "parity_pass", "consistency_pass"):
         assert getattr(fast, attr) == pytest.approx(getattr(dense, attr), abs=1e-12)
     assert list(fast.per_variable) == list(dense.per_variable)
@@ -526,7 +528,8 @@ def test_magic_square_gram_value_matches_dense(kind, n, bias):
         strat = random_magic_square_strategy(n, rng, kind=kind, trace_bias=bias)
         rho = float(rng.uniform(0.2, 1.0))
         fast = magic_square_value(strat, rho)
-        dense = magic_square_value(strat, rho, dense_state=magic_square_dense_state(rho, n))
+        state = make_depolarized_epr(rho, n, pair_registers=True)
+        dense = magic_square_value(strat, rho, dense_state=state)
         for attr in ("overall", "parity_pass", "consistency_pass"):
             assert getattr(fast, attr) == pytest.approx(getattr(dense, attr), abs=1e-12)
         assert list(fast.per_variable) == list(dense.per_variable)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noisygames.certificates import chsh_upper_bound
-from noisygames.games import canonical_chsh_strategy, random_chsh_strategy
+from noisygames.games import random_chsh_strategy
 from noisygames.optimizer import (
     depolarize_matrix,
     grid_bruteforce_chsh_qubit,
@@ -10,7 +10,7 @@ from noisygames.optimizer import (
     seesaw_chsh,
     seesaw_sweep_rows,
 )
-from noisygames.pauli import SIGMA_X, SIGMA_Z, ValidationError
+from noisygames.pauli import SIGMA_Z, ValidationError
 
 
 def test_depolarize_matrix():

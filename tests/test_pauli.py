@@ -9,12 +9,9 @@ from noisygames.pauli import (
     SIGMA_Z,
     ValidationError,
     apply_depolarizing_coeffs,
-    apply_general_scaling,
-    degree_profile,
     default_basis,
     degree_vector,
     hs_distance,
-    index_string,
     matrix_from_json,
     matrix_to_json,
     noisy_epr_expectation,
@@ -142,41 +139,6 @@ def test_depolarizing_rejects_bad_rho():
         apply_depolarizing_coeffs(exp, 1.5)
 
 
-def test_general_scaling_examples():
-    basis = pauli_basis()
-    z = pauli_expand(SIGMA_Z, basis)
-    out = apply_general_scaling(z, 0.8, 0.5)
-    assert np.abs(pauli_reconstruct(out) - 0.5 * SIGMA_Z).max() < 1e-12
-    xz = pauli_expand(np.kron(SIGMA_X, SIGMA_Z), basis)
-    out = apply_general_scaling(xz, 0.8, 0.5)
-    assert np.abs(pauli_reconstruct(out) - 0.4 * np.kron(SIGMA_X, SIGMA_Z)).max() < 1e-12
-
-
-def test_general_scaling_reduces_to_depolarizing():
-    rng = np.random.default_rng(6)
-    exp = pauli_expand(random_hermitian(4, rng), pauli_basis())
-    rho = 0.7
-    general = apply_general_scaling(exp, rho, rho)
-    assert np.abs(general.coeffs - apply_depolarizing_coeffs(exp, rho).coeffs).max() < 1e-14
-
-
-def test_general_scaling_rejects_parameter_order():
-    exp = pauli_expand(SIGMA_Z, pauli_basis())
-    with pytest.raises(ValidationError):
-        apply_general_scaling(exp, 0.5, 0.8)
-
-
-def test_degree_profile():
-    basis = pauli_basis()
-    prof = degree_profile(pauli_expand(np.kron(SIGMA_Z, np.eye(2)), basis))
-    assert np.allclose(prof.weights, [0.0, 1.0, 0.0])
-    mixed = (np.kron(SIGMA_Z, np.eye(2)) + np.kron(SIGMA_Z, SIGMA_Z)) / np.sqrt(2)
-    prof = degree_profile(pauli_expand(mixed, basis))
-    assert np.allclose(prof.weights, [0.0, 0.5, 0.5])
-    prof = degree_profile(pauli_expand(np.eye(4), basis))
-    assert np.allclose(prof.weights, [1.0, 0.0, 0.0])
-
-
 def test_hs_distance_examples():
     assert hs_distance(SIGMA_Z, SIGMA_Z) == 0.0
     assert hs_distance(SIGMA_Z, SIGMA_X) == pytest.approx(np.sqrt(2))
@@ -210,10 +172,9 @@ def test_noisy_epr_expectation_matches_dense():
     assert noisy_epr_expectation(ea, eb, rho) == pytest.approx(dense, abs=1e-12)
 
 
-def test_degree_vector_and_index_string():
+def test_degree_vector():
     deg = degree_vector(2, 2)
     assert deg[0] == 0 and deg[5] == 2 and deg[4] == 1
-    assert index_string(3 * 4 + 0, 2, 2) == "30"
 
 
 def test_basis_validation():

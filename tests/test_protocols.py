@@ -765,6 +765,9 @@ def test_rejecting_transcript_golden_digest(game, t, seed):
     ("chsh", float("nan"), 10, "finite real"),
     ("two_out_of_n", float("inf"), 10, "finite real"),
     ("chsh", True, 10, "finite real"),
+    ("chsh", 1.5, 100, r"must lie in \[0, 1\], got 1\.5$"),
+    ("magic_square", -0.3, 100, r"must lie in \[0, 1\], got -0\.3$"),
+    ("two_out_of_n", np.float64(1.0 + 1e-9), 100, r"must lie in \[0, 1\], got 1\.000000001$"),
 ])
 def test_estimate_rejects_bad_inputs(game, statistic, n_rounds, message):
     with pytest.raises(ValidationError, match=message):

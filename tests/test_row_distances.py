@@ -14,7 +14,6 @@ import pytest
 from noisygames.extraction import (
     chsh_selftest,
     ms_selftest,
-    povm_projectivity_report,
     two_out_of_n_selftest,
 )
 from noisygames.games import (
@@ -23,13 +22,14 @@ from noisygames.games import (
     add_trace_bias,
     derived_observable,
     haar_unitary,
+    ms_outcomes,
     ms_parity_target,
     random_chsh_strategy,
     random_magic_square_strategy,
     random_traceless_binary,
     variable_slot,
 )
-from noisygames.pauli import hs_distance
+from noisygames.pauli import hs_distance, normalized_trace
 
 TOL = 1e-12
 S2 = np.sqrt(2.0)
@@ -66,7 +66,8 @@ def test_ms_row_distances_and_wrong_parity_mass(n, kind):
             p_col = derived_observable(povms[f"c{j}"], variable_slot(f"c{j}", i, j))
             row_col[f"s{i}{j}"] = hs_distance(p_row, p_col)
             p_vs_qt[f"s{i}{j}"] = hs_distance(p_row, strat.bob_observables[(i, j)].T)
-    wrong = {q: povm_projectivity_report(povms[q], ms_parity_target(q)).wrong_parity_mass
+    wrong = {q: sum(normalized_trace(e) for e, a in zip(povms[q], ms_outcomes())
+                    if np.prod(a) != ms_parity_target(q))
              for q in povms}
     report = ms_selftest(strat, 0.74)
     assert_close(report.row_col_distances, row_col)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisygames.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, StandardBasis, ValidationError, pauli_basis
+from noisygames.pauli import StandardBasis, ValidationError, pauli_basis
 from noisygames.states import (
     BipartiteState,
     bit_phase_flip_epr,
