@@ -495,8 +495,8 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
     elems, q_rows, w = PairEvaluator(rho, m=4).expand_stacks(*strategy.stacks)
     elems = elems.reshape(len(MS_QUESTIONS), 8, -1)
-    value = _ms_coeff_report(elems, q_rows, w)
-    eps_win = (1 + rho) / 2 - value.overall
+    value, bias = _ms_coeff_report(elems, q_rows, w)
+    eps_win = (rho - bias) / 2
     idx = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
     labels = [f"s{i}{j}" for i, j in idx]
     # derived[q, s] is question q's observable for slot s + 1; variable

@@ -19,15 +19,14 @@ import numpy as np
 
 from .pauli import (
     COEFF_IMAG_ATOL,
-    HERMITIAN_ATOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     PauliExpansion,
     StandardBasis,
     ValidationError,
+    _check_operators,
     default_basis,
-    hermitian_deviation,
     noisy_epr_expectation,
     pauli_expand,
     pauli_reconstruct,
@@ -78,114 +77,42 @@ def _lookup(mapping, keys: list, names: list) -> list:
     return [mapping[key] for key in keys]
 
 
-# the stacked checks run over chunks of at most this many bytes, so that a
-# large strategy's eigenvalue and deviation temporaries stay small
-_CHECK_BYTES = 1 << 20
-
-
-def _frozen_stack(arrays: list) -> np.ndarray:
-    """The strategy's own read-only complex copy of equal-shape members, as
-    one stack; the caller's arrays are left as they were."""
-    stack = np.array(arrays, dtype=complex)
-    stack.setflags(write=False)
-    return stack
-
-
-def _chunks(stack: np.ndarray):
-    """(offset, view) over consecutive members of a stack, each view at most
-    _CHECK_BYTES (and at least one member)."""
-    step = max(1, _CHECK_BYTES // max(stack[0].nbytes, 1)) if len(stack) else 1
-    for lo in range(0, len(stack), step):
-        yield lo, stack[lo:lo + step]
-
-
-def _spectra(stack: np.ndarray) -> tuple:
-    """(finite, Hermitian deviation, eigenvalues) of each matrix in a stack;
-    a matrix with a non-finite entry is measured as zero."""
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    safe = stack if finite.all() else np.where(finite[..., None, None], stack, 0.0)
-    return finite, hermitian_deviation(safe), np.linalg.eigvalsh(safe)
-
-
-def _require_observables(ops, dim: int, labels: list) -> np.ndarray:
-    """Check observables as (k, dim, dim) stacks and return one read-only
-    complex copy stack: each must be finite, Hermitian and of spectral norm
-    at most 1.  An error names the first bad member, labels[i], and the
-    first check it fails."""
-    arrays = [np.asarray(op) for op in ops]
+def _shaped(members, dim: int, labels: list, outcomes: int | None = None) -> list:
+    """Members as arrays, each checked to be a dim x dim observable, or with
+    `outcomes` a POVM of dim x dim elements, that many unless 0.  An error
+    names the first misshapen member, labels[i]."""
+    arrays = [np.asarray(member) for member in members]
     for arr, label in zip(arrays, labels):
-        if arr.shape != (dim, dim):
-            raise ValidationError(f"{label} must be a {dim}x{dim} matrix, got shape {arr.shape}")
-    owned = _frozen_stack(arrays)
-    for lo, stack in _chunks(owned):
-        finite, dev, eigs = _spectra(stack)
-        norm = np.abs(eigs).max(axis=-1)
-        bad = ~finite | (dev > HERMITIAN_ATOL) | (norm > 1.0 + SPECTRAL_NORM_SLACK)
-        if bad.any():
-            k = int(np.argmax(bad))
-            label = labels[lo + k]
-            if not finite[k]:
-                raise ValidationError(f"{label} has non-finite entries")
-            if dev[k] > HERMITIAN_ATOL:
-                raise ValidationError(f"{label} is not Hermitian (max deviation {dev[k]:.3e})")
-            raise ValidationError(f"{label} has spectral norm {norm[k]:.6f} > 1")
-    return owned
-
-
-def _povm_arrays(povms, dim: int, outcomes: int | None, labels: list) -> list:
-    """POVMs as arrays, each checked to be a stack of `outcomes` (any count
-    when None) dim x dim matrices; an error names the first bad one."""
-    arrays = [np.asarray(p) for p in povms]
-    for arr, label in zip(arrays, labels):
-        if arr.ndim != 3 or arr.shape[1:] != (dim, dim):
+        if outcomes is None:
+            if arr.shape != (dim, dim):
+                raise ValidationError(f"{label} must be a {dim}x{dim} matrix, got shape {arr.shape}")
+        elif arr.ndim != 3 or arr.shape[1:] != (dim, dim):
             raise ValidationError(f"{label} must be a stack of {dim}x{dim} matrices")
-        if outcomes is not None and len(arr) != outcomes:
+        elif outcomes and len(arr) != outcomes:
             raise ValidationError(f"{label} must have {outcomes} outcomes")
     return arrays
 
 
-def _require_povms(povms, dim: int, outcomes: int | None, labels: list) -> np.ndarray:
-    """Check POVMs and return one read-only complex copy stack of them."""
-    return _check_povms(_frozen_stack(_povm_arrays(povms, dim, outcomes, labels)), dim, labels)
-
-
-def _check_povms(owned: np.ndarray, dim: int, labels: list) -> np.ndarray:
-    """Check a (k, outcomes, dim, dim) stack of POVMs in place and return it:
-    every element must be finite, Hermitian and PSD, and each POVM must sum
-    to the identity.  An error names the first bad POVM, labels[i], and the
-    first check it fails."""
-    for lo, stack in _chunks(owned):
-        finite, dev, eigs = _spectra(stack)
-        low = eigs.min(axis=-1)
-        off = np.abs(stack.sum(axis=1) - np.eye(dim)).max(axis=(-2, -1))
-        bad = (~finite | (dev > HERMITIAN_ATOL) | (low < -POVM_ATOL)).any(axis=1)
-        bad |= off > POVM_ATOL
-        if bad.any():
-            k = int(np.argmax(bad))
-            label = labels[lo + k]
-            if not finite[k].all():
-                raise ValidationError(f"{label} has non-finite entries")
-            if (dev[k] > HERMITIAN_ATOL).any():
-                e = int(np.argmax(dev[k] > HERMITIAN_ATOL))
-                raise ValidationError(f"{label} element {e} is not Hermitian "
-                                      f"(max deviation {dev[k, e]:.3e})")
-            if (low[k] < -POVM_ATOL).any():
-                e = int(np.argmax(low[k] < -POVM_ATOL))
-                raise ValidationError(f"{label} element {e} is not PSD "
-                                      f"(min eigenvalue {low[k, e]:.3e})")
-            raise ValidationError(f"{label} does not sum to identity "
-                                  f"(max deviation {off[k]:.3e})")
-    return owned
+def _owned(members, dim: int, labels: list, outcomes: int | None = None) -> np.ndarray:
+    """The strategy's own read-only complex copy of observables, or with
+    `outcomes` of POVMs (see _shaped), as one stack, checked by
+    _check_operators: observables to spectral norm at most 1, POVMs to PSD
+    elements summing to I.  The caller's arrays are left as they were."""
+    stack = np.array(_shaped(members, dim, labels, outcomes), dtype=complex)
+    stack.setflags(write=False)
+    if outcomes is None:
+        return _check_operators(stack, labels, "norm", SPECTRAL_NORM_SLACK)
+    return _check_operators(stack, labels, "povm", POVM_ATOL)
 
 
 def require_observable(op: np.ndarray, dim: int, label: str = "observable") -> np.ndarray:
     """One observable: finite, Hermitian, dim x dim, spectral norm at most 1."""
-    return _require_observables([op], dim, [label])[0]
+    return _owned([op], dim, [label])[0]
 
 
 def require_povm(elements: np.ndarray, dim: int, label: str = "POVM") -> np.ndarray:
     """One POVM: finite, Hermitian, PSD dim x dim elements summing to I."""
-    return _require_povms([elements], dim, None, [label])[0]
+    return _owned([elements], dim, [label], 0)[0]
 
 
 def _gaussians(d: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
@@ -283,8 +210,7 @@ class ChshStrategy:
     def __post_init__(self):
         if len(self.alice) != 2 or len(self.bob) != 2:
             raise ValidationError("CHSH strategies need two observables per player")
-        ops = _require_observables([*self.alice, *self.bob], 2 ** self.n,
-                                   ["P0", "P1", "Q0", "Q1"])
+        ops = _owned([*self.alice, *self.bob], 2 ** self.n, ["P0", "P1", "Q0", "Q1"])
         self.stacks = (ops[:2], ops[2:])
         self.alice, self.bob = (tuple(stack) for stack in self.stacks)
 
@@ -429,8 +355,8 @@ class MagicSquareStrategy:
                         [f"POVM for question {q}" for q in MS_QUESTIONS])
         bob = _lookup(self.bob_observables, _MS_VARIABLES,
                       [f"observable for variable ({i},{j})" for i, j in _MS_VARIABLES])
-        povms = _require_povms(povms, d, 8, [f"POVM {q}" for q in MS_QUESTIONS])
-        bob = _require_observables(bob, d, [f"Q{i}{j}" for i, j in _MS_VARIABLES])
+        povms = _owned(povms, d, [f"POVM {q}" for q in MS_QUESTIONS], 8)
+        bob = _owned(bob, d, [f"Q{i}{j}" for i, j in _MS_VARIABLES])
         self.stacks = (povms.reshape(-1, d, d), bob)
         self.alice_povms = dict(zip(MS_QUESTIONS, povms))
         self.bob_observables = dict(zip(_MS_VARIABLES, bob))
@@ -608,20 +534,25 @@ class TwoOutOfNStrategy:
         pair_labels = [f"pair POVM {key}" for key in keys]
         alice = _lookup(self.alice_singles, singles, [f"single observable {s}" for s in p_labels])
         bob = _lookup(self.bob_singles, singles, [f"single observable {s}" for s in q_labels])
-        # P[i,x] and Q[i,x] alternate, so an error names the same operator
-        # first that a check of one operator at a time would have named
-        ops = _require_observables([op for both in zip(alice, bob) for op in both], d,
-                                   [s for both in zip(p_labels, q_labels) for s in both])
-        povms = _povm_arrays(_lookup(self.alice_pair_povms, keys, pair_labels)
-                             + _lookup(self.bob_pair_povms, keys, pair_labels),
-                             d, 4, pair_labels * 2)
         ns, k = 2 * self.n, len(keys)
-        # each player's stack is the strategy's one copy of its pair POVMs
-        self.stacks = tuple(
-            _frozen_stack([*ops[p::2], *itertools.chain(*povms[p * k:(p + 1) * k])])
-            for p in (0, 1))
-        for stack in self.stacks:
-            _check_povms(stack[ns:].reshape(k, 4, d, d), d, pair_labels)
+        # one copy: both players' stacks, each checked in row ranges.  P[i,x]
+        # and Q[i,x] alternate, so an error names the same operator first
+        # that a check of one operator at a time would have named
+        owned = np.empty((2, ns + 4 * k, d, d), dtype=complex)
+        both = owned[:, :ns].swapaxes(0, 1)
+        labels = [s for pair in zip(p_labels, q_labels) for s in pair]
+        for r, op in enumerate(_shaped([op for pair in zip(alice, bob) for op in pair], d, labels)):
+            both[divmod(r, 2)] = op
+        _check_operators(both, labels, "norm", SPECTRAL_NORM_SLACK)
+        elems = owned[:, ns:].reshape(2, k, 4, d, d)
+        for r, povm in enumerate(_shaped(_lookup(self.alice_pair_povms, keys, pair_labels)
+                                         + _lookup(self.bob_pair_povms, keys, pair_labels),
+                                         d, pair_labels * 2, 4)):
+            elems[divmod(r, k)] = povm
+        for player in elems:
+            _check_operators(player, pair_labels, "povm", POVM_ATOL)
+        owned.setflags(write=False)
+        self.stacks = tuple(owned)
         self.alice_singles, self.bob_singles = (dict(zip(singles, s[:ns])) for s in self.stacks)
         self.alice_pair_povms, self.bob_pair_povms = (
             dict(zip(keys, s[ns:].reshape(-1, 4, d, d))) for s in self.stacks)
@@ -870,22 +801,26 @@ def magic_square_value(strategy: MagicSquareStrategy, rho,
         pairs = np.einsum("qaij,qskl,jlik->qas", alice.reshape(len(MS_QUESTIONS), 8, d, d),
                           bob[_MS_SLOT_VARIABLE], _dense_joint(dense_state, d),
                           optimize=True).real
-    return _ms_report(masses, pairs)
+    return _ms_report(masses, pairs)[0]
 
 
-def _ms_coeff_report(elems: np.ndarray, obs: np.ndarray, w: np.ndarray) -> MagicSquareReport:
-    """The game's pass rates from PairEvaluator.expand_stacks rows: Alice's
-    element rows as a (6, 8, m^(2n)) array in MS_QUESTIONS and ms_outcomes
-    order, Bob's observable rows in _MS_VARIABLES order, and the weights w.
-    Element traces are identity coefficients and pairings are
-    noise-weighted products of rows."""
+def _ms_coeff_report(elems: np.ndarray, obs: np.ndarray, w: np.ndarray) -> tuple:
+    """_ms_report of PairEvaluator.expand_stacks rows: Alice's element rows
+    as a (6, 8, m^(2n)) array in MS_QUESTIONS and ms_outcomes order, Bob's
+    observable rows in _MS_VARIABLES order, and the weights w.  Element
+    traces are identity coefficients and pairings are noise-weighted
+    products of rows."""
     pairs = np.einsum("qax,qsx->qas", elems * w, obs[_MS_SLOT_VARIABLE])
     return _ms_report(elems[..., 0], pairs)
 
 
-def _ms_report(masses: np.ndarray, pairs: np.ndarray) -> MagicSquareReport:
+def _ms_report(masses: np.ndarray, pairs: np.ndarray) -> tuple:
     """Aggregate the (question, outcome) element traces and the (question,
-    outcome, slot) pairings <E_qa (x) Q_v(q,s)> into the game's pass rates."""
+    outcome, slot) pairings <E_qa (x) Q_v(q,s)> into the game's pass rates,
+    and return them with the bias 2 overall - 1: the mean parity-restricted
+    correlation less the mean wrong-parity mass.  The overall rate is
+    derived from the bias, whose terms are small where the bound's bias rho
+    is, so that a gap taken against it keeps its resolution at small rho."""
     parity = (_MS_PARITY * masses).sum(axis=1)  # per question
     derived = np.einsum("as,qas->qs", _MS_SIGNS, pairs)
     restricted = np.einsum("qa,as,qas->qs", _MS_PARITY, _MS_SIGNS, pairs)
@@ -893,8 +828,9 @@ def _ms_report(masses: np.ndarray, pairs: np.ndarray) -> MagicSquareReport:
     win = 0.5 * (parity[:, None] + restricted)
     per_variable = {label: {"consistency": c, "win": v} for label, c, v in zip(
         _MS_REPORT_LABELS, consistency.ravel().tolist(), win.ravel().tolist())}
-    return MagicSquareReport(float(win.sum() / 18.0), float(parity.sum() / 6.0),
-                             float(consistency.sum() / 18.0), per_variable)
+    bias = float(restricted.sum() / 18.0 - (1.0 - parity).sum() / 6.0)
+    return MagicSquareReport(0.5 + 0.5 * bias, float(parity.sum() / 6.0),
+                             float(consistency.sum() / 18.0), per_variable), bias
 
 
 def _two_out_of_n_grams(strategy: TwoOutOfNStrategy, rho) -> tuple:
@@ -906,7 +842,8 @@ def _two_out_of_n_grams(strategy: TwoOutOfNStrategy, rho) -> tuple:
 
 def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
     """Average CHSH pass probability over shared indices, role swap and
-    questions; reported violation is 8 * (win - 1/2).
+    questions; the violation 8 * (win - 1/2) is formed from the correlations
+    and the win probability from it (_two_out_of_n_report).
 
     Each player's singles are moved through the noise and paired with the
     other player's raw pair-POVM elements (_two_out_of_n_grams); the pair
@@ -946,7 +883,10 @@ def _two_out_of_n_contexts(n: int) -> np.ndarray:
 def _two_out_of_n_report(n: int, alice: np.ndarray, bob: np.ndarray) -> GameValueReport:
     """two_out_of_n_value from the Gram pair of _two_out_of_n_grams: per
     context, the CHSH pass probability averaged over the two roles; per
-    ordered index pair (i, j), the average over its 8 contexts."""
+    ordered index pair (i, j), the average over its 8 contexts.  As for
+    CHSH, the violation is the signed correlations' bias, 4 times their mean,
+    and the win probability is derived from it, so that a gap taken against
+    it keeps its resolution at small rho."""
     if n < 2:
         raise ValidationError(f"2-out-of-n values need n >= 2 indices, got n = {n}")
     i, j, x, y, _, single, key, side = _two_out_of_n_contexts(n).T
@@ -956,8 +896,8 @@ def _two_out_of_n_report(n: int, alice: np.ndarray, bob: np.ndarray) -> GameValu
     sign = 1 - 2 * (x & y)  # CHSH_SIGNS
     per_pair = ((1 + sign * corr) / 2).mean(axis=0).reshape(-1, 8).mean(axis=1)
     pair_totals = {f"{pi},{pj}": float(v) for pi, pj, v in zip(i[::8], j[::8], per_pair)}
-    win = float(per_pair.mean())
-    return GameValueReport(8 * (win - 0.5), win, pair_totals)
+    violation = float(4 * (sign * corr).mean())
+    return GameValueReport(violation, 0.5 + violation / 8.0, pair_totals)
 
 
 # ---------------------------------------------------------------------------

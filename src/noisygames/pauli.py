@@ -10,11 +10,15 @@ ever materializes a joint (m^n)^2 x (m^n)^2 operator.
 Index convention: a multi-index x in [m^2]^n is serialized row-major with
 register 1 as the most significant base-m^2 digit.
 
+Operator checks: every validator in the package, here and in `games` and
+`states`, runs one stacked check, `_check_operators`, which names the first
+bad member of a stack and the first check it fails.
+
 Stacked input: `pauli_expand` takes a (k, d, d) stack as well as one d x d
-matrix.  It checks every member with the tolerances used for one matrix
-(`require_hermitian_stack`) and returns a (k, m^(2n)) coefficient array
-whose row r is the expansion of member r, so a game value expands each
-player's operators in one call and pairs them with one matrix product.
+matrix.  It checks every member with the tolerances used for one matrix and
+returns a (k, m^(2n)) coefficient array whose row r is the expansion of
+member r, so a game value expands each player's operators in one call and
+pairs them with one matrix product.
 
 Two paths compute the same coefficients.  While m^(2n) <= DENSE_MAX_COEFFS
 (qubit registers up to n = 3, or one 4-dimensional register) an expansion
@@ -29,7 +33,8 @@ the coefficients is checked on every path, and a NaN fails it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import prod
 
 import numpy as np
 
@@ -63,31 +68,73 @@ def hermitian_deviation(mats: np.ndarray) -> np.ndarray:
     return dev.reshape(dev.shape[:-2] + (dev.shape[-1] ** 2,)).max(axis=-1, initial=0.0)
 
 
-def _require_hermitian(mats: np.ndarray, atol: float) -> np.ndarray:
-    # checked first: inf - inf is NaN, and NaN never exceeds a tolerance
-    if not np.isfinite(mats).all():
-        raise ValidationError("matrix has non-finite entries")
-    dev = hermitian_deviation(mats)
-    if mats.ndim == 2:
-        if dev > atol:
-            raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    elif (dev > atol).any():
-        member = int(np.argmax(dev > atol))
-        raise ValidationError(f"stack member {member} is not Hermitian "
-                              f"(max deviation {dev[member]:.3e})")
-    return mats
+# the stacked check works over chunks of at most this many bytes, so that a
+# large strategy's eigenvalue and deviation temporaries stay small
+_CHECK_BYTES = 1 << 20
 
 
-def require_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate finiteness and Hermiticity within `atol` and return the
-    matrix as complex."""
-    return _require_hermitian(_as_square(mat), atol)
+def _check_operators(stack: np.ndarray, labels, bound: str | None = None,
+                     atol: float = 0.0) -> np.ndarray:
+    """Check a (k, d, d) stack of operators, or with bound "povm" a (k,
+    outcomes, d, d) stack of POVMs, a chunk of at most _CHECK_BYTES (and at
+    least one row) at a time, and return it.
+
+    Every matrix must be finite and Hermitian within HERMITIAN_ATOL; with
+    bound "norm" its spectral norm must be at most 1 + atol, with "psd" or
+    "povm" its least eigenvalue at least -atol, and with "povm" each POVM
+    must sum to I within atol.  Without "povm", a (k, j, d, d) stack holds
+    k j members in C order.  An error names the first bad member, labels[i],
+    the first check it fails and, for a POVM's element checks, the first
+    element that fails it."""
+    povm = bound == "povm"
+    per = 1 if povm else prod(stack.shape[1:-2])  # members per row
+    step = max(1, _CHECK_BYTES // max(prod(stack.shape[1:]) * stack.itemsize, 1))
+    for lo in range(0, len(stack), step):
+        chunk = safe = stack[lo:lo + step]
+        finite = np.True_
+        if not np.isfinite(chunk).all():
+            # a matrix with a non-finite entry is measured as zero: inf - inf
+            # is NaN, and NaN exceeds no tolerance
+            finite = np.isfinite(chunk).all(axis=(-2, -1))
+            safe = np.where(finite[..., None, None], chunk, 0.0)
+        # (value, failed, message) per check after finiteness, one entry a matrix
+        dev = hermitian_deviation(safe)
+        checks = [(dev, dev > HERMITIAN_ATOL, "is not Hermitian (max deviation {:.3e})")]
+        if bound == "norm":
+            norm = np.abs(np.linalg.eigvalsh(safe)).max(axis=-1)
+            checks.append((norm, norm > 1.0 + atol, "has spectral norm {:.6f} > 1"))
+        elif bound:
+            low = np.linalg.eigvalsh(safe)[..., 0]  # ascending: the least
+            checks.append((low, low < -atol, "is not PSD (min eigenvalue {:.3e})"))
+        bad = reduce(np.logical_or, [failed for _, failed, _ in checks])
+        if finite is not np.True_:
+            bad = bad | ~finite
+        if povm:
+            off = np.abs(safe.sum(axis=1) - np.eye(stack.shape[-1])).max(axis=(-2, -1))
+            bad = bad.any(axis=1) | (off > atol)
+        if not bad.any():
+            continue
+        i = int(np.argmax(bad))
+        at = np.unravel_index(i, bad.shape)
+        label = labels[lo * per + i]
+        if not np.broadcast_to(finite, dev.shape)[at].all():
+            raise ValidationError(f"{label} has non-finite entries")
+        for value, failed, message in checks:
+            failed = np.atleast_1d(failed[at])
+            if failed.any():
+                e = int(np.argmax(failed))
+                name = f"{label} element {e}" if povm else label
+                raise ValidationError(f"{name} {message.format(np.atleast_1d(value[at])[e])}")
+        raise ValidationError(f"{label} does not sum to identity (max deviation {off[i]:.3e})")
+    return stack
 
 
-def require_hermitian_stack(mats: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """`require_hermitian` for one matrix or for each member of a (k, d, d)
-    stack; an error names the first member out of tolerance."""
-    return _require_hermitian(_as_square(mats, stack=True), atol)
+def require_hermitian(mat: np.ndarray) -> np.ndarray:
+    """Validate finiteness and Hermiticity within HERMITIAN_ATOL and return
+    the matrix as complex."""
+    mat = _as_square(mat)
+    _check_operators(mat[None], ["matrix"])
+    return mat
 
 
 def normalized_trace(mat: np.ndarray) -> float:
@@ -138,8 +185,7 @@ class StandardBasis:
             )
         if np.abs(elems[0] - np.eye(self.m)).max() > HERMITIAN_ATOL:
             raise ValidationError("basis element 0 must be the identity")
-        for e in elems:
-            require_hermitian(e)
+        _check_operators(elems, [f"basis element {i}" for i in range(len(elems))])
         gram = np.einsum("aij,bij->ab", elems.conj(), elems) / self.m
         if np.abs(gram - np.eye(self.m * self.m)).max() > HERMITIAN_ATOL:
             raise ValidationError("basis is not orthonormal under the normalized HS inner product")
@@ -289,8 +335,11 @@ def pauli_expand(mat: np.ndarray, basis: StandardBasis, *,
     finiteness and Hermitian check, for stacks whose members a strategy has
     already checked; the imaginary residue is still checked.
     """
-    mat = _as_square(mat, stack=True) if validated else require_hermitian_stack(mat)
+    mat = _as_square(mat, stack=True)
     lead = mat.ndim - 2  # 1 for a stack, 0 for one matrix
+    if not validated:
+        _check_operators(mat if lead else mat[None],
+                         [f"stack member {i}" for i in range(len(mat))] if lead else ["matrix"])
     m = basis.m
     n = infer_registers(mat.shape[-1], m)
     if m ** (2 * n) <= DENSE_MAX_COEFFS:
@@ -375,23 +424,16 @@ def register_weight_vector(per_index: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
-def noisy_epr_expectation(exp_a: PauliExpansion, exp_b: PauliExpansion, noise) -> float:
+def noisy_epr_expectation(exp_a: PauliExpansion, exp_b: PauliExpansion, w: np.ndarray) -> float:
     """Expectation of A (x) B on n shared noisy maximally-entangled registers.
 
     `exp_a` must be expanded in the first player's basis and `exp_b` in the
-    second player's (transposed) basis; `noise` is a fidelity parameter rho
-    (depolarizing), a length-m^2 per-index weight vector, or the flat
-    length-m^(2n) vector w itself (for n = 1 the two coincide).
-    The value is sum_x w(x) A_hat(x) B_hat(x).
+    second player's (transposed) basis; `w` is the flat length-m^(2n) noise
+    weight vector (register_weight_vector).  The value is
+    sum_x w(x) A_hat(x) B_hat(x).
     """
     if (exp_a.m, exp_a.n) != (exp_b.m, exp_b.n):
         raise ValidationError("operands live on different register structures")
-    if np.isscalar(noise):
-        w = float(noise) ** degree_vector(exp_a.m, exp_a.n)
-    else:
-        w = np.asarray(noise, dtype=float)
-        if w.shape != exp_a.coeffs.shape:
-            w = register_weight_vector(w, exp_a.n)
     return float(np.sum(w * exp_a.coeffs * exp_b.coeffs))
 
 

@@ -694,14 +694,9 @@ def estimate_noise_rate(game: str, statistic: float | None = None,
 # round exports
 
 
-def _render_rows(cells: np.ndarray, texts: list, numbered: bool) -> bytes:
-    """One row of text a round: row r is the decimal r when numbered, then
-    texts[cells[r]] (bytes)."""
-    return b"".join(_render_blocks(cells, texts, numbered))
-
-
 def _render_blocks(cells: np.ndarray, texts: list, numbered: bool):
-    """The bytes of _render_rows, yielded a block of rows at a time.
+    """One row of text a round, yielded a block of rows at a time: row r is
+    the decimal r when numbered, then texts[cells[r]] (bytes).
 
     A numpy byte kernel, so that what it holds besides the block it yields
     is O(block): each row is laid out left-aligned in a padded (rows, width)

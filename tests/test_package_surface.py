@@ -1,9 +1,10 @@
 """The package's surface, read from its source with `ast` alone.
 
-Every public module-level function and class in src/noisygames has a caller
-elsewhere in the package (the root `__init__.py` does not count), or an
-entry in KEPT that says why it stays; an entry whose name is gone, or has
-since gained a caller, fails too, so the list only ever names what it must.
+Every public module-level function and class and every private module-level
+function in src/noisygames has a caller elsewhere in the package (the root
+`__init__.py` does not count), or an entry in KEPT that says why it stays;
+an entry whose name is gone, or has since gained a caller, fails too, so the
+list only ever names what it must.
 No module imports a name it never uses; an `__all__` entry counts as a use.
 """
 
@@ -51,9 +52,12 @@ def _trees() -> dict:
     return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
-def _public_defs(tree) -> dict:
+def _guarded_defs(tree) -> dict:
+    """Public module-level functions and classes, and private module-level
+    functions: a private function only a test calls is as dead as a public one."""
     return {node.name: node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+            if isinstance(node, ast.FunctionDef)
+            or (isinstance(node, ast.ClassDef) and not node.name.startswith("_"))}
 
 
 def _names_in(node) -> set:
@@ -81,7 +85,7 @@ def _references(trees: dict) -> set:
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in aliases):
                 refs.add((aliases[node.value.id], node.attr))
-        defs = _public_defs(tree)
+        defs = _guarded_defs(tree)
         for stmt in tree.body:
             own = getattr(stmt, "name", None)
             refs.update((modname, name) for name in _names_in(stmt) & defs.keys() if name != own)
@@ -91,7 +95,7 @@ def _references(trees: dict) -> set:
 def _uncalled(trees: dict) -> set:
     refs = _references(trees)
     return {f"{modname}.{name}" for modname, tree in trees.items() if modname != "__init__"
-            for name in _public_defs(tree) if (modname, name) not in refs}
+            for name in _guarded_defs(tree) if (modname, name) not in refs}
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -102,7 +106,7 @@ def test_every_public_name_has_a_caller_or_a_reason():
 def test_every_kept_name_exists_and_still_lacks_a_caller():
     trees = _trees()
     defined = {f"{modname}.{name}" for modname, tree in trees.items()
-               for name in _public_defs(tree)}
+               for name in _guarded_defs(tree)}
     assert KEPT.keys() - defined == set(), "KEPT names what the package no longer defines"
     assert KEPT.keys() - _uncalled(trees) == set(), "KEPT names what now has a caller"
 

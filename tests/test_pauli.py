@@ -169,7 +169,8 @@ def test_noisy_epr_expectation_matches_dense():
     ea = pauli_expand(a, pauli_basis())
     eb = pauli_expand(b, pauli_basis().transposed())
     dense = np.trace(np.kron(a, b) @ make_depolarized_epr(rho, 1).density).real
-    assert noisy_epr_expectation(ea, eb, rho) == pytest.approx(dense, abs=1e-12)
+    w = rho ** degree_vector(2, 1)
+    assert noisy_epr_expectation(ea, eb, w) == pytest.approx(dense, abs=1e-12)
 
 
 def test_degree_vector():

@@ -30,6 +30,7 @@ from noisygames.pauli import (
     noisy_epr_expectation,
     normalized_trace,
     pauli_expand,
+    register_weight_vector,
 )
 from noisygames.protocols import (
     _BLOCK,
@@ -42,7 +43,7 @@ from noisygames.protocols import (
     _cumulative_table,
     _GuideTable,
     _blocks,
-    _render_rows,
+    _render_blocks,
     _rng_for_block,
     _sample_categories,
     _two_out_of_n_game,
@@ -357,7 +358,7 @@ def test_render_rows_is_the_python_join(numbered, rows):
     cells = np.random.default_rng(rows).integers(0, len(texts), size=rows).astype(np.uint16)
     want = b"".join((str(r).encode() if numbered else b"") + texts[c]
                     for r, c in enumerate(cells.tolist()))
-    assert _render_rows(cells, texts, numbered) == want
+    assert b"".join(_render_blocks(cells, texts, numbered)) == want
 
 
 @pytest.mark.parametrize("game, n, t", [
@@ -810,7 +811,7 @@ def _reference_expansions(name, n):
 def _reference_two_out_of_n_cum(name, n, rho):
     s = _two_strategy(name, n)
     (a_singles, a_pairs), (b_singles, b_pairs) = _reference_expansions(name, n)
-    weights = np.array([1.0, rho, rho, rho])
+    weights = register_weight_vector([1.0, rho, rho, rho], n)
     index, rows = {}, []
     for role in (0, 1):
         for i in range(1, n + 1):
