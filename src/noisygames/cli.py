@@ -189,7 +189,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate_rho(args) -> int:
     from . import serialize
-    from .protocols import _GAMES, _fixed_round_rates, estimate_noise_rate
+    from .protocols import _GAMES, _estimated_rate, _fixed_round_rates, estimate_noise_rate
 
     if args.transcript:
         with open(args.transcript) as fh:
@@ -202,8 +202,7 @@ def cmd_estimate_rho(args) -> int:
             raise ValueError(f"--transcript {args.transcript}: unknown transcript schemaVersion "
                              f"{version!r}; this version reads 1 to "
                              f"{serialize.TRANSCRIPT_SCHEMA_VERSION}")
-        statistic = doc.get("empiricalConsistencyRate"
-                            if doc["game"] == "magic_square" else "empiricalWinRate")
+        statistic = doc.get(_estimated_rate(doc["game"])[1])
         try:
             est = estimate_noise_rate(doc["game"], statistic=statistic,
                                       n_rounds=doc["tPrime"], confidence=args.confidence)
@@ -221,10 +220,8 @@ def cmd_estimate_rho(args) -> int:
             {"kind": "canonical", "game": args.game, "n": args.n})
         rates = _fixed_round_rates(_GAMES[args.game][1](strategy, args.rho_true),
                                    args.rounds, args.seed)
-        # the magic square's rates end with its consistency rate
-        stat = rates[-1]
-        est = estimate_noise_rate(args.game, statistic=stat, n_rounds=args.rounds,
-                                  confidence=args.confidence)
+        est = estimate_noise_rate(args.game, statistic=rates[_estimated_rate(args.game)[0]],
+                                  n_rounds=args.rounds, confidence=args.confidence)
     _emit(serialize.estimate_to_json(est), args)
     return EXIT_OK
 

@@ -442,14 +442,19 @@ def noisy_epr_expectation(exp_a: PauliExpansion, exp_b: PauliExpansion, w: np.nd
 
 
 def matrix_to_json(mat: np.ndarray) -> list:
+    """A matrix, or a stack of them, as nested [re, im] pairs."""
     mat = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    return np.stack((mat.real, mat.imag), axis=-1).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
+    """A matrix, or a stack of them, from nested [re, im] pairs, bit for bit."""
+    try:
+        arr = np.ascontiguousarray(data, dtype=float)
+    except (TypeError, ValueError):  # ragged nesting or a non-number
+        arr = np.empty(0)
+    if arr.ndim < 3 or arr.shape[-1] != 2:
         raise ValidationError("matrix JSON must be a nested array of [re, im] pairs")
     if not np.isfinite(arr).all():
         raise ValidationError("matrix JSON has non-finite entries")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(complex)[..., 0]

@@ -637,12 +637,12 @@ class NoiseEstimate:
     clamped: bool = False
 
 
-def _invert_chsh(win_rate: float) -> float:
-    return 2 * np.sqrt(2) * (win_rate - 0.5)
-
-
-def _invert_ms(consistency_rate: float) -> float:
-    return 2 * consistency_rate - 1
+def _estimated_rate(game) -> tuple:
+    """The magic square's noise estimate inverts its consistency rate, other games their
+    win rate: the rate's index in _RATES, its transcript key and its inversion."""
+    if game == "magic_square":
+        return 1, "empiricalConsistencyRate", lambda rate: 2 * rate - 1
+    return 0, "empiricalWinRate", lambda rate: 2 * np.sqrt(2) * (rate - 0.5)
 
 
 def estimate_noise_rate(game: str, statistic: float | None = None,
@@ -659,12 +659,9 @@ def estimate_noise_rate(game: str, statistic: float | None = None,
     falls outside [0, 1] is clamped and flagged.
     """
     if transcript is not None:
-        n_rounds = transcript.t_prime
-        if transcript.game == "magic_square":
-            statistic = transcript.empirical_consistency_rate
-        else:
-            statistic = transcript.empirical_win_rate
-        game = transcript.game
+        game, n_rounds = transcript.game, transcript.t_prime
+        statistic = (transcript.empirical_win_rate,
+                     transcript.empirical_consistency_rate)[_estimated_rate(game)[0]]
     if not isinstance(game, str) or game not in _GAMES:
         raise ValidationError(f"unknown game {game!r}")
     if statistic is None or n_rounds is None:
@@ -679,7 +676,7 @@ def estimate_noise_rate(game: str, statistic: float | None = None,
                               f"got {float(statistic)!r}")
     if not 0.0 < confidence < 1.0:
         raise ValidationError("confidence must lie in (0, 1)")
-    invert = _invert_ms if game == "magic_square" else _invert_chsh
+    invert = _estimated_rate(game)[2]
     half = np.sqrt(np.log(2.0 / (1.0 - confidence)) / (2.0 * n_rounds))
     raw = invert(statistic)
     lo, hi = sorted((invert(statistic - half), invert(statistic + half)))

@@ -1,7 +1,9 @@
 """JSON schemas for strategies, states, reports and transcripts.
 
 All documents carry schemaVersion; loaders reject unknown fields so typos
-fail loudly instead of being silently ignored.
+fail loudly instead of being silently ignored.  A strategy's n is at least
+1, and each member block holds exactly the keys of its game's operators at
+that n (_strategy_layout); an error in a member names its block and key.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .games import (
     MagicSquareReport,
     MagicSquareStrategy,
     TwoOutOfNStrategy,
+    _pair_keys,
     canonical_chsh_strategy,
     canonical_magic_square_strategy,
     canonical_two_out_of_n_strategy,
@@ -48,12 +51,13 @@ TRANSCRIPT_SCHEMA_VERSION = 3
 MAX_LOCAL_QUBITS = 6
 
 
-def _require_keys(data: dict, required: set, optional: set, what: str):
+def _require_keys(data: dict, required: set, optional: set, what: str, document=True):
+    """data's fields: a `document` may also hold schemaVersion."""
     if not isinstance(data, dict):
         raise ValidationError(f"{what} must be a JSON object")
     keys = set(data)
     missing = required - keys
-    unknown = keys - required - optional - {"schemaVersion"}
+    unknown = keys - required - optional - ({"schemaVersion"} if document else set())
     if missing:
         raise ValidationError(f"{what} is missing fields: {sorted(missing)}")
     if unknown:
@@ -81,46 +85,57 @@ def state_from_json(data: dict) -> BipartiteState:
     _require_keys(data, {"dimA", "dimB", "density"}, set(), "state")
     return BipartiteState(_field(data, "dimA", int, doc="state"),
                           _field(data, "dimB", int, doc="state"),
-                          matrix_from_json(data["density"]))
+                          _matrix(data["density"], "state field 'density'"))
 
 
 # ---------------------------------------------------------------------------
 # strategies
 
 
+# the strategy class of each game a strategy document names
+_STRATEGY_CLASSES = {"chsh": ChshStrategy, "magic_square": MagicSquareStrategy,
+                     "two_out_of_n": TwoOutOfNStrategy}
+# how errors name a member block, if not by its key
+_BLOCK_NAMES = {"observables": "chsh observables"}
+
+
+def _strategy_layout(game: str, n: int) -> dict:
+    """The member blocks of a `game` strategy document with n registers (or
+    2-out-of-n indices), in document order: per block its members, in order,
+    as (document key, strategy field, key) for getattr(strategy, field)[key],
+    an observable or a POVM's stack of elements."""
+    if game == "chsh":
+        return {"observables": [(f"{p}{x}", field, x) for p, field in (("P", "alice"), ("Q", "bob"))
+                                for x in (0, 1)]}
+    if game == "magic_square":
+        return {"alicePovms": [(q, "alice_povms", q) for q in MS_QUESTIONS],
+                "bobObservables": [(f"s{i}{j}", "bob_observables", (i, j))
+                                   for i in (1, 2, 3) for j in (1, 2, 3)]}
+    singles = [(i, x) for i in range(1, n + 1) for x in (0, 1)]
+    return {f"{player}{block}": [(",".join(map(str, k)), f"{player}_{field}", k) for k in keys]
+            for block, field, keys in (("Singles", "singles", singles),
+                                       ("PairPovms", "pair_povms", _pair_keys(n)))
+            for player in ("alice", "bob")}
+
+
 def strategy_to_json(strategy) -> dict:
-    if isinstance(strategy, ChshStrategy):
-        return {
-            "schemaVersion": SCHEMA_VERSION, "game": "chsh", "n": strategy.n,
-            "observables": {
-                "P0": matrix_to_json(strategy.alice[0]),
-                "P1": matrix_to_json(strategy.alice[1]),
-                "Q0": matrix_to_json(strategy.bob[0]),
-                "Q1": matrix_to_json(strategy.bob[1]),
-            },
-        }
-    if isinstance(strategy, MagicSquareStrategy):
-        return {
-            "schemaVersion": SCHEMA_VERSION, "game": "magic_square", "n": strategy.n,
-            "alicePovms": {q: [matrix_to_json(e) for e in strategy.alice_povms[q]]
-                           for q in MS_QUESTIONS},
-            "bobObservables": {f"s{i}{j}": matrix_to_json(strategy.bob_observables[(i, j)])
-                               for i in (1, 2, 3) for j in (1, 2, 3)},
-        }
-    if isinstance(strategy, TwoOutOfNStrategy):
-        return {
-            "schemaVersion": SCHEMA_VERSION, "game": "two_out_of_n",
-            "n": strategy.n, "nPrime": strategy.n_prime,
-            "aliceSingles": {f"{i},{x}": matrix_to_json(op)
-                             for (i, x), op in strategy.alice_singles.items()},
-            "bobSingles": {f"{i},{x}": matrix_to_json(op)
-                           for (i, x), op in strategy.bob_singles.items()},
-            "alicePairPovms": {",".join(map(str, k)): [matrix_to_json(e) for e in v]
-                               for k, v in strategy.alice_pair_povms.items()},
-            "bobPairPovms": {",".join(map(str, k)): [matrix_to_json(e) for e in v]
-                             for k, v in strategy.bob_pair_povms.items()},
-        }
-    raise ValidationError(f"cannot serialize strategy type {type(strategy).__name__}")
+    game = next((g for g, cls in _STRATEGY_CLASSES.items() if isinstance(strategy, cls)), None)
+    if game is None:
+        raise ValidationError(f"cannot serialize strategy type {type(strategy).__name__}")
+    doc = {"schemaVersion": SCHEMA_VERSION, "game": game, "n": strategy.n}
+    if game == "two_out_of_n":
+        doc["nPrime"] = strategy.n_prime
+    for block, members in _strategy_layout(game, strategy.n).items():
+        doc[block] = {key: matrix_to_json(getattr(strategy, field)[k]) for key, field, k in members}
+    return doc
+
+
+def _matrix(data, what: str) -> np.ndarray:
+    """matrix_from_json(data), with an error naming `what`, its field."""
+    try:
+        return matrix_from_json(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
 
 
 # kinds of scalar strategy and state fields: the Python types a JSON value of
@@ -141,6 +156,14 @@ def _field(data: dict, name: str, kind: type, default=None, doc: str = "strategy
     return kind(value)
 
 
+def _register_count(data: dict, default=None) -> int:
+    """A strategy's n, its count of registers (or indices): at least 1."""
+    n = _field(data, "n", int, default)
+    if n < 1:
+        raise ValidationError(f"n must be an integer >= 1, got {n}")
+    return n
+
+
 # the fields each symbolic kind reads besides kind, game and n; the
 # 2-out-of-n constructors take no register, and only the canonical one an
 # nPrime
@@ -156,14 +179,10 @@ def _symbolic_strategy(data: dict):
         raise ValidationError(f"unknown symbolic strategy kind {kind!r}")
     reads = _SYMBOLIC_FIELDS[kind] - {"register" if game == "two_out_of_n" else "nPrime"}
     _require_keys(data, {"kind"}, {"game", "n", *reads}, f"symbolic {kind} {game} strategy")
-    n = _field(data, "n", int, 1)
-    if n < 1:
-        raise ValidationError(f"n must be an integer >= 1, got {n}")
+    n = _register_count(data, 1)
     register = _field(data, "register", int, 1)
     n_prime = _field(data, "nPrime", int, n)
-    qubits = {"chsh": n, "magic_square": 2 * n}.get(game, 0)
-    if game == "two_out_of_n":
-        qubits = max(n, n_prime)
+    qubits = {"chsh": n, "magic_square": 2 * n, "two_out_of_n": max(n, n_prime)}.get(game, 0)
     if qubits > MAX_LOCAL_QUBITS:
         raise ValidationError(f"a {game} strategy with n = {n} has local dimension 2**{qubits}, "
                               f"above the cap of 2**{MAX_LOCAL_QUBITS}")
@@ -197,61 +216,30 @@ def _symbolic_strategy(data: dict):
         raise ValidationError(f"no random constructor for game {game!r}")
 
 
-# the fields each game's strategy document carries besides game and n
-_STRATEGY_FIELDS = {
-    "chsh": {"observables"},
-    "magic_square": {"alicePovms", "bobObservables"},
-    "two_out_of_n": {"aliceSingles", "bobSingles", "alicePairPovms", "bobPairPovms"},
-}
-
-
 def strategy_from_json(data: dict):
     if isinstance(data, dict) and "kind" in data:
         return _symbolic_strategy(data)
-    _require_keys(data, {"game", "n"}, {"nPrime", *set().union(*_STRATEGY_FIELDS.values())},
-                  "strategy")
+    blocks = {block for g in _STRATEGY_CLASSES for block in _strategy_layout(g, 1)}
+    _require_keys(data, {"game", "n"}, {"nPrime", *blocks}, "strategy")
     game = _field(data, "game", str)
-    fields = _STRATEGY_FIELDS.get(game)
-    if fields is None:
+    if game not in _STRATEGY_CLASSES:
         raise ValidationError(f"unknown game {game!r}")
-    _require_keys(data, {"game", "n", *fields}, {"nPrime"} if game == "two_out_of_n" else set(),
+    n = _register_count(data)
+    layout = _strategy_layout(game, n)
+    _require_keys(data, {"game", "n", *layout}, {"nPrime"} if game == "two_out_of_n" else set(),
                   f"{game} strategy")
-    n = _field(data, "n", int)
+    members = {}
+    for block, keys in layout.items():
+        what = _BLOCK_NAMES.get(block, block)
+        _require_keys(data[block], {key for key, _, _ in keys}, set(), what, document=False)
+        for key, field, k in keys:
+            members.setdefault(field, {})[k] = _matrix(data[block][key], f"{what} {key!r}")
+    # only the construction from the members, a dict per strategy field, is per game
     if game == "chsh":
-        obs = data["observables"]
-        _require_keys(obs, {"P0", "P1", "Q0", "Q1"}, set(), "chsh observables")
-        return ChshStrategy(
-            n,
-            (matrix_from_json(obs["P0"]), matrix_from_json(obs["P1"])),
-            (matrix_from_json(obs["Q0"]), matrix_from_json(obs["Q1"])),
-        )
+        return ChshStrategy(n, tuple(members["alice"].values()), tuple(members["bob"].values()))
     if game == "magic_square":
-        variables = {f"s{i}{j}": (i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
-        _require_keys(data["alicePovms"], set(MS_QUESTIONS), set(), "alicePovms")
-        _require_keys(data["bobObservables"], set(variables), set(), "bobObservables")
-        povms = {q: np.stack([matrix_from_json(e) for e in data["alicePovms"][q]])
-                 for q in MS_QUESTIONS}
-        bob = {var: matrix_from_json(data["bobObservables"][key])
-               for key, var in variables.items()}
-        return MagicSquareStrategy(n, povms, bob)
-    if game == "two_out_of_n":
-        n_prime = _field(data, "nPrime", int, n)
-
-        def keyed(field):
-            block = data[field]
-            if not isinstance(block, dict):
-                raise ValidationError(f"{field} must be a JSON object")
-            return [(tuple(int(v) for v in key.split(",")), value) for key, value in block.items()]
-
-        def parse_ops(field):
-            return {key: matrix_from_json(mat) for key, mat in keyed(field)}
-
-        def parse_povms(field):
-            return {key: np.stack([matrix_from_json(e) for e in v]) for key, v in keyed(field)}
-
-        return TwoOutOfNStrategy(
-            n, n_prime, parse_ops("aliceSingles"), parse_ops("bobSingles"),
-            parse_povms("alicePairPovms"), parse_povms("bobPairPovms"))
+        return MagicSquareStrategy(n, **members)
+    return TwoOutOfNStrategy(n, _field(data, "nPrime", int, n), **members)
 
 
 # ---------------------------------------------------------------------------

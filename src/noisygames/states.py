@@ -39,12 +39,17 @@ class BipartiteState:
     density: np.ndarray
 
     def __post_init__(self):
+        self._check(psd=True)
+
+    def _check(self, psd: bool):
+        """Check shape and trace and, with `psd`, finite Hermitian PSD entries."""
         rho = _as_square(self.density)
         if rho.shape[0] != self.dim_a * self.dim_b:
             raise ValidationError(
                 f"density of shape {rho.shape} does not match dims ({self.dim_a},{self.dim_b})"
             )
-        _check_operators(rho[None], ["density"], "psd", PSD_ATOL)
+        if psd:
+            _check_operators(rho[None], ["density"], "psd", PSD_ATOL)
         trace = np.trace(rho).real
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValidationError(f"density trace is {trace:.12f}, not 1")
@@ -79,7 +84,11 @@ def tensor_bipartite(states: list[BipartiteState]) -> BipartiteState:
     t = rho.reshape(dims + dims)
     perm = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
     perm = perm + [p + 2 * k for p in perm]
-    return BipartiteState(da, db, t.transpose(perm).reshape(da * db, da * db))
+    # a product of valid densities is PSD: its eigenvalues are not checked again
+    state = object.__new__(BipartiteState)
+    state.dim_a, state.dim_b, state.density = da, db, t.transpose(perm).reshape(da * db, da * db)
+    state._check(psd=False)
+    return state
 
 
 def epr_vector(n: int) -> np.ndarray:
@@ -113,11 +122,10 @@ def make_depolarized_epr(rho: float, n: int, pair_registers: bool = False) -> Bi
     if n < 1:
         raise ValidationError(f"need at least one register, got n = {n}")
     pairs = 2 if pair_registers else 1
-    base = make_epr_power(pairs)
-    d = base.dim_a * base.dim_b
-    single = BipartiteState(
-        base.dim_a, base.dim_b, rho * base.density + (1 - rho) * np.eye(d) / d
-    )
+    v = epr_vector(pairs)
+    d = len(v)
+    single = BipartiteState(2 ** pairs, 2 ** pairs,
+                            rho * np.outer(v, v.conj()) + (1 - rho) * np.eye(d) / d)
     return tensor_bipartite([single] * n)
 
 

@@ -407,6 +407,46 @@ def test_threads_flag_removed(capsys):
     assert exc.value.code == 2
 
 
+def _defective_strategy_documents() -> dict:
+    """Strategy documents with one defect each, by file key: a member key
+    the game does not have, an n below 1 or a malformed member matrix."""
+    from copy import deepcopy
+
+    from noisygames.games import (
+        canonical_chsh_strategy,
+        canonical_magic_square_strategy,
+        canonical_two_out_of_n_strategy,
+    )
+    from noisygames.serialize import strategy_to_json
+
+    chsh = strategy_to_json(canonical_chsh_strategy(1))
+    ms = strategy_to_json(canonical_magic_square_strategy(1))
+    two = strategy_to_json(canonical_two_out_of_n_strategy(2))
+    docs = {}
+    for block, key, like in (("aliceSingles", "3,0", "1,0"), ("bobSingles", "3,1", "1,1"),
+                             ("alicePairPovms", "1,0,3,1", "1,0,2,1"),
+                             ("bobPairPovms", "1,1,3,0", "1,1,2,0")):
+        docs[f"extra_{block}"] = doc = deepcopy(two)
+        doc[block][key] = doc[block][like]
+    docs["ms_block_schema_version"] = {**ms, "bobObservables": {**ms["bobObservables"],
+                                                                "schemaVersion": 1}}
+    # 1x1 observables fit n = 0, which evaluated to violation 2.0
+    docs["chsh_n_zero"] = {"game": "chsh", "n": 0, "observables": {
+        key: [[[1.0, 0.0]]] for key in ("P0", "P1", "Q0", "Q1")}}
+    docs["chsh_n_negative"] = {**docs["chsh_n_zero"], "n": -1}
+    docs["ms_n_zero"] = {**ms, "n": 0}
+    docs["chsh_entry_a_string"] = doc = deepcopy(chsh)
+    doc["observables"]["P1"][0][1][0] = "x"
+    docs["ms_empty_povm"] = {**ms, "alicePovms": {**ms["alicePovms"], "c2": []}}
+    docs["ms_ragged_povm"] = doc = deepcopy(ms)
+    doc["alicePovms"]["r1"][3].pop()
+    docs["t2n_key_not_a_pair"] = doc = deepcopy(two)
+    doc["bobSingles"]["x,0"] = doc["bobSingles"].pop("2,0")
+    docs["t2n_povm_entry_null"] = doc = deepcopy(two)
+    doc["bobPairPovms"]["1,0,2,1"][2][0] = None
+    return docs
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, message", [
     (["estimate-rho", "--rho-true", "0.7", "--rounds", "0"], "--rounds must be at least 1, got 0"),
@@ -528,6 +568,30 @@ def test_threads_flag_removed(capsys):
      "the statistic is a rate and must lie in [0, 1], got -0.3"),
     (["estimate-rho", "--transcript", "{rate_high}"],
      "--transcript {rate_high}: the statistic is a rate and must lie in [0, 1], got 1.5"),
+    (["eval", "--rho", "0.9", "--strategy", "{extra_aliceSingles}"],
+     "aliceSingles has unknown fields: ['3,0']"),
+    (["eval", "--rho", "0.9", "--strategy", "{extra_bobSingles}"],
+     "bobSingles has unknown fields: ['3,1']"),
+    (["eval", "--rho", "0.9", "--strategy", "{extra_alicePairPovms}"],
+     "alicePairPovms has unknown fields: ['1,0,3,1']"),
+    (["eval", "--rho", "0.9", "--strategy", "{extra_bobPairPovms}"],
+     "bobPairPovms has unknown fields: ['1,1,3,0']"),
+    (["eval", "--rho", "0.9", "--strategy", "{ms_block_schema_version}"],
+     "bobObservables has unknown fields: ['schemaVersion']"),
+    (["eval", "--rho", "0.9", "--strategy", "{chsh_n_zero}"], "n must be an integer >= 1, got 0"),
+    (["eval", "--rho", "0.9", "--strategy", "{chsh_n_negative}"],
+     "n must be an integer >= 1, got -1"),
+    (["eval", "--rho", "0.9", "--strategy", "{ms_n_zero}"], "n must be an integer >= 1, got 0"),
+    (["eval", "--rho", "0.9", "--strategy", "{chsh_entry_a_string}"],
+     "chsh observables 'P1': matrix JSON must be a nested array of [re, im] pairs"),
+    (["eval", "--rho", "0.9", "--strategy", "{ms_empty_povm}"],
+     "alicePovms 'c2': matrix JSON must be a nested array of [re, im] pairs"),
+    (["eval", "--rho", "0.9", "--strategy", "{ms_ragged_povm}"],
+     "alicePovms 'r1': matrix JSON must be a nested array of [re, im] pairs"),
+    (["eval", "--rho", "0.9", "--strategy", "{t2n_key_not_a_pair}"],
+     "bobSingles is missing fields: ['2,0']"),
+    (["eval", "--rho", "0.9", "--strategy", "{t2n_povm_entry_null}"],
+     "bobPairPovms '1,0,2,1': matrix JSON must be a nested array of [re, im] pairs"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
@@ -546,7 +610,11 @@ def test_threads_flag_removed(capsys):
         "estimate-two-out-of-one", "chsh-n-zero", "ms-n-negative", "two-out-of-n-n-negative",
         "estimate-n-zero", "ms-random-bounded", "sweep-strategy", "sweep-channel",
         "sweep-threshold", "chsh-variable", "transcript-schema-99", "transcript-schema-bool",
-        "statistic-above-one", "statistic-below-zero", "transcript-rate-above-one"])
+        "statistic-above-one", "statistic-below-zero", "transcript-rate-above-one",
+        "unknown-alice-single", "unknown-bob-single", "unknown-alice-pair-povm",
+        "unknown-bob-pair-povm", "block-schema-version", "chsh-file-n-zero", "chsh-file-n-negative", "ms-file-n-zero",
+        "entry-a-string", "empty-povm", "ragged-povm", "two-out-of-n-key-not-a-pair",
+        "pair-povm-entry-null"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",
@@ -580,6 +648,9 @@ def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files["t2n_list"].write_text(json.dumps({"game": "two_out_of_n", "n": 2, "aliceSingles": [],
                                             "bobSingles": {}, "alicePairPovms": {},
                                             "bobPairPovms": {}}))
+    for key, doc in _defective_strategy_documents().items():
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(doc))
     names = {key: str(path) for key, path in files.items()}
     names["a_dir"] = str(tmp_path)
     code, out, err = run_cli(capsys, *[a.format(**names) for a in argv])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -6,11 +8,19 @@ import pytest
 from noisygames.certificates import chsh_sos_certificate
 from noisygames.extraction import chsh_selftest, ms_selftest, two_out_of_n_selftest
 from noisygames.games import (
+    TwoOutOfNStrategy,
     canonical_chsh_strategy,
     canonical_magic_square_strategy,
     canonical_two_out_of_n_strategy,
     chsh_violation,
+    haar_unitary,
     magic_square_value,
+    perturbed_chsh_strategy,
+    perturbed_magic_square_strategy,
+    perturbed_two_out_of_n_strategy,
+    random_chsh_strategy,
+    random_magic_square_strategy,
+    random_traceless_binary,
     two_out_of_n_value,
 )
 from noisygames.pauli import ValidationError
@@ -269,3 +279,70 @@ def test_only_transcripts_carry_schema_version_3():
 def test_symbolic_random_strategy_rejects_an_unknown_variant(game):
     with pytest.raises(ValidationError, match="unknown random .* kind 'typo'"):
         strategy_from_json({"kind": "random", "game": game, "variant": "typo"})
+
+
+@pytest.mark.parametrize("density", [
+    [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["x", 0.0]]],
+    [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+    [],
+], ids=["entry-a-string", "ragged-row", "empty"])
+def test_state_density_that_is_not_a_matrix_is_named(density):
+    # the first two used to raise numpy's own message, naming no field
+    with pytest.raises(ValidationError) as exc:
+        state_from_json({"dimA": 2, "dimB": 1, "density": density})
+    assert str(exc.value) == ("state field 'density': matrix JSON must be a nested array of "
+                              "[re, im] pairs")
+
+
+def _random_two_out_of_n_strategy(n: int, n_prime: int, seed: int) -> TwoOutOfNStrategy:
+    """Haar-random binary singles and pair POVMs of rank-(d/4) projectors."""
+    rng = np.random.default_rng(seed)
+    d = 2 ** n_prime
+    singles = [(i, x) for i in range(1, n + 1) for x in (0, 1)]
+
+    def povm():
+        u = haar_unitary(d, rng)
+        rank_one = np.einsum("ik,jk->kij", u, u.conj())
+        return np.stack([rank_one[e::4].sum(axis=0) for e in range(4)])
+
+    (alice, alice_pairs), (bob, bob_pairs) = (
+        (dict(zip(singles, random_traceless_binary(d, rng, count=len(singles)))),
+         {(i, y, j, z): povm() for i in range(1, n + 1) for j in range(i + 1, n + 1)
+          for y in (0, 1) for z in (0, 1)}) for _ in range(2))
+    return TwoOutOfNStrategy(n, n_prime, alice, bob, alice_pairs, bob_pairs)
+
+
+# sha256 of json.dumps(strategy_to_json(s)), recorded from the former
+# per-game writers: the document format must not move a byte
+GOLDEN_STRATEGY_DOCUMENTS = {
+    "chsh-canonical": (lambda: canonical_chsh_strategy(2, register=2),
+                       "61d5b053d6355e1345c59573ef2d3b1f98d2b5dade6f95ab3e50978118e06b1e"),
+    "chsh-perturbed": (lambda: perturbed_chsh_strategy(2, 1, 0.3),
+                       "a3a2d29e6e735b70b487d8e7ee8a71e43c000e3294e137f64daf29458fd35944"),
+    "chsh-random": (lambda: random_chsh_strategy(2, np.random.default_rng(5), "bounded", 0.1),
+                    "d458ecfbec1951692a847ee49d474bc1df0f9d5dfe6d545e1e9990a3b613b230"),
+    "ms-canonical": (lambda: canonical_magic_square_strategy(1),
+                     "41c798e4ae84ea99bb1949ddb8e4eb26b41a5ba7b955f627e69b04403ba825f9"),
+    "ms-perturbed": (lambda: perturbed_magic_square_strategy(1, 1, 0.2),
+                     "3531aba277c6acab85f2c6013a6a4e14ba7784803106a188cf0bb9b9235696ff"),
+    "ms-random": (lambda: random_magic_square_strategy(1, np.random.default_rng(7), "mixed", 0.1),
+                  "b10982e20cbe3bd98d20f3e6b9d805c538145b44b1848b1dacbf599ab8669e77"),
+    "two-out-of-n-canonical": (lambda: canonical_two_out_of_n_strategy(3),
+                               "d1568c9621bf0a1539cecf62dc6d80c67ce3da796a24a5deae4596c285e8919a"),
+    "two-out-of-n-perturbed": (lambda: perturbed_two_out_of_n_strategy(3, 0.4, 2),
+                               "54b1a147cde756b1f07bf4378ab39f5963bcbebddb8808fa32448bfe4f2e2d77"),
+    "two-out-of-n-random": (lambda: _random_two_out_of_n_strategy(2, 3, 9),
+                            "6214768ecb34bc1ac73c69038abd0388604bf60ccd556a155c7157b5b4470174"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_STRATEGY_DOCUMENTS))
+def test_strategy_document_bytes_and_stacks_are_kept(name):
+    build, digest = GOLDEN_STRATEGY_DOCUMENTS[name]
+    strategy = build()
+    text = json.dumps(strategy_to_json(strategy))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    back = strategy_from_json(json.loads(text))
+    assert type(back) is type(strategy)
+    for stack, back_stack in zip(strategy.stacks, back.stacks, strict=True):
+        assert back_stack.tobytes() == stack.tobytes()

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from noisygames import states
 from noisygames.pauli import StandardBasis, ValidationError, pauli_basis
 from noisygames.states import (
     BipartiteState,
@@ -245,3 +248,52 @@ def test_depolarized_epr_needs_a_register(n):
 def test_tensor_of_no_states_is_refused():
     with pytest.raises(ValidationError, match="at least one state"):
         tensor_bipartite([])
+
+
+# sha256 of make_depolarized_epr(rho, n, pair_registers).density's bytes,
+# recorded while the product was still eigen-checked: how the product is
+# checked must not move a bit.  Pair registers stop at n = 2, since n = 3 is
+# a (4096, 4096) density and n = 4 exceeds JOINT_DIM_CAP
+GOLDEN_DEPOLARIZED_EPR = {
+    (False, 1, 0.37): "8ec6ebe38fdc9a95da2a7b6393c8814832253f214fb2b71b574c1dc1551b6869",
+    (False, 1, 0.8): "ff1abfef9a474857b82433b208ee8de8f85bb8dae2d7331e1ad053e660824f6f",
+    (False, 2, 0.37): "feed14f24c22c00077c384076f008c0232d08305467d1e6fd54081f6600dbbe1",
+    (False, 2, 0.8): "7bab280e27b6147f1c65ede75c168fc83420f08670ccf9f41afe5849af2931f1",
+    (False, 3, 0.37): "39278a154df2e7e224522c21f762c0a857f6c9e2f896c0453a65c3b815a8a16d",
+    (False, 3, 0.8): "b62ada40f7d35fa2e1f61ab7aaf24138acdf3ebe05c66cdcd34ab44f498fe8fb",
+    (False, 4, 0.37): "fd5dde812b4902d2e76d923240b10f982c1edd7698998eb30b634ebe805e2454",
+    (False, 4, 0.8): "39592aca4bb1c4c93e84fc720b02f822915bd7d54da55c2975c1b526dc75ffb5",
+    (True, 1, 0.37): "84f0b1f0bec23a981c41174dfab0800809bb7ae4b0146bfb63ecf42e57900cdd",
+    (True, 1, 0.8): "b610dc9e9788465968f5ceea1520b9fa0c8c4e9aab1a51cd05cdba39731eeb98",
+    (True, 2, 0.37): "bf4ee2ee0900f15ac6697bf9146a80968e2d25910294b64f5a703052bd9ca9d3",
+    (True, 2, 0.8): "5ce8fb07044df6f606493b188d3cdb080a72e6e1c5072af3bdaf6c22bcaf3066",
+}
+
+
+@pytest.mark.parametrize("pair_registers, n, rho", list(GOLDEN_DEPOLARIZED_EPR))
+def test_depolarized_epr_density_bits_are_kept(pair_registers, n, rho):
+    density = make_depolarized_epr(rho, n, pair_registers).density
+    assert density.dtype == complex and density.flags.c_contiguous
+    assert hashlib.sha256(density.tobytes()).hexdigest() == \
+        GOLDEN_DEPOLARIZED_EPR[(pair_registers, n, rho)]
+
+
+@pytest.mark.parametrize("n, pair_registers", [(1, False), (4, False), (1, True), (2, True)])
+def test_depolarized_epr_checks_eigenvalues_once(monkeypatch, n, pair_registers):
+    # the register factor is checked; the tensor power of it, a product of
+    # valid densities, is checked for its shape and trace only
+    calls = []
+    check = states._check_operators
+    monkeypatch.setattr(states, "_check_operators",
+                        lambda stack, *args: calls.append(stack.shape) or check(stack, *args))
+    state = make_depolarized_epr(0.6, n, pair_registers)
+    d = 4 if pair_registers else 2
+    assert calls == [(1, d * d, d * d)]
+    assert state.dim_a == state.dim_b == d ** n
+
+
+def test_tensor_product_keeps_the_trace_check():
+    half = BipartiteState(2, 2, np.eye(4) / 4)
+    half.density = half.density / 2  # no longer a state, bypassing the check
+    with pytest.raises(ValidationError, match="^density trace is 0.500000000000, not 1$"):
+        tensor_bipartite([half, make_depolarized_epr(0.5, 1)])
