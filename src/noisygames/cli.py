@@ -202,7 +202,7 @@ def cmd_estimate_rho(args) -> int:
             raise ValueError(f"--transcript {args.transcript}: unknown transcript schemaVersion "
                              f"{version!r}; this version reads 1 to "
                              f"{serialize.TRANSCRIPT_SCHEMA_VERSION}")
-        statistic = doc.get(_estimated_rate(doc["game"])[1])
+        statistic = doc.get(_estimated_rate(doc["game"]).key)
         try:
             est = estimate_noise_rate(doc["game"], statistic=statistic,
                                       n_rounds=doc["tPrime"], confidence=args.confidence)
@@ -220,7 +220,7 @@ def cmd_estimate_rho(args) -> int:
             {"kind": "canonical", "game": args.game, "n": args.n})
         rates = _fixed_round_rates(_GAMES[args.game][1](strategy, args.rho_true),
                                    args.rounds, args.seed)
-        est = estimate_noise_rate(args.game, statistic=rates[_estimated_rate(args.game)[0]],
+        est = estimate_noise_rate(args.game, statistic=rates[_estimated_rate(args.game).index],
                                   n_rounds=args.rounds, confidence=args.confidence)
     _emit(serialize.estimate_to_json(est), args)
     return EXIT_OK

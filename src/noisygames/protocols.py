@@ -38,6 +38,7 @@ transcripts carry this note.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
@@ -637,12 +638,18 @@ class NoiseEstimate:
     clamped: bool = False
 
 
-def _estimated_rate(game) -> tuple:
-    """The magic square's noise estimate inverts its consistency rate, other games their
-    win rate: the rate's index in _RATES, its transcript key and its inversion."""
-    if game == "magic_square":
-        return 1, "empiricalConsistencyRate", lambda rate: 2 * rate - 1
-    return 0, "empiricalWinRate", lambda rate: 2 * np.sqrt(2) * (rate - 0.5)
+# the rate a game's noise estimate inverts, the magic square's consistency
+# rate and other games' win rate: its index in _RATES, its ProtocolTranscript
+# attribute and transcript key, and its inversion to rho
+_EstimatedRate = namedtuple("_EstimatedRate", "index attribute key invert")
+_WIN_RATE = _EstimatedRate(0, "empirical_win_rate", "empiricalWinRate",
+                           lambda rate: 2 * np.sqrt(2) * (rate - 0.5))
+_CONSISTENCY_RATE = _EstimatedRate(1, "empirical_consistency_rate", "empiricalConsistencyRate",
+                                   lambda rate: 2 * rate - 1)
+
+
+def _estimated_rate(game) -> _EstimatedRate:
+    return _CONSISTENCY_RATE if game == "magic_square" else _WIN_RATE
 
 
 def estimate_noise_rate(game: str, statistic: float | None = None,
@@ -660,8 +667,7 @@ def estimate_noise_rate(game: str, statistic: float | None = None,
     """
     if transcript is not None:
         game, n_rounds = transcript.game, transcript.t_prime
-        statistic = (transcript.empirical_win_rate,
-                     transcript.empirical_consistency_rate)[_estimated_rate(game)[0]]
+        statistic = getattr(transcript, _estimated_rate(game).attribute)
     if not isinstance(game, str) or game not in _GAMES:
         raise ValidationError(f"unknown game {game!r}")
     if statistic is None or n_rounds is None:
@@ -676,7 +682,7 @@ def estimate_noise_rate(game: str, statistic: float | None = None,
                               f"got {float(statistic)!r}")
     if not 0.0 < confidence < 1.0:
         raise ValidationError("confidence must lie in (0, 1)")
-    invert = _estimated_rate(game)[2]
+    invert = _estimated_rate(game).invert
     half = np.sqrt(np.log(2.0 / (1.0 - confidence)) / (2.0 * n_rounds))
     raw = invert(statistic)
     lo, hi = sorted((invert(statistic - half), invert(statistic + half)))

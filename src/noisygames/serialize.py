@@ -4,6 +4,7 @@ All documents carry schemaVersion; loaders reject unknown fields so typos
 fail loudly instead of being silently ignored.  A strategy's n is at least
 1, and each member block holds exactly the keys of its game's operators at
 that n (_strategy_layout); an error in a member names its block and key.
+A 2-out-of-n strategy's nPrime lies between its n and MAX_LOCAL_QUBITS.
 """
 
 from __future__ import annotations
@@ -164,6 +165,19 @@ def _register_count(data: dict, default=None) -> int:
     return n
 
 
+def _check_registers(game: str, n: int, n_prime: int):
+    """Reject a strategy whose local dimension is above 2**MAX_LOCAL_QUBITS,
+    or a 2-out-of-n one with fewer registers (n_prime) than indices (n)."""
+    qubits = {"chsh": n, "magic_square": 2 * n}.get(game, 0)
+    if game == "two_out_of_n":
+        qubits = max(n, n_prime)
+    if qubits > MAX_LOCAL_QUBITS:
+        raise ValidationError(f"a {game} strategy with n = {n} has local dimension 2**{qubits}, "
+                              f"above the cap of 2**{MAX_LOCAL_QUBITS}")
+    if n_prime < n:
+        raise ValidationError("need at least as many registers as indices")
+
+
 # the fields each symbolic kind reads besides kind, game and n; the
 # 2-out-of-n constructors take no register, and only the canonical one an
 # nPrime
@@ -182,10 +196,7 @@ def _symbolic_strategy(data: dict):
     n = _register_count(data, 1)
     register = _field(data, "register", int, 1)
     n_prime = _field(data, "nPrime", int, n)
-    qubits = {"chsh": n, "magic_square": 2 * n, "two_out_of_n": max(n, n_prime)}.get(game, 0)
-    if qubits > MAX_LOCAL_QUBITS:
-        raise ValidationError(f"a {game} strategy with n = {n} has local dimension 2**{qubits}, "
-                              f"above the cap of 2**{MAX_LOCAL_QUBITS}")
+    _check_registers(game, n, n_prime)
     if kind == "canonical":
         if game == "chsh":
             return canonical_chsh_strategy(n, register)
@@ -225,6 +236,9 @@ def strategy_from_json(data: dict):
     if game not in _STRATEGY_CLASSES:
         raise ValidationError(f"unknown game {game!r}")
     n = _register_count(data)
+    if game == "two_out_of_n":  # its layout lists every pair of the n indices
+        n_prime = _field(data, "nPrime", int, n)
+        _check_registers(game, n, n_prime)
     layout = _strategy_layout(game, n)
     _require_keys(data, {"game", "n", *layout}, {"nPrime"} if game == "two_out_of_n" else set(),
                   f"{game} strategy")
@@ -239,7 +253,7 @@ def strategy_from_json(data: dict):
         return ChshStrategy(n, tuple(members["alice"].values()), tuple(members["bob"].values()))
     if game == "magic_square":
         return MagicSquareStrategy(n, **members)
-    return TwoOutOfNStrategy(n, _field(data, "nPrime", int, n), **members)
+    return TwoOutOfNStrategy(n, n_prime, **members)
 
 
 # ---------------------------------------------------------------------------

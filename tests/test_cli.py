@@ -444,6 +444,11 @@ def _defective_strategy_documents() -> dict:
     doc["bobSingles"]["x,0"] = doc["bobSingles"].pop("2,0")
     docs["t2n_povm_entry_null"] = doc = deepcopy(two)
     doc["bobPairPovms"]["1,0,2,1"][2][0] = None
+    # an n whose pair keys would not fit in memory fails before they are listed
+    docs["t2n_huge_n"] = {"game": "two_out_of_n", "n": 10 ** 6, "aliceSingles": {},
+                          "bobSingles": {}, "alicePairPovms": {}, "bobPairPovms": {}}
+    docs["t2n_huge_n_one_register"] = {**docs["t2n_huge_n"], "nPrime": 1}
+    docs["t2n_registers_below_n"] = {**docs["t2n_huge_n"], "n": 3, "nPrime": 2}
     return docs
 
 
@@ -592,6 +597,14 @@ def _defective_strategy_documents() -> dict:
      "bobSingles is missing fields: ['2,0']"),
     (["eval", "--rho", "0.9", "--strategy", "{t2n_povm_entry_null}"],
      "bobPairPovms '1,0,2,1': matrix JSON must be a nested array of [re, im] pairs"),
+    (["eval", "--rho", "0.9", "--strategy", "{t2n_huge_n}"],
+     "a two_out_of_n strategy with n = 1000000 has local dimension 2**1000000, "
+     "above the cap of 2**6"),
+    (["eval", "--rho", "0.9", "--strategy", "{t2n_huge_n_one_register}"],
+     "a two_out_of_n strategy with n = 1000000 has local dimension 2**1000000, "
+     "above the cap of 2**6"),
+    (["eval", "--rho", "0.9", "--strategy", "{t2n_registers_below_n}"],
+     "need at least as many registers as indices"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
@@ -614,7 +627,8 @@ def _defective_strategy_documents() -> dict:
         "unknown-alice-single", "unknown-bob-single", "unknown-alice-pair-povm",
         "unknown-bob-pair-povm", "block-schema-version", "chsh-file-n-zero", "chsh-file-n-negative", "ms-file-n-zero",
         "entry-a-string", "empty-povm", "ragged-povm", "two-out-of-n-key-not-a-pair",
-        "pair-povm-entry-null"])
+        "pair-povm-entry-null", "two-out-of-n-file-n-above-cap",
+        "two-out-of-n-file-n-above-cap-one-register", "two-out-of-n-file-n-above-registers"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",

@@ -8,7 +8,11 @@ import pytest
 from noisygames.certificates import chsh_sos_certificate
 from noisygames.extraction import chsh_selftest, ms_selftest, two_out_of_n_selftest
 from noisygames.games import (
+    MS_QUESTIONS,
+    ChshStrategy,
+    MagicSquareStrategy,
     TwoOutOfNStrategy,
+    _pair_keys,
     canonical_chsh_strategy,
     canonical_magic_square_strategy,
     canonical_two_out_of_n_strategy,
@@ -312,37 +316,83 @@ def _random_two_out_of_n_strategy(n: int, n_prime: int, seed: int) -> TwoOutOfNS
     return TwoOutOfNStrategy(n, n_prime, alice, bob, alice_pairs, bob_pairs)
 
 
+# 2x2 Hermitian operators of spectral norm at most 1, and two-outcome POVMs,
+# written out entry by entry: inexact decimals, imaginary parts and -0.0
+# (-0.7j is complex(-0.0, -0.7))
+_LITERAL_OBSERVABLES = [np.array([[0.1, 0.3 - 0.4j], [0.3 + 0.4j, -0.1]]),
+                        np.array([[-0.0, 0.7j], [-0.7j, 0.0]]),
+                        np.array([[1 / 3, -0.25 + 0.5j], [-0.25 - 0.5j, -1 / 7]]),
+                        np.array([[-1.0, -0.0], [-0.0, 1.0]], dtype=complex)]
+_LITERAL_POVMS = [(np.array([[0.36, 0.48j], [-0.48j, 0.64]]),
+                   np.array([[0.64, -0.48j], [0.48j, 0.36]])),
+                  (np.array([[0.5, 0.3 - 0.4j], [0.3 + 0.4j, 0.5]]),
+                   np.array([[0.5, -0.3 + 0.4j], [-0.3 - 0.4j, 0.5]])),
+                  (np.array([[1.0, -0.0], [-0.0, 0.0]], dtype=complex),
+                   np.array([[-0.0, 0.0], [0.0, 1.0]], dtype=complex))]
+
+
+def _literal_strategy(game: str):
+    """A strategy of `game` at n = 1 (2-out-of-2 on two registers) whose
+    members are the literal operators above or their Kronecker products:
+    elementwise products only, so its bytes are the same under every BLAS
+    kernel, and no two members of a player are equal."""
+    obs = [np.kron(a, b) for a in _LITERAL_OBSERVABLES for b in _LITERAL_OBSERVABLES]
+    povms = [np.stack([np.kron(e, f) for e in first for f in second])
+             for first in _LITERAL_POVMS for second in _LITERAL_POVMS]
+    if game == "chsh":
+        return ChshStrategy(1, tuple(_LITERAL_OBSERVABLES[:2]), tuple(_LITERAL_OBSERVABLES[2:]))
+    if game == "magic_square":
+        return MagicSquareStrategy(
+            1, {q: 0.5 * np.concatenate([povms[k], povms[k + 3]])
+                for k, q in enumerate(MS_QUESTIONS)},
+            dict(zip([(i, j) for i in (1, 2, 3) for j in (1, 2, 3)], obs)))
+    singles = [(i, x) for i in (1, 2) for x in (0, 1)]
+    return TwoOutOfNStrategy(2, 2, dict(zip(singles, obs[:4])), dict(zip(singles, obs[4:8])),
+                             dict(zip(_pair_keys(2), povms[:4])),
+                             dict(zip(_pair_keys(2), povms[4:8])))
+
+
 # sha256 of json.dumps(strategy_to_json(s)), recorded from the former
-# per-game writers: the document format must not move a byte
+# per-game writers: the document format must not move a byte.  The pinned
+# strategies' entries are exact (canonical: 0, +-1, +-1/2, +-i, 1/sqrt(2)) or
+# literal, so the digests do not depend on the host's BLAS kernel
 GOLDEN_STRATEGY_DOCUMENTS = {
     "chsh-canonical": (lambda: canonical_chsh_strategy(2, register=2),
                        "61d5b053d6355e1345c59573ef2d3b1f98d2b5dade6f95ab3e50978118e06b1e"),
-    "chsh-perturbed": (lambda: perturbed_chsh_strategy(2, 1, 0.3),
-                       "a3a2d29e6e735b70b487d8e7ee8a71e43c000e3294e137f64daf29458fd35944"),
-    "chsh-random": (lambda: random_chsh_strategy(2, np.random.default_rng(5), "bounded", 0.1),
-                    "d458ecfbec1951692a847ee49d474bc1df0f9d5dfe6d545e1e9990a3b613b230"),
+    "chsh-literal": (lambda: _literal_strategy("chsh"), "55d1191783ed42c1e6dfc68b221bc2db341df2dca2e25eff063f9def67a4e685"),
     "ms-canonical": (lambda: canonical_magic_square_strategy(1),
                      "41c798e4ae84ea99bb1949ddb8e4eb26b41a5ba7b955f627e69b04403ba825f9"),
-    "ms-perturbed": (lambda: perturbed_magic_square_strategy(1, 1, 0.2),
-                     "3531aba277c6acab85f2c6013a6a4e14ba7784803106a188cf0bb9b9235696ff"),
-    "ms-random": (lambda: random_magic_square_strategy(1, np.random.default_rng(7), "mixed", 0.1),
-                  "b10982e20cbe3bd98d20f3e6b9d805c538145b44b1848b1dacbf599ab8669e77"),
+    "ms-literal": (lambda: _literal_strategy("magic_square"), "b5ae1683b5d328f4a88fb8ba506c90891ef46b87d67c668723ccbdf6c915ae91"),
     "two-out-of-n-canonical": (lambda: canonical_two_out_of_n_strategy(3),
                                "d1568c9621bf0a1539cecf62dc6d80c67ce3da796a24a5deae4596c285e8919a"),
-    "two-out-of-n-perturbed": (lambda: perturbed_two_out_of_n_strategy(3, 0.4, 2),
-                               "54b1a147cde756b1f07bf4378ab39f5963bcbebddb8808fa32448bfe4f2e2d77"),
-    "two-out-of-n-random": (lambda: _random_two_out_of_n_strategy(2, 3, 9),
-                            "6214768ecb34bc1ac73c69038abd0388604bf60ccd556a155c7157b5b4470174"),
+    "two-out-of-n-literal": (lambda: _literal_strategy("two_out_of_n"), "a353530ef50d1c38cae50fefcded0f2fc1403f0844f9102339e79344f19dd658"),
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_STRATEGY_DOCUMENTS))
-def test_strategy_document_bytes_and_stacks_are_kept(name):
+def test_strategy_document_bytes_are_kept(name):
     build, digest = GOLDEN_STRATEGY_DOCUMENTS[name]
-    strategy = build()
-    text = json.dumps(strategy_to_json(strategy))
+    text = json.dumps(strategy_to_json(build()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    back = strategy_from_json(json.loads(text))
+
+
+# strategies whose operators come from QR and matrix products as well: their
+# bytes vary with the BLAS kernel, but each must read back bit for bit
+ROUND_TRIP_STRATEGIES = {
+    **{name: build for name, (build, _) in GOLDEN_STRATEGY_DOCUMENTS.items()},
+    "chsh-perturbed": lambda: perturbed_chsh_strategy(2, 1, 0.3),
+    "chsh-random": lambda: random_chsh_strategy(2, np.random.default_rng(5), "bounded", 0.1),
+    "ms-perturbed": lambda: perturbed_magic_square_strategy(1, 1, 0.2),
+    "ms-random": lambda: random_magic_square_strategy(1, np.random.default_rng(7), "mixed", 0.1),
+    "two-out-of-n-perturbed": lambda: perturbed_two_out_of_n_strategy(3, 0.4, 2),
+    "two-out-of-n-random": lambda: _random_two_out_of_n_strategy(2, 3, 9),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIP_STRATEGIES))
+def test_strategy_document_stacks_round_trip_bit_for_bit(name):
+    strategy = ROUND_TRIP_STRATEGIES[name]()
+    back = strategy_from_json(json.loads(json.dumps(strategy_to_json(strategy))))
     assert type(back) is type(strategy)
     for stack, back_stack in zip(strategy.stacks, back.stacks, strict=True):
         assert back_stack.tobytes() == stack.tobytes()
