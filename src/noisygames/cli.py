@@ -111,7 +111,7 @@ def cmd_certify(args) -> int:
 
     strategy = _load_strategy(args)
     variable = None
-    if args.variable:
+    if args.variable is not None:
         parts = [v.strip() for v in args.variable.split(",")]
         if len(parts) != 2 or not set(parts) <= {"1", "2", "3"}:
             raise ValueError(f"--variable must be i,j with i and j in 1..3, got {args.variable!r}")
@@ -125,7 +125,11 @@ def _theta_sweep_rows(args):
     from . import serialize
     from .extraction import selftest
 
-    thetas = [float(v) for v in args.theta_sweep.split(",")]
+    try:
+        thetas = [float(v) for v in args.theta_sweep.split(",")]
+    except ValueError:
+        raise ValueError("--theta-sweep must be comma-separated angles, "
+                         f"got {args.theta_sweep!r}") from None
     rows = []
     for theta in thetas:
         strat = serialize.strategy_from_json(
@@ -143,7 +147,7 @@ def cmd_selftest(args) -> int:
     from .extraction import general_noise_selftest, selftest
     from .states import bit_phase_flip_epr, diagonalize_correlation
 
-    if args.theta_sweep:
+    if args.theta_sweep is not None:
         # the sweep builds its own canonical-perturbed strategies and tests
         # no distance against a threshold
         if args.strategy != "canonical":

@@ -2,6 +2,11 @@
 detection, and constructive unitary extraction for all three games, plus the
 small matrix utilities the analysis rests on.
 
+Every relation norm of a self-test, the commutators and anticommutators of
+all four self-tests and the 2-out-of-n collision contradictions, comes from
+one stacked product pass, _relation_norms, over rows of the strategy's
+validated stacks.
+
 No pass/fail thresholds are hard-coded here: every function reports raw
 distances (in the dimension-normalized Frobenius metric) and leaves
 interpretation to the caller.
@@ -42,7 +47,6 @@ from .pauli import (
     ValidationError,
     default_basis,
     hs_distance,
-    hs_norm,
     infer_registers,
     pauli_expand,
     register_weight_vector,
@@ -75,39 +79,12 @@ def _row_distances(rows: np.ndarray, others: np.ndarray) -> list:
     return np.linalg.norm(rows - others, axis=-1).tolist()
 
 
-def anticommutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/sqrt(d)) ||AB + BA||_F."""
-    a, b = require_hermitian(a), require_hermitian(b)
-    if a.shape != b.shape:
-        raise ValidationError("dimension mismatch")
-    return hs_norm(a @ b + b @ a)
-
-
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/sqrt(d)) ||AB - BA||_F."""
-    a, b = require_hermitian(a), require_hermitian(b)
-    if a.shape != b.shape:
-        raise ValidationError("dimension mismatch")
-    return hs_norm(a @ b - b @ a)
-
-
-def bloch_vector(op: np.ndarray) -> np.ndarray:
-    """Components of a traceless 2x2 Hermitian over (X, Y, Z)."""
-    op = require_hermitian(op)
-    if op.shape != (2, 2):
-        raise ValidationError("Bloch vectors are defined for 2x2 operators")
-    return np.array([
-        float(np.trace(op @ SIGMA_X).real) / 2,
-        float(np.trace(op @ SIGMA_Y).real) / 2,
-        float(np.trace(op @ SIGMA_Z).real) / 2,
-    ])
-
-
-def bloch_relation(a: np.ndarray, b: np.ndarray) -> dict:
-    """Anticommutation witness (dot product) and commutation witness (cross
-    product norm) of the two Bloch vectors."""
-    va, vb = bloch_vector(a), bloch_vector(b)
-    return {"dot": float(va @ vb), "cross_norm": float(np.linalg.norm(np.cross(va, vb)))}
+def _relation_norms(a: np.ndarray, b: np.ndarray, sign: int) -> np.ndarray:
+    """hs_norm(A_k B_k + sign B_k A_k) for each k of two (..., d, d)
+    stacks: sign 1 gives the anticommutator norms, -1 the commutator norms.
+    The stacks are rows of strategies whose constructors checked them, so
+    nothing is checked again."""
+    return np.linalg.norm(a @ b + sign * (b @ a), axis=(-2, -1)) / np.sqrt(a.shape[-1])
 
 
 @dataclass
@@ -406,6 +383,11 @@ def _extract_pair(concs: dict, labels: tuple, register: int | None):
     return pauli_pair_unitary(l0, l1)
 
 
+def _extraction_distances(extraction: dict) -> list:
+    """dist_z and dist_x of every pair extraction that ran."""
+    return [d for e in extraction.values() if e is not None for d in (e.dist_z, e.dist_x)]
+
+
 def _pair_selftest(p_rows: np.ndarray, q_rows: np.ndarray, labels: tuple) -> tuple:
     """The qubit pair test on two rows per player (the first player's in the
     default basis, the second's in its transpose), labelled labels[:2] and
@@ -435,18 +417,15 @@ def chsh_selftest(strategy: ChshStrategy, rho: float) -> ChshSelfTestReport:
     labels = ("P0", "P1", "Q0", "Q1")
     rows = np.concatenate([a, b])
     scaling = dict(zip(labels, _scaling_residuals(rows, w, rho).tolist()))
-    anti = {
-        "alice": anticommutator_norm(*strategy.alice),
-        "bob": anticommutator_norm(*strategy.bob),
-    }
+    ops = np.stack(strategy.stacks)  # (player, observable, d, d)
+    anti = dict(zip(("alice", "bob"), _relation_norms(ops[:, 0], ops[:, 1], 1).tolist()))
     # P_i against (Q0 +- Q1)^T / sqrt(2)
     targets = np.stack([b[0] + b[1], b[0] - b[1]]) / np.sqrt(2.0)
     relations = dict(zip(("P0_vs_QT", "P1_vs_QT"), _row_distances(a, targets)))
     concs, register, votes, ambiguous, ext_a, ext_b = _pair_selftest(a, b, labels)
     extraction = {"alice": ext_a, "bob": ext_b}
-    ext_d = [d for e in extraction.values() if e is not None for d in (e.dist_z, e.dist_x)]
-    max_distance = _report_max(scaling, anti, relations,
-                               [c.residual for c in concs.values()], ext_d)
+    max_distance = _report_max(scaling, anti, relations, [c.residual for c in concs.values()],
+                               _extraction_distances(extraction))
     return ChshSelfTestReport(rho, report.violation, eps_v, trace_error(strategy),
                               scaling, anti, relations, concs, register, votes,
                               ambiguous, extraction, max_distance)
@@ -489,7 +468,7 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
     _MS_SIGNS-signed sum of question r_i's element rows for slot j, and an
     element's normalized trace is its identity coefficient.  The dense
     derived observables, built in one product, serve only the commutators,
-    anticommutators and products.
+    anticommutators and products, each group one stacked product.
     """
     if not 0.0 < rho < 1.0:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
@@ -508,8 +487,6 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
     d = strategy.dim
     derived = np.einsum("as,qaij->qsij", _MS_SIGNS,
                         strategy.stacks[0].reshape(len(MS_QUESTIONS), 8, d, d))
-    p_row = {(i, j): derived[i - 1, j - 1] for i, j in idx}
-    p_col = {(i, j): derived[2 + j, i - 1] for i, j in idx}
     row_col = dict(zip(labels, _row_distances(p_rows, p_cols)))
     p_vs_qt = dict(zip(labels, _row_distances(p_rows, q_rows)))
     res_p = _scaling_residuals(p_rows, w, rho).tolist()
@@ -523,23 +500,26 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
         concs[f"P{i}{j}"] = _concentration(p_rows[k], basis_a)
         concs[f"Q{i}{j}"] = _concentration(q_rows[k], basis_b)
 
-    same_line = {}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for j2 in range(j + 1, 4):
-                same_line[f"row{i}:{j},{j2}"] = commutator_norm(p_row[(i, j)], p_row[(i, j2)])
-                same_line[f"col{i}:{j},{j2}"] = commutator_norm(p_col[(j, i)], p_col[(j2, i)])
-    cross = {}
-    for (i, j) in idx:
-        for (i2, j2) in idx:
-            if (i, j) < (i2, j2) and i != i2 and j != j2:
-                cross[f"s{i}{j},s{i2}{j2}"] = anticommutator_norm(p_row[(i, j)], p_row[(i2, j2)])
+    # slots s < t of row question i - 1 and of column question i + 2
+    lines = [(f"{kind}{i}:{s + 1},{t + 1}", q, s, t)
+             for i in (1, 2, 3) for s, t in itertools.combinations(range(3), 2)
+             for kind, q in (("row", i - 1), ("col", i + 2))]
+    keys, qs, ss, ts = (list(col) for col in zip(*lines))
+    same_line = dict(zip(keys, _relation_norms(derived[qs, ss], derived[qs, ts], -1).tolist()))
+    # variables (i, j) < (i2, j2) on no common line, as rows 3(i-1) + (j-1)
+    # of the row questions' observables
+    pairs = [(k, m) for k, m in itertools.combinations(range(len(idx)), 2)
+             if k // 3 != m // 3 and k % 3 != m % 3]
+    ks, ms = (list(col) for col in zip(*pairs))
+    p_row = derived[:3].reshape(len(idx), d, d)
+    cross = dict(zip([f"{labels[k]},{labels[m]}" for k, m in pairs],
+                     _relation_norms(p_row[ks], p_row[ms], 1).tolist()))
 
     # each question's three observables multiply to its parity target
-    eye = np.eye(d)
-    products = {("row" if q[0] == "r" else "col") + q[1]:
-                hs_norm(derived[k, 0] @ derived[k, 1] @ derived[k, 2] - ms_parity_target(q) * eye)
-                for k, q in enumerate(MS_QUESTIONS)}
+    targets = np.array([ms_parity_target(q) for q in MS_QUESTIONS])[:, None, None]
+    gaps = derived[:, 0] @ derived[:, 1] @ derived[:, 2] - targets * np.eye(d)
+    products = dict(zip([("row" if q[0] == "r" else "col") + q[1] for q in MS_QUESTIONS],
+                        (np.linalg.norm(gaps, axis=(-2, -1)) / np.sqrt(d)).tolist()))
 
     wrong_parity = dict(zip(MS_QUESTIONS,
                             ((1 - _MS_PARITY) * elems[..., 0]).sum(axis=1).tolist()))
@@ -627,18 +607,16 @@ def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNS
     value = _two_out_of_n_report(n, (a[:2 * n] * w) @ b[2 * n:].T, (b[:2 * n] * w) @ a[2 * n:].T)
     eps_v = 2 * np.sqrt(2) * rho - value.violation
 
-    anti = {}
-    for i in range(1, n + 1):
-        anti[f"P{i}"] = anticommutator_norm(strategy.alice_singles[(i, 0)],
-                                            strategy.alice_singles[(i, 1)])
-        anti[f"Q{i}"] = anticommutator_norm(strategy.bob_singles[(i, 0)],
-                                            strategy.bob_singles[(i, 1)])
-    cross = {}
-    for i, u, j, v in _pair_keys(n):
-        cross[f"P{i}{u},P{j}{v}"] = commutator_norm(strategy.alice_singles[(i, u)],
-                                                    strategy.alice_singles[(j, v)])
-        cross[f"Q{i}{u},Q{j}{v}"] = commutator_norm(strategy.bob_singles[(i, u)],
-                                                    strategy.bob_singles[(j, v)])
+    # each player's singles, (i, x) at row 2(i-1) + x; the keys alternate
+    # between the players
+    singles = np.stack([stack[:2 * n] for stack in strategy.stacks])
+    anti = dict(zip([f"{p}{i}" for i in range(1, n + 1) for p in "PQ"],
+                    _relation_norms(singles[:, 0::2], singles[:, 1::2], 1).T.ravel().tolist()))
+    keys = _pair_keys(n)
+    first = [2 * (i - 1) + u for i, u, _, _ in keys]
+    second = [2 * (j - 1) + v for _, _, j, v in keys]
+    cross = dict(zip([f"{p}{i}{u},{p}{j}{v}" for i, u, j, v in keys for p in "PQ"],
+                     _relation_norms(singles[:, first], singles[:, second], -1).T.ravel().tolist()))
 
     # index i's marginal in {(i, y), (j, z)} against the other player's
     # (X_i0 +- X_i1)^T / sqrt(2): R for the second player's marginals, T for
@@ -667,27 +645,30 @@ def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNS
         all_concs[i], registers[i], _, _, extraction[f"alice_{i}"], extraction[f"bob_{i}"] = \
             _pair_selftest(a[rows], b[rows], labels)
 
-    collisions = []
+    # a collision's contradiction is the largest |a x b| over the Bloch
+    # vectors a, b of the P_iu and P_jv locals on the shared register: half
+    # their commutator norm, as [a.s, b.s] = 2i (a x b).s.  A missing local
+    # (no mass there) stands in as 0, which commutes with everything.
     assigned = [i for i in registers if registers[i] is not None]
-    for i, j in itertools.combinations(assigned, 2):
-        if registers[i] != registers[j]:
-            continue
-        reg = registers[i]
-        worst = 0.0
-        for u in (0, 1):
-            for v in (0, 1):
-                li = _local_on_register(all_concs[i][f"P{i}{u}"], reg)
-                lj = _local_on_register(all_concs[j][f"P{j}{v}"], reg)
-                if li is None or lj is None:
-                    continue
-                worst = max(worst, bloch_relation(li, lj)["cross_norm"])
-        collisions.append(RegisterCollision(i, j, reg, worst))
+    colliding = [(i, j) for i, j in itertools.combinations(assigned, 2)
+                 if registers[i] == registers[j]]
+
+    def local(i, u):
+        loc = _local_on_register(all_concs[i][f"P{i}{u}"], registers[i])
+        return np.zeros((2, 2)) if loc is None else loc
+
+    quads = [(i, u, j, v) for i, j in colliding for u in (0, 1) for v in (0, 1)]
+    locals_i = np.reshape([local(i, u) for i, u, _, _ in quads], (-1, 2, 2))
+    locals_j = np.reshape([local(j, v) for _, _, j, v in quads], (-1, 2, 2))
+    worst = (_relation_norms(locals_i, locals_j, -1) / 2).reshape(-1, 4).max(axis=1, initial=0.0)
+    collisions = [RegisterCollision(i, j, registers[i], c)
+                  for (i, j), c in zip(colliding, worst.tolist())]
     distinct = not collisions and all(registers[i] is not None for i in registers)
 
-    ext_d = [d for e in extraction.values() if e is not None for d in (e.dist_z, e.dist_x)]
     max_distance = _report_max(
         anti, cross, relations,
-        [c.residual for per in all_concs.values() for c in per.values()], ext_d)
+        [c.residual for per in all_concs.values() for c in per.values()],
+        _extraction_distances(extraction))
     return TwoOutOfNSelfTestReport(rho, value.win_prob, eps_v, trace_error(strategy),
                                    anti, cross, relations, registers, distinct,
                                    collisions, extraction, max_distance)
@@ -753,8 +734,8 @@ def general_noise_selftest(strategy: ChshStrategy,
     # after canonicalization indices 1, 2 carry weight r and index 3 carries c
     w = register_weight_vector([1.0, r, r, c], n)
     scaling = dict(zip(labels, _scaling_residuals(rows, w, r).tolist()))
-    anti = {"alice": anticommutator_norm(*transported[:2]),
-            "bob": anticommutator_norm(*transported[2:])}
+    anti = dict(zip(("alice", "bob"),
+                    _relation_norms(transported[0::2], transported[1::2], 1).tolist()))
     concs = {k: _concentration(row, basis) for k, row in zip(labels, rows)}
     reg_a, _, _ = _register_consensus({k: concs[k] for k in ("P0", "P1")})
     reg_b, _, _ = _register_consensus({k: concs[k] for k in ("Q0", "Q1")})
@@ -762,8 +743,8 @@ def general_noise_selftest(strategy: ChshStrategy,
         "alice": _extract_pair(concs, ("P0", "P1"), reg_a),
         "bob": _extract_pair(concs, ("Q0", "Q1"), reg_b),
     }
-    ext_d = [d for e in extraction.values() if e is not None for d in (e.dist_z, e.dist_x)]
-    max_distance = _report_max(scaling, anti, [cc.residual for cc in concs.values()], ext_d)
+    max_distance = _report_max(scaling, anti, [cc.residual for cc in concs.values()],
+                               _extraction_distances(extraction))
     return GeneralNoiseSelfTestReport(r, c, violation, eps_v, trace_error(strategy),
                                       warning, canon, scaling, anti, reg_a, reg_b,
                                       concs, extraction, max_distance)

@@ -561,15 +561,11 @@ class TwoOutOfNStrategy:
     def dim(self) -> int:
         return 2 ** self.n_prime
 
-    def pair_povm(self, player: str, i: int, y: int, j: int, z: int) -> np.ndarray:
-        povms = self.alice_pair_povms if player == "alice" else self.bob_pair_povms
-        return povms[pair_key(i, y, j, z)]
-
     def pair_marginal(self, player: str, i: int, y: int, j: int, z: int) -> np.ndarray:
         """Signed marginal observable for index i of pair question {(i,y),(j,z)}."""
         key = pair_key(i, y, j, z)
-        side = "first" if key[0] == i else "second"
-        return marginal_pair_observable(self.pair_povm(player, i, y, j, z), side)
+        povms = self.alice_pair_povms if player == "alice" else self.bob_pair_povms
+        return marginal_pair_observable(povms[key], "first" if key[0] == i else "second")
 
 
 def _pair_basis_observable(y: int) -> np.ndarray:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -281,10 +282,6 @@ class PauliExpansion:
     def copy_with(self, coeffs: np.ndarray) -> "PauliExpansion":
         return PauliExpansion(self.m, self.n, coeffs, self.basis, self.imag_residue)
 
-    def total_mass(self) -> float:
-        """Sum of squared coefficients (equals normalized_trace(M^2))."""
-        return float(self.coeffs @ self.coeffs)
-
 
 @lru_cache(maxsize=64)
 def _degree_vector(m2: int, n: int) -> np.ndarray:
@@ -448,7 +445,9 @@ def matrix_to_json(mat: np.ndarray) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    """A matrix, or a stack of them, from nested [re, im] pairs, bit for bit."""
+    """A matrix, or a stack of them, from nested [re, im] pairs, bit for bit.
+    Every entry must be a JSON number, a Python int or float: numpy would
+    read the strings "1" and "0.5" and the booleans as numbers too."""
     try:
         arr = np.ascontiguousarray(data, dtype=float)
     except (TypeError, ValueError):  # ragged nesting or a non-number
@@ -457,4 +456,9 @@ def matrix_from_json(data) -> np.ndarray:
         raise ValidationError("matrix JSON must be a nested array of [re, im] pairs")
     if not np.isfinite(arr).all():
         raise ValidationError("matrix JSON has non-finite entries")
+    entries = data  # regular nesting, so ndim - 1 flattenings reach the entries
+    for _ in range(arr.ndim - 1):
+        entries = chain.from_iterable(entries)
+    if not set(map(type, entries)) <= {int, float}:
+        raise ValidationError("matrix JSON entries must be numbers, not strings or booleans")
     return arr.view(complex)[..., 0]

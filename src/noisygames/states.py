@@ -63,9 +63,6 @@ class BipartiteState:
             return np.einsum("ijil->jl", t)
         raise ValidationError("side must be 'a' or 'b'")
 
-    def purity(self) -> float:
-        return float(np.trace(self.density @ self.density).real)
-
 
 def tensor_bipartite(states: list[BipartiteState]) -> BipartiteState:
     """Tensor bipartite states, regrouping factors into (all A) (x) (all B)."""

@@ -437,6 +437,11 @@ def _defective_strategy_documents() -> dict:
     docs["ms_n_zero"] = {**ms, "n": 0}
     docs["chsh_entry_a_string"] = doc = deepcopy(chsh)
     doc["observables"]["P1"][0][1][0] = "x"
+    # numpy reads "1" and false as the numbers 1 and 0, which evaluated
+    docs["chsh_entry_numeric_string"] = doc = deepcopy(chsh)
+    doc["observables"]["P0"][0] = [["1", False], [0, 0]]
+    docs["t2n_entry_boolean"] = doc = deepcopy(two)
+    doc["alicePairPovms"]["1,0,2,1"][0][0][0][1] = False
     docs["ms_empty_povm"] = {**ms, "alicePovms": {**ms["alicePovms"], "c2": []}}
     docs["ms_ragged_povm"] = doc = deepcopy(ms)
     doc["alicePovms"]["r1"][3].pop()
@@ -605,6 +610,16 @@ def _defective_strategy_documents() -> dict:
      "above the cap of 2**6"),
     (["eval", "--rho", "0.9", "--strategy", "{t2n_registers_below_n}"],
      "need at least as many registers as indices"),
+    (["eval", "--rho", "0.9", "--strategy", "{chsh_entry_numeric_string}"],
+     "chsh observables 'P0': matrix JSON entries must be numbers, not strings or booleans"),
+    (["eval", "--rho", "0.9", "--strategy", "{t2n_entry_boolean}"],
+     "alicePairPovms '1,0,2,1': matrix JSON entries must be numbers, not strings or booleans"),
+    (["selftest", "--rho", "0.8", "--theta-sweep", ""],
+     "--theta-sweep must be comma-separated angles, got ''"),
+    (["selftest", "--rho", "0.8", "--theta-sweep", "0.1,"],
+     "--theta-sweep must be comma-separated angles, got '0.1,'"),
+    (["certify", "--game", "magic_square", "--rho", "0.8", "--variable", ""],
+     "--variable must be i,j with i and j in 1..3, got ''"),
 ], ids=["rounds-zero", "rounds-negative", "ms-rounds-zero", "statistic-rounds-zero",
         "variable-out-of-range", "variable-not-a-pair", "transcript-no-game",
         "transcript-not-an-object", "two-out-of-one", "transcript-unknown-game",
@@ -628,7 +643,9 @@ def _defective_strategy_documents() -> dict:
         "unknown-bob-pair-povm", "block-schema-version", "chsh-file-n-zero", "chsh-file-n-negative", "ms-file-n-zero",
         "entry-a-string", "empty-povm", "ragged-povm", "two-out-of-n-key-not-a-pair",
         "pair-povm-entry-null", "two-out-of-n-file-n-above-cap",
-        "two-out-of-n-file-n-above-cap-one-register", "two-out-of-n-file-n-above-registers"])
+        "two-out-of-n-file-n-above-cap-one-register", "two-out-of-n-file-n-above-registers",
+        "entry-a-numeric-string", "entry-a-boolean", "sweep-empty", "sweep-trailing-comma",
+        "variable-empty"])
 def test_bad_argument_is_named_in_one_line(tmp_path, capsys, argv, message):
     files = {"no_game": tmp_path / "no_game.json", "a_list": tmp_path / "a_list.json",
              "ghz": tmp_path / "ghz.json", "t_abc": tmp_path / "t_abc.json",

@@ -3,10 +3,8 @@ import pytest
 
 from noisygames.certificates import chsh_sos_certificate, ms_consistency_certificate
 from noisygames.extraction import (
-    anticommutator_norm,
-    bloch_relation,
+    _relation_norms,
     chsh_selftest,
-    commutator_norm,
     general_noise_selftest,
     loglog_slope,
     lp_min_bruteforce,
@@ -54,21 +52,12 @@ THETAS = (0.02, 0.05, 0.1, 0.2, 0.3)
 
 
 def test_commutation_norms():
-    assert anticommutator_norm(SIGMA_Z, SIGMA_X) == pytest.approx(0.0)
-    assert commutator_norm(SIGMA_Z, SIGMA_X) == pytest.approx(2.0)
-    assert commutator_norm(np.kron(SIGMA_Z, np.eye(2)),
-                           np.kron(np.eye(2), SIGMA_X)) == pytest.approx(0.0)
-    assert anticommutator_norm(SIGMA_Z, (SIGMA_Z + SIGMA_X) / np.sqrt(2)) == pytest.approx(
-        np.sqrt(2))
-
-
-def test_bloch_relation_examples():
-    assert bloch_relation(SIGMA_Z, SIGMA_X)["dot"] == pytest.approx(0.0)
-    rel = bloch_relation(SIGMA_Z, SIGMA_Z)
-    assert rel["cross_norm"] == pytest.approx(0.0)
-    assert rel["dot"] == pytest.approx(1.0)
-    assert bloch_relation(SIGMA_Z, (SIGMA_Z + SIGMA_X) / np.sqrt(2))["dot"] == pytest.approx(
-        1 / np.sqrt(2))
+    z, x = SIGMA_Z, SIGMA_X
+    anti = _relation_norms(np.stack([z, z]), np.stack([x, (z + x) / np.sqrt(2)]), 1)
+    assert anti == pytest.approx([0.0, np.sqrt(2)])
+    assert _relation_norms(z[None], x[None], -1) == pytest.approx([2.0])
+    assert _relation_norms(np.kron(z, np.eye(2))[None],
+                           np.kron(np.eye(2), x)[None], -1) == pytest.approx([0.0])
 
 
 def test_nearest_binary_examples():

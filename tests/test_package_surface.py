@@ -4,7 +4,10 @@ Every public module-level function and class and every private module-level
 function in src/noisygames has a caller elsewhere in the package (the root
 `__init__.py` does not count), or an entry in KEPT that says why it stays;
 an entry whose name is gone, or has since gained a caller, fails too, so the
-list only ever names what it must.
+list only ever names what it must.  So does every public method (or
+property) of a public class, named module.Class.method: as the class behind
+an attribute read is not known from the source, any package read of an
+attribute of the method's name, outside the method itself, counts as a call.
 No module imports a name it never uses; an `__all__` entry counts as a use.
 """
 
@@ -20,6 +23,7 @@ KEPT = {
     # oracles of the acceptance suite
     "certificates.classical_chsh_max_enumerated": "acceptance criterion 9",
     "certificates.classical_ms_max_enumerated": "acceptance criterion 9",
+    "certificates.SoSCertificate.square_terms": "acceptance criterion 9's nonnegative squares",
     "extraction.loglog_slope": "acceptance criterion 5's distance slopes",
     "protocols.play_chsh_rounds": "acceptance criterion 7's fixed-round plays",
     "states.maximal_correlation": "acceptance criterion 8",
@@ -29,6 +33,8 @@ KEPT = {
     "games.require_povm": "the one-POVM form of the strategies' stack checks",
     "protocols.play_ms_rounds": "the fixed-round path behind estimate-rho --rho-true",
     "protocols.sample_round": "one round at a time, against the runner's column tables",
+    "protocols.ChshSampler.exact_table": "the sampler's table, against dense POVM traces",
+    "games.TwoOutOfNStrategy.pair_marginal": "dense pair marginals behind the relation distances",
     "pauli.normalized_trace": "dense traces behind the coefficient-row masses",
     "extraction.register_concentration": "operator entry to the self-tests' concentration",
     # helpers that tests build operators with
@@ -58,6 +64,18 @@ def _guarded_defs(tree) -> dict:
     return {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)
             or (isinstance(node, ast.ClassDef) and not node.name.startswith("_"))}
+
+
+def _methods(tree) -> dict:
+    """Public methods and properties of public classes, by Class.method."""
+    return {f"{cls.name}.{node.name}": node for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def _attribute_reads(node) -> list:
+    return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
 
 
 def _names_in(node) -> set:
@@ -92,10 +110,19 @@ def _references(trees: dict) -> set:
     return refs
 
 
+def _uncalled_methods(trees: dict) -> set:
+    reads = [attr for modname, tree in trees.items() if modname != "__init__"
+             for attr in _attribute_reads(tree)]
+    return {f"{modname}.{name}" for modname, tree in trees.items() if modname != "__init__"
+            for name, node in _methods(tree).items()
+            if reads.count(node.name) == _attribute_reads(node).count(node.name)}
+
+
 def _uncalled(trees: dict) -> set:
     refs = _references(trees)
-    return {f"{modname}.{name}" for modname, tree in trees.items() if modname != "__init__"
-            for name in _guarded_defs(tree) if (modname, name) not in refs}
+    functions = {f"{modname}.{name}" for modname, tree in trees.items() if modname != "__init__"
+                 for name in _guarded_defs(tree) if (modname, name) not in refs}
+    return functions | _uncalled_methods(trees)
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -106,7 +133,7 @@ def test_every_public_name_has_a_caller_or_a_reason():
 def test_every_kept_name_exists_and_still_lacks_a_caller():
     trees = _trees()
     defined = {f"{modname}.{name}" for modname, tree in trees.items()
-               for name in _guarded_defs(tree)}
+               for name in [*_guarded_defs(tree), *_methods(tree)]}
     assert KEPT.keys() - defined == set(), "KEPT names what the package no longer defines"
     assert KEPT.keys() - _uncalled(trees) == set(), "KEPT names what now has a caller"
 

@@ -111,7 +111,7 @@ def test_parseval():
     rng = np.random.default_rng(4)
     h = random_hermitian(8, rng)
     exp = pauli_expand(h, pauli_basis())
-    assert exp.total_mass() == pytest.approx(normalized_trace(h @ h), abs=1e-9)
+    assert exp.coeffs @ exp.coeffs == pytest.approx(normalized_trace(h @ h), abs=1e-9)
 
 
 def test_depolarizing_coeffs_examples():

@@ -52,8 +52,8 @@ def test_state_round_trip():
 def test_state_symbolic():
     state = state_from_json({"kind": "depolarized_epr", "rho": 0.7, "n": 1})
     assert np.abs(state.density - make_depolarized_epr(0.7, 1).density).max() < 1e-12
-    state = state_from_json({"kind": "epr_power", "n": 2})
-    assert state.purity() == pytest.approx(1.0)
+    density = state_from_json({"kind": "epr_power", "n": 2}).density
+    assert np.trace(density @ density).real == pytest.approx(1.0)
 
 
 def test_state_unknown_field_rejected():
@@ -296,6 +296,18 @@ def test_state_density_that_is_not_a_matrix_is_named(density):
         state_from_json({"dimA": 2, "dimB": 1, "density": density})
     assert str(exc.value) == ("state field 'density': matrix JSON must be a nested array of "
                               "[re, im] pairs")
+
+
+@pytest.mark.parametrize("density", [
+    [[["0.5", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+    [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, False]]],
+], ids=["entry-a-numeric-string", "entry-a-boolean"])
+def test_state_density_entry_that_is_not_a_number_is_named(density):
+    # numpy reads "0.5" and false as numbers, so both densities used to load
+    with pytest.raises(ValidationError) as exc:
+        state_from_json({"dimA": 2, "dimB": 1, "density": density})
+    assert str(exc.value) == ("state field 'density': matrix JSON entries must be numbers, "
+                              "not strings or booleans")
 
 
 def _random_two_out_of_n_strategy(n: int, n_prime: int, seed: int) -> TwoOutOfNStrategy:

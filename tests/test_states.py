@@ -34,7 +34,8 @@ def test_epr_marginals_maximally_mixed():
 
 
 def test_epr_power_purity():
-    assert make_epr_power(2).purity() == pytest.approx(1.0)
+    density = make_epr_power(2).density
+    assert np.trace(density @ density).real == pytest.approx(1.0)
 
 
 def test_depolarized_limits():
