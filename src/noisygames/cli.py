@@ -121,7 +121,10 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _theta_sweep_rows(args):
+def _theta_sweep_csv(args) -> str:
+    """The sweep as CSV: per angle, theta, the self-test's gap under its
+    report's gap key (epsWin for the magic square, epsV otherwise) and
+    maxDistance."""
     from . import serialize
     from .extraction import selftest
 
@@ -130,16 +133,13 @@ def _theta_sweep_rows(args):
     except ValueError:
         raise ValueError("--theta-sweep must be comma-separated angles, "
                          f"got {args.theta_sweep!r}") from None
-    rows = []
+    reports = []
     for theta in thetas:
-        strat = serialize.strategy_from_json(
-            _symbolic_doc(args, kind="canonical-perturbed", theta=theta))
-        report = selftest(strat, args.rho)
-        eps = getattr(report, "eps_v", None)
-        if eps is None:
-            eps = report.eps_win
-        rows.append((theta, eps, report.max_distance))
-    return rows
+        doc = _symbolic_doc(args, kind="canonical-perturbed", theta=theta)
+        reports.append((theta, selftest(serialize.strategy_from_json(doc), args.rho)))
+    key = reports[0][1].gap_key
+    return f"theta,{key},maxDistance\n" + "".join(
+        f"{theta},{report[key]},{report.max_distance}\n" for theta, report in reports)
 
 
 def cmd_selftest(args) -> int:
@@ -155,10 +155,7 @@ def cmd_selftest(args) -> int:
         for option in ("channel", "threshold"):
             if getattr(args, option) is not None:
                 raise ValueError(f"--theta-sweep does not read --{option}")
-        rows = _theta_sweep_rows(args)
-        text = "theta,epsV,maxDistance\n" + "".join(
-            f"{t},{e},{d}\n" for t, e, d in rows)
-        _write((text,), args.out)
+        _write((_theta_sweep_csv(args),), args.out)
         return EXIT_OK
     if args.threshold is not None and math.isnan(args.threshold):
         raise ValueError(f"--threshold must be a number, got {args.threshold}")
@@ -341,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None,
                    help="exit 1 if any distance exceeds this")
     p.add_argument("--theta-sweep", default=None, dest="theta_sweep",
-                   help="comma-separated rotation angles; emits CSV of (epsV, maxDistance)")
+                   help="comma-separated rotation angles; emits CSV of (theta, gap, "
+                        "maxDistance), the gap epsWin for the magic square, epsV otherwise")
     p.add_argument("--channel", default=None, choices=[None, "bit-phase-flip"],
                    help="general-noise self-test through the given channel")
     p.set_defaults(func=cmd_selftest)

@@ -2,6 +2,10 @@
 detection, and constructive unitary extraction for all three games, plus the
 small matrix utilities the analysis rests on.
 
+Every self-test returns one SelfTestReport: its game, its entries (JSON key
+to JSON-ready value, in document order, read as report[key]) and
+max_distance, so serialize writes every report with one loop.
+
 Every relation norm of a self-test, the commutators and anticommutators of
 all four self-tests and the 2-out-of-n collision contradictions, comes from
 one stacked product pass, _relation_norms, over rows of the strategy's
@@ -48,13 +52,13 @@ from .pauli import (
     default_basis,
     hs_distance,
     infer_registers,
+    matrix_to_json,
     pauli_expand,
     register_weight_vector,
     require_hermitian,
 )
 from .states import (
     CorrelationSpectrum,
-    EprCanonicalization,
     _qubit_pair_frame,
     canonicalize_to_epr,
 )
@@ -124,7 +128,6 @@ class RegisterConcentration:
     tie: bool
     local_operators: list
     residual: float
-    total_mass: float
 
 
 def register_concentration(op: np.ndarray, m: int = 2, basis=None) -> RegisterConcentration:
@@ -151,10 +154,9 @@ def _concentration(row: np.ndarray, basis) -> RegisterConcentration:
         if a_j > CONCENTRATION_FLOOR:
             local = np.tensordot(cvec, base[1:], axes=1) / a_j
             locals_[j] = local
-    total = float(row @ row)
     if weights.max() <= CONCENTRATION_FLOOR:
         return RegisterConcentration(weights, None, 0.0, False, locals_,
-                                     float(np.linalg.norm(coeffs)), total)
+                                     float(np.linalg.norm(coeffs)))
     order = np.argsort(weights)[::-1]
     k = int(order[0])
     runner = weights[order[1]] if n > 1 else 0.0
@@ -165,7 +167,7 @@ def _concentration(row: np.ndarray, basis) -> RegisterConcentration:
     complement = coeffs.copy()
     complement[selectors[k]] = 0.0
     residual = float(np.linalg.norm(complement))
-    return RegisterConcentration(weights, k + 1, margin, tie, locals_, residual, total)
+    return RegisterConcentration(weights, k + 1, margin, tie, locals_, residual)
 
 
 def _register_consensus(concs: dict) -> tuple[int | None, dict, bool]:
@@ -342,70 +344,86 @@ def lp_min_bruteforce(a, t1: float, t2: float) -> float:
 # game self-tests
 
 
-def _report_max(*groups) -> float:
-    vals = []
-    for g in groups:
-        if g is None:
-            continue
-        if isinstance(g, dict):
-            vals.extend(v for v in g.values() if np.isscalar(v))
-        elif np.isscalar(g):
-            vals.append(g)
-        else:
-            vals.extend(g)
-    return float(max(vals)) if vals else 0.0
-
-
 @dataclass
-class ChshSelfTestReport:
-    rho: float
-    violation: float
-    eps_v: float
-    eps_tr: float
-    scaling_residuals: dict
-    anticommutators: dict
-    relation_distances: dict
-    concentration: dict
-    register: int | None
-    register_votes: dict
-    register_ambiguous: bool
-    extraction: dict
+class SelfTestReport:
+    """A self-test's result: its game, its entries (JSON key to JSON-ready
+    value, in document order), read as report[key], and max_distance."""
+
+    game: str
+    entries: dict
     max_distance: float
 
+    def __getitem__(self, key: str):
+        return self.entries[key]
 
-def _extract_pair(concs: dict, labels: tuple, register: int | None):
+    @property
+    def gap_key(self) -> str:
+        """The entry holding the gap to the optimal value."""
+        return "epsWin" if self.game == "magic_square" else "epsV"
+
+
+def _report(game: str, entries: dict, flagged: tuple, concentrations: list) -> SelfTestReport:
+    """The report of `game` from its entries.  Its max_distance is the
+    largest of the values of the flagged entries (dicts of distances), the
+    residuals of the concentration entries and the distZ and distX of every
+    extraction that ran."""
+    extractions = entries.get("extractionUnitaries", {}).values()
+    distances = [*(v for key in flagged for v in entries[key].values()),
+                 *(c["residual"] for conc in concentrations for c in conc.values()),
+                 *(e[k] for e in extractions if e is not None for k in ("distZ", "distX"))]
+    return SelfTestReport(game, entries, float(max(distances, default=0.0)))
+
+
+def _concentration_json(concs: dict) -> dict:
+    return {label: {"register": rc.register, "weights": rc.weights.tolist(),
+                    "margin": rc.margin, "tie": rc.tie, "residual": rc.residual}
+            for label, rc in concs.items()}
+
+
+def _extraction_json(ext: PauliPairExtraction) -> dict:
+    return {"unitary": matrix_to_json(ext.unitary), "distZ": ext.dist_z, "distX": ext.dist_x,
+            "theta": ext.theta, "degenerate": ext.degenerate}
+
+
+def _extract_pair(concs: dict, labels: tuple, register: int | None) -> dict | None:
+    """The entry of the pair extraction on the locals of labels' two
+    observables on `register`; None where either has no mass there."""
     if register is None:
         return None
     l0 = _local_on_register(concs[labels[0]], register)
     l1 = _local_on_register(concs[labels[1]], register)
     if l0 is None or l1 is None:
         return None
-    return pauli_pair_unitary(l0, l1)
+    return _extraction_json(pauli_pair_unitary(l0, l1))
 
 
-def _extraction_distances(extraction: dict) -> list:
-    """dist_z and dist_x of every pair extraction that ran."""
-    return [d for e in extraction.values() if e is not None for d in (e.dist_z, e.dist_x)]
+def _register_entries(concs: dict) -> dict:
+    """The register, registerVotes, registerAmbiguous and concentration
+    entries of the observables whose concentrations are concs."""
+    register, votes, ambiguous = _register_consensus(concs)
+    return {"register": register, "registerVotes": votes, "registerAmbiguous": ambiguous,
+            "concentration": _concentration_json(concs)}
 
 
 def _pair_selftest(p_rows: np.ndarray, q_rows: np.ndarray, labels: tuple) -> tuple:
     """The qubit pair test on two rows per player (the first player's in the
     default basis, the second's in its transpose), labelled labels[:2] and
-    labels[2:]: the register concentrations, their consensus register, votes
-    and ambiguity, and both players' pair extractions on that register."""
+    labels[2:]: the register concentrations, their register entries and
+    both players' pair extraction entries on the consensus register."""
     basis_a, basis_b = _basis_pair(2)
     concs = {**{k: _concentration(row, basis_a) for k, row in zip(labels[:2], p_rows)},
              **{k: _concentration(row, basis_b) for k, row in zip(labels[2:], q_rows)}}
-    register, votes, ambiguous = _register_consensus(concs)
-    return (concs, register, votes, ambiguous,
-            _extract_pair(concs, labels[:2], register), _extract_pair(concs, labels[2:], register))
+    run = _register_entries(concs)
+    register = run["register"]
+    return (concs, run, _extract_pair(concs, labels[:2], register),
+            _extract_pair(concs, labels[2:], register))
 
 
-def chsh_selftest(strategy: ChshStrategy, rho: float) -> ChshSelfTestReport:
+def chsh_selftest(strategy: ChshStrategy, rho: float) -> SelfTestReport:
     """Full diagnostic report for a CHSH strategy on depolarized pairs.
 
     Distances other than the scaling residuals do not depend on rho; rho
-    enters the gap eps_v and the scaling diagnostics.  The value, the
+    enters the gap epsV and the scaling diagnostics.  The value, the
     scaling residuals, the relation distances and the register
     concentration read one stacked expansion per player.
     """
@@ -413,7 +431,6 @@ def chsh_selftest(strategy: ChshStrategy, rho: float) -> ChshSelfTestReport:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
     a, b, w = PairEvaluator(rho).expand_stacks(*strategy.stacks)
     report = _chsh_report((a * w) @ b.T)
-    eps_v = 2 * np.sqrt(2) * rho - report.violation
     labels = ("P0", "P1", "Q0", "Q1")
     rows = np.concatenate([a, b])
     scaling = dict(zip(labels, _scaling_residuals(rows, w, rho).tolist()))
@@ -422,39 +439,18 @@ def chsh_selftest(strategy: ChshStrategy, rho: float) -> ChshSelfTestReport:
     # P_i against (Q0 +- Q1)^T / sqrt(2)
     targets = np.stack([b[0] + b[1], b[0] - b[1]]) / np.sqrt(2.0)
     relations = dict(zip(("P0_vs_QT", "P1_vs_QT"), _row_distances(a, targets)))
-    concs, register, votes, ambiguous, ext_a, ext_b = _pair_selftest(a, b, labels)
-    extraction = {"alice": ext_a, "bob": ext_b}
-    max_distance = _report_max(scaling, anti, relations, [c.residual for c in concs.values()],
-                               _extraction_distances(extraction))
-    return ChshSelfTestReport(rho, report.violation, eps_v, trace_error(strategy),
-                              scaling, anti, relations, concs, register, votes,
-                              ambiguous, extraction, max_distance)
+    _, run, ext_a, ext_b = _pair_selftest(a, b, labels)
+    entries = {
+        "rho": rho, "violation": report.violation,
+        "epsV": 2 * np.sqrt(2) * rho - report.violation, "epsTr": trace_error(strategy),
+        "scalingResiduals": scaling, "antiCommutators": anti, "relationDistances": relations,
+        **run, "extractionUnitaries": {"alice": ext_a, "bob": ext_b},
+    }
+    return _report("chsh", entries, ("scalingResiduals", "antiCommutators", "relationDistances"),
+                   [run["concentration"]])
 
 
-@dataclass
-class MsSelfTestReport:
-    rho: float
-    overall: float
-    eps_win: float
-    eps_tr: float
-    row_col_distances: dict
-    p_vs_qt_distances: dict
-    scaling_residuals: dict
-    same_line_commutators: dict
-    cross_anticommutators: dict
-    product_distances: dict
-    wrong_parity_mass: dict
-    concentration: dict
-    register: int | None
-    register_votes: dict
-    register_ambiguous: bool
-    local_unitary: np.ndarray | None
-    anchor_distances: dict
-    pauli_distances: dict
-    max_distance: float
-
-
-def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
+def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> SelfTestReport:
     """Full diagnostic report for a magic-square strategy.
 
     The extraction unitary is anchored on four observables: the (2,2), (1,1)
@@ -475,7 +471,6 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
     elems, q_rows, w = PairEvaluator(rho, m=4).expand_stacks(*strategy.stacks)
     elems = elems.reshape(len(MS_QUESTIONS), 8, -1)
     value, bias = _ms_coeff_report(elems, q_rows, w)
-    eps_win = (rho - bias) / 2
     idx = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
     labels = [f"s{i}{j}" for i, j in idx]
     # derived[q, s] is question q's observable for slot s + 1; variable
@@ -524,8 +519,8 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
     wrong_parity = dict(zip(MS_QUESTIONS,
                             ((1 - _MS_PARITY) * elems[..., 0]).sum(axis=1).tolist()))
 
-    register, votes, ambiguous = _register_consensus(concs)
-
+    run = _register_entries(concs)
+    register = run["register"]
     local_unitary = None
     anchor = {}
     pauli_distances = {}
@@ -560,40 +555,22 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> MsSelfTestReport:
                     imgq = local_unitary.conj() @ locq[(i, j)] @ local_unitary.T
                     pauli_distances[f"Q{i}{j}"] = hs_distance(imgq, target.T)
 
-    max_distance = _report_max(row_col, p_vs_qt, scaling, same_line, cross, products,
-                               [c.residual for c in concs.values()],
-                               anchor, pauli_distances)
-    return MsSelfTestReport(rho, value.overall, eps_win, trace_error(strategy),
-                            row_col, p_vs_qt, scaling, same_line, cross, products,
-                            wrong_parity, concs, register, votes, ambiguous,
-                            local_unitary, anchor, pauli_distances, max_distance)
+    entries = {
+        "rho": rho, "overall": value.overall, "epsWin": (rho - bias) / 2,
+        "epsTr": trace_error(strategy),
+        "rowColDistances": row_col, "pVsQtDistances": p_vs_qt, "scalingResiduals": scaling,
+        "sameLineCommutators": same_line, "crossAntiCommutators": cross,
+        "productDistances": products, "wrongParityMass": wrong_parity, **run,
+        "localUnitary": None if local_unitary is None else matrix_to_json(local_unitary),
+        "anchorDistances": anchor, "pauliDistances": pauli_distances,
+    }
+    return _report("magic_square", entries,
+                   ("rowColDistances", "pVsQtDistances", "scalingResiduals",
+                    "sameLineCommutators", "crossAntiCommutators", "productDistances",
+                    "anchorDistances", "pauliDistances"), [run["concentration"]])
 
 
-@dataclass
-class RegisterCollision:
-    index_a: int
-    index_b: int
-    register: int
-    contradiction: float
-
-
-@dataclass
-class TwoOutOfNSelfTestReport:
-    rho: float
-    win_prob: float
-    eps_v: float
-    eps_tr: float
-    index_anticommutators: dict
-    cross_commutators: dict
-    marginal_relation_distances: dict
-    registers: dict
-    distinct: bool
-    collisions: list
-    extraction: dict
-    max_distance: float
-
-
-def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNSelfTestReport:
+def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> SelfTestReport:
     """Per-index anticommutation, cross-index commutation, marginal-vs-single
     relation distances, register assignment with distinctness verdict, and
     per-index qubit extraction for both players.  The value, the relation
@@ -605,7 +582,6 @@ def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNS
     n = strategy.n
     a, b, w = PairEvaluator(rho).expand_stacks(*strategy.stacks)
     value = _two_out_of_n_report(n, (a[:2 * n] * w) @ b[2 * n:].T, (b[:2 * n] * w) @ a[2 * n:].T)
-    eps_v = 2 * np.sqrt(2) * rho - value.violation
 
     # each player's singles, (i, x) at row 2(i-1) + x; the keys alternate
     # between the players
@@ -638,12 +614,15 @@ def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNS
 
     registers = {}
     all_concs = {}
+    concentrations = []
     extraction = {}
     for i in range(1, n + 1):
         rows = slice(2 * (i - 1), 2 * i)  # the singles (i, 0) and (i, 1)
         labels = (f"P{i}0", f"P{i}1", f"Q{i}0", f"Q{i}1")
-        all_concs[i], registers[i], _, _, extraction[f"alice_{i}"], extraction[f"bob_{i}"] = \
+        all_concs[i], run, extraction[f"alice_{i}"], extraction[f"bob_{i}"] = \
             _pair_selftest(a[rows], b[rows], labels)
+        registers[i] = run["register"]
+        concentrations.append(run["concentration"])
 
     # a collision's contradiction is the largest |a x b| over the Bloch
     # vectors a, b of the P_iu and P_jv locals on the shared register: half
@@ -661,39 +640,24 @@ def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> TwoOutOfNS
     locals_i = np.reshape([local(i, u) for i, u, _, _ in quads], (-1, 2, 2))
     locals_j = np.reshape([local(j, v) for _, _, j, v in quads], (-1, 2, 2))
     worst = (_relation_norms(locals_i, locals_j, -1) / 2).reshape(-1, 4).max(axis=1, initial=0.0)
-    collisions = [RegisterCollision(i, j, registers[i], c)
+    collisions = [{"indexA": i, "indexB": j, "register": registers[i], "contradiction": c}
                   for (i, j), c in zip(colliding, worst.tolist())]
-    distinct = not collisions and all(registers[i] is not None for i in registers)
 
-    max_distance = _report_max(
-        anti, cross, relations,
-        [c.residual for per in all_concs.values() for c in per.values()],
-        _extraction_distances(extraction))
-    return TwoOutOfNSelfTestReport(rho, value.win_prob, eps_v, trace_error(strategy),
-                                   anti, cross, relations, registers, distinct,
-                                   collisions, extraction, max_distance)
-
-
-@dataclass
-class GeneralNoiseSelfTestReport:
-    r: float
-    c: float
-    violation: float
-    eps_v: float
-    eps_tr: float
-    nonlocality_warning: bool
-    canonicalization: EprCanonicalization
-    scaling_residuals: dict
-    anticommutators: dict
-    register_alice: int | None
-    register_bob: int | None
-    concentration: dict
-    extraction: dict
-    max_distance: float
+    entries = {
+        "rho": rho, "winProb": value.win_prob, "epsV": 2 * np.sqrt(2) * rho - value.violation,
+        "epsTr": trace_error(strategy), "indexAntiCommutators": anti, "crossCommutators": cross,
+        "marginalRelationDistances": relations,
+        "registers": {str(i): r for i, r in registers.items()},
+        "distinct": not collisions and None not in registers.values(),
+        "collisions": collisions, "extractionUnitaries": extraction,
+    }
+    return _report("two_out_of_n", entries,
+                   ("indexAntiCommutators", "crossCommutators", "marginalRelationDistances"),
+                   concentrations)
 
 
 def general_noise_selftest(strategy: ChshStrategy,
-                           spectrum: CorrelationSpectrum) -> GeneralNoiseSelfTestReport:
+                           spectrum: CorrelationSpectrum) -> SelfTestReport:
     """CHSH self-test under diagonal-correlation noise with the two leading
     nontrivial singular values equal.
 
@@ -718,11 +682,7 @@ def general_noise_selftest(strategy: ChshStrategy,
     if not 0.0 < r < 1.0:
         raise ValidationError("self-testing needs 0 < r < 1")
 
-    report = chsh_violation(strategy, spectrum)
-    violation = report.violation
-    eps_v = 2 * np.sqrt(2) * r - violation
-    warning = violation <= 2.0
-
+    violation = chsh_violation(strategy, spectrum).violation
     canon = canonicalize_to_epr(spectrum.basis_a, spectrum.basis_b)
     n = strategy.n
     ua_full, ub_full = (functools.reduce(np.kron, [u] * n) for u in (canon.u, canon.v))
@@ -739,18 +699,21 @@ def general_noise_selftest(strategy: ChshStrategy,
     concs = {k: _concentration(row, basis) for k, row in zip(labels, rows)}
     reg_a, _, _ = _register_consensus({k: concs[k] for k in ("P0", "P1")})
     reg_b, _, _ = _register_consensus({k: concs[k] for k in ("Q0", "Q1")})
-    extraction = {
-        "alice": _extract_pair(concs, ("P0", "P1"), reg_a),
-        "bob": _extract_pair(concs, ("Q0", "Q1"), reg_b),
+    entries = {
+        "r": r, "c": c, "violation": violation, "epsV": 2 * np.sqrt(2) * r - violation,
+        "epsTr": trace_error(strategy), "nonlocalityWarning": violation <= 2.0,
+        "ySignA": canon.y_sign_a, "ySignB": canon.y_sign_b, "eprDistance": canon.epr_distance,
+        "scalingResiduals": scaling, "antiCommutators": anti,
+        "registerAlice": reg_a, "registerBob": reg_b,
+        "concentration": _concentration_json(concs),
+        "extractionUnitaries": {"alice": _extract_pair(concs, ("P0", "P1"), reg_a),
+                                "bob": _extract_pair(concs, ("Q0", "Q1"), reg_b)},
     }
-    max_distance = _report_max(scaling, anti, [cc.residual for cc in concs.values()],
-                               _extraction_distances(extraction))
-    return GeneralNoiseSelfTestReport(r, c, violation, eps_v, trace_error(strategy),
-                                      warning, canon, scaling, anti, reg_a, reg_b,
-                                      concs, extraction, max_distance)
+    return _report("chsh_general_noise", entries, ("scalingResiduals", "antiCommutators"),
+                   [entries["concentration"]])
 
 
-def selftest(strategy, rho: float):
+def selftest(strategy, rho: float) -> SelfTestReport:
     if isinstance(strategy, ChshStrategy):
         return chsh_selftest(strategy, rho)
     if isinstance(strategy, MagicSquareStrategy):

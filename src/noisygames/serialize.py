@@ -1,10 +1,12 @@
 """JSON schemas for strategies, states, reports and transcripts.
 
 All documents carry schemaVersion; loaders reject unknown fields so typos
-fail loudly instead of being silently ignored.  A strategy's n is at least
-1, and each member block holds exactly the keys of its game's operators at
-that n (_strategy_layout); an error in a member names its block and key.
-A 2-out-of-n strategy's nPrime lies between its n and MAX_LOCAL_QUBITS.
+fail loudly instead of being silently ignored.  Every self-test document is
+written by one loop: schemaVersion, its report's game, the report's entries
+in order, then maxDistance.  A strategy's n is at least 1, and each member
+block holds exactly the keys of its game's operators at that n
+(_strategy_layout); an error in a member names its block and key.  A
+2-out-of-n strategy's nPrime lies between its n and MAX_LOCAL_QUBITS.
 """
 
 from __future__ import annotations
@@ -14,12 +16,7 @@ import json
 import numpy as np
 
 from .certificates import SoSCertificate
-from .extraction import (
-    ChshSelfTestReport,
-    GeneralNoiseSelfTestReport,
-    MsSelfTestReport,
-    TwoOutOfNSelfTestReport,
-)
+from .extraction import SelfTestReport
 from .games import (
     ChshStrategy,
     GameValueReport,
@@ -284,97 +281,9 @@ def certificate_to_json(cert: SoSCertificate, eps_tr: float | None = None) -> di
     return out
 
 
-def _concentration_json(concs: dict) -> dict:
-    return {
-        label: {
-            "register": rc.register,
-            "weights": [float(w) for w in rc.weights],
-            "margin": rc.margin,
-            "tie": rc.tie,
-            "residual": rc.residual,
-        }
-        for label, rc in concs.items()
-    }
-
-
-def _extraction_json(extraction: dict) -> dict:
-    out = {}
-    for label, ext in extraction.items():
-        if ext is None:
-            out[label] = None
-        else:
-            out[label] = {"unitary": matrix_to_json(ext.unitary),
-                          "distZ": ext.dist_z, "distX": ext.dist_x,
-                          "theta": ext.theta, "degenerate": ext.degenerate}
-    return out
-
-
-def selftest_to_json(report) -> dict:
-    if isinstance(report, ChshSelfTestReport):
-        return {
-            "schemaVersion": SCHEMA_VERSION, "game": "chsh", "rho": report.rho,
-            "violation": report.violation, "epsV": report.eps_v, "epsTr": report.eps_tr,
-            "scalingResiduals": report.scaling_residuals,
-            "antiCommutators": report.anticommutators,
-            "relationDistances": report.relation_distances,
-            "register": report.register, "registerVotes": report.register_votes,
-            "registerAmbiguous": report.register_ambiguous,
-            "concentration": _concentration_json(report.concentration),
-            "extractionUnitaries": _extraction_json(report.extraction),
-            "maxDistance": report.max_distance,
-        }
-    if isinstance(report, MsSelfTestReport):
-        return {
-            "schemaVersion": SCHEMA_VERSION, "game": "magic_square", "rho": report.rho,
-            "overall": report.overall, "epsWin": report.eps_win, "epsTr": report.eps_tr,
-            "rowColDistances": report.row_col_distances,
-            "pVsQtDistances": report.p_vs_qt_distances,
-            "scalingResiduals": report.scaling_residuals,
-            "sameLineCommutators": report.same_line_commutators,
-            "crossAntiCommutators": report.cross_anticommutators,
-            "productDistances": report.product_distances,
-            "wrongParityMass": report.wrong_parity_mass,
-            "register": report.register, "registerVotes": report.register_votes,
-            "registerAmbiguous": report.register_ambiguous,
-            "concentration": _concentration_json(report.concentration),
-            "localUnitary": (None if report.local_unitary is None
-                             else matrix_to_json(report.local_unitary)),
-            "anchorDistances": report.anchor_distances,
-            "pauliDistances": report.pauli_distances,
-            "maxDistance": report.max_distance,
-        }
-    if isinstance(report, TwoOutOfNSelfTestReport):
-        return {
-            "schemaVersion": SCHEMA_VERSION, "game": "two_out_of_n", "rho": report.rho,
-            "winProb": report.win_prob, "epsV": report.eps_v, "epsTr": report.eps_tr,
-            "indexAntiCommutators": report.index_anticommutators,
-            "crossCommutators": report.cross_commutators,
-            "marginalRelationDistances": report.marginal_relation_distances,
-            "registers": {str(k): v for k, v in report.registers.items()},
-            "distinct": report.distinct,
-            "collisions": [{"indexA": c.index_a, "indexB": c.index_b,
-                            "register": c.register, "contradiction": c.contradiction}
-                           for c in report.collisions],
-            "extractionUnitaries": _extraction_json(report.extraction),
-            "maxDistance": report.max_distance,
-        }
-    if isinstance(report, GeneralNoiseSelfTestReport):
-        return {
-            "schemaVersion": SCHEMA_VERSION, "game": "chsh_general_noise",
-            "r": report.r, "c": report.c, "violation": report.violation,
-            "epsV": report.eps_v, "epsTr": report.eps_tr,
-            "nonlocalityWarning": report.nonlocality_warning,
-            "ySignA": report.canonicalization.y_sign_a,
-            "ySignB": report.canonicalization.y_sign_b,
-            "eprDistance": report.canonicalization.epr_distance,
-            "scalingResiduals": report.scaling_residuals,
-            "antiCommutators": report.anticommutators,
-            "registerAlice": report.register_alice, "registerBob": report.register_bob,
-            "concentration": _concentration_json(report.concentration),
-            "extractionUnitaries": _extraction_json(report.extraction),
-            "maxDistance": report.max_distance,
-        }
-    raise ValidationError(f"cannot serialize report type {type(report).__name__}")
+def selftest_to_json(report: SelfTestReport) -> dict:
+    return {"schemaVersion": SCHEMA_VERSION, "game": report.game, **report.entries,
+            "maxDistance": report.max_distance}
 
 
 def transcript_to_json(transcript: ProtocolTranscript, include_rounds: bool = False) -> dict:

@@ -188,8 +188,8 @@ def test_acceptance_5_selftest_scaling():
     k_ok = True
     for theta in THETAS:
         rep = chsh_selftest(perturbed_chsh_strategy(3, 2, theta), rho)
-        k_ok &= rep.register == 2
-        eps.append(rep.eps_v)
+        k_ok &= rep["register"] == 2
+        eps.append(rep["epsV"])
         dists.append(rep.max_distance)
     base = chsh_selftest(canonical_chsh_strategy(3, register=2), rho)
     chsh_ok = (k_ok and base.max_distance < 1e-6
@@ -201,8 +201,8 @@ def test_acceptance_5_selftest_scaling():
     l_ok = True
     for theta in THETAS:
         rep = ms_selftest(perturbed_magic_square_strategy(2, 1, theta), rho)
-        l_ok &= rep.register == 1
-        eps.append(rep.eps_win)
+        l_ok &= rep["register"] == 1
+        eps.append(rep["epsWin"])
         dists.append(rep.max_distance)
     base = ms_selftest(canonical_magic_square_strategy(2), rho)
     ms_ok = (l_ok and base.max_distance < 1e-6
@@ -214,8 +214,8 @@ def test_acceptance_5_selftest_scaling():
     s_ok = True
     for theta in THETAS:
         rep = two_out_of_n_selftest(perturbed_two_out_of_n_strategy(3, theta), rho)
-        s_ok &= rep.distinct
-        eps.append(rep.eps_v)
+        s_ok &= rep["distinct"]
+        eps.append(rep["epsV"])
         dists.append(rep.max_distance)
     base = two_out_of_n_selftest(canonical_two_out_of_n_strategy(3), rho)
     toon_ok = (s_ok and base.max_distance < 1e-6
@@ -268,11 +268,11 @@ def test_acceptance_8_general_noise():
     spec_ok = np.allclose(spectrum.values, [1.0, 0.8, 0.8, 0.6], atol=1e-9)
     corr_ok = abs(maximal_correlation(state) - 0.8) < 1e-9
     rep = general_noise_selftest(canonical_chsh_strategy(1), spectrum)
-    value_ok = abs(rep.violation - 2 * ROOT2 * 0.8) < 1e-9
+    value_ok = abs(rep["violation"] - 2 * ROOT2 * 0.8) < 1e-9
     dist_ok = rep.max_distance < 1e-9
     ok = spec_ok and corr_ok and value_ok and dist_ok
     report(8, ok, f"spectrum {np.round(spectrum.values, 6).tolist()}, "
-                  f"violation {rep.violation:.9f}, max distance {rep.max_distance:.2e}")
+                  f"violation {rep['violation']:.9f}, max distance {rep.max_distance:.2e}")
 
 
 def test_acceptance_9_appendix_lemma_oracles():

@@ -106,16 +106,23 @@ def test_selftest_two_out_of_n(capsys):
     assert doc["distinct"]
 
 
-def test_selftest_theta_sweep_csv(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--game", "chsh",
-                           "--strategy", "canonical", "--rho", "0.7",
-                           "--n", "3", "--register", "2",
+@pytest.mark.parametrize("game, options, gap", [
+    ("chsh", ("--n", "3", "--register", "2"), "epsV"),
+    ("magic_square", (), "epsWin"),
+    ("two_out_of_n", ("--n", "3"), "epsV"),
+], ids=["chsh", "magic_square", "two_out_of_n"])
+def test_selftest_theta_sweep_csv(capsys, game, options, gap):
+    # the gap column is headed by the key of the report's gap
+    code, out, _ = run_cli(capsys, "selftest", "--game", game,
+                           "--strategy", "canonical", "--rho", "0.7", *options,
                            "--theta-sweep", "0.05,0.1,0.2")
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == "theta,epsV,maxDistance"
+    assert lines[0] == f"theta,{gap},maxDistance"
     assert len(lines) == 4
+    gaps = [float(l.split(",")[1]) for l in lines[1:]]
     dists = [float(l.split(",")[2]) for l in lines[1:]]
+    assert 0 < gaps[0] < gaps[1] < gaps[2]
     assert dists[0] < dists[1] < dists[2]
 
 

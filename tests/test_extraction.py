@@ -234,19 +234,19 @@ def test_lp_examples_and_oracle():
 
 def test_chsh_selftest_canonical():
     rep = chsh_selftest(canonical_chsh_strategy(3, register=2), 0.7)
-    assert rep.register == 2
-    assert not rep.register_ambiguous
+    assert rep["register"] == 2
+    assert not rep["registerAmbiguous"]
     assert rep.max_distance < 1e-9
-    assert rep.eps_v == pytest.approx(0.0, abs=1e-9)
-    assert rep.eps_tr == pytest.approx(0.0, abs=1e-12)
+    assert rep["epsV"] == pytest.approx(0.0, abs=1e-9)
+    assert rep["epsTr"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_chsh_selftest_scaling_sweep():
     eps, dists = [], []
     for theta in THETAS:
         rep = chsh_selftest(perturbed_chsh_strategy(3, 2, theta), 0.7)
-        assert rep.register == 2
-        eps.append(rep.eps_v)
+        assert rep["register"] == 2
+        eps.append(rep["epsV"])
         dists.append(rep.max_distance)
     assert all(d2 > d1 for d1, d2 in zip(dists, dists[1:]))
     assert 0.4 <= loglog_slope(eps, dists) <= 0.6
@@ -266,7 +266,7 @@ def test_chsh_selftest_recovers_rotated_strategy():
     assert chsh_violation(rotated, 0.7).violation == pytest.approx(
         2 * np.sqrt(2) * 0.7, abs=1e-12)
     rep = chsh_selftest(rotated, 0.7)
-    assert rep.register == 2
+    assert rep["register"] == 2
     assert rep.max_distance < 1e-9
 
 
@@ -274,24 +274,24 @@ def test_chsh_selftest_rho_independence_of_raw_distances():
     strat = perturbed_chsh_strategy(2, 1, 0.15)
     r1 = chsh_selftest(strat, 0.7)
     r2 = chsh_selftest(strat, 0.95)
-    assert r1.relation_distances == r2.relation_distances
-    assert r1.anticommutators == r2.anticommutators
+    assert r1["relationDistances"] == r2["relationDistances"]
+    assert r1["antiCommutators"] == r2["antiCommutators"]
 
 
 def test_ms_selftest_canonical():
     rep = ms_selftest(canonical_magic_square_strategy(2, register=1), 0.7)
-    assert rep.register == 1
+    assert rep["register"] == 1
     assert rep.max_distance < 1e-9
-    assert max(rep.pauli_distances.values()) < 1e-9
-    assert all(v == pytest.approx(0.0, abs=1e-12) for v in rep.wrong_parity_mass.values())
+    assert max(rep["pauliDistances"].values()) < 1e-9
+    assert all(v == pytest.approx(0.0, abs=1e-12) for v in rep["wrongParityMass"].values())
 
 
 def test_ms_selftest_sweep():
     eps, dists = [], []
     for theta in THETAS:
         rep = ms_selftest(perturbed_magic_square_strategy(2, 1, theta), 0.7)
-        assert rep.register == 1
-        eps.append(rep.eps_win)
+        assert rep["register"] == 1
+        eps.append(rep["epsWin"])
         dists.append(rep.max_distance)
     assert all(d2 > d1 for d1, d2 in zip(dists, dists[1:]))
     assert 0.4 <= loglog_slope(eps, dists) <= 0.6
@@ -302,8 +302,8 @@ def test_ms_selftest_single_rotated_observable():
                                                        only_variable=(1, 1)), 0.7)
     rep1 = ms_selftest(perturbed_magic_square_strategy(1, 1, 0.15,
                                                        only_variable=(1, 1)), 0.7)
-    assert 0 < rep0.p_vs_qt_distances["s11"] < rep1.p_vs_qt_distances["s11"]
-    assert rep0.p_vs_qt_distances["s12"] < 1e-9
+    assert 0 < rep0["pVsQtDistances"]["s11"] < rep1["pVsQtDistances"]["s11"]
+    assert rep0["pVsQtDistances"]["s12"] < 1e-9
 
 
 def test_ms_selftest_recovers_rotated_strategy():
@@ -323,7 +323,7 @@ def test_ms_selftest_recovers_rotated_strategy():
     assert value.overall == pytest.approx(0.85, abs=1e-12)  # still exactly optimal
     rep = ms_selftest(rotated, 0.7)
     assert rep.max_distance < 1e-9
-    assert max(rep.pauli_distances.values()) < 1e-9
+    assert max(rep["pauliDistances"].values()) < 1e-9
 
 
 def test_ms_selftest_uniform_povm_flags_parity():
@@ -333,13 +333,13 @@ def test_ms_selftest_uniform_povm_flags_parity():
     from noisygames.games import MagicSquareStrategy
 
     rep = ms_selftest(MagicSquareStrategy(1, povms, strat.bob_observables), 0.7)
-    assert rep.wrong_parity_mass["r1"] == pytest.approx(0.5)
+    assert rep["wrongParityMass"]["r1"] == pytest.approx(0.5)
 
 
 def test_two_out_of_n_selftest_canonical():
     rep = two_out_of_n_selftest(canonical_two_out_of_n_strategy(3), 0.7)
-    assert rep.registers == {1: 1, 2: 2, 3: 3}
-    assert rep.distinct
+    assert rep["registers"] == {"1": 1, "2": 2, "3": 3}
+    assert rep["distinct"]
     assert rep.max_distance < 1e-9
 
 
@@ -347,8 +347,8 @@ def test_two_out_of_n_selftest_sweep():
     eps, dists = [], []
     for theta in THETAS:
         rep = two_out_of_n_selftest(perturbed_two_out_of_n_strategy(3, theta), 0.7)
-        assert rep.distinct
-        eps.append(rep.eps_v)
+        assert rep["distinct"]
+        eps.append(rep["epsV"])
         dists.append(rep.max_distance)
     assert all(d2 > d1 for d1, d2 in zip(dists, dists[1:]))
     assert 0.4 <= loglog_slope(eps, dists) <= 0.6
@@ -363,14 +363,14 @@ def test_two_out_of_n_collision_detected():
                                    dict(base.alice_pair_povms),
                                    dict(base.bob_pair_povms))
     rep = two_out_of_n_selftest(conflicted, 0.7)
-    assert not rep.distinct
-    assert rep.collisions and rep.collisions[0].contradiction == pytest.approx(1.0)
+    assert not rep["distinct"]
+    assert rep["collisions"] and rep["collisions"][0]["contradiction"] == pytest.approx(1.0)
 
 
 def test_selftest_dispatch():
-    assert selftest(canonical_chsh_strategy(1), 0.5).register == 1
-    assert selftest(canonical_magic_square_strategy(1), 0.5).register == 1
-    assert selftest(canonical_two_out_of_n_strategy(2), 0.5).distinct
+    assert selftest(canonical_chsh_strategy(1), 0.5)["register"] == 1
+    assert selftest(canonical_magic_square_strategy(1), 0.5)["register"] == 1
+    assert selftest(canonical_two_out_of_n_strategy(2), 0.5)["distinct"]
     with pytest.raises(ValidationError):
         selftest(canonical_chsh_strategy(1), 1.0)
 
@@ -378,11 +378,11 @@ def test_selftest_dispatch():
 def test_general_noise_selftest_bit_phase_flip():
     spectrum = diagonalize_correlation(bit_phase_flip_epr(0.8))
     rep = general_noise_selftest(canonical_chsh_strategy(1), spectrum)
-    assert rep.r == pytest.approx(0.8, abs=1e-9)
-    assert rep.c == pytest.approx(0.6, abs=1e-9)
-    assert rep.violation == pytest.approx(2 * np.sqrt(2) * 0.8, abs=1e-9)
+    assert rep["r"] == pytest.approx(0.8, abs=1e-9)
+    assert rep["c"] == pytest.approx(0.6, abs=1e-9)
+    assert rep["violation"] == pytest.approx(2 * np.sqrt(2) * 0.8, abs=1e-9)
     assert rep.max_distance < 1e-9
-    assert not rep.nonlocality_warning
+    assert not rep["nonlocalityWarning"]
 
 
 def test_general_noise_matches_depolarizing_selftest():
@@ -390,8 +390,8 @@ def test_general_noise_matches_depolarizing_selftest():
     strat = canonical_chsh_strategy(1)
     gen = general_noise_selftest(strat, spectrum)
     dep = chsh_selftest(strat, 0.7)
-    assert gen.violation == pytest.approx(dep.violation, abs=1e-9)
-    assert gen.register_alice == dep.register
+    assert gen["violation"] == pytest.approx(dep["violation"], abs=1e-9)
+    assert gen["registerAlice"] == dep["register"]
     assert gen.max_distance < 1e-9
 
 
@@ -408,14 +408,14 @@ def test_general_noise_rejects_unequal_correlations():
 def test_general_noise_warns_without_nonlocality():
     spectrum = diagonalize_correlation(make_depolarized_epr(0.55, 1))
     rep = general_noise_selftest(canonical_chsh_strategy(1), spectrum)
-    assert rep.nonlocality_warning  # 2 sqrt(2) * 0.55 < 2
+    assert rep["nonlocalityWarning"]  # 2 sqrt(2) * 0.55 < 2
 
 
 def test_general_noise_selftest_multiregister():
     spectrum = diagonalize_correlation(bit_phase_flip_epr(0.8))
     rep = general_noise_selftest(canonical_chsh_strategy(2, register=2), spectrum)
-    assert rep.violation == pytest.approx(2 * np.sqrt(2) * 0.8, abs=1e-9)
-    assert rep.register_alice == 2 and rep.register_bob == 2
+    assert rep["violation"] == pytest.approx(2 * np.sqrt(2) * 0.8, abs=1e-9)
+    assert rep["registerAlice"] == 2 and rep["registerBob"] == 2
     assert rep.max_distance < 1e-9
 
 

@@ -57,7 +57,7 @@ def _chsh(strategy):
     def eps(rho):
         violation = mpmath.fsum(s * _at(corr[k], rho) for k, s in CHSH_SIGNS.items())
         return 2 * mpmath.sqrt(2) * rho - violation
-    return lambda rho: chsh_selftest(strategy, rho).eps_v, eps
+    return lambda rho: chsh_selftest(strategy, rho)["epsV"], eps
 
 
 def _magic_square(strategy):
@@ -80,7 +80,7 @@ def _magic_square(strategy):
         overall = mpmath.fsum((mass + answer * _at(p, rho)) / 2
                               for mass, p, answer in terms) / 18
         return (1 + rho) / 2 - overall
-    return lambda rho: ms_selftest(strategy, rho).eps_win, eps
+    return lambda rho: ms_selftest(strategy, rho)["epsWin"], eps
 
 
 def _two_out_of_n(strategy):
@@ -107,7 +107,7 @@ def _two_out_of_n(strategy):
     def eps(rho):
         win = mpmath.fsum((1 + s * _at(c, rho)) / 2 for s, c in terms) / len(terms)
         return 2 * mpmath.sqrt(2) * rho - 8 * (win - mpmath.mpf(1) / 2)
-    return lambda rho: two_out_of_n_selftest(strategy, rho).eps_v, eps
+    return lambda rho: two_out_of_n_selftest(strategy, rho)["epsV"], eps
 
 
 GAMES = {

@@ -29,7 +29,7 @@ def test_api_block_runs_as_its_comments_say():
     namespace = {}
     exec(compile(api_block(), str(README), "exec"), namespace)
     report, transcript = namespace["report"], namespace["transcript"]
-    assert (report.register, report.max_distance) == (2, pytest.approx(0.0, abs=1e-12))
+    assert (report["register"], report.max_distance) == (2, pytest.approx(0.0, abs=1e-12))
     assert transcript.accept
     rho_hat = namespace["estimate_noise_rate"]("chsh", transcript=transcript).rho_hat
     assert rho_hat == pytest.approx(0.8, abs=0.05)

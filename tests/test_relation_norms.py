@@ -99,7 +99,7 @@ def chsh_strategies():
 def test_chsh_anticommutators(strategy):
     want = {player: explicit(*ops, 1) for player, ops in
             (("alice", strategy.alice), ("bob", strategy.bob))}
-    assert_close(chsh_selftest(strategy, 0.7).anticommutators, want)
+    assert_close(chsh_selftest(strategy, 0.7)["antiCommutators"], want)
 
 
 @pytest.mark.parametrize("strategy", list(chsh_strategies()))
@@ -109,7 +109,7 @@ def test_general_noise_anticommutators(strategy):
     spectrum = diagonalize_correlation(bit_phase_flip_epr(0.8))
     want = {player: explicit(*ops, 1) for player, ops in
             (("alice", strategy.alice), ("bob", strategy.bob))}
-    assert_close(general_noise_selftest(strategy, spectrum).anticommutators, want)
+    assert_close(general_noise_selftest(strategy, spectrum)["antiCommutators"], want)
 
 
 def ms_strategies():
@@ -139,9 +139,9 @@ def test_ms_commutators_anticommutators_and_products(strategy):
                 hs_norm(obs[q, 1] @ obs[q, 2] @ obs[q, 3] - ms_parity_target(q) * eye)
                 for q in MS_QUESTIONS}
     report = ms_selftest(strategy, 0.7)
-    assert_close(report.same_line_commutators, same_line)
-    assert_close(report.cross_anticommutators, cross)
-    assert_close(report.product_distances, products)
+    assert_close(report["sameLineCommutators"], same_line)
+    assert_close(report["crossAntiCommutators"], cross)
+    assert_close(report["productDistances"], products)
 
 
 def two_out_of_n_strategies():
@@ -161,8 +161,8 @@ def test_two_out_of_n_index_anticommutators_and_cross_commutators(strategy):
     cross = {f"{p}{i}{u},{p}{j}{v}": explicit(ops[(i, u)], ops[(j, v)], -1)
              for i, u, j, v in _pair_keys(strategy.n) for p, ops in players}
     report = two_out_of_n_selftest(strategy, 0.76)
-    assert_close(report.index_anticommutators, anti)
-    assert_close(report.cross_commutators, cross)
+    assert_close(report["indexAntiCommutators"], anti)
+    assert_close(report["crossCommutators"], cross)
 
 
 def bloch_unit(op):
@@ -189,13 +189,13 @@ def test_collision_contradiction_is_the_bloch_cross_product(seed):
     strategy = TwoOutOfNStrategy(2, 2, alice, bob,
                                  dict(base.alice_pair_povms), dict(base.bob_pair_povms))
     report = two_out_of_n_selftest(strategy, 0.7)
-    assert report.registers == {1: 1, 2: 1} and not report.distinct
-    (collision,) = report.collisions
-    assert (collision.index_a, collision.index_b, collision.register) == (1, 2, 1)
+    assert report["registers"] == {"1": 1, "2": 1} and not report["distinct"]
+    (collision,) = report["collisions"]
+    assert (collision["indexA"], collision["indexB"], collision["register"]) == (1, 2, 1)
     want = max(np.linalg.norm(np.cross(bloch_unit(a), bloch_unit(b)))
                for a in (SIGMA_Z, SIGMA_X) for b in locals_)
-    assert abs(collision.contradiction - want) <= TOL
-    assert 0.0 < collision.contradiction < 1.0
+    assert abs(collision["contradiction"] - want) <= TOL
+    assert 0.0 < collision["contradiction"] < 1.0
 
 
 def test_collision_between_rotated_copies_is_strictly_partial():
@@ -210,5 +210,5 @@ def test_collision_between_rotated_copies_is_strictly_partial():
     bob[(2, 0)], bob[(2, 1)] = bob[(1, 0)], bob[(1, 1)]
     strategy = TwoOutOfNStrategy(2, 2, alice, bob,
                                  dict(base.alice_pair_povms), dict(base.bob_pair_povms))
-    (collision,) = two_out_of_n_selftest(strategy, 0.7).collisions
-    assert collision.contradiction == pytest.approx(c, abs=TOL)
+    (collision,) = two_out_of_n_selftest(strategy, 0.7)["collisions"]
+    assert collision["contradiction"] == pytest.approx(c, abs=TOL)

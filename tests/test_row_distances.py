@@ -50,7 +50,7 @@ def test_chsh_relation_distances(n, seed):
     q0, q1 = strat.bob
     want = {f"P{i}_vs_QT": hs_distance(strat.alice[i], (q0 + (-1) ** i * q1).T / S2)
             for i in (0, 1)}
-    assert_close(chsh_selftest(strat, 0.7).relation_distances, want)
+    assert_close(chsh_selftest(strat, 0.7)["relationDistances"], want)
 
 
 @pytest.mark.parametrize("kind", ["projective", "mixed", "raw"])
@@ -70,9 +70,9 @@ def test_ms_row_distances_and_wrong_parity_mass(n, kind):
                     if np.prod(a) != ms_parity_target(q))
              for q in povms}
     report = ms_selftest(strat, 0.74)
-    assert_close(report.row_col_distances, row_col)
-    assert_close(report.p_vs_qt_distances, p_vs_qt)
-    assert_close(report.wrong_parity_mass, wrong)
+    assert_close(report["rowColDistances"], row_col)
+    assert_close(report["pVsQtDistances"], p_vs_qt)
+    assert_close(report["wrongParityMass"], wrong)
 
 
 def random_two_out_of_n(n: int, rng) -> TwoOutOfNStrategy:
@@ -108,4 +108,4 @@ def test_two_out_of_n_marginal_relation_distances(n):
                                                     a_comb.T / S2)
                     want["T" + label] = hs_distance(strat.pair_marginal("alice", i, y, j, z),
                                                     b_comb.T / S2)
-    assert_close(two_out_of_n_selftest(strat, 0.76).marginal_relation_distances, want)
+    assert_close(two_out_of_n_selftest(strat, 0.76)["marginalRelationDistances"], want)
