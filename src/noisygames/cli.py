@@ -190,7 +190,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate_rho(args) -> int:
     from . import serialize
-    from .protocols import _GAMES, _estimated_rate, _fixed_round_rates, estimate_noise_rate
+    from .protocols import _estimated_rate, estimate_noise_rate, play_rounds
 
     if args.transcript:
         with open(args.transcript) as fh:
@@ -219,8 +219,7 @@ def cmd_estimate_rho(args) -> int:
             raise ValueError("need --transcript, --statistic, or --rho-true to simulate")
         strategy = serialize.strategy_from_json(
             {"kind": "canonical", "game": args.game, "n": args.n})
-        rates = _fixed_round_rates(_GAMES[args.game][1](strategy, args.rho_true),
-                                   args.rounds, args.seed)
+        rates = play_rounds(strategy, args.rho_true, args.rounds, args.seed)
         est = estimate_noise_rate(args.game, statistic=rates[_estimated_rate(args.game).index],
                                   n_rounds=args.rounds, confidence=args.confidence)
     _emit(serialize.estimate_to_json(est), args)

@@ -27,6 +27,7 @@ from .pauli import (
     ValidationError,
     _check_operators,
     default_basis,
+    infer_registers,
     noisy_epr_expectation,
     pauli_expand,
     pauli_reconstruct,
@@ -627,16 +628,18 @@ def _basis_pair(m: int) -> tuple[StandardBasis, StandardBasis]:
 
 
 class PairEvaluator:
-    """Pairs operators under a shared noisy state.  The CHSH value, both SoS
-    certificates and the self-tests expand both players' stacks
-    (expand_stacks; the magic-square certificate one question's elements and
-    one variable's observable).  The magic-square and 2-out-of-n values and
-    the 2-out-of-n sampler expand only the smaller side and move it through
-    the noise into the other player's basis (gram): Bob's nine observables
-    against Alice's 48 raw POVM elements, and each player's 2n singles
-    against the other's raw pair-POVM elements (_two_out_of_n_grams).  Only
-    the CHSH and magic-square samplers use pair (and its id()-keyed expand_a
-    and expand_b), on the strategy's fields.  They stay while the benchmark
+    """Pairs operators under a shared noisy state; the package's one noise
+    channel.  The CHSH value and see-saw, both SoS certificates and the
+    self-tests expand both players' stacks (expand_stacks; the magic-square
+    certificate one question's elements and one variable's observable).
+    move carries one player's coefficient rows through the noise into the
+    other's basis: for the see-saw's best responses, and in gram, by which
+    the magic-square and 2-out-of-n values and the 2-out-of-n sampler expand
+    only the smaller side: Bob's nine observables against Alice's 48 raw
+    POVM elements, and each player's 2n singles against the other's raw
+    pair-POVM elements (_two_out_of_n_grams).  Only the CHSH and
+    magic-square samplers use pair (and its id()-keyed expand_a and
+    expand_b), on the strategy's fields.  They stay while the benchmark
     asserts that the protocol workload re-expands operators and wraps each
     sampler class by name, which stacking those samplers breaks.
 
@@ -661,7 +664,8 @@ class PairEvaluator:
             self.weights = np.full(m * m, rho)
             self.weights[0] = 1.0
         else:
-            raise ValidationError(f"unsupported noise specification: {noise!r}")
+            raise ValidationError(f"unsupported noise specification: a {type(noise).__name__}, "
+                                  "not a fidelity or a CorrelationSpectrum")
         # keyed by id(); the cached entry keeps the array alive so ids are
         # never recycled under us
         self._cache_a: dict[int, tuple] = {}
@@ -685,17 +689,25 @@ class PairEvaluator:
             raise ValidationError("operands live on different register structures")
         return exp_a.coeffs, exp_b.coeffs, self.weight_vector(exp_a.n)
 
+    def move(self, coeffs: np.ndarray, first: bool = True) -> np.ndarray:
+        """The (k, d, d) operators F~ = sum_x w(x) F_hat(x) B'_x of coefficient
+        rows F_hat of the first player if first, else of the second, in the
+        other player's basis B': tr(F~ M) / d = sum_x w(x) F_hat(x) M_hat(x)
+        for the other's M.  At fidelity rho, F~ is F's depolarized transpose."""
+        other = self.basis_b if first else self.basis_a
+        n = infer_registers(coeffs.shape[-1], other.m ** 2)
+        return pauli_reconstruct(PauliExpansion(other.m, n, coeffs * self.weight_vector(n), other))
+
     def gram(self, few, many, first: bool = True) -> np.ndarray:
         """The expectations of few[r] (x) many[c], few held by the first player
-        if first, else by the second.  Only the few are expanded: sum_x w(x)
-        F_hat(x) M_hat(x) = tr(F~ M) / d for F~ = sum_x w(x) F_hat(x) B'_x in
-        the other player's basis B'.  The discarded imaginary part is checked."""
-        own, other = (self.basis_a, self.basis_b) if first else (self.basis_b, self.basis_a)
-        exp = pauli_expand(few, own, validated=True)
-        moved = pauli_reconstruct(PauliExpansion(
-            exp.m, exp.n, exp.coeffs * self.weight_vector(exp.n) / exp.dim, other))
-        # tr(F~ M) / d = sum_ij F~^T[i, j] M[i, j] / d
-        g = moved.transpose(0, 2, 1).reshape(len(moved), -1) @ many.reshape(-1, exp.dim ** 2).T
+        if first, else by the second.  Only the few are expanded and moved
+        (move); the discarded imaginary part is checked."""
+        moved = self.move(pauli_expand(few, self.basis_a if first else self.basis_b,
+                                       validated=True).coeffs, first)
+        # tr(F~ M) / d = sum_ij F~^T[i, j] M[i, j] / d; d is a power of two,
+        # so dividing last is exact
+        d = moved.shape[-1]
+        g = moved.transpose(0, 2, 1).reshape(len(moved), -1) @ many.reshape(-1, d * d).T / d
         residue = float(np.abs(g.imag).max()) if g.size else 0.0
         if not residue <= COEFF_IMAG_ATOL:  # also true for NaN
             raise ValidationError(f"pairings have imaginary residue {residue:.3e}")
@@ -748,9 +760,9 @@ def _dense_joint(state: BipartiteState, d: int) -> np.ndarray:
 
 
 def chsh_violation(strategy: ChshStrategy, noise) -> GameValueReport:
-    """Value of the CHSH functional; win probability is 1/2 + violation/8."""
-    if isinstance(noise, BipartiteState):
-        return chsh_violation_dense(strategy, noise)
+    """Value of the CHSH functional under the noise PairEvaluator takes, a
+    fidelity or a CorrelationSpectrum; win probability is 1/2 + violation/8.
+    An explicit state is evaluated by chsh_violation_dense."""
     a, b, w = PairEvaluator(noise).expand_stacks(*strategy.stacks)
     return _chsh_report((a * w) @ b.T)
 

@@ -13,27 +13,16 @@ import numpy as np
 from .certificates import chsh_upper_bound, magic_square_upper_bound
 from .games import (
     ChshStrategy,
+    PairEvaluator,
+    _chsh_report,
     canonical_chsh_strategy,
     canonical_magic_square_strategy,
-    chsh_violation,
     magic_square_value,
     random_chsh_strategy,
     random_magic_square_strategy,
     trace_error,
 )
-from .pauli import (
-    ValidationError,
-    apply_depolarizing_coeffs,
-    default_basis,
-    pauli_expand,
-    pauli_reconstruct,
-)
-
-
-def depolarize_matrix(op: np.ndarray, rho: float, m: int = 2) -> np.ndarray:
-    """Register-wise depolarizing channel applied to a dense operator."""
-    exp = pauli_expand(op, default_basis(m))
-    return pauli_reconstruct(apply_depolarizing_coeffs(exp, rho))
+from .pauli import ValidationError
 
 
 @dataclass
@@ -50,15 +39,14 @@ class OptimizationTrace:
             self.best_strategy = strategy
 
 
-def _best_traceless_binary_response(target: np.ndarray) -> tuple[np.ndarray, float]:
-    """Maximize the normalized trace of P @ target over traceless binary P:
-    sign +1 on the top half of target's eigenbasis, -1 on the bottom."""
-    vals, vecs = np.linalg.eigh(target)
-    d = target.shape[0]
+def _best_responses(targets: np.ndarray) -> np.ndarray:
+    """Per target, the traceless binary P maximizing the normalized trace of
+    P @ target: sign +1 on the top half of target's eigenbasis, -1 on the
+    bottom."""
+    vecs = np.linalg.eigh(targets)[1]
+    d = targets.shape[-1]
     signs = np.concatenate([-np.ones(d // 2), np.ones(d - d // 2)])  # eigh ascending
-    p = (vecs * signs) @ vecs.conj().T
-    value = float((signs * vals).sum() / d)
-    return p, value
+    return (vecs * signs) @ vecs.conj().swapaxes(-1, -2)
 
 
 def seesaw_chsh(rho: float, n: int, init="random", max_iters: int = 100,
@@ -67,9 +55,12 @@ def seesaw_chsh(rho: float, n: int, init="random", max_iters: int = 100,
     observables.
 
     Each half-step solves its subproblem exactly within the traceless binary
-    class (eigenbasis sign assignment), so the value never decreases.  The
-    trace also reports the unconstrained-effective value of the final
-    iterate, where the responding player may use any binary observable.
+    class (eigenbasis sign assignment), so the value never decreases.  It
+    reads one PairEvaluator.expand_stacks of the new strategy, for its value
+    and for the X0 +- X1 targets that PairEvaluator.move gives the next
+    response.  The trace also reports the unconstrained-effective value of
+    the final iterate, where the responding player may use any binary
+    observable.
     """
     if not 0.0 < rho <= 1.0:
         raise ValidationError("see-saw needs rho in (0, 1]")
@@ -83,40 +74,32 @@ def seesaw_chsh(rho: float, n: int, init="random", max_iters: int = 100,
     else:
         raise ValidationError(f"unknown initialization {init!r}")
 
+    evaluator = PairEvaluator(rho)
     trace = OptimizationTrace()
-    value = chsh_violation(strategy, rho).violation
-    trace.record(value, "init", strategy)
+
+    def record(strategy: ChshStrategy, label: str) -> tuple:
+        a, b, w = evaluator.expand_stacks(*strategy.stacks)
+        value = _chsh_report((a * w) @ b.T).violation
+        trace.record(value, label, strategy)
+        return value, a, b
+
+    def targets(rows: np.ndarray, first: bool) -> np.ndarray:
+        """The X0 +- X1 combinations of one player's coefficient rows, moved
+        through the noise into the other player's basis."""
+        return evaluator.move(np.stack([rows[0] + rows[1], rows[0] - rows[1]]), first)
+
+    value, a, b = record(strategy, "init")
     for iteration in range(max_iters):
         previous = value
-        # Alice's exact response to the noise-scaled Bob combinations
-        new_alice = []
-        for i in (0, 1):
-            comb = strategy.bob[0] + (-1) ** i * strategy.bob[1]
-            target = depolarize_matrix(comb, rho).T
-            p, _ = _best_traceless_binary_response(target)
-            new_alice.append(p)
-        strategy = ChshStrategy(n, tuple(new_alice), strategy.bob)
-        value = chsh_violation(strategy, rho).violation
-        trace.record(value, f"alice_{iteration}", strategy)
-        # Bob's exact response to the noise-scaled Alice combinations
-        new_bob = []
-        for y in (0, 1):
-            comb = strategy.alice[0] + (-1) ** y * strategy.alice[1]
-            target = depolarize_matrix(comb, rho).T
-            q, _ = _best_traceless_binary_response(target)
-            new_bob.append(q)
-        strategy = ChshStrategy(n, strategy.alice, tuple(new_bob))
-        value = chsh_violation(strategy, rho).violation
-        trace.record(value, f"bob_{iteration}", strategy)
+        strategy = ChshStrategy(n, _best_responses(targets(b, False)), strategy.bob)
+        _, a, b = record(strategy, f"alice_{iteration}")
+        strategy = ChshStrategy(n, strategy.alice, _best_responses(targets(a, True)))
+        value, a, b = record(strategy, f"bob_{iteration}")
         if value - previous < tol:
             break
     # unconstrained binary response value for the final iterate
-    unconstrained = 0.0
-    for i in (0, 1):
-        comb = strategy.bob[0] + (-1) ** i * strategy.bob[1]
-        target = depolarize_matrix(comb, rho)
-        unconstrained += float(np.abs(np.linalg.eigvalsh(target)).sum()) / target.shape[0]
-    trace.unconstrained_value = unconstrained
+    trace.unconstrained_value = sum(float(np.abs(np.linalg.eigvalsh(t)).sum()) / len(t)
+                                    for t in targets(b, False))
     return trace
 
 

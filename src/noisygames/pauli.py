@@ -275,27 +275,6 @@ class PauliExpansion:
     basis: StandardBasis
     imag_residue: float = 0.0
 
-    @property
-    def dim(self) -> int:
-        return self.m ** self.n
-
-    def copy_with(self, coeffs: np.ndarray) -> "PauliExpansion":
-        return PauliExpansion(self.m, self.n, coeffs, self.basis, self.imag_residue)
-
-
-@lru_cache(maxsize=64)
-def _degree_vector(m2: int, n: int) -> np.ndarray:
-    """degree[x] = number of nonzero base-m2 digits of x, for all m2^n indices."""
-    deg = np.zeros(1, dtype=np.int64)
-    nz = np.arange(m2) != 0
-    for _ in range(n):
-        deg = (deg[:, None] + nz[None, :]).reshape(-1)
-    deg.setflags(write=False)
-    return deg
-
-
-def degree_vector(m: int, n: int) -> np.ndarray:
-    return _degree_vector(m * m, n)
 
 
 def index_digits(x: int, m: int, n: int) -> tuple[int, ...]:
@@ -400,16 +379,20 @@ def pauli_reconstruct(exp: PauliExpansion) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# noise action and degree manipulation in coefficient space
+# noise action in coefficient space: noise diagonal in the players' bases
+# weights coefficient x by w(x) = prod_k w(x_k), at fidelity rho by rho^|x|
+# for the degree |x| (the Pauli noise operator of arXiv:0810.2435).
+# games.PairEvaluator applies it, to pairings and (move) to operators.
 
 
-def apply_depolarizing_coeffs(exp: PauliExpansion, rho: float) -> PauliExpansion:
-    """Scale each coefficient by rho^degree: the register-wise depolarizing
-    channel in coefficient space."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValidationError(f"fidelity parameter must lie in [0, 1], got {rho}")
-    deg = degree_vector(exp.m, exp.n)
-    return exp.copy_with(exp.coeffs * rho ** deg)
+def degree_vector(m: int, n: int) -> np.ndarray:
+    """degree[x] = number of nonzero base-m^2 digits of x, the registers on
+    which B_x is not the identity, for all m^(2n) indices."""
+    deg = np.zeros(1, dtype=np.int64)
+    nz = np.arange(m * m) != 0
+    for _ in range(n):
+        deg = (deg[:, None] + nz[None, :]).reshape(-1)
+    return deg
 
 
 def register_weight_vector(per_index: np.ndarray, n: int) -> np.ndarray:

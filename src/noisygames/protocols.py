@@ -13,8 +13,9 @@ could be drawn in any order without changing results.  A run ends with the
 block in which the last tracked question comes up for the t-th time;
 nothing after that block is drawn.  A run expected to need more than 2**25
 rounds, t times the number of contexts over the contexts of the game's
-rarest tracked question, is rejected before any draw.  (The fixed-round
-player, _fixed_round_rates, draws from a Philox stream keyed by the seed.)
+rarest tracked question, is rejected before any draw.  The fixed-round
+player, play_rounds (behind estimate-rho --rho-true), instead draws a game's
+context and outcome counts from a Philox stream keyed by the seed.
 
 A round's outcome is the inverse-CDF draw of its uniform in its context's
 row.  A guide table of 2**bits buckets per row gives it with one gather;
@@ -438,6 +439,14 @@ _GAMES = {"chsh": (ChshStrategy, _chsh_game),
           "two_out_of_n": (TwoOutOfNStrategy, _two_out_of_n_game)}
 
 
+def _game_of(strategy, noise) -> _Game:
+    """The tables of the game that the strategy's class plays."""
+    build = next((build for cls, build in _GAMES.values() if isinstance(strategy, cls)), None)
+    if build is None:
+        raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
+    return build(strategy, float(noise))
+
+
 def sample_round(strategy, noise, questions, rng: np.random.Generator):
     """Draw one round of joint answers for the given questions.
 
@@ -448,10 +457,7 @@ def sample_round(strategy, noise, questions, rng: np.random.Generator):
     (role, i, j, x, y, z) with role 0 when the first player holds the single
     index; answers (a, (b_shared, b_other)).
     """
-    build = next((build for cls, build in _GAMES.values() if isinstance(strategy, cls)), None)
-    if build is None:
-        raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
-    game = build(strategy, float(noise))
+    game = _game_of(strategy, noise)
     if tuple(questions) not in game.questions:
         raise ValidationError(f"no question context {questions!r} in this game")
     ctx = game.questions.index(tuple(questions))
@@ -599,29 +605,19 @@ def _check_round_count(n_rounds) -> None:
         raise ValidationError(f"the round count must be an integer >= 1, got {n_rounds!r}")
 
 
-def _fixed_round_rates(game: _Game, n_rounds: int, seed: int) -> list:
-    """Rates over a fixed number of rounds (vectorized: multinomial context
-    counts, then multinomial outcomes per context)."""
+def play_rounds(strategy, rho: float, n_rounds: int, seed: int) -> tuple:
+    """The rates of a fixed number of rounds of the game that the strategy's
+    class plays: (win rate,), and for the magic square (win rate,
+    consistency rate).  Vectorized: multinomial context counts, then
+    multinomial outcomes per context, from a Philox stream keyed by seed."""
+    _check_round_count(n_rounds)
+    game = _game_of(strategy, rho)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     n_ctx = len(game.questions)
     per_ctx = rng.multinomial(n_rounds, np.full(n_ctx, 1.0 / n_ctx))
     probs = np.diff(game.sampler.cum, axis=1, prepend=0.0)
-    return _rates(game, np.array([rng.multinomial(k, row) for k, row in zip(per_ctx, probs)]),
-                  n_rounds)
-
-
-def play_chsh_rounds(strategy: ChshStrategy, rho: float, n_rounds: int,
-                     seed: int) -> float:
-    """Empirical CHSH win rate over a fixed number of rounds."""
-    _check_round_count(n_rounds)
-    return _fixed_round_rates(_chsh_game(strategy, rho), n_rounds, seed)[0]
-
-
-def play_ms_rounds(strategy: MagicSquareStrategy, rho: float, n_rounds: int,
-                   seed: int) -> tuple[float, float]:
-    """(win rate, consistency rate) over a fixed number of rounds."""
-    _check_round_count(n_rounds)
-    return tuple(_fixed_round_rates(_ms_game(strategy, rho), n_rounds, seed))
+    return tuple(_rates(game, np.array([rng.multinomial(k, row)
+                                        for k, row in zip(per_ctx, probs)]), n_rounds))
 
 
 # ---------------------------------------------------------------------------

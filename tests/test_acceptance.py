@@ -57,7 +57,7 @@ from noisygames.protocols import (
     ProtocolParams,
     derive_delta,
     estimate_noise_rate,
-    play_chsh_rounds,
+    play_rounds,
     run_protocol,
 )
 from noisygames.states import (
@@ -249,7 +249,7 @@ def test_acceptance_7_noise_estimation():
     covered = 0
     confidence = 0.95
     for s in range(100):
-        w = play_chsh_rounds(strat, 0.7, 100_000, seed=1000 + s)
+        (w,) = play_rounds(strat, 0.7, 100_000, seed=1000 + s)
         est = estimate_noise_rate("chsh", statistic=w, n_rounds=100_000,
                                   confidence=confidence)
         hits += abs(est.rho_hat - 0.7) <= 0.02

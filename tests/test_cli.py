@@ -183,13 +183,13 @@ def test_estimate_rho_simulated(capsys):
 def test_estimate_rho_simulates_the_requested_game(capsys):
     # the 2-out-of-3 rounds, not CHSH rounds, give the statistic
     from noisygames.games import canonical_two_out_of_n_strategy
-    from noisygames.protocols import _fixed_round_rates, _two_out_of_n_game
+    from noisygames.protocols import play_rounds
 
     code, out, _ = run_cli(capsys, "estimate-rho", "--game", "two_out_of_n", "--n", "3",
                            "--rho-true", "0.7", "--rounds", "20000", "--seed", "5")
     assert code == 0
-    game = _two_out_of_n_game(canonical_two_out_of_n_strategy(3), 0.7)
-    assert json.loads(out)["statistic"] == _fixed_round_rates(game, 20000, 5)[0]
+    strategy = canonical_two_out_of_n_strategy(3)
+    assert json.loads(out)["statistic"] == play_rounds(strategy, 0.7, 20000, 5)[0]
     code, chsh, _ = run_cli(capsys, "estimate-rho", "--game", "chsh",
                             "--rho-true", "0.7", "--rounds", "20000", "--seed", "5")
     assert code == 0 and chsh != out

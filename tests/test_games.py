@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from noisygames.pauli import (
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     ValidationError,
+    degree_vector,
     normalized_trace,
     pauli_expand,
     register_weight_vector,
@@ -58,7 +60,7 @@ def test_canonical_chsh_observables():
 
 
 def test_canonical_embedding_degree_profile():
-    from noisygames.pauli import degree_vector, pauli_basis
+    from noisygames.pauli import pauli_basis
 
     s = canonical_chsh_strategy(3, register=2)
     for op in (*s.alice, *s.bob):
@@ -108,8 +110,12 @@ def test_win_prob_identity_always():
 def test_explicit_state_evaluation_path():
     s = canonical_chsh_strategy(1)
     state = make_depolarized_epr(0.5, 1)
-    rep = chsh_violation(s, state)
+    rep = chsh_violation_dense(s, state)
     assert rep.violation == pytest.approx(np.sqrt(2), abs=1e-12)
+    # the coefficient path takes only the noise PairEvaluator takes
+    with pytest.raises(ValidationError,
+                       match="^unsupported noise specification: a BipartiteState, not a"):
+        chsh_violation(s, state)
 
 
 def test_chsh_strategy_rejects_non_contraction():
@@ -517,6 +523,91 @@ def test_pair_evaluator_builds_one_weight_vector_per_register_count():
     # the cached vector feeds the same expression as before
     assert ev.pair(strat.alice[0], strat.bob[1]) == float(
         np.sum(register_weight_vector(ev.weights, 2) * a.coeffs * b.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# the noise channel, PairEvaluator.move, on qubit and 4-dimensional registers
+
+
+def _random_hermitians(k, d, rng):
+    g = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    return (g + g.conj().swapaxes(1, 2)) / 2
+
+
+def _move(rho, m, ops, first=True):
+    """A stack of one player's operators moved through depolarizing noise of
+    fidelity rho into the other player's basis."""
+    ev = PairEvaluator(rho, m=m)
+    return ev.move(pauli_expand(ops, ev.basis_a if first else ev.basis_b).coeffs, first)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (4, 1), (4, 2)])
+@pytest.mark.parametrize("first", [True, False])
+def test_move_scales_each_coefficient_by_rho_to_its_degree(m, n, first):
+    ev = PairEvaluator(0.6, m=m)
+    own, other = (ev.basis_a, ev.basis_b) if first else (ev.basis_b, ev.basis_a)
+    coeffs = pauli_expand(_random_hermitians(3, m ** n, np.random.default_rng([11, m, n])),
+                          own).coeffs
+    moved = pauli_expand(ev.move(coeffs, first), other).coeffs
+    assert np.abs(moved - coeffs * 0.6 ** degree_vector(m, n)).max() < 1e-12
+
+
+_XZ = np.kron(SIGMA_X, SIGMA_Z)
+
+
+@pytest.mark.parametrize("m, op, rho, expected", [
+    (2, SIGMA_X, 1.0, SIGMA_X),
+    (2, SIGMA_X, 0.6, 0.6 * SIGMA_X),
+    (2, SIGMA_Y, 0.6, 0.6 * SIGMA_Y.T),  # into the transposed basis
+    (2, _XZ, 0.5, 0.25 * _XZ),
+    (2, np.kron(SIGMA_Z, SIGMA_Z), 0.5, 0.25 * np.kron(SIGMA_Z, SIGMA_Z)),
+    (2, np.eye(2), 0.3, np.eye(2)),
+    (4, _XZ, 0.6, 0.6 * _XZ),  # one 4-dimensional register: degree one
+    (4, np.kron(_XZ, _XZ), 0.5, 0.25 * np.kron(_XZ, _XZ)),
+    (4, np.eye(4), 0.3, np.eye(4)),
+])
+def test_move_examples(m, op, rho, expected):
+    assert np.abs(_move(rho, m, op[None])[0] - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (4, 1)])
+def test_move_composes(m, n):
+    # there at 0.9 and back at 0.7 is one move at 0.63, transposed; a move at
+    # fidelity 1 is the transpose
+    ops = _random_hermitians(2, m ** n, np.random.default_rng([5, m]))
+    back = _move(0.7, m, _move(0.9, m, ops), first=False)
+    assert np.abs(back - _move(0.63, m, ops).swapaxes(1, 2)).max() < 1e-12
+    assert np.abs(_move(1.0, m, ops) - ops.swapaxes(1, 2)).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("rho", [-0.1, 1.5, np.nan])
+def test_move_rejects_a_bad_fidelity(m, rho):
+    with pytest.raises(ValidationError, match="fidelity parameter must lie in"):
+        PairEvaluator(rho, m=m)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_move_scales_traceless_degree_one_exactly(m):
+    # a traceless operator on register 1 of 2: every coefficient it has is of
+    # degree one, and its weight is rho itself
+    ev = PairEvaluator(0.37, m=m)
+    vec = np.random.default_rng(8).normal(size=m * m - 1)
+    op = np.kron(np.tensordot(vec / np.linalg.norm(vec), ev.basis_a.elements[1:], axes=1),
+                 np.eye(m))
+    coeffs = pauli_expand(op, ev.basis_a).coeffs
+    assert np.array_equal(coeffs * ev.weight_vector(2), 0.37 * coeffs)
+    assert np.abs(ev.move(coeffs[None])[0] - 0.37 * op.T).max() < 1e-15
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (4, 1)])
+def test_move_matches_the_dense_channel(m, n):
+    # tr(F~ M) / d is <F (x) M> on depolarized pairs, whichever player holds F
+    f, g = _random_hermitians(2, m ** n, np.random.default_rng([9, m, n]))
+    state = make_depolarized_epr(0.42, n, pair_registers=m == 4).density
+    dense = np.trace(np.kron(f, g) @ state).real
+    for moved, other in ((_move(0.42, m, f[None]), g), (_move(0.42, m, g[None], False), f)):
+        assert np.trace(moved[0] @ other).real / m ** n == pytest.approx(dense, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["projective", "mixed", "raw"])

@@ -4,20 +4,12 @@ import pytest
 from noisygames.certificates import chsh_upper_bound
 from noisygames.games import random_chsh_strategy
 from noisygames.optimizer import (
-    depolarize_matrix,
     grid_bruteforce_chsh_qubit,
     random_search_ms,
     seesaw_chsh,
     seesaw_sweep_rows,
 )
-from noisygames.pauli import SIGMA_Z, ValidationError
-
-
-def test_depolarize_matrix():
-    out = depolarize_matrix(np.kron(SIGMA_Z, SIGMA_Z), 0.5)
-    assert np.abs(out - 0.25 * np.kron(SIGMA_Z, SIGMA_Z)).max() < 1e-12
-    out = depolarize_matrix(np.eye(2), 0.3)
-    assert np.abs(out - np.eye(2)).max() < 1e-12
+from noisygames.pauli import ValidationError
 
 
 def test_seesaw_canonical_fixed_point():
@@ -55,6 +47,37 @@ def test_seesaw_accepts_explicit_strategy():
     init = random_chsh_strategy(1, rng)
     trace = seesaw_chsh(0.8, 1, init=init, max_iters=50)
     assert trace.best_value >= 2 * np.sqrt(2) * 0.8 - 1e-6
+
+
+# (n, rho, seed) -> the number of iterates, the values after the first two
+# half-steps, best_value and unconstrained_value of seesaw_chsh from a random
+# start, recorded while the see-saw built its targets with a dense
+# depolarizing channel of its own; equal to 1e-12 under the SkylakeX,
+# Haswell and Nehalem OpenBLAS kernels
+SEESAW_PINS = [
+    (1, 0.5, 0, 5, 1.2894040051714688, 1.414213562373095, 1.4142135623730951, 1.4142135623730954),
+    (1, 0.5, 1, 5, 1.398653071522354, 1.4142135623730945, 1.414213562373095, 1.414213562373095),
+    (1, 0.9, 0, 5, 2.3209272093086444, 2.545584412271571, 2.5455844122715714, 2.5455844122715714),
+    (1, 0.9, 1, 5, 2.5175755287402373, 2.5455844122715705, 2.5455844122715705,
+     2.5455844122715705),
+    (2, 0.5, 0, 25, 1.0842604887845226, 1.2908785235343392, 1.4142135623730863,
+     1.4142135623730927),
+    (2, 0.5, 1, 29, 0.8804715124120006, 1.0481657457730316, 1.4142135623730883,
+     1.4142135623730931),
+    (2, 0.9, 0, 125, 2.3061168213064374, 2.437087678752436, 2.545584412269837, 2.5455844122701667),
+    (2, 0.9, 1, 141, 2.082746881352269, 2.3853329979912385, 2.545584412269881, 2.545584412270202),
+]
+
+
+@pytest.mark.parametrize("n, rho, seed, iterates, alice, bob, best, unconstrained", SEESAW_PINS)
+def test_seesaw_pins(n, rho, seed, iterates, alice, bob, best, unconstrained):
+    trace = seesaw_chsh(rho, n, init="random", seed=seed)
+    assert len(trace.iterates) == iterates
+    assert [label for _, label in trace.iterates[:3]] == ["init", "alice_0", "bob_0"]
+    assert trace.iterates[1][0] == pytest.approx(alice, abs=1e-12)
+    assert trace.iterates[2][0] == pytest.approx(bob, abs=1e-12)
+    assert trace.best_value == pytest.approx(best, abs=1e-12)
+    assert trace.unconstrained_value == pytest.approx(unconstrained, abs=1e-12)
 
 
 def test_seesaw_rejects_bad_rho():

@@ -25,17 +25,16 @@ KEPT = {
     "certificates.classical_ms_max_enumerated": "acceptance criterion 9",
     "certificates.SoSCertificate.square_terms": "acceptance criterion 9's nonnegative squares",
     "extraction.loglog_slope": "acceptance criterion 5's distance slopes",
-    "protocols.play_chsh_rounds": "acceptance criterion 7's fixed-round plays",
     "states.maximal_correlation": "acceptance criterion 8",
     # references that tests compare the package's fast paths against
     "games.derived_observable": "dense derived observables behind the row diagnostics",
     "games.require_observable": "the one-operator form of the strategies' stack checks",
     "games.require_povm": "the one-POVM form of the strategies' stack checks",
-    "protocols.play_ms_rounds": "the fixed-round path behind estimate-rho --rho-true",
     "protocols.sample_round": "one round at a time, against the runner's column tables",
     "protocols.ChshSampler.exact_table": "the sampler's table, against dense POVM traces",
     "games.TwoOutOfNStrategy.pair_marginal": "dense pair marginals behind the relation distances",
     "pauli.normalized_trace": "dense traces behind the coefficient-row masses",
+    "pauli.degree_vector": "the Pauli degree the gap-resolution oracle and degree tests read",
     "extraction.register_concentration": "operator entry to the self-tests' concentration",
     # helpers that tests build operators with
     "games.haar_unitary": "random local unitaries",

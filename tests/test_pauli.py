@@ -8,7 +8,6 @@ from noisygames.pauli import (
     SIGMA_Y,
     SIGMA_Z,
     ValidationError,
-    apply_depolarizing_coeffs,
     default_basis,
     degree_vector,
     hs_distance,
@@ -23,7 +22,7 @@ from noisygames.pauli import (
     require_hermitian,
     two_qubit_pauli_basis,
 )
-from noisygames.pauli import StandardBasis, _contract
+from noisygames.pauli import PauliExpansion, StandardBasis, _contract
 from noisygames.states import bit_phase_flip_epr, diagonalize_correlation
 
 
@@ -95,7 +94,8 @@ def test_reconstruct_round_trip():
         assert stack.shape == hs.shape
         assert np.abs(stack - hs).max() < 1e-10
         for row, member in zip(exp.coeffs, stack):
-            assert np.array_equal(member, pauli_reconstruct(exp.copy_with(row)))
+            one = PauliExpansion(exp.m, exp.n, row, exp.basis)
+            assert np.array_equal(member, pauli_reconstruct(one))
 
 
 def test_reconstruct_trivial_cases():
@@ -114,48 +114,12 @@ def test_parseval():
     assert exp.coeffs @ exp.coeffs == pytest.approx(normalized_trace(h @ h), abs=1e-9)
 
 
-def test_depolarizing_coeffs_examples():
-    basis = pauli_basis()
-    x = pauli_expand(SIGMA_X, basis)
-    assert np.allclose(apply_depolarizing_coeffs(x, 1.0).coeffs, x.coeffs)
-    scaled = apply_depolarizing_coeffs(x, 0.6)
-    assert np.abs(pauli_reconstruct(scaled) - 0.6 * SIGMA_X).max() < 1e-12
-    xz = pauli_expand(np.kron(SIGMA_X, SIGMA_Z), basis)
-    assert np.abs(pauli_reconstruct(apply_depolarizing_coeffs(xz, 0.5))
-                  - 0.25 * np.kron(SIGMA_X, SIGMA_Z)).max() < 1e-12
-
-
-def test_depolarizing_composes():
-    rng = np.random.default_rng(5)
-    exp = pauli_expand(random_hermitian(8, rng), pauli_basis())
-    twice = apply_depolarizing_coeffs(apply_depolarizing_coeffs(exp, 0.9), 0.7)
-    once = apply_depolarizing_coeffs(exp, 0.63)
-    assert np.abs(twice.coeffs - once.coeffs).max() < 1e-12
-
-
-def test_depolarizing_rejects_bad_rho():
-    exp = pauli_expand(SIGMA_X, pauli_basis())
-    with pytest.raises(ValidationError):
-        apply_depolarizing_coeffs(exp, 1.5)
-
-
 def test_hs_distance_examples():
     assert hs_distance(SIGMA_Z, SIGMA_Z) == 0.0
     assert hs_distance(SIGMA_Z, SIGMA_X) == pytest.approx(np.sqrt(2))
     assert hs_distance(SIGMA_Z, 0.9 * SIGMA_Z) == pytest.approx(0.1)
     with pytest.raises(ValidationError):
         hs_distance(SIGMA_Z, np.eye(4))
-
-
-def test_scaling_fixes_traceless_degree_one_exactly():
-    # distance to rho*Q vanishes exactly for traceless degree-one operators
-    rng = np.random.default_rng(8)
-    vec = rng.normal(size=3)
-    vec /= np.linalg.norm(vec)
-    op = vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z
-    exp = pauli_expand(np.kron(op, np.eye(2)), pauli_basis())
-    scaled = apply_depolarizing_coeffs(exp, 0.37)
-    assert np.array_equal(scaled.coeffs, 0.37 * exp.coeffs)
 
 
 def test_noisy_epr_expectation_matches_dense():

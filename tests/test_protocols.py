@@ -49,8 +49,7 @@ from noisygames.protocols import (
     _two_out_of_n_game,
     derive_delta,
     estimate_noise_rate,
-    play_chsh_rounds,
-    play_ms_rounds,
+    play_rounds,
     run_protocol,
     sample_round,
     trace_soundness_bound,
@@ -297,13 +296,20 @@ def test_estimate_from_transcript():
 
 
 def test_play_rounds_deterministic_and_close():
-    w1 = play_chsh_rounds(canonical_chsh_strategy(1), 0.7, 100000, seed=21)
-    w2 = play_chsh_rounds(canonical_chsh_strategy(1), 0.7, 100000, seed=21)
+    (w1,) = play_rounds(canonical_chsh_strategy(1), 0.7, 100000, seed=21)
+    (w2,) = play_rounds(canonical_chsh_strategy(1), 0.7, 100000, seed=21)
     assert w1 == w2
     assert abs(w1 - (0.5 + np.sqrt(2) * 0.7 / 4)) < 0.01
-    win, cons = play_ms_rounds(canonical_magic_square_strategy(1), 0.7, 50000, seed=22)
+    win, cons = play_rounds(canonical_magic_square_strategy(1), 0.7, 50000, seed=22)
     assert abs(win - 0.85) < 0.01
     assert abs(cons - 0.85) < 0.01
+    (w3,) = play_rounds(canonical_two_out_of_n_strategy(3), 0.7, 100000, seed=23)
+    assert abs(w3 - (0.5 + np.sqrt(2) * 0.7 / 4)) < 0.01
+
+
+def test_play_rounds_rejects_a_strategy_of_no_game():
+    with pytest.raises(ValidationError, match="^unknown strategy type str$"):
+        play_rounds("chsh", 0.7, 1000, seed=1)
 
 
 def _reference_csv(tr) -> str:
@@ -632,10 +638,9 @@ def test_two_out_of_n_needs_two_indices():
 
 @pytest.mark.parametrize("n_rounds", [0, -5, 2.5, True])
 def test_play_rounds_reject_bad_round_counts(n_rounds):
-    with pytest.raises(ValidationError, match="round count"):
-        play_chsh_rounds(canonical_chsh_strategy(1), 0.7, n_rounds, seed=1)
-    with pytest.raises(ValidationError, match="round count"):
-        play_ms_rounds(canonical_magic_square_strategy(1), 0.7, n_rounds, seed=1)
+    for strategy in (canonical_chsh_strategy(1), canonical_magic_square_strategy(1)):
+        with pytest.raises(ValidationError, match="round count"):
+            play_rounds(strategy, 0.7, n_rounds, seed=1)
 
 
 def test_block_streams_independent_of_order():
@@ -657,7 +662,8 @@ def test_unknown_game_rejected():
 
 
 # Values recorded before the three games shared one runner and one player:
-# (seed, rounds) -> play_chsh_rounds and play_ms_rounds at rho 0.7.
+# (seed, rounds) -> the CHSH win rate and the magic square's (win,
+# consistency) rates of play_rounds at rho 0.7.
 GOLDEN_PLAY = {
     (21, 1000): (0.746, (0.839, 0.839)),
     (21, 100000): (0.74379, (0.84865, 0.84865)),
@@ -669,8 +675,8 @@ GOLDEN_PLAY = {
 @pytest.mark.parametrize("seed, n_rounds", list(GOLDEN_PLAY))
 def test_play_rounds_golden_values(seed, n_rounds):
     chsh, ms = GOLDEN_PLAY[(seed, n_rounds)]
-    assert play_chsh_rounds(canonical_chsh_strategy(1), 0.7, n_rounds, seed) == chsh
-    assert play_ms_rounds(canonical_magic_square_strategy(1), 0.7, n_rounds, seed) == ms
+    assert play_rounds(canonical_chsh_strategy(1), 0.7, n_rounds, seed) == (chsh,)
+    assert play_rounds(canonical_magic_square_strategy(1), 0.7, n_rounds, seed) == ms
 
 
 def _signs(answer) -> str:
