@@ -3,33 +3,36 @@ the i.i.d. assumption, plus Hoeffding-based noise-rate estimation.
 
 Determinism: every game draws its rounds by one rule.  Block k of a run
 holds rounds k * 2**15 to (k + 1) * 2**15 - 1 and comes from its own SFC64
-bit generator seeded by SeedSequence(seed, spawn_key=(k,)): first the
-block's context ids, from one 16-bit integers() call over the game's
-contexts (narrowed to one byte when every id fits), then one uniform a
-round.  Round r of a seed is thus the same for every t, and a run is a
-prefix of any run of the same seed with a larger t.  Spawn keys make blocks
-independent streams: transcripts are reproducible byte-for-byte, and blocks
-could be drawn in any order without changing results.  A run ends with the
-block in which the last tracked question comes up for the t-th time;
-nothing after that block is drawn.  A run expected to need more than 2**25
-rounds, t times the number of contexts over the contexts of the game's
-rarest tracked question, is rejected before any draw.  The fixed-round
-player, play_rounds (behind estimate-rho --rho-true), instead draws a game's
-context and outcome counts from a Philox stream keyed by the seed.
+bit generator seeded by SeedSequence(seed, spawn_key=(k,)), whose one
+random() call gives the block's uniforms, one a round.  Round r of a seed
+is thus the same for every t, and a run is a prefix of any run of the same
+seed with a larger t.  Spawn keys make blocks independent streams:
+transcripts are reproducible byte-for-byte, and blocks could be drawn in any
+order without changing results.  A run ends with the block in which the
+last tracked question comes up for the t-th time; nothing after that block
+is drawn.  A run expected to need more than 2**25 rounds, t times the
+number of contexts over the contexts of the game's rarest tracked question,
+is rejected before any draw.  The fixed-round player, play_rounds (behind
+estimate-rho --rho-true), instead draws a game's context and outcome counts
+from a Philox stream keyed by the seed.
 
-A round's outcome is the inverse-CDF draw of its uniform in its context's
-row.  A guide table of 2**bits buckets per row gives it with one gather;
-only a uniform in a bucket that holds a bound of its row is counted against
-the row's bounds, and the outcomes are bit-for-bit those of the full count.
+A round is the inverse-CDF draw of its uniform over the game's joint
+(context, outcome) table, as one cell id, context * n_out + outcome (one or
+two bytes): cell c * n_out + k has the bound (c + cum[c, k]) / n_ctx, with
+cum the row CDFs of the contexts' outcome distributions, and a uniform
+draws the number of bounds at most it.  Every context comes up with
+probability 1/n_ctx, and a zero-mass cell is never drawn.  A guide table
+gives the cell with one gather; only a uniform in a bucket that holds a
+bound is searched among the bounds, and the cells are bit-for-bit the
+rule's.
 
-Each block becomes one cell id a round, context * n_out + outcome (one or
-two bytes), counted once into a run-level (context, outcome) histogram;
-per-question counts and first-t histograms follow from it through 0/1
-question x context matrices, and the win and consistency rates from its
-sums over each game's win and consistency tables.  The run keeps its cell
-ids; each per-round column of a transcript is built from them when it is
-read, and the CSV and JSON round exports render their text from them a
-block of rounds at a time.
+Each block's cell ids are counted once into a run-level (context, outcome)
+histogram; per-question counts and first-t histograms follow from it
+through 0/1 question x context matrices, and the win and consistency rates
+from its sums over each game's win and consistency tables.  The run keeps
+its cell ids; each per-round column of a transcript is built from them when
+it is read, and the CSV and JSON round exports render their text from them
+a block of rounds at a time.
 
 Interpretation note: trace-test counts reuse the game rounds themselves (the
 protocol counts answers "when asked question x" within the same repetitions);
@@ -68,8 +71,8 @@ TRACE_TEST_NOTE = ("trace-test frequencies are computed from the first t game ro
                    "of each tracked question; no separate trace rounds are played")
 
 # rounds a block holds, each drawn and counted at a time: a block's uniforms
-# (256 KB) and its outcome and key arrays stay in a 4 MiB L2 cache across
-# every category and key pass
+# (256 KB), the guide table (at most 256 KB) and the block's cell and key
+# arrays stay in a 4 MiB L2 cache across every key pass
 _BLOCK = 2 ** 15
 # the most rounds a run may be expected to need (CHSH at t = 2**24): the int64
 # round columns of a run that long, built only when read, take several GB
@@ -107,9 +110,9 @@ def _rng_for_block(seed: int, block: int) -> np.random.Generator:
 
 
 def _sample_categories(cum: np.ndarray, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF draw: per round, the number of cumulative bounds
-    of row ctx[r] of cum that u[r] exceeds, counted one category at a time
-    into uint8 (no rounds x categories array is formed)."""
+    """Per-row inverse-CDF draw (sample_round's rule): per round, the number
+    of cumulative bounds of row ctx[r] of cum that u[r] exceeds, counted one
+    category at a time into uint8."""
     idx = ctx.astype(np.intp)  # take() would convert narrow ids once per column
     out = np.zeros(len(u), dtype=np.uint8)
     for col in cum.T:
@@ -117,54 +120,56 @@ def _sample_categories(cum: np.ndarray, ctx: np.ndarray, u: np.ndarray) -> np.nd
     return out
 
 
-# guide-table draws: the uint8 entry of a bucket whose rounds must take the
-# exact count, and the most bytes a table may take (at least 2**8 buckets a
-# row, which is 80 KB for 2-out-of-5's 320 contexts)
-_SENTINEL = 255
-_GUIDE_BYTES = 2 ** 16
+# the most bytes a guide table may take: 2**17 two-byte buckets keep the
+# share of buckets that hold a bound below 2 % for 2-out-of-5's 2560 cells
+_GUIDE_BYTES = 2 ** 18
 
 
 class _GuideTable:
-    """Exact guide-table ("indexed search") inverse-CDF draws over a
-    cumulative table (Chen & Asau, AIIE Trans. 6(2), 1974; Devroye,
+    """Exact guide-table ("indexed search") inverse-CDF draws of (context,
+    outcome) cells (Chen & Asau, AIIE Trans. 6(2), 1974; Devroye,
     Non-Uniform Random Variate Generation, 1986, III.2.4).
 
-    Each row's [0, 1) is cut into 2**bits equal buckets.  Bucket q holds the
-    outcome every uniform in it draws when no bound of the row has
-    floor(bound * 2**bits) == q, and _SENTINEL otherwise; only a sentinel
-    round takes the exact count of _sample_categories.  Scaling a double by
-    2**bits is exact, so the outcomes equal _sample_categories' bit for bit,
-    ties with a bound and zero-mass categories included.  bits is the
-    largest that keeps the table within _GUIDE_BYTES, and at least 8."""
+    The rule: cell c * n_out + k of the row CDFs cum (n_ctx rows, each
+    ending at exactly 1.0) has the joint bound (c + cum[c, k]) / n_ctx, and
+    a uniform u in [0, 1) draws np.searchsorted(joint, u, side="right"),
+    the number of bounds at most u.  Each context has mass 1/n_ctx, the last
+    bound is 1.0, and a zero-mass cell has the empty interval
+    [joint[i - 1], joint[i]), so it is never drawn.
+
+    [0, 1) is cut into 2**bits equal buckets.  Bucket q holds the cell every
+    uniform in it draws when no bound has floor(bound * 2**bits) == q, and
+    the sentinel n_cells otherwise; only a sentinel round is searched.
+    Scaling a double by 2**bits is exact, so the cells are the rule's bit
+    for bit.  bits is the largest that keeps the table within _GUIDE_BYTES."""
 
     def __init__(self, cum: np.ndarray):
-        n_ctx = len(cum)
-        self.cum = cum
-        self.bits = max(8, (_GUIDE_BYTES // n_ctx).bit_length() - 1)
+        n_ctx, n_out = cum.shape
+        n_cells = n_ctx * n_out
+        self.joint = ((np.arange(n_ctx)[:, None] + cum) / n_ctx).ravel()
+        # cell ids in the narrowest dtype; table entries also hold the sentinel
+        self.dtype = np.min_scalar_type(n_cells - 1)
+        entry = np.min_scalar_type(n_cells)
+        self.bits = (_GUIDE_BYTES // entry.itemsize).bit_length() - 1
         scale = self.scale = 1 << self.bits
-        # per row and bucket, the bounds in it (a bound of 1.0 or more falls
-        # in column scale, past the last) and the bounds below it
-        bucket = np.minimum(np.floor(cum * scale), scale).astype(np.intp)
-        hits = np.bincount((np.arange(n_ctx)[:, None] * (scale + 1) + bucket).ravel(),
-                           minlength=n_ctx * (scale + 1)).reshape(n_ctx, scale + 1)[:, :scale]
-        below = np.cumsum(hits, axis=1) - hits
-        self.table = np.where(hits > 0, _SENTINEL, below).astype(np.uint8).ravel()
+        # each bound's bucket (the last bound, 1.0, falls in bucket scale, past
+        # the last): bucket q holds the number of bounds below it, the run of
+        # buckets (bucket[i - 1], bucket[i]] holds i, unless a bound is in it
+        bucket = np.minimum(np.floor(self.joint * scale), scale).astype(np.intp)
+        self.table = np.repeat(np.arange(n_cells, dtype=entry),
+                               np.diff(bucket, prepend=-1))[:scale]
+        self.table[bucket[bucket < scale]] = n_cells
 
-    def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Per round, the outcome category of u[r] in row ctx[r] of cum, as
-        _sample_categories gives it."""
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """Per round, the cell id that u[r] draws by the rule."""
         if len(u) and not (u.min() >= 0.0 and u.max() < 1.0):
-            # a uniform outside [0, 1), or NaN, has no bucket in its row
-            return _sample_categories(self.cum, ctx, u)
-        # int32 indices cast and gather faster than intp ones
-        idx = ctx.astype(np.int32)
-        idx <<= self.bits
-        idx += (u * self.scale).astype(np.int32)  # floor, as u >= 0
-        out = self.table.take(idx)
-        slow = np.flatnonzero(out == _SENTINEL)
+            # a uniform outside [0, 1), or NaN, has no bucket
+            raise ValidationError("a round's uniform must lie in [0, 1)")
+        cells = self.table.take((u * self.scale).astype(np.int32))  # floor, as u >= 0
+        slow = np.flatnonzero(cells == len(self.joint))
         if len(slow):
-            out[slow] = _sample_categories(self.cum, ctx[slow], u[slow])
-        return out
+            cells[slow] = np.searchsorted(self.joint, u[slow], side="right")
+        return cells.astype(self.dtype, copy=False)
 
 
 def _cumulative_table(tables) -> np.ndarray:
@@ -212,15 +217,6 @@ class RoundColumns(Mapping):
         return len(self.tables)
 
 
-def _cell_ids(ctx: np.ndarray, out: np.ndarray, n_ctx: int, n_out: int) -> np.ndarray:
-    """Per round, its (context, outcome) cell id ctx * n_out + out, in the
-    narrowest dtype that holds every cell id."""
-    cells = ctx.astype(np.min_scalar_type(n_ctx * n_out - 1))
-    cells *= n_out
-    cells += out
-    return cells
-
-
 @dataclass
 class ProtocolTranscript:
     game: str
@@ -237,8 +233,8 @@ class ProtocolTranscript:
 
 
 # ---------------------------------------------------------------------------
-# samplers (joint outcome tables per question context); draw(ctx, u) returns
-# uint8 outcome categories
+# samplers (joint outcome tables per question context); draw(u) returns one
+# (context, outcome) cell id a uniform
 
 
 class ChshSampler:
@@ -264,8 +260,8 @@ class ChshSampler:
         """(4 contexts, 4 outcomes); context 2x+y, outcome 2 bit(a)+bit(b)."""
         return np.diff(self.cum, axis=1, prepend=0.0)
 
-    def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self._guide.draw(ctx, u)
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        return self._guide.draw(u)
 
 
 class MagicSquareSampler:
@@ -289,8 +285,8 @@ class MagicSquareSampler:
         self.cum = _cumulative_table(tables)
         self._guide = _GuideTable(self.cum)
 
-    def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self._guide.draw(ctx, u)
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        return self._guide.draw(u)
 
 
 class TwoOutOfNSampler:
@@ -317,8 +313,8 @@ class TwoOutOfNSampler:
         self.cum = _cumulative_table(np.hstack([(mass + corr) / 2, (mass - corr) / 2]))
         self._guide = _GuideTable(self.cum)
 
-    def draw(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self._guide.draw(ctx, u)
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        return self._guide.draw(u)
 
 
 # ---------------------------------------------------------------------------
@@ -461,36 +457,31 @@ def sample_round(strategy, noise, questions, rng: np.random.Generator):
     if tuple(questions) not in game.questions:
         raise ValidationError(f"no question context {questions!r} in this game")
     ctx = game.questions.index(tuple(questions))
-    out = int(game.sampler.draw(np.array([ctx]), rng.random(1))[0])
+    out = int(_sample_categories(game.sampler.cum, np.array([ctx]), rng.random(1))[0])
     return game.answer({name: int(table[ctx, out]) for name, table in game.columns.items()})
 
 
 # ---------------------------------------------------------------------------
-# protocol runner: per block, its context ids, uniforms, outcomes, per-key
-# counts and first-t histograms, up to the block in which the last key
-# reaches t
+# protocol runner: per block, its uniforms, cell ids, per-key counts and
+# first-t histograms, up to the block in which the last key reaches t
 
 
-def _blocks(seed: int, n_ctx: int):
-    """Successive blocks of a run as (context ids, uniforms): block k's stream
-    gives _BLOCK context ids from one uint16 integers() call over n_ctx
-    contexts (kept as uint8 when n_ctx <= 256), then _BLOCK uniforms.
-    Nothing is drawn for a block that is not asked for."""
-    ctx_type = np.min_scalar_type(n_ctx - 1)
+def _blocks(seed: int):
+    """Successive blocks of a run's uniforms: block k's stream gives _BLOCK
+    uniforms from one random() call.  Nothing is drawn for a block that is
+    not asked for."""
     for block in itertools.count():
-        rng = _rng_for_block(seed, block)
-        ctx = rng.integers(0, n_ctx, size=_BLOCK, dtype=np.uint16)
-        yield ctx.astype(ctx_type, copy=False), rng.random(_BLOCK)
+        yield _rng_for_block(seed, block).random(_BLOCK)
 
 
 def _play_blocks(params: ProtocolParams, game: _Game):
     """Play blocks of rounds until every key of every key set has come up t
     times.
 
-    Returns the cell ids (_cell_ids) of the rounds up to the exact stopping
-    round; per key set and key, the number of its rounds up to that round
-    and the histogram of outcome categories over its first t rounds; and
-    the (context, outcome) histogram of the rounds up to that round."""
+    Returns the cell ids of the rounds up to the exact stopping round; per
+    key set, the number of each key's rounds up to that round and the
+    (keys, outcomes) histograms of their first t rounds; and the (context,
+    outcome) histogram of the rounds up to that round."""
     t = params.t
     n_ctx, n_out = game.sampler.cum.shape
     # the rounds a run is expected to need: t times the contexts per context
@@ -516,8 +507,8 @@ def _play_blocks(params: ProtocolParams, game: _Game):
     joint = np.zeros((n_ctx, n_out), dtype=np.int64)
     drawn = []
     start = last = 0
-    for ctx, u in _blocks(params.seed, n_ctx):
-        cells = _cell_ids(ctx, game.sampler.draw(ctx, u), n_ctx, n_out)
+    for u in _blocks(params.seed):
+        cells = game.sampler.draw(u)
         drawn.append(cells)
         counted = histogram(cells)
         per_ctx = counted.sum(axis=1)
@@ -547,7 +538,7 @@ def _play_blocks(params: ProtocolParams, game: _Game):
     joint -= histogram(cells[cut:])
     drawn[-1] = cells[:cut]
     per_ctx = joint.sum(axis=1)
-    return np.concatenate(drawn), [[(int(c), h) for c, h in zip(member @ per_ctx, hist)]
+    return np.concatenate(drawn), [(member @ per_ctx, hist)
                                   for (_, member), hist in zip(tables, hists)], joint
 
 
@@ -562,12 +553,15 @@ def _rates(game: _Game, joint: np.ndarray, n_rounds: int) -> list:
             for name in _RATES if name in game.columns]
 
 
-def _plus_frequency(hist: np.ndarray, bit: int) -> float:
-    """Share of +1 answers among a key's first t rounds, given the histogram
-    of their outcome categories; the answer held in `bit` of a category is -1
-    where that bit is set."""
-    t = int(hist.sum())
-    return (t - int(hist[np.arange(len(hist)) & bit != 0].sum())) / t
+def _plus_frequencies(hists: np.ndarray) -> np.ndarray:
+    """Per key (a row of hists, the histogram of the outcome categories of
+    its first t rounds) and outcome bit j, the share (t - minus) / t of +1
+    answers, where minus counts the rounds whose category has bit j set
+    (answer -1): one product with the 0/1 (bit x outcome) table."""
+    n_out = hists.shape[1]
+    bits = (np.arange(n_out) >> np.arange(n_out.bit_length() - 1)[:, None]) & 1
+    t = hists.sum(axis=1, keepdims=True)
+    return (t - hists @ bits.T) / t
 
 
 def run_protocol(params: ProtocolParams, strategy) -> ProtocolTranscript:
@@ -581,11 +575,12 @@ def run_protocol(params: ProtocolParams, strategy) -> ProtocolTranscript:
     game = build(strategy, params.rho)
     cells, seen, joint = _play_blocks(params, game)
     counts, freqs, reasons = {}, {}, []
-    for (_, keys), key_seen in zip(game.key_sets, seen):
-        for (label, tests), (count, hist) in zip(keys, key_seen):
+    for (_, keys), (key_counts, hists) in zip(game.key_sets, seen):
+        for (label, tests), count, plus in zip(keys, key_counts.tolist(),
+                                               _plus_frequencies(hists).tolist()):
             counts[label] = count
             for test, bit, reason in tests:
-                f = freqs[test] = _plus_frequency(hist, bit)
+                f = freqs[test] = plus[bit.bit_length() - 1]
                 if abs(f - 0.5) >= params.delta:
                     reasons.append(reason.format(f=f))
     rounds = RoundColumns(cells, {name: table for name, table in game.columns.items()

@@ -39,9 +39,11 @@ from .protocols import NoiseEstimate, ProtocolTranscript, _render_blocks
 from .states import BipartiteState, make_depolarized_epr, make_epr_power
 
 SCHEMA_VERSION = 1
-# run transcripts: version 3 draws each fixed block from SFC64 (see
-# protocols), version 2 from Philox; version 1 sized the first block by t
-TRANSCRIPT_SCHEMA_VERSION = 3
+# run transcripts: version 4 draws each round's (context, outcome) cell from
+# one uniform of its fixed SFC64 block (see protocols), version 3 a context
+# id and then a uniform, version 2 drew the blocks from Philox, and version
+# 1 sized the first block by t
+TRANSCRIPT_SCHEMA_VERSION = 4
 
 # symbolic strategies act on at most 2**6 dimensions per player, so that
 # their joint states fit states.JOINT_DIM_CAP; a canonical 2-out-of-6

@@ -207,24 +207,34 @@ def test_estimate_rho_from_transcript_file(tmp_path, capsys):
     assert abs(json.loads(out)["rhoHat"] - 0.7) < 0.1
 
 
-def test_estimate_rho_reads_schema_v1_and_v2_transcripts(tmp_path, capsys):
-    # a v3 transcript, and the same document tagged with either older version
-    v3 = tmp_path / "v3.json"
+def test_estimate_rho_reads_schema_v1_to_v3_transcripts(tmp_path, capsys):
+    # a v4 transcript, and the same document tagged with each older version
+    v4 = tmp_path / "v4.json"
     code, _, _ = run_cli(capsys, "simulate", "--game", "magic_square", "--rho", "0.7",
-                         "--t", "300", "--seed", "4", "--out", str(v3))
-    doc = json.loads(v3.read_text())
-    assert code == 0 and doc["schemaVersion"] == 3
-    v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps({**doc, "schemaVersion": 1}))
-    v2 = tmp_path / "v2.json"
-    v2.write_text(json.dumps({**doc, "schemaVersion": 2}))
+                         "--t", "300", "--seed", "4", "--out", str(v4))
+    doc = json.loads(v4.read_text())
+    assert code == 0 and doc["schemaVersion"] == 4
+    paths = []
+    for version in (1, 2, 3):
+        paths.append(tmp_path / f"v{version}.json")
+        paths[-1].write_text(json.dumps({**doc, "schemaVersion": version}))
     estimates = []
-    for path in (v1, v2, v3):
+    for path in (*paths, v4):
         code, out, _ = run_cli(capsys, "estimate-rho", "--transcript", str(path))
         assert code == 0
         estimates.append(out)
-    assert estimates[0] == estimates[1] == estimates[2]
+    assert len(set(estimates)) == 1
     assert json.loads(estimates[0])["nRounds"] == doc["tPrime"]
+
+
+def test_estimate_rho_refuses_a_schema_v5_transcript(tmp_path, capsys):
+    v5 = tmp_path / "v5.json"
+    v5.write_text(json.dumps({"schemaVersion": 5, "game": "chsh", "tPrime": 10,
+                              "empiricalWinRate": 0.8}))
+    code, out, err = run_cli(capsys, "estimate-rho", "--transcript", str(v5))
+    assert code == 2 and out == ""
+    assert err == (f"error: --transcript {v5}: unknown transcript schemaVersion 5; "
+                   "this version reads 1 to 4\n")
 
 
 def test_estimate_rho_needs_input(capsys):
@@ -251,11 +261,11 @@ def test_unknown_constructor_rejected(capsys):
 # sha256 of `simulate --include-rounds` stdout for one (game, n, t, rho)
 # fixture per game at seed 11; pins the JSON rendering and the round stream.
 GOLDEN_SIMULATE = {
-    ("chsh", 1, 500, 0.8): "2529fe61d003850fffe1b57f77c2de576919023c1ee898cfa7aef957f81d8c94",
+    ("chsh", 1, 500, 0.8): "1bb14e382cdaf7cffbbc2601bc48ad60c5e577c18848612c1d1492041fb3c560",
     ("magic_square", 1, 200, 0.9):
-        "00b4b38f3ce54cbabbbe062de0e4d36c0b8252ffbc41278b81c73dd3aaa06699",
+        "2f25284084162acc906b0b89507d63d2d8b42c985f50075e33f3cca2e11c82e7",
     ("two_out_of_n", 3, 40, 0.9):
-        "468c2cf8b8205acf5537e1be91ab1c8cb99abbf9136bd131db613ed88ffb8ffb",
+        "332be424c5147cefb089d1c706a83f1d379262a4bb5d7d877bc1016c03a3da16",
 }
 
 
@@ -275,9 +285,9 @@ def test_simulate_include_rounds_golden_digest(tmp_path, capsys, game, n, t, rho
 # Multi-block runs; see GOLDEN_CSV_MULTI_BLOCK in test_protocols.py.
 GOLDEN_SIMULATE_MULTI_BLOCK = {
     ("two_out_of_n", 5, 400, 3, 0.9):
-        "81d8fbc9a71e0f1c7711a577071dc5d86a2b2c0155da6a7e25f039021d2a5cc8",
+        "1f86faab7ae06643eaef10eedb49d772b3e0ba974108cf9bf3763fb42244a3cb",
     ("magic_square", 1, 4000, 1, 0.9):
-        "882e00663c35cfb5a93a48563107d077e1c4080d0cd264cbe7c260160a07e9d8",
+        "f0fe99a6acea98d3a16e6889dbd050fc82ebf2d6a062b9c8163cd64c9e5137fd",
 }
 
 
@@ -576,9 +586,9 @@ def _defective_strategy_documents() -> dict:
     (["certify", "--game", "chsh", "--rho", "0.8", "--variable", "1,1"],
      "a variable is read only by the magic-square certificate, not for a ChshStrategy"),
     (["estimate-rho", "--transcript", "{v99}"],
-     "--transcript {v99}: unknown transcript schemaVersion 99; this version reads 1 to 3"),
+     "--transcript {v99}: unknown transcript schemaVersion 99; this version reads 1 to 4"),
     (["estimate-rho", "--transcript", "{v_true}"],
-     "--transcript {v_true}: unknown transcript schemaVersion True; this version reads 1 to 3"),
+     "--transcript {v_true}: unknown transcript schemaVersion True; this version reads 1 to 4"),
     (["estimate-rho", "--game", "chsh", "--statistic", "1.5", "--rounds", "100"],
      "the statistic is a rate and must lie in [0, 1], got 1.5"),
     (["estimate-rho", "--game", "chsh", "--statistic", "-0.3", "--rounds", "100"],

@@ -1,7 +1,9 @@
 """The protocol runner's rounds, stopping round, counts and first-t
 histograms against a reference runner that draws every block by its own
-integers() and random() calls and finds each key's rounds with one stable
-sort over the run."""
+random() call, finds every round's (context, outcome) cell by one
+np.searchsorted over the whole run on the joint CDF it builds from the
+sampler's row CDFs, and finds each key's rounds with one stable sort over
+the run."""
 
 import json
 
@@ -25,29 +27,31 @@ from noisygames.protocols import _GAMES, _BLOCK, ProtocolParams, _rng_for_block,
 from noisygames.serialize import transcript_to_json
 
 
+def _joint_cdf(cum):
+    """The round rule's joint CDF: cell c * n_out + k of the row CDFs cum
+    has the bound (c + cum[c, k]) / n_ctx."""
+    n_ctx, n_out = cum.shape
+    return np.array([(c + cum[c, k]) / n_ctx for c in range(n_ctx) for k in range(n_out)])
+
+
 def _reference_play_blocks(params, game):
-    """Whole blocks until every key's count reaches t, then one stable sort
-    per key set over the run: each key's rounds in order, its t-th round,
-    its count below the stopping round and the histogram of its first t
-    outcomes."""
+    """Whole blocks until every key's count reaches t, every round's cell the
+    number of joint bounds at most its uniform, then one stable sort per key
+    set over the run: each key's rounds in order, its t-th round, its count
+    below the stopping round and the histogram of its first t outcomes."""
     t = params.t
     key_tables = [keys for keys, _ in game.key_sets]
-    n_ctx = len(game.questions)
-    ctxs, outs = [], []
-    ctx_counts = np.zeros(n_ctx, dtype=np.int64)
-    block = 0
+    n_ctx, n_out = game.sampler.cum.shape
+    joint = _joint_cdf(game.sampler.cum)
+    u = np.empty(0)
     while True:
-        rng = _rng_for_block(params.seed, block)
-        ctx = rng.integers(0, n_ctx, size=_BLOCK, dtype=np.uint16)
-        if n_ctx <= 256:
-            ctx = ctx.astype(np.uint8)
-        ctxs.append(ctx)
-        outs.append(game.sampler.draw(ctx, rng.random(_BLOCK)))
-        ctx_counts += np.bincount(ctx, minlength=len(ctx_counts))
-        block += 1
+        u = np.concatenate([u, _rng_for_block(params.seed, len(u) // _BLOCK).random(_BLOCK)])
+        cells = np.searchsorted(joint, u, side="right")
+        ctx_counts = np.bincount(cells // n_out, minlength=n_ctx)
         if all(np.bincount(keys, weights=ctx_counts).min() >= t for keys in key_tables):
             break
-    ctx, out = np.concatenate(ctxs), np.concatenate(outs)
+    assert ((u >= 0.0) & (u < 1.0)).all()
+    ctx, out = np.divmod(cells, n_out)
     positions = []
     for keys in key_tables:
         ids = keys.take(ctx)
@@ -55,21 +59,21 @@ def _reference_play_blocks(params, game):
         bounds = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=int(keys.max()) + 1))))
         positions.append([order[bounds[k]: bounds[k + 1]] for k in range(len(bounds) - 1)])
     t_prime = max(int(p[t - 1]) for pos in positions for p in pos) + 1
-    return ctx[:t_prime], out[:t_prime], [
-        [(int(np.searchsorted(p, t_prime)), np.bincount(out[p[:t]])) for p in pos]
+    return cells[:t_prime], [
+        [(int(np.searchsorted(p, t_prime)), np.bincount(out[p[:t]], minlength=n_out)) for p in pos]
         for pos in positions]
 
 
 def _reference_with_histogram(params, game):
     """The reference runner's results as the runner returns them: each
-    round's (context, outcome) cell id ctx * n_out + out, the counts and
-    first-t histograms, and the histogram of the cell ids."""
-    ctx, out, seen = _reference_play_blocks(params, game)
+    round's cell id, per key set its keys' counts and first-t histograms,
+    and the histogram of the cell ids."""
+    cells, seen = _reference_play_blocks(params, game)
     n_ctx, n_out = game.sampler.cum.shape
-    assert out.dtype == np.uint8
-    cells = ctx.astype(np.intp) * n_out + out
     joint = np.bincount(cells, minlength=n_ctx * n_out)
-    return cells, seen, joint.reshape(n_ctx, n_out)
+    return cells, [(np.array([count for count, _ in key_seen]),
+                    np.array([hist for _, hist in key_seen])) for key_seen in seen], \
+        joint.reshape(n_ctx, n_out)
 
 
 def _biased_povm(povm, weight):
@@ -127,20 +131,20 @@ _GRID = [(game, kind, t, _SEEDS[(c + j) % 3], _RHOS[(c + 2 * j + g) % 3])
 # last round of a block (t' = 32768 or 65536) or on the first round of the
 # next (32769, 65537)
 _PINNED = {
-    ("magic_square", "canonical", 3561, 1, 0.85): 32512,
-    ("magic_square", "trace-biased", 3522, 2, 1.0): 32529,
-    ("two_out_of_n", "canonical-n5", 368, 1, 0.85): 32662,
-    ("two_out_of_n", "perturbed-n5", 362, 3, 0.0): 32550,
-    ("chsh", "canonical", 16290, 0, 0.85): 32883,
-    ("chsh", "trace-biased", 16331, 6, 0.0): 32771,
-    ("magic_square", "perturbed", 3571, 20, 1.0): 32774,
-    ("magic_square", "canonical", 3603, 27, 0.85): 32770,
-    ("chsh", "canonical", 16341, 27, 0.85): 32768,
-    ("chsh", "trace-biased", 16306, 8, 0.0): 32769,
-    ("magic_square", "perturbed", 7206, 12, 1.0): 65536,
-    ("magic_square", "canonical", 7017, 9, 0.85): 65537,
-    ("two_out_of_n", "canonical-n5", 350, 270, 0.85): 32768,
-    ("two_out_of_n", "perturbed-n5", 756, 141, 0.0): 65537,
+    ("magic_square", "canonical", 3508, 1, 0.85): 32519,
+    ("magic_square", "trace-biased", 3524, 2, 1.0): 32540,
+    ("two_out_of_n", "canonical-n5", 363, 1, 0.85): 32521,
+    ("two_out_of_n", "perturbed-n5", 368, 3, 0.0): 32586,
+    ("chsh", "canonical", 16216, 0, 0.85): 32771,
+    ("chsh", "trace-biased", 16338, 6, 0.0): 32769,
+    ("magic_square", "perturbed", 3513, 21, 1.0): 32771,
+    ("magic_square", "canonical", 3525, 27, 0.85): 32769,
+    ("chsh", "canonical", 16267, 28, 0.85): 32768,
+    ("chsh", "trace-biased", 16270, 8, 0.0): 32769,
+    ("magic_square", "perturbed", 7179, 15, 1.0): 65536,
+    ("magic_square", "canonical", 7180, 29, 0.85): 65537,
+    ("two_out_of_n", "canonical-n5", 347, 322, 0.85): 32768,
+    ("two_out_of_n", "perturbed-n5", 742, 142, 0.0): 65537,
 }
 
 
@@ -171,14 +175,11 @@ def _check_against_reference(monkeypatch, game, kind, t, seed, rho):
     assert np.array_equal(cells, ref_cells)
     assert joint.shape == ref_joint.shape and np.array_equal(joint, ref_joint)
     assert len(seen) == len(ref_seen)
-    for key_seen, ref_key_seen in zip(seen, ref_seen):
-        assert len(key_seen) == len(ref_key_seen)
-        for (count, hist), (ref_count, ref_hist) in zip(key_seen, ref_key_seen):
-            assert count == ref_count
-            padded = np.zeros(n_out, dtype=np.int64)
-            padded[:len(ref_hist)] = ref_hist
-            assert np.array_equal(np.pad(hist, (0, n_out - len(hist))), padded)
-            assert hist.sum() == t
+    for (counts, hists), (ref_counts, ref_hists) in zip(seen, ref_seen):
+        assert np.array_equal(counts, ref_counts)
+        assert hists.shape == ref_hists.shape == (len(counts), n_out)
+        assert np.array_equal(hists, ref_hists)
+        assert (hists.sum(axis=1) == t).all()
     assert (json.dumps(transcript_to_json(tr, include_rounds=True))
             == json.dumps(transcript_to_json(ref, include_rounds=True)))
     return tr
@@ -228,8 +229,7 @@ def test_run_keeps_a_few_bytes_a_round_until_rounds_are_read(game, n, t):
     assert retained <= 8 * tr.t_prime
 
     tables = _GAMES[game][1](strategy, params.rho)
-    ctx, out, _ = _reference_play_blocks(params, tables)
-    cells = ctx.astype(np.intp) * tables.sampler.cum.shape[1] + out
+    cells, _ = _reference_play_blocks(params, tables)
     expected = {name: table.ravel()[cells] for name, table in tables.columns.items()
                 if name not in ("win", "consistent")}
     assert list(tr.rounds) == list(expected)

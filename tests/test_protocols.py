@@ -19,6 +19,8 @@ from noisygames.games import (
     canonical_magic_square_strategy,
     canonical_two_out_of_n_strategy,
     pair_key,
+    perturbed_chsh_strategy,
+    perturbed_magic_square_strategy,
     perturbed_two_out_of_n_strategy,
     two_out_of_n_value,
 )
@@ -35,7 +37,6 @@ from noisygames.pauli import (
 from noisygames.protocols import (
     _BLOCK,
     _GAMES,
-    _SENTINEL,
     ChshSampler,
     ProtocolParams,
     RoundColumns,
@@ -43,6 +44,7 @@ from noisygames.protocols import (
     _cumulative_table,
     _GuideTable,
     _blocks,
+    _plus_frequencies,
     _render_blocks,
     _rng_for_block,
     _sample_categories,
@@ -117,11 +119,11 @@ def test_empirical_frequencies_converge():
     # (1,1) question; checked within 3 sigma over 1e5 draws
     strat = canonical_chsh_strategy(1)
     sampler = ChshSampler(strat, 1.0)
-    rng = np.random.default_rng(2)
-    n = 100000
+    cells = sampler.draw(np.random.default_rng(2).random(400000))
     target = (2 + np.sqrt(2)) / 4
     for ctx, sign in ((0, 1), (3, -1)):
-        out = sampler.draw(np.full(n, ctx), rng.random(n))
+        out = cells[cells // 4 == ctx] % 4
+        n = len(out)
         a = 1 - 2 * (out // 2)
         b = 1 - 2 * (out % 2)
         agree = (a == b).mean()
@@ -129,21 +131,23 @@ def test_empirical_frequencies_converge():
         assert abs(agree - expected) < 3 * np.sqrt(0.25 / n) * 3
 
 
-def test_sampler_chi_square():
-    strat = canonical_chsh_strategy(1)
-    sampler = ChshSampler(strat, 0.8)
-    rng = np.random.default_rng(3)
-    n = 100000
-    table = sampler.exact_table()
-    stat = 0.0
-    dof = 0
-    for ctx in range(4):
-        out = sampler.draw(np.full(n, ctx), rng.random(n))
-        observed = np.bincount(out, minlength=4)
-        expected = n * table[ctx]
-        stat += ((observed - expected) ** 2 / expected).sum()
-        dof += 3
-    assert stats.chi2.sf(stat, dof) > 0.001
+@pytest.mark.parametrize("game, strategy", [
+    ("chsh", perturbed_chsh_strategy(1, 1, 0.3)),
+    ("magic_square", perturbed_magic_square_strategy(1, 1, 0.3)),
+    ("two_out_of_n", perturbed_two_out_of_n_strategy(3, 0.37))])
+def test_joint_draw_chi_square(game, strategy):
+    # 2e5 rounds of one block stream each: the (context, outcome) counts
+    # against exact_table / n_ctx, and no round in a zero-mass cell
+    sampler = _GAMES[game][1](strategy, 0.8).sampler
+    n_ctx, n_out = sampler.cum.shape
+    n = 200_000
+    u = np.concatenate([_rng_for_block(31, b).random(_BLOCK) for b in range(-(-n // _BLOCK))])
+    observed = np.bincount(sampler.draw(u[:n]), minlength=n_ctx * n_out)
+    expected = n * np.diff(sampler.cum, axis=1, prepend=0.0).ravel() / n_ctx
+    assert (observed[expected == 0.0] == 0).all()
+    kept = expected > 0.0
+    stat = ((observed[kept] - expected[kept]) ** 2 / expected[kept]).sum()
+    assert stats.chi2.sf(stat, kept.sum() - 1) > 0.001
 
 
 def test_rho_zero_uniform_answers():
@@ -342,7 +346,7 @@ _CANONICAL = {"chsh": canonical_chsh_strategy,
 @pytest.mark.parametrize("game, n, t, seed", [
     ("chsh", 1, 1, 0), ("chsh", 1, 30, 1), ("chsh", 1, 60_000, 2),
     ("magic_square", 1, 1, 0), ("magic_square", 1, 12_000, 3),
-    ("two_out_of_n", 3, 1, 0), ("two_out_of_n", 3, 5_000, 4)])
+    ("two_out_of_n", 3, 1, 1), ("two_out_of_n", 3, 5_000, 4)])
 def test_csv_equals_the_reference_formatter(game, n, t, seed):
     tr = run_protocol(ProtocolParams(game, t, 0.05, seed=seed, rho=0.8), _CANONICAL[game](n))
     assert tr.t_prime < 100 or tr.t_prime > 10 ** 5 > 3 * _BLOCK
@@ -402,11 +406,11 @@ def test_csv_peak_memory_is_a_small_multiple_of_its_text():
 # A change that moves one of these changes transcripts: bump the transcript
 # schema version and say so in CHANGES.md.
 GOLDEN_CSV = {
-    ("chsh", 1, 500, 0.8): "d33604234cccd23cd08df4036313326d40571f81cf5eefe09dc9dec23fa3a4ce",
+    ("chsh", 1, 500, 0.8): "9da488b99a3a484d66575d9f75663187db8114f8a142896e68d19bc34d9b8ccd",
     ("magic_square", 1, 200, 0.9):
-        "74a5daa30a112e4f287ab29f4743e8f7b05812db5741f80d7e83e57d5111c511",
+        "c14d93f205c152cecb3ef1b729b00c74aba32c4e0ec57ff9b14f16de130496be",
     ("two_out_of_n", 3, 40, 0.9):
-        "d2fd98bf2784e6a93c0a6d99475b838984141cb9e60e0e3ca80417d564a160bc",
+        "1212d1f0c92c19f829d478c0f09c871e7bc13ae92544c20834f2a871a32e0ee2",
 }
 
 
@@ -424,9 +428,9 @@ def test_transcript_csv_golden_digest(game, n, t, rho):
 # (game, n, t, seed, rho) -> (t', sha256 of transcript_rounds_csv).
 GOLDEN_CSV_MULTI_BLOCK = {
     ("two_out_of_n", 5, 400, 3, 0.9):
-        (35363, "5af201bd997913aac8f9dacbff6687aae48983a98670f05ba05d2fbda15e0428"),
+        (34843, "696546c96f4a240b0af88797567c82acdfb9930dbf097c51dfabf2ef02d52230"),
     ("magic_square", 1, 4000, 1, 0.9):
-        (36589, "f3f51bd80df472dacbebfa956bdb0b75f8aee7be4fd8ae9628e316983c3eb46c"),
+        (36912, "7cc6e0fb432162fcc52bdb0830965740fc989a8c0863e70c54c471dc72bb14db"),
 }
 
 
@@ -474,11 +478,19 @@ def test_sample_categories_matches_full_gather(n_cat):
     assert (out[200:300] == n_cat).all()
 
 
+def _joint_rule(cum, u):
+    """The round rule, over every (round, bound) pair: the number of joint
+    bounds (c + cum[c, k]) / n_ctx at most u."""
+    n_ctx, n_out = cum.shape
+    joint = np.array([(c + cum[c, k]) / n_ctx for c in range(n_ctx) for k in range(n_out)])
+    return (joint <= u[:, None]).sum(axis=1)
+
+
 @PROPERTY
 @given(seed=st.integers(0, 2 ** 32 - 1), n_ctx=st.integers(1, 40), n_cat=st.integers(1, 16))
 def test_guided_draw_equals_the_exact_draw(seed, n_ctx, n_cat):
     rng = np.random.default_rng(seed)
-    probs = rng.random((n_ctx, n_cat)) * (rng.random((n_ctx, n_cat)) < 0.7)  # zero-mass categories
+    probs = rng.random((n_ctx, n_cat)) * (rng.random((n_ctx, n_cat)) < 0.7)  # zero-mass cells
     probs[np.arange(n_ctx), rng.integers(0, n_cat, n_ctx)] += 1.0
     probs /= probs.sum(axis=1, keepdims=True)
     for row in np.flatnonzero(rng.random(n_ctx) < 0.5):
@@ -488,44 +500,61 @@ def test_guided_draw_equals_the_exact_draw(seed, n_ctx, n_cat):
         probs[row] = np.diff(edges, prepend=0.0, append=1.0)
     cum = _cumulative_table(probs)
     guide = _GuideTable(cum)
-    rounds = 4000
-    ctx = rng.integers(0, n_ctx, size=rounds).astype(np.uint8)
-    u = rng.random(rounds)
-    bound = cum[ctx, rng.integers(0, n_cat, rounds)]
+    rounds = 2000
+    joint = guide.joint
+    bound = joint[rng.integers(0, len(joint), rounds)]
     bound[bound >= 1.0] = 1 - 2 ** -53
     edge = np.floor(bound * guide.scale)
-    u[:500] = bound[:500]                                          # ties with a bound
-    u[500:1000] = np.nextafter(bound[500:1000], 0.0)               # just below one
-    u[1000:1500] = edge[1000:1500] / guide.scale                   # a bound's bucket edges
-    u[1500:2000] = np.minimum(edge[1500:2000] + 1, guide.scale - 1) / guide.scale
-    u[2000:2500] = rng.integers(0, guide.scale, 500) / guide.scale
-    u[2500:2510] = 0.0
-    u[2510:2520] = 1 - 2 ** -53
+    u = rng.random(rounds)
+    u[:250] = bound[:250]                                          # ties with a bound
+    u[250:500] = np.nextafter(bound[250:500], 0.0)                 # just below one
+    u[500:750] = edge[500:750] / guide.scale                       # a bound's bucket edges
+    u[750:1000] = np.minimum(edge[750:1000] + 1, guide.scale - 1) / guide.scale
+    u[1000:1250] = rng.integers(0, guide.scale, 250) / guide.scale
+    u[1250:1260] = 0.0
+    u[1260:1270] = 1 - 2 ** -53
     assert ((u >= 0.0) & (u < 1.0)).all()
-    out = guide.draw(ctx, u)
-    assert out.dtype == np.uint8
-    assert np.array_equal(out, _sample_categories(cum, ctx, u))
-    # a uniform outside [0, 1) has no bucket in its row: it gets the exact
-    # count, never an entry of the next row's buckets
+    cells = guide.draw(u)
+    assert cells.dtype == np.min_scalar_type(n_ctx * n_cat - 1)
+    assert np.array_equal(cells, _joint_rule(cum, u))
+    # a zero-mass cell is never drawn
+    assert (probs.ravel()[cells] > 0.0).all()
+    # a uniform outside [0, 1), or NaN, has no bucket: it is refused, never
+    # read from a neighbouring cell's bucket
     for value in (1.0, 1.5, 2.0, np.inf, -0.5, -2 ** -60, -np.inf, np.nan):
         bad = u.copy()
         bad[rounds // 2] = value
-        out = guide.draw(ctx, bad)
-        assert np.array_equal(out, _sample_categories(cum, ctx, bad))
-        if value > 1.0:
-            assert out[rounds // 2] == n_cat
+        with pytest.raises(ValidationError, match=r"^a round's uniform must lie in \[0, 1\)$"):
+            guide.draw(bad)
 
 
-@pytest.mark.parametrize("game, strategy, bits", [
-    ("chsh", canonical_chsh_strategy(1), 14),
-    ("magic_square", canonical_magic_square_strategy(1), 11),
-    ("two_out_of_n", canonical_two_out_of_n_strategy(5), 8)])
-def test_guide_tables_stay_small(game, strategy, bits):
+@pytest.mark.parametrize("game, strategy, bits, share", [
+    ("chsh", canonical_chsh_strategy(1), 18, 0.0001),
+    ("magic_square", canonical_magic_square_strategy(1), 17, 0.005),
+    ("two_out_of_n", canonical_two_out_of_n_strategy(2), 17, 0.005),
+    ("two_out_of_n", canonical_two_out_of_n_strategy(5), 17, 0.05)])
+def test_guide_tables_stay_small(game, strategy, bits, share):
     guide = _GAMES[game][1](strategy, 0.85).sampler._guide
+    n_cells = len(guide.joint)
     assert guide.bits == bits
-    assert guide.table.dtype == np.uint8 and guide.table.nbytes <= 100_000
-    # few buckets hold a bound, so few rounds take the exact count
-    assert (guide.table == _SENTINEL).mean() < 0.05
+    assert guide.table.dtype == np.min_scalar_type(n_cells) and guide.table.nbytes <= 512 * 1024
+    # few buckets hold a bound, so few rounds are searched among the bounds
+    assert (guide.table == n_cells).mean() < share
+
+
+@pytest.mark.parametrize("game, strategy", [
+    ("chsh", perturbed_chsh_strategy(1, 1, 0.3)),
+    ("magic_square", perturbed_magic_square_strategy(1, 1, 0.3)),
+    ("two_out_of_n", perturbed_two_out_of_n_strategy(5, 0.37))])
+@pytest.mark.parametrize("rho", [0.0, 0.85, 1.0])
+def test_each_context_has_joint_mass_one_over_the_contexts(game, strategy, rho):
+    sampler = _GAMES[game][1](strategy, rho).sampler
+    n_ctx, n_out = sampler.cum.shape
+    joint = sampler._guide.joint
+    ends = joint.reshape(n_ctx, n_out)[:, -1]
+    mass = np.diff(ends, prepend=0.0)
+    assert np.abs(mass - 1 / n_ctx).max() <= 1e-12
+    assert ends[-1] == 1.0 and (np.diff(joint) >= 0.0).all()
 
 
 def _rounds_per_t(game):
@@ -544,16 +573,18 @@ def _rounds_per_t(game):
 @pytest.mark.parametrize("block", [0, 3])
 def test_context_draws_match_the_int64_stream(name, strategy, seed, block):
     # the int64 question columns of a run's rounds in block `block` are the
-    # questions of that block's context ids, drawn by one uint16 integers()
-    # call of the block's own stream
+    # questions of the contexts that the block's uniforms, from one random()
+    # call of the block's own stream, fall in: context c holds the uniforms
+    # from the previous context's last joint bound up to its own last one
     game = _GAMES[name][1](strategy, 0.8)
-    n_ctx = len(game.questions)
+    n_ctx, n_out = game.sampler.cum.shape
     lo = block * _BLOCK
     t = (lo + 1000) // _rounds_per_t(game)
     tr = run_protocol(ProtocolParams(name, t, 0.05, seed=seed, rho=0.8), strategy)
     assert lo + 100 <= tr.t_prime <= lo + _BLOCK
-    ids = _rng_for_block(seed, block).integers(0, n_ctx, size=_BLOCK, dtype=np.uint16)
-    ids = ids[: tr.t_prime - lo].astype(np.intp)
+    row_ends = (np.arange(n_ctx) + game.sampler.cum[:, -1]) / n_ctx
+    u = _rng_for_block(seed, block).random(_BLOCK)[: tr.t_prime - lo]
+    ids = np.searchsorted(row_ends, u, side="right")
     questions = [column for column, table in game.columns.items()
                  if column in tr.rounds and (table == table[:, :1]).all()]
     assert len(questions) == len(game.questions[0])
@@ -572,8 +603,9 @@ def test_two_out_of_n_context_ids_are_the_flat_question_index(n):
     assert list(game.sampler.context_index.items()) == [(ctx, k) for k, ctx in enumerate(product)]
     assert game.questions == product
     n_pairs = n * (n - 1)
-    ids, _ = next(_blocks(n, len(product)))
-    assert ids.dtype == (np.uint8 if n < 5 else np.uint16)
+    cells = game.sampler.draw(next(_blocks(n)))
+    assert cells.dtype == (np.uint8 if n == 2 else np.uint16)
+    ids = cells // 8
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     role, rest = np.divmod(ids.astype(np.intp), 8 * n_pairs)
     pair, xyz = np.divmod(rest, 8)
@@ -583,46 +615,50 @@ def test_two_out_of_n_context_ids_are_the_flat_question_index(n):
     assert set(np.unique(ids)) == set(range(len(product)))
 
 
-# (seed, block, contexts) -> the first six context ids and the first two
-# uniforms of the block
+# (seed, block) -> the first two uniforms of the block and, per game of
+# _STREAM_GAMES, the first six cell ids they draw
 STREAM_PINS = {
-    (0, 0, 4): ([2, 0, 0, 2, 2, 0], [0.6027700690052553, 0.45581420648697524]),
-    (0, 0, 18): ([10, 0, 3, 9, 9, 2], [0.08600004597893873, 0.47572220090949846]),
-    (0, 0, 96): ([58, 0, 16, 52, 52, 15], [0.09424292687759417, 0.4407048846998105]),
-    (0, 0, 320): ([194, 1, 56, 175, 173, 50], [0.16783002422370563, 0.5827581675762906]),
-    (0, 3, 4): ([3, 2, 3, 3, 1, 0], [0.798659400880905, 0.6144924075209378]),
-    (0, 3, 18): ([15, 9, 16, 17, 4, 3], [0.9615803556007968, 0.06861777328442553]),
-    (0, 3, 96): ([84, 51, 87, 93, 24, 17], [0.4410335711841523, 0.4277024318022359]),
-    (0, 3, 320): ([280, 170, 292, 311, 80, 56], [0.616663316132788, 0.6415500725259592]),
-    (2 ** 64 - 1, 0, 4): ([2, 3, 2, 0, 1, 0], [0.9567117299598976, 0.8539166853074771]),
-    (2 ** 64 - 1, 0, 18): ([12, 15, 9, 3, 8, 2], [0.8539166853074771, 0.8483611984601951]),
-    (2 ** 64 - 1, 0, 96): ([68, 83, 52, 19, 47, 15], [0.05483290457816958, 0.9172955861979328]),
-    (2 ** 64 - 1, 0, 320): ([226, 277, 174, 64, 158, 52],
-                            [0.7323509475465722, 0.11407177091729348]),
-    (2 ** 64 - 1, 3, 4): ([3, 0, 0, 3, 0, 1], [0.5049790590962755, 0.8138512504165873]),
-    (2 ** 64 - 1, 3, 18): ([14, 3, 2, 13, 2, 5], [0.3047131880625301, 0.3247783229415585]),
-    (2 ** 64 - 1, 3, 96): ([75, 16, 13, 72, 12, 28], [0.4037267966263678, 0.03169903074313485]),
-    (2 ** 64 - 1, 3, 320): ([251, 54, 43, 242, 40, 93],
-                            [0.18718055007936552, 0.4828431234479509]),
+    (0, 0): ([0.5484188289858579, 0.4048309538417795],
+             {"chsh": [8, 7, 14, 7, 0, 1], "magic_square": [157, 119, 258, 128, 16, 29],
+              "two_out_of_3": [422, 310, 682, 348, 41, 81],
+              "two_out_of_5": [1403, 1036, 2278, 1160, 143, 275]}),
+    (0, 3): ([0.9745317933923299, 0.7672608385742459],
+             {"chsh": [15, 12, 3, 10, 8, 0], "magic_square": [280, 221, 59, 187, 150, 6],
+              "two_out_of_3": [749, 590, 154, 492, 404, 14],
+              "two_out_of_5": [2494, 1964, 517, 1640, 1345, 47]}),
+    (2 ** 64 - 1, 0): ([0.20032572114549896, 0.8175469562792567],
+                       {"chsh": [3, 13, 3, 7, 3, 4], "magic_square": [59, 235, 61, 119, 64, 91],
+                        "two_out_of_3": [153, 627, 169, 317, 177, 244],
+                        "two_out_of_5": [512, 2093, 565, 1058, 591, 814]}),
+    (2 ** 64 - 1, 3): ([0.7574483601306908, 0.4006781082818418],
+                       {"chsh": [12, 6, 3, 14, 7, 0], "magic_square": [218, 112, 55, 258, 128, 6],
+                        "two_out_of_3": [582, 307, 149, 690, 344, 19],
+                        "two_out_of_5": [1937, 1025, 495, 2300, 1150, 65]}),
 }
+
+# canonical strategies at rho 0.8
+_STREAM_GAMES = {"chsh": ("chsh", canonical_chsh_strategy(1)),
+                 "magic_square": ("magic_square", canonical_magic_square_strategy(1)),
+                 "two_out_of_3": ("two_out_of_n", canonical_two_out_of_n_strategy(3)),
+                 "two_out_of_5": ("two_out_of_n", canonical_two_out_of_n_strategy(5))}
 
 
 def test_round_stream_is_sfc64_keyed_by_seed_sequence_spawn():
-    # the one rule every game's rounds follow: block k of a seed holds
-    # _BLOCK ids from one uint16 integers() call of the SFC64 stream seeded
-    # by SeedSequence(seed, spawn_key=(k,)), the k-th child that
-    # SeedSequence(seed).spawn() gives, then _BLOCK uniforms.  A numpy change
-    # to SeedSequence, SFC64, integers() or random() fails here
+    # the one rule every game's rounds follow: block k of a seed holds the
+    # _BLOCK uniforms of one random() call of the SFC64 stream seeded by
+    # SeedSequence(seed, spawn_key=(k,)), the k-th child that
+    # SeedSequence(seed).spawn() gives, one uniform and one cell a round.
+    # A numpy change to SeedSequence, SFC64 or random() fails here
     assert _BLOCK == 2 ** 15
-    for (seed, block, n_ctx), (first_ids, first_u) in STREAM_PINS.items():
+    samplers = {name: _GAMES[game][1](strategy, 0.8).sampler
+                for name, (game, strategy) in _STREAM_GAMES.items()}
+    for (seed, block), (first_u, first_cells) in STREAM_PINS.items():
         child = np.random.SeedSequence(seed).spawn(block + 1)[block]
-        rng = np.random.Generator(np.random.SFC64(child))
-        ids = rng.integers(0, n_ctx, size=_BLOCK, dtype=np.uint16)
-        u = rng.random(_BLOCK)
-        ctx, runner_u = next(itertools.islice(_blocks(seed, n_ctx), block, None))
-        assert ctx.dtype == (np.uint8 if n_ctx <= 256 else np.uint16)
-        assert np.array_equal(ctx, ids) and np.array_equal(runner_u, u)
-        assert ids[:6].tolist() == first_ids and u[:2].tolist() == first_u
+        u = np.random.Generator(np.random.SFC64(child)).random(_BLOCK)
+        runner_u = next(itertools.islice(_blocks(seed), block, None))
+        assert np.array_equal(runner_u, u) and u[:2].tolist() == first_u
+        assert {name: sampler.draw(u)[:6].tolist()
+                for name, sampler in samplers.items()} == first_cells
     # seed 2**64 - 1 is not folded onto another seed
     assert not np.array_equal(_rng_for_block(2 ** 64 - 1, 0).random(8),
                               _rng_for_block(0, 0).random(8))
@@ -708,6 +744,77 @@ def test_sample_round_golden_answers():
         "--+ +-- --+ -++ +++ --- +++ +-- +++ ++- --+ -++ --+ +-- -+- +--")
 
 
+# sha256 of the space-joined sample_round answers of a perturbed strategy at
+# rho 0.8, over every context in order for each of four generators in turn;
+# recorded while the runner still drew a context id and then a uniform
+SAMPLE_ROUND_PINS = {
+    "chsh": "fe2f184d25d54dfdf9f0936925359fd54d66c6d5d95e19706175179fc4756c63",
+    "magic_square": "ec139b5aa05877b59fe45e51a1530b5b031c7ab63ddcccc470ef7bc172bdfc42",
+    "two_out_of_n": "07cc9ce52a0b90d5d46a00f8b66bfe3cb0071a522cb3d628786e08d930faf609",
+}
+
+
+@pytest.mark.parametrize("game, strategy", [
+    ("chsh", perturbed_chsh_strategy(1, 1, 0.3)),
+    ("magic_square", perturbed_magic_square_strategy(1, 1, 0.3)),
+    ("two_out_of_n", perturbed_two_out_of_n_strategy(2, 0.37))])
+def test_sample_round_answers_pinned_for_fixed_generators(game, strategy):
+    generators = [np.random.default_rng(5), np.random.Generator(np.random.Philox(7)),
+                  np.random.Generator(np.random.SFC64(11)),
+                  np.random.Generator(np.random.MT19937(13))]
+    questions = _GAMES[game][1](strategy, 0.8).questions
+    text = " ".join(_signs(sample_round(strategy, 0.8, q, rng))
+                    for rng in generators for q in questions)
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_ROUND_PINS[game]
+
+
+def _looped_plus_frequency(hist, bit):
+    """The share of +1 answers of one trace test, one test at a time."""
+    t = int(hist.sum())
+    return (t - int(hist[np.arange(len(hist)) & bit != 0].sum())) / t
+
+
+@pytest.mark.parametrize("n_out", [4, 8, 16])
+def test_stacked_plus_frequencies_equal_the_per_test_loop(n_out):
+    rng = np.random.default_rng(n_out)
+    hists = rng.integers(0, 50, size=(300, n_out))
+    hists[:40] = 0
+    hists[np.arange(40), rng.integers(0, n_out, 40)] = rng.integers(1, 10 ** 6, 40)
+    stacked = _plus_frequencies(hists)
+    assert stacked.shape == (300, n_out.bit_length() - 1)
+    for j in range(n_out.bit_length() - 1):
+        for hist, f in zip(hists, stacked[:, j].tolist()):
+            assert f == _looped_plus_frequency(hist, 1 << j)
+
+
+@pytest.mark.parametrize("game", ["chsh", "magic_square", "two_out_of_n"])
+def test_run_frequencies_equal_the_per_test_loop(monkeypatch, game):
+    import noisygames.protocols as protocols
+
+    strategy = _rejected_strategy(game)
+    params = ProtocolParams(game, 800, 0.01, seed=2, rho=0.8)
+    played = []
+
+    def recording(p, g):
+        played.append(play(p, g))
+        return played[-1]
+
+    play = protocols._play_blocks
+    monkeypatch.setattr(protocols, "_play_blocks", recording)
+    tr = run_protocol(params, strategy)
+    game_tables = _GAMES[game][1](strategy, params.rho)
+    freqs, reasons = {}, []
+    for (_, keys), (_, hists) in zip(game_tables.key_sets, played[0][1]):
+        for (_, tests), hist in zip(keys, hists):
+            for test, bit, reason in tests:
+                f = freqs[test] = _looped_plus_frequency(hist, bit)
+                if abs(f - 0.5) >= params.delta:
+                    reasons.append(reason.format(f=f))
+    assert list(tr.trace_frequencies.items()) == list(freqs.items())
+    assert all(type(f) is float for f in tr.trace_frequencies.values())
+    assert tr.reject_reasons == reasons and reasons
+
+
 def _biased_povm(povm, weight):
     """The POVM mixed toward answering outcome 0 (every answer +1)."""
     out = (1 - weight) * povm
@@ -738,18 +845,18 @@ def _rejected_strategy(game):
 # trace frequencies as well as the rounds.
 GOLDEN_REJECTED = {
     ("chsh", 2000, 0): (
-        ["player A question 0: |0.5875 - 1/2| >= delta",
-         "player B question 1: |0.3800 - 1/2| >= delta"],
-        "2873d3417446190115814fbd54705580090730e4dda991da1923b59dfb3ad700"),
+        ["player A question 0: |0.5935 - 1/2| >= delta",
+         "player B question 1: |0.4155 - 1/2| >= delta"],
+        "83f44703be4bdcff2fc14d92742ce5594956de4fda948053f818136806c44d27"),
     ("magic_square", 800, 1): (
-        ["Alice c2 variable s12: bias 0.7350", "Alice c2 variable s22: bias 0.7538",
-         "Alice c2 variable s32: bias 0.7712", "Bob variable s23: bias 0.7512"],
-        "d0af3a2c34c3f4072a1b7e3f5c776e86111020a758501f2f656135556ffbd438"),
+        ["Alice c2 variable s12: bias 0.7388", "Alice c2 variable s22: bias 0.7512",
+         "Alice c2 variable s32: bias 0.7475", "Bob variable s23: bias 0.7500"],
+        "3a1d22ea56c5c6d32261bcb3a51e334d75152f057c01e0db5d8b87362a43cebd"),
     ("two_out_of_n", 800, 3): (
-        ["player B single question (1,0): bias 0.7762",
-         "player A pair (1,1,2,0) slot (1,1): bias 0.7500",
-         "player A pair (1,1,2,0) slot (2,0): bias 0.7475"],
-        "a48372a82e099997bd73d9e835e74c51bbe492896c9f0bdd644e7ace667c760c"),
+        ["player B single question (1,0): bias 0.7475",
+         "player A pair (1,1,2,0) slot (1,1): bias 0.7238",
+         "player A pair (1,1,2,0) slot (2,0): bias 0.7225"],
+        "78bb1c13a85e81031ff79f721c37d3f7f8c0cf8ff4435c9207b9e2e0442fb606"),
 }
 
 
@@ -892,13 +999,13 @@ _BLOCK_GAMES = {
 
 
 def _recording_draws(monkeypatch, game):
-    """The (context ids, uniforms) of every sampler draw of a game's runs."""
+    """The uniforms of every sampler draw of a game's runs."""
     sampler = type(_GAMES[game][1](_BLOCK_GAMES[game], 0.8).sampler)
     draw, drawn = sampler.draw, []
 
-    def recording(self, ctx, u):
-        drawn.append((ctx, u))
-        return draw(self, ctx, u)
+    def recording(self, u):
+        drawn.append(u)
+        return draw(self, u)
 
     monkeypatch.setattr(sampler, "draw", recording)
     return drawn
@@ -911,7 +1018,7 @@ def test_draws_stop_within_a_chunk_of_the_stopping_round(monkeypatch, game, t, s
     # the one holding the stopping round is drawn
     drawn = _recording_draws(monkeypatch, game)
     tr = run_protocol(ProtocolParams(game, t, 0.01, seed=seed, rho=0.8), _BLOCK_GAMES[game])
-    sizes = [len(u) for _, u in drawn]
+    sizes = [len(u) for u in drawn]
     assert tr.t_prime > 2 * _BLOCK and sizes == [_BLOCK] * len(sizes)
     assert tr.t_prime <= sum(sizes) < tr.t_prime + _BLOCK
 
@@ -919,19 +1026,15 @@ def test_draws_stop_within_a_chunk_of_the_stopping_round(monkeypatch, game, t, s
 @pytest.mark.parametrize("game", list(_BLOCK_GAMES))
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
 def test_uniforms_drawn_in_chunks_match_one_call(monkeypatch, game, seed):
-    # the sampler gets each block whole: its context ids from one integers()
-    # call of the block's stream, and its uniforms from the one random()
-    # call after it
+    # the sampler gets each block whole: its uniforms from the one random()
+    # call of the block's stream
     drawn = _recording_draws(monkeypatch, game)
     tables = _GAMES[game][1](_BLOCK_GAMES[game], 0.8)
     t = 3 * _BLOCK // _rounds_per_t(tables)
     run_protocol(ProtocolParams(game, t, 0.01, seed=seed, rho=0.8), _BLOCK_GAMES[game])
     assert len(drawn) >= 3
-    n_ctx = len(tables.questions)
-    for block, (ctx, u) in enumerate(drawn):
-        rng = _rng_for_block(seed, block)
-        assert np.array_equal(ctx, rng.integers(0, n_ctx, size=_BLOCK, dtype=np.uint16))
-        assert np.array_equal(u, rng.random(_BLOCK))
+    for block, u in enumerate(drawn):
+        assert np.array_equal(u, _rng_for_block(seed, block).random(_BLOCK))
 
 
 @pytest.mark.parametrize("game", list(_BLOCK_GAMES))
@@ -948,12 +1051,16 @@ def test_a_run_is_a_prefix_of_a_run_with_a_larger_t(game):
 
 def test_draw_above_a_row_sum_below_one_stays_in_range():
     # this strategy's rows 8-13 sum to 1 - 2**-52 before the last entry is
-    # pinned; a uniform above that drew category 8 of 8
+    # pinned; a uniform above that drew category 8 of 8.  The largest
+    # uniform of each of those contexts draws its last cell of positive mass
     sampler = TwoOutOfNSampler(perturbed_two_out_of_n_strategy(2, 0.1), 0.83)
-    u = np.full(6, 1 - 2 ** -53)
-    out = sampler.draw(np.arange(8, 14, dtype=np.uint8), u)
+    n_ctx, n_out = sampler.cum.shape
+    u = np.nextafter((np.arange(8, 14) + 1.0) / n_ctx, 0.0)
     probs = np.diff(sampler.cum, axis=1, prepend=0.0)
-    assert np.array_equal(out, [np.flatnonzero(probs[c])[-1] for c in range(8, 14)])
+    assert np.array_equal(sampler.draw(u),
+                          [c * n_out + np.flatnonzero(probs[c])[-1] for c in range(8, 14)])
+    assert np.array_equal(_sample_categories(sampler.cum, np.arange(8, 14), np.full(6, 1 - 2 ** -53)),
+                          [np.flatnonzero(probs[c])[-1] for c in range(8, 14)])
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.37, 0.83, 1.0])

@@ -253,14 +253,14 @@ def test_transcript_and_estimate_serialization():
     json.dumps(estimate_to_json(est))
 
 
-def test_only_transcripts_carry_schema_version_3():
+def test_only_transcripts_carry_schema_version_4():
     from noisygames.extraction import general_noise_selftest
     from noisygames.states import bit_phase_flip_epr, diagonalize_correlation
 
     chsh = canonical_chsh_strategy(1)
     tr = run_protocol(ProtocolParams("chsh", 20, 0.05, seed=3, rho=0.8), chsh)
-    assert transcript_to_json(tr)["schemaVersion"] == 3
-    assert transcript_to_json(tr, include_rounds=True)["schemaVersion"] == 3
+    assert transcript_to_json(tr)["schemaVersion"] == 4
+    assert transcript_to_json(tr, include_rounds=True)["schemaVersion"] == 4
     spectrum = diagonalize_correlation(bit_phase_flip_epr(0.8))
     others = [
         state_to_json(make_depolarized_epr(0.8, 1)),

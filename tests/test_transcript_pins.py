@@ -1,5 +1,5 @@
 """Transcripts written without rounds, and the repr of both empirical rates,
-pinned over a grid of games, t, seeds and noise rates (schema-v3 stream).
+pinned over a grid of games, t, seeds and noise rates (schema-v4 stream).
 A change to how rates and counts are accumulated must leave them
 unchanged."""
 
@@ -26,26 +26,26 @@ _RHOS = (0.0, 0.37, 0.85, 1.0)
 # order, of json.dumps(transcript_to_json(tr)) followed by the repr of the
 # win and consistency rates
 PINS = {
-    ("chsh", 1, 1): "64a012187c4d05719aaf86275dc603d0fe6abe1fa414d6fb6c76344df066dcc7",
-    ("chsh", 1, 7): "7f4b12bef769b83336617a3adaf20d742c0891acc793dafbe3d723fbb951e47e",
-    ("chsh", 1, 100): "aa09c55ec3fe1a0194d65d9bfb2e8110056bca6a58e5bc843ee4d65cae856e98",
-    ("chsh", 1, 3000): "81d179765b264fb9f9fdadd493e01ff27be4d29b66e43f91506ddd2fa44bd55a",
-    ("chsh", 2, 1): "64a012187c4d05719aaf86275dc603d0fe6abe1fa414d6fb6c76344df066dcc7",
-    ("chsh", 2, 7): "7f4b12bef769b83336617a3adaf20d742c0891acc793dafbe3d723fbb951e47e",
-    ("chsh", 2, 100): "aa09c55ec3fe1a0194d65d9bfb2e8110056bca6a58e5bc843ee4d65cae856e98",
-    ("chsh", 2, 3000): "81d179765b264fb9f9fdadd493e01ff27be4d29b66e43f91506ddd2fa44bd55a",
-    ("magic_square", 1, 1): "2bed3d61cba55624516773804ac93fad15647cacdf07f5724605598564b44364",
-    ("magic_square", 1, 7): "acef9d4aaa7d02a8535dc91e406bf6b4970fbc5d97fdace1dcc51f201decd9a1",
-    ("magic_square", 1, 100): "b14054016c193c13c4de89598a016a9563b37a2cd69760b4b71ec18d45b0e712",
-    ("magic_square", 1, 3000): "2beaeb677a9bf5bae6a878171462d4e0caea2470b02f82ed106c95ee0d7e9531",
-    ("two_out_of_n", 2, 1): "056f5586dc0cc5f577b6970a58a1a08934f521ec2eaea420cdd6b935bae8e0d7",
-    ("two_out_of_n", 2, 7): "0c1df02adb6491835d133738625dc272a0c594198fb7e93a92435d6f24a73008",
-    ("two_out_of_n", 2, 100): "26f46c860623cd7aeff16ba10600c44442db9aad0967919a94d691eacfa86f36",
-    ("two_out_of_n", 2, 3000): "5f676d2ff89c850a27f7c25782c882b402bad5ddc0e27954fd8452e9d7397917",
-    ("two_out_of_n", 3, 1): "4eeac0ef8de4cc3d01784a38f768fae5017faccf4af5abda2683587a1d5ce332",
-    ("two_out_of_n", 3, 7): "73a899a0b139d2d5751a95f860f2008faa32d88c9e87095212dbcb6857927744",
-    ("two_out_of_n", 3, 100): "ab9c83e19cedb3852117f8427a8d341adff23c844b7e544d0b44b3fa7efcbf1a",
-    ("two_out_of_n", 3, 3000): "fec54e557d5cbafdb7d149d21b39bee3c3adc1e2c17ff400828b6c571125d22d",
+    ("chsh", 1, 1): "5e361f3e99bf872815ffa4c9c3a96fd4de604ba306d512be75b69292a6f9fcf7",
+    ("chsh", 1, 7): "3d38f10faf58548158c0169c9fdfd48ca27081630b4f726221173b41f41273fe",
+    ("chsh", 1, 100): "a37f2a9a0dfcf98248893cf97d02f3f3f220166cbb4242bba76e92e0435bac21",
+    ("chsh", 1, 3000): "dfc4ef300ff863291d48ae3aef5154bda7ecfecac5d7272daccc168db8042f71",
+    ("chsh", 2, 1): "5e361f3e99bf872815ffa4c9c3a96fd4de604ba306d512be75b69292a6f9fcf7",
+    ("chsh", 2, 7): "3d38f10faf58548158c0169c9fdfd48ca27081630b4f726221173b41f41273fe",
+    ("chsh", 2, 100): "a37f2a9a0dfcf98248893cf97d02f3f3f220166cbb4242bba76e92e0435bac21",
+    ("chsh", 2, 3000): "dfc4ef300ff863291d48ae3aef5154bda7ecfecac5d7272daccc168db8042f71",
+    ("magic_square", 1, 1): "ef131e3d45fb2f2eefd4ce92848882f257b9c20d50fb9ed46394589270c324cd",
+    ("magic_square", 1, 7): "768e115d33a15b617878499e2c17186736de85e0e048f31cb349196026106164",
+    ("magic_square", 1, 100): "382e3509da96b88e4d1491883230a62c4dd307c9b1634bbb85e94cb0d0f52696",
+    ("magic_square", 1, 3000): "08fe0323c66e6a6763d63f0b5fe9df0e750bbc15948b0dbb8ec58dd33edd219e",
+    ("two_out_of_n", 2, 1): "5f29fd8bb80ba0347423feb56ff9ae4afcc192b3d4269ed100f9167169b2779b",
+    ("two_out_of_n", 2, 7): "df44adac565d3adb3a07cf00c50a529cf7a2fb9b0d5a22c3a82dd7942581bdd2",
+    ("two_out_of_n", 2, 100): "8130270a792907e44a2d465e6278aafcc33c4acd6cf622873582bf22a4d8c606",
+    ("two_out_of_n", 2, 3000): "61c4da67e6d3841bb542358a66ffd4c9d0f1881ef63f4e9843fd8e4332581dab",
+    ("two_out_of_n", 3, 1): "1a7505521275fdbd86c8c26c86f5b9c1f9dcd57ab0bc8ed15c8cc6c45882f65a",
+    ("two_out_of_n", 3, 7): "e6037780d21bcf150a013918c3b4b4096e9f001ef43dfd39ecd0af65afd5fdca",
+    ("two_out_of_n", 3, 100): "72a527dbad18249e59a309a1aa816b46c6ad2ac184399de0ddf1fe557a76eef4",
+    ("two_out_of_n", 3, 3000): "b11951fd3526ecf9cc666a0a582c103206bdf14e21c14b0c84851674cf3435ad",
 }
 
 
