@@ -18,6 +18,10 @@ EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_VALIDATION = 2
 
+# the names of games.GAMES (a test ties the two), spelled out because this
+# module imports package modules only inside the commands
+GAME_CHOICES = ("chsh", "magic_square", "two_out_of_n")
+
 
 def _json_default(obj):
     import numpy as np
@@ -88,19 +92,9 @@ def _load_strategy(args):
 
 def cmd_eval(args) -> int:
     from . import serialize
-    from .games import ChshStrategy, MagicSquareStrategy, TwoOutOfNStrategy
-    from .games import chsh_violation, magic_square_value, two_out_of_n_value
+    from .games import game_value
 
-    strategy = _load_strategy(args)
-    if isinstance(strategy, ChshStrategy):
-        report = chsh_violation(strategy, args.rho)
-    elif isinstance(strategy, MagicSquareStrategy):
-        report = magic_square_value(strategy, args.rho)
-    elif isinstance(strategy, TwoOutOfNStrategy):
-        report = two_out_of_n_value(strategy, args.rho)
-    else:
-        raise ValueError("unsupported strategy")
-    _emit(serialize.game_value_to_json(report), args)
+    _emit(serialize.game_value_to_json(game_value(_load_strategy(args), args.rho)), args)
     return EXIT_OK
 
 
@@ -310,10 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "for noisy nonlocal games.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, game_required=True):
-        p.add_argument("--game", default="chsh",
-                       choices=["chsh", "magic_square", "two_out_of_n"],
-                       required=game_required)
+    def common(p):
+        p.add_argument("--game", default="chsh", choices=GAME_CHOICES)
         p.add_argument("--strategy", default="canonical",
                        help="JSON file or symbolic: canonical, canonical-perturbed:T, "
                             "random:SEED, random-bounded:SEED, random-biased:B:SEED")
@@ -324,16 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p = sub.add_parser("eval", help="game value of a strategy under noise")
-    common(p, game_required=False)
+    common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("certify", help="sum-of-squares certificate for a strategy")
-    common(p, game_required=False)
+    common(p)
     p.add_argument("--variable", default=None, help="magic-square variable, e.g. 1,1")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("selftest", help="self-testing diagnostic report")
-    common(p, game_required=False)
+    common(p)
     p.add_argument("--threshold", type=float, default=None,
                    help="exit 1 if any distance exceeds this")
     p.add_argument("--theta-sweep", default=None, dest="theta_sweep",
@@ -344,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("simulate", help="run a game + trace-test protocol")
-    common(p, game_required=False)
+    common(p)
     p.add_argument("--t", type=int, required=True,
                    help="minimum repetitions per tracked question")
     p.add_argument("--p", type=float, default=0.01, help="minimum passing probability")
@@ -354,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate-rho", help="device-independent noise-rate estimate")
-    p.add_argument("--game", default="chsh",
-                   choices=["chsh", "magic_square", "two_out_of_n"])
+    p.add_argument("--game", default="chsh", choices=GAME_CHOICES)
     p.add_argument("--transcript", default=None, help="simulate output JSON file")
     p.add_argument("--statistic", type=float, default=None,
                    help="empirical win (or consistency) rate")

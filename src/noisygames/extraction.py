@@ -40,6 +40,7 @@ from .games import (
     _two_out_of_n_contexts,
     _two_out_of_n_report,
     chsh_violation,
+    game_of,
     magic_square_table,
     ms_parity_target,
     trace_error,
@@ -714,13 +715,14 @@ def general_noise_selftest(strategy: ChshStrategy,
 
 
 def selftest(strategy, rho: float) -> SelfTestReport:
-    if isinstance(strategy, ChshStrategy):
+    """The depolarizing-noise self-test of the strategy's game (games.game_of),
+    its chsh_, ms_ or two_out_of_n_selftest called by name at call time."""
+    game = game_of(strategy)
+    if game == "chsh":
         return chsh_selftest(strategy, rho)
-    if isinstance(strategy, MagicSquareStrategy):
+    if game == "magic_square":
         return ms_selftest(strategy, rho)
-    if isinstance(strategy, TwoOutOfNStrategy):
-        return two_out_of_n_selftest(strategy, rho)
-    raise ValidationError(f"no self-test for strategy type {type(strategy).__name__}")
+    return two_out_of_n_selftest(strategy, rho)
 
 
 def loglog_slope(eps_values, distances) -> float:

@@ -616,6 +616,32 @@ def perturbed_two_out_of_n_strategy(n: int, theta: float,
 
 
 # ---------------------------------------------------------------------------
+# game registry: every layer resolves a strategy's game (game_of) or checks a
+# name (require_game) here, then calls its per-game functions by name, at call
+# time: a table of functions built at import would miss a rebound attribute
+
+
+# game name -> the class of its strategies
+GAMES = {"chsh": ChshStrategy, "magic_square": MagicSquareStrategy,
+         "two_out_of_n": TwoOutOfNStrategy}
+
+
+def game_of(strategy) -> str:
+    """The name of the game that the strategy's class plays."""
+    for name, cls in GAMES.items():
+        if isinstance(strategy, cls):
+            return name
+    raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
+
+
+def require_game(name) -> str:
+    """name, checked to be a string that names a game."""
+    if not isinstance(name, str) or name not in GAMES:
+        raise ValidationError(f"unknown game {name!r}")
+    return name
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 
@@ -860,6 +886,17 @@ def two_out_of_n_value(strategy: TwoOutOfNStrategy, rho) -> GameValueReport:
     return _two_out_of_n_report(strategy.n, *_two_out_of_n_grams(strategy, rho))
 
 
+def game_value(strategy, noise):
+    """The value report of the game that the strategy plays: chsh_violation,
+    magic_square_value or two_out_of_n_value under the noise."""
+    game = game_of(strategy)
+    if game == "chsh":
+        return chsh_violation(strategy, noise)
+    if game == "magic_square":
+        return magic_square_value(strategy, noise)
+    return two_out_of_n_value(strategy, noise)
+
+
 def _pair_marginal_rows(n: int, rows: np.ndarray) -> np.ndarray:
     """The signed pair-marginal rows of one player's expanded stack, whose
     row 2(i-1) + x holds single (i, x) and row 2n + 4k + e element e of the
@@ -922,14 +959,13 @@ def trace_error(strategy) -> float:
     """Largest absolute normalized trace over the game's observable list,
     including derived row/column and pair-marginal observables (signed sums
     of their POVM elements' traces)."""
-    if not isinstance(strategy, (ChshStrategy, MagicSquareStrategy, TwoOutOfNStrategy)):
-        raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
-    if isinstance(strategy, ChshStrategy):
+    game = game_of(strategy)
+    if game == "chsh":
         # one trace over both players' observables
         values = [_normalized_traces(np.concatenate(strategy.stacks))]
     else:
         first, second = (_normalized_traces(stack) for stack in strategy.stacks)
-        if isinstance(strategy, MagicSquareStrategy):
+        if game == "magic_square":
             values = [first.reshape(-1, 8) @ _MS_SIGNS, second]
         else:
             ns = 2 * strategy.n

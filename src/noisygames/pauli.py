@@ -264,17 +264,13 @@ class PauliExpansion:
 
     coeffs is flat of length m^(2n), row-major in the multi-index x with
     register 1 as the most significant digit; the expansion of a (k, d, d)
-    stack holds a (k, m^(2n)) array, one row per member.  imag_residue
-    records the largest imaginary part discarded when the coefficients were
-    computed.
+    stack holds a (k, m^(2n)) array, one row per member.
     """
 
     m: int
     n: int
     coeffs: np.ndarray
     basis: StandardBasis
-    imag_residue: float = 0.0
-
 
 
 def index_digits(x: int, m: int, n: int) -> tuple[int, ...]:
@@ -325,7 +321,7 @@ def pauli_expand(mat: np.ndarray, basis: StandardBasis, *,
     residue = float(np.abs(flat.imag).max()) if flat.size else 0.0
     if not residue <= COEFF_IMAG_ATOL:  # also true for NaN
         raise ValidationError(f"coefficients have imaginary residue {residue:.3e}")
-    return PauliExpansion(m, n, flat.real.copy(), basis, residue)
+    return PauliExpansion(m, n, flat.real.copy(), basis)
 
 
 def _contract(mat: np.ndarray, basis: StandardBasis, n: int) -> np.ndarray:

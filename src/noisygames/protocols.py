@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import (
+    GAMES,
     ChshStrategy,
     MagicSquareStrategy,
     PairEvaluator,
@@ -64,6 +65,8 @@ from .games import (
     _pair_keys,
     _two_out_of_n_contexts,
     _two_out_of_n_grams,
+    game_of,
+    require_game,
 )
 from .pauli import ValidationError
 
@@ -107,17 +110,6 @@ class ProtocolParams:
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,))))
-
-
-def _sample_categories(cum: np.ndarray, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-row inverse-CDF draw (sample_round's rule): per round, the number
-    of cumulative bounds of row ctx[r] of cum that u[r] exceeds, counted one
-    category at a time into uint8."""
-    idx = ctx.astype(np.intp)  # take() would convert narrow ids once per column
-    out = np.zeros(len(u), dtype=np.uint8)
-    for col in cum.T:
-        out += u > col.take(idx)
-    return out
 
 
 # the most bytes a guide table may take: 2**17 two-byte buckets keep the
@@ -429,18 +421,8 @@ def _two_out_of_n_game(strategy: TwoOutOfNStrategy, rho: float) -> _Game:
                  lambda v: (v["a"], (v["b_shared"], v["b_other"])))
 
 
-# game name -> (strategy class, table builder)
-_GAMES = {"chsh": (ChshStrategy, _chsh_game),
-          "magic_square": (MagicSquareStrategy, _ms_game),
-          "two_out_of_n": (TwoOutOfNStrategy, _two_out_of_n_game)}
-
-
-def _game_of(strategy, noise) -> _Game:
-    """The tables of the game that the strategy's class plays."""
-    build = next((build for cls, build in _GAMES.values() if isinstance(strategy, cls)), None)
-    if build is None:
-        raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
-    return build(strategy, float(noise))
+# game name (games.GAMES) -> table builder
+_GAMES = {"chsh": _chsh_game, "magic_square": _ms_game, "two_out_of_n": _two_out_of_n_game}
 
 
 def sample_round(strategy, noise, questions, rng: np.random.Generator):
@@ -453,11 +435,12 @@ def sample_round(strategy, noise, questions, rng: np.random.Generator):
     (role, i, j, x, y, z) with role 0 when the first player holds the single
     index; answers (a, (b_shared, b_other)).
     """
-    game = _game_of(strategy, noise)
+    game = _GAMES[game_of(strategy)](strategy, float(noise))
     if tuple(questions) not in game.questions:
         raise ValidationError(f"no question context {questions!r} in this game")
     ctx = game.questions.index(tuple(questions))
-    out = int(_sample_categories(game.sampler.cum, np.array([ctx]), rng.random(1))[0])
+    # the runner's rule: u draws the number of the context's bounds at most u
+    out = int(np.searchsorted(game.sampler.cum[ctx], rng.random(1), side="right")[0])
     return game.answer({name: int(table[ctx, out]) for name, table in game.columns.items()})
 
 
@@ -567,12 +550,10 @@ def _plus_frequencies(hists: np.ndarray) -> np.ndarray:
 def run_protocol(params: ProtocolParams, strategy) -> ProtocolTranscript:
     """Play game rounds until every tracked (player, question) count reaches
     t, then apply the bias test over the first t trials of each question."""
-    if params.game not in _GAMES:
-        raise ValidationError(f"unknown game {params.game!r}")
-    cls, build = _GAMES[params.game]
+    cls = GAMES[require_game(params.game)]
     if not isinstance(strategy, cls):
         raise ValidationError(f"{params.game} protocol needs a {cls.__name__}")
-    game = build(strategy, params.rho)
+    game = _GAMES[params.game](strategy, params.rho)
     cells, seen, joint = _play_blocks(params, game)
     counts, freqs, reasons = {}, {}, []
     for (_, keys), (key_counts, hists) in zip(game.key_sets, seen):
@@ -606,7 +587,7 @@ def play_rounds(strategy, rho: float, n_rounds: int, seed: int) -> tuple:
     consistency rate).  Vectorized: multinomial context counts, then
     multinomial outcomes per context, from a Philox stream keyed by seed."""
     _check_round_count(n_rounds)
-    game = _game_of(strategy, rho)
+    game = _GAMES[game_of(strategy)](strategy, float(rho))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     n_ctx = len(game.questions)
     per_ctx = rng.multinomial(n_rounds, np.full(n_ctx, 1.0 / n_ctx))
@@ -659,8 +640,7 @@ def estimate_noise_rate(game: str, statistic: float | None = None,
     if transcript is not None:
         game, n_rounds = transcript.game, transcript.t_prime
         statistic = getattr(transcript, _estimated_rate(game).attribute)
-    if not isinstance(game, str) or game not in _GAMES:
-        raise ValidationError(f"unknown game {game!r}")
+    require_game(game)
     if statistic is None or n_rounds is None:
         raise ValidationError("need a statistic and a positive round count")
     _check_round_count(n_rounds)

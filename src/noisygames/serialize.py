@@ -18,6 +18,7 @@ import numpy as np
 from .certificates import SoSCertificate
 from .extraction import SelfTestReport
 from .games import (
+    GAMES,
     ChshStrategy,
     GameValueReport,
     MS_QUESTIONS,
@@ -28,11 +29,13 @@ from .games import (
     canonical_chsh_strategy,
     canonical_magic_square_strategy,
     canonical_two_out_of_n_strategy,
+    game_of,
     perturbed_chsh_strategy,
     perturbed_magic_square_strategy,
     perturbed_two_out_of_n_strategy,
     random_chsh_strategy,
     random_magic_square_strategy,
+    require_game,
 )
 from .pauli import ValidationError, matrix_from_json, matrix_to_json
 from .protocols import NoiseEstimate, ProtocolTranscript, _render_blocks
@@ -92,9 +95,6 @@ def state_from_json(data: dict) -> BipartiteState:
 # strategies
 
 
-# the strategy class of each game a strategy document names
-_STRATEGY_CLASSES = {"chsh": ChshStrategy, "magic_square": MagicSquareStrategy,
-                     "two_out_of_n": TwoOutOfNStrategy}
 # how errors name a member block, if not by its key
 _BLOCK_NAMES = {"observables": "chsh observables"}
 
@@ -119,9 +119,7 @@ def _strategy_layout(game: str, n: int) -> dict:
 
 
 def strategy_to_json(strategy) -> dict:
-    game = next((g for g, cls in _STRATEGY_CLASSES.items() if isinstance(strategy, cls)), None)
-    if game is None:
-        raise ValidationError(f"cannot serialize strategy type {type(strategy).__name__}")
+    game = game_of(strategy)
     doc = {"schemaVersion": SCHEMA_VERSION, "game": game, "n": strategy.n}
     if game == "two_out_of_n":
         doc["nPrime"] = strategy.n_prime
@@ -187,9 +185,9 @@ _SYMBOLIC_FIELDS = {"canonical": {"register", "nPrime"},
 
 def _symbolic_strategy(data: dict):
     kind = _field(data, "kind", str)
-    game = _field(data, "game", str, "chsh")
     if kind not in _SYMBOLIC_FIELDS:
         raise ValidationError(f"unknown symbolic strategy kind {kind!r}")
+    game = require_game(data.get("game", "chsh"))
     reads = _SYMBOLIC_FIELDS[kind] - {"register" if game == "two_out_of_n" else "nPrime"}
     _require_keys(data, {"kind"}, {"game", "n", *reads}, f"symbolic {kind} {game} strategy")
     n = _register_count(data, 1)
@@ -201,39 +199,31 @@ def _symbolic_strategy(data: dict):
             return canonical_chsh_strategy(n, register)
         if game == "magic_square":
             return canonical_magic_square_strategy(n, register)
-        if game == "two_out_of_n":
-            return canonical_two_out_of_n_strategy(n, n_prime)
-        raise ValidationError(f"unknown game {game!r}")
+        return canonical_two_out_of_n_strategy(n, n_prime)
     if kind == "canonical-perturbed":
         theta = _field(data, "theta", float)
         if game == "chsh":
             return perturbed_chsh_strategy(n, register, theta)
         if game == "magic_square":
             return perturbed_magic_square_strategy(n, register, theta)
-        if game == "two_out_of_n":
-            return perturbed_two_out_of_n_strategy(n, theta)
-        raise ValidationError(f"unknown game {game!r}")
-    if kind == "random":
-        rng = np.random.default_rng(_field(data, "seed", int, 0))
-        variant = _field(data, "variant", str, "binary")
-        bias = _field(data, "traceBias", float, 0.0)
-        if game == "chsh":
-            return random_chsh_strategy(n, rng, kind=variant, trace_bias=bias)
-        if game == "magic_square":
-            return random_magic_square_strategy(
-                n, rng, kind=variant if variant != "binary" else "projective",
-                trace_bias=bias)
-        raise ValidationError(f"no random constructor for game {game!r}")
+        return perturbed_two_out_of_n_strategy(n, theta)
+    rng = np.random.default_rng(_field(data, "seed", int, 0))  # kind "random"
+    variant = _field(data, "variant", str, "binary")
+    bias = _field(data, "traceBias", float, 0.0)
+    if game == "chsh":
+        return random_chsh_strategy(n, rng, kind=variant, trace_bias=bias)
+    if game == "magic_square":
+        return random_magic_square_strategy(
+            n, rng, kind=variant if variant != "binary" else "projective", trace_bias=bias)
+    raise ValidationError(f"no random constructor for game {game!r}")
 
 
 def strategy_from_json(data: dict):
     if isinstance(data, dict) and "kind" in data:
         return _symbolic_strategy(data)
-    blocks = {block for g in _STRATEGY_CLASSES for block in _strategy_layout(g, 1)}
+    blocks = {block for g in GAMES for block in _strategy_layout(g, 1)}
     _require_keys(data, {"game", "n"}, {"nPrime", *blocks}, "strategy")
-    game = _field(data, "game", str)
-    if game not in _STRATEGY_CLASSES:
-        raise ValidationError(f"unknown game {game!r}")
+    game = require_game(data["game"])
     n = _register_count(data)
     if game == "two_out_of_n":  # its layout lists every pair of the n indices
         n_prime = _field(data, "nPrime", int, n)

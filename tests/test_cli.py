@@ -535,8 +535,7 @@ def _defective_strategy_documents() -> dict:
      "a magic_square strategy with n = 4 has local dimension 2**8, above the cap of 2**6"),
     (["eval", "--game", "two_out_of_n", "--rho", "0.9", "--n", "7"],
      "a two_out_of_n strategy with n = 7 has local dimension 2**7, above the cap of 2**6"),
-    (["eval", "--rho", "0.9", "--strategy", "{game_list}"],
-     "strategy field 'game' must be a string, got ['chsh']"),
+    (["eval", "--rho", "0.9", "--strategy", "{game_list}"], "unknown game ['chsh']"),
     (["eval", "--rho", "0.9", "--strategy", "{seed_null}"],
      "strategy field 'seed' must be an integer, got None"),
     (["eval", "--game", "two_out_of_n", "--n", "2", "--rho", "0.9", "--strategy", "{n_prime_list}"],

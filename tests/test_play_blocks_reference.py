@@ -228,7 +228,7 @@ def test_run_keeps_a_few_bytes_a_round_until_rounds_are_read(game, n, t):
         tracemalloc.stop()
     assert retained <= 8 * tr.t_prime
 
-    tables = _GAMES[game][1](strategy, params.rho)
+    tables = _GAMES[game](strategy, params.rho)
     cells, _ = _reference_play_blocks(params, tables)
     expected = {name: table.ravel()[cells] for name, table in tables.columns.items()
                 if name not in ("win", "consistent")}

@@ -47,7 +47,6 @@ from noisygames.protocols import (
     _plus_frequencies,
     _render_blocks,
     _rng_for_block,
-    _sample_categories,
     _two_out_of_n_game,
     derive_delta,
     estimate_noise_rate,
@@ -138,7 +137,7 @@ def test_empirical_frequencies_converge():
 def test_joint_draw_chi_square(game, strategy):
     # 2e5 rounds of one block stream each: the (context, outcome) counts
     # against exact_table / n_ctx, and no round in a zero-mass cell
-    sampler = _GAMES[game][1](strategy, 0.8).sampler
+    sampler = _GAMES[game](strategy, 0.8).sampler
     n_ctx, n_out = sampler.cum.shape
     n = 200_000
     u = np.concatenate([_rng_for_block(31, b).random(_BLOCK) for b in range(-(-n // _BLOCK))])
@@ -456,26 +455,46 @@ def test_round_columns_are_int64(game, n):
         assert not column.flags.writeable, name
 
 
-@pytest.mark.parametrize("n_cat", [4, 8, 16])
-def test_sample_categories_matches_full_gather(n_cat):
-    rng = np.random.default_rng(n_cat)
-    n_ctx, rounds = 7, 5000
-    tables = rng.random((n_ctx, n_cat))
-    tables[rng.random((n_ctx, n_cat)) < 0.3] = 0.0  # zero-mass categories
-    tables[:, 0] = 0.0
-    tables[1, :] = 0.0
-    tables[1, -1] = 1.0
-    tables /= tables.sum(axis=1, keepdims=True)
-    cum = np.cumsum(tables, axis=1)
-    ctx = rng.integers(0, n_ctx, size=rounds).astype(np.uint8)
-    u = rng.random(rounds)
-    u[:200] = cum[ctx[:200], rng.integers(0, n_cat, size=200)]  # ties with a bound
-    u[200:300] = np.nextafter(cum[ctx[200:300], -1], 2.0)       # above the last bound
-    u[300:310] = 0.0
-    out = _sample_categories(cum, ctx, u)
-    assert out.dtype == np.uint8
-    assert np.array_equal(out, (u[:, None] > cum[ctx]).sum(axis=1))
-    assert (out[200:300] == n_cat).all()
+class _FixedUniform:
+    """A generator stand-in whose random(size) is u, size times."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def _answer_of(tables, ctx: int, out: int):
+    """The answers of outcome `out` of context `ctx`, from the game's columns."""
+    return tables.answer({name: int(table[ctx, out]) for name, table in tables.columns.items()})
+
+
+def test_sample_round_draws_no_zero_mass_answer_at_u_zero():
+    # the wrong-parity answer (1, 1, 1) to c3 has zero mass, so its bound is
+    # 0.0; counting the bounds below u = 0.0 instead of those at most u drew it
+    strategy = canonical_magic_square_strategy(1)
+    assert sample_round(strategy, 0.8, ("c3", 1), _FixedUniform(0.0)) == ((1, 1, -1), 1)
+
+
+@pytest.mark.parametrize("game, strategy", [
+    ("chsh", canonical_chsh_strategy(1)),
+    ("chsh", perturbed_chsh_strategy(1, 1, 0.3)),
+    ("magic_square", canonical_magic_square_strategy(1)),
+    ("two_out_of_n", perturbed_two_out_of_n_strategy(2, 0.37))])
+def test_sample_round_draws_the_number_of_bounds_at_most_u(game, strategy):
+    # per context, u = 0.0, each bound below 1.0 (a tie, zero-mass cells'
+    # bounds among them) and 1 - 2**-53 draw the outcome that the number of
+    # the row's bounds at most u names, always one of positive mass
+    tables = _GAMES[game](strategy, 0.8)
+    cum = tables.sampler.cum
+    probs = np.diff(cum, axis=1, prepend=0.0)
+    for ctx, questions in enumerate(tables.questions):
+        for u in [0.0, *cum[ctx][cum[ctx] < 1.0].tolist(), 1 - 2 ** -53]:
+            out = int((cum[ctx] <= u).sum())
+            assert probs[ctx, out] > 0
+            assert sample_round(strategy, 0.8, questions, _FixedUniform(u)) == _answer_of(
+                tables, ctx, out), (questions, u)
 
 
 def _joint_rule(cum, u):
@@ -534,7 +553,7 @@ def test_guided_draw_equals_the_exact_draw(seed, n_ctx, n_cat):
     ("two_out_of_n", canonical_two_out_of_n_strategy(2), 17, 0.005),
     ("two_out_of_n", canonical_two_out_of_n_strategy(5), 17, 0.05)])
 def test_guide_tables_stay_small(game, strategy, bits, share):
-    guide = _GAMES[game][1](strategy, 0.85).sampler._guide
+    guide = _GAMES[game](strategy, 0.85).sampler._guide
     n_cells = len(guide.joint)
     assert guide.bits == bits
     assert guide.table.dtype == np.min_scalar_type(n_cells) and guide.table.nbytes <= 512 * 1024
@@ -548,7 +567,7 @@ def test_guide_tables_stay_small(game, strategy, bits, share):
     ("two_out_of_n", perturbed_two_out_of_n_strategy(5, 0.37))])
 @pytest.mark.parametrize("rho", [0.0, 0.85, 1.0])
 def test_each_context_has_joint_mass_one_over_the_contexts(game, strategy, rho):
-    sampler = _GAMES[game][1](strategy, rho).sampler
+    sampler = _GAMES[game](strategy, rho).sampler
     n_ctx, n_out = sampler.cum.shape
     joint = sampler._guide.joint
     ends = joint.reshape(n_ctx, n_out)[:, -1]
@@ -576,7 +595,7 @@ def test_context_draws_match_the_int64_stream(name, strategy, seed, block):
     # questions of the contexts that the block's uniforms, from one random()
     # call of the block's own stream, fall in: context c holds the uniforms
     # from the previous context's last joint bound up to its own last one
-    game = _GAMES[name][1](strategy, 0.8)
+    game = _GAMES[name](strategy, 0.8)
     n_ctx, n_out = game.sampler.cum.shape
     lo = block * _BLOCK
     t = (lo + 1000) // _rounds_per_t(game)
@@ -650,7 +669,7 @@ def test_round_stream_is_sfc64_keyed_by_seed_sequence_spawn():
     # SeedSequence(seed).spawn() gives, one uniform and one cell a round.
     # A numpy change to SeedSequence, SFC64 or random() fails here
     assert _BLOCK == 2 ** 15
-    samplers = {name: _GAMES[game][1](strategy, 0.8).sampler
+    samplers = {name: _GAMES[game](strategy, 0.8).sampler
                 for name, (game, strategy) in _STREAM_GAMES.items()}
     for (seed, block), (first_u, first_cells) in STREAM_PINS.items():
         child = np.random.SeedSequence(seed).spawn(block + 1)[block]
@@ -762,7 +781,7 @@ def test_sample_round_answers_pinned_for_fixed_generators(game, strategy):
     generators = [np.random.default_rng(5), np.random.Generator(np.random.Philox(7)),
                   np.random.Generator(np.random.SFC64(11)),
                   np.random.Generator(np.random.MT19937(13))]
-    questions = _GAMES[game][1](strategy, 0.8).questions
+    questions = _GAMES[game](strategy, 0.8).questions
     text = " ".join(_signs(sample_round(strategy, 0.8, q, rng))
                     for rng in generators for q in questions)
     assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_ROUND_PINS[game]
@@ -802,7 +821,7 @@ def test_run_frequencies_equal_the_per_test_loop(monkeypatch, game):
     play = protocols._play_blocks
     monkeypatch.setattr(protocols, "_play_blocks", recording)
     tr = run_protocol(params, strategy)
-    game_tables = _GAMES[game][1](strategy, params.rho)
+    game_tables = _GAMES[game](strategy, params.rho)
     freqs, reasons = {}, []
     for (_, keys), (_, hists) in zip(game_tables.key_sets, played[0][1]):
         for (_, tests), hist in zip(keys, hists):
@@ -1000,7 +1019,7 @@ _BLOCK_GAMES = {
 
 def _recording_draws(monkeypatch, game):
     """The uniforms of every sampler draw of a game's runs."""
-    sampler = type(_GAMES[game][1](_BLOCK_GAMES[game], 0.8).sampler)
+    sampler = type(_GAMES[game](_BLOCK_GAMES[game], 0.8).sampler)
     draw, drawn = sampler.draw, []
 
     def recording(self, u):
@@ -1029,7 +1048,7 @@ def test_uniforms_drawn_in_chunks_match_one_call(monkeypatch, game, seed):
     # the sampler gets each block whole: its uniforms from the one random()
     # call of the block's stream
     drawn = _recording_draws(monkeypatch, game)
-    tables = _GAMES[game][1](_BLOCK_GAMES[game], 0.8)
+    tables = _GAMES[game](_BLOCK_GAMES[game], 0.8)
     t = 3 * _BLOCK // _rounds_per_t(tables)
     run_protocol(ProtocolParams(game, t, 0.01, seed=seed, rho=0.8), _BLOCK_GAMES[game])
     assert len(drawn) >= 3
@@ -1042,7 +1061,7 @@ def test_a_run_is_a_prefix_of_a_run_with_a_larger_t(game):
     # round r of a seed does not depend on t
     strategy = _BLOCK_GAMES[game]
     short, long = (run_protocol(ProtocolParams(game, t, 0.01, seed=9, rho=0.8), strategy)
-                   for t in (40, 40 + _BLOCK // _rounds_per_t(_GAMES[game][1](strategy, 0.8))))
+                   for t in (40, 40 + _BLOCK // _rounds_per_t(_GAMES[game](strategy, 0.8))))
     assert short.t_prime < _BLOCK < long.t_prime
     assert list(short.rounds) == list(long.rounds)
     for name, column in short.rounds.items():
@@ -1059,8 +1078,11 @@ def test_draw_above_a_row_sum_below_one_stays_in_range():
     probs = np.diff(sampler.cum, axis=1, prepend=0.0)
     assert np.array_equal(sampler.draw(u),
                           [c * n_out + np.flatnonzero(probs[c])[-1] for c in range(8, 14)])
-    assert np.array_equal(_sample_categories(sampler.cum, np.arange(8, 14), np.full(6, 1 - 2 ** -53)),
-                          [np.flatnonzero(probs[c])[-1] for c in range(8, 14)])
+    strategy = perturbed_two_out_of_n_strategy(2, 0.1)
+    tables = _GAMES["two_out_of_n"](strategy, 0.83)
+    for c in range(8, 14):
+        assert sample_round(strategy, 0.83, tables.questions[c], _FixedUniform(1 - 2 ** -53)) == (
+            _answer_of(tables, c, np.flatnonzero(probs[c])[-1]))
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.37, 0.83, 1.0])
@@ -1114,7 +1136,7 @@ def _perturbed_and_biased(game, n, theta, bias):
 def test_sampler_rows_are_cumulative_distributions(game, n, theta, bias, rho):
     from noisygames.protocols import _GAMES
 
-    cum = _GAMES[game][1](_perturbed_and_biased(game, n, theta, bias), rho).sampler.cum
+    cum = _GAMES[game](_perturbed_and_biased(game, n, theta, bias), rho).sampler.cum
     assert ((cum >= 0.0) & (cum <= 1.0)).all()
     assert (np.diff(cum, axis=1) >= 0.0).all()
     assert (cum[:, -1] == 1.0).all()

@@ -155,8 +155,6 @@ def test_magic_square_strategy_missing_question_is_named():
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"kind": "canonical", "game": ["chsh"]}, "'game' must be a string, got ['chsh']"),
-    ({"game": ["chsh"], "n": 1}, "'game' must be a string, got ['chsh']"),
     ({"kind": "random", "seed": None}, "'seed' must be an integer, got None"),
     ({"kind": "canonical", "game": "two_out_of_n", "n": 2, "nPrime": [1]},
      "'nPrime' must be an integer, got [1]"),

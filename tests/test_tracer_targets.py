@@ -77,3 +77,26 @@ def test_traced_sampler_draws_see_every_drawn_round(tracing, game, n, t):
     blocks = (tr.t_prime - 1) // protocols._BLOCK + 1
     assert tracer.counters["rounds_drawn"] == blocks * protocols._BLOCK
     assert tracer.counters["rounds_kept"] == tr.t_prime
+
+
+@pytest.mark.parametrize("module, entry, span", [
+    ("games", "game_value", "games.chsh_violation"),
+    ("extraction", "selftest", "extraction.chsh_selftest"),
+    ("certificates", "certify", "certificates.chsh_sos_certificate")])
+def test_traced_dispatch_reaches_the_wrapped_game_function(tracing, module, entry, span):
+    # the tracer rebinds module attributes: a dispatcher that held its
+    # per-game functions in a table built at import would call the unwrapped
+    # originals, and the games.value, extraction.selftest or certificates.sos
+    # layer would read 0
+    from noisygames import games
+
+    strategy = games.canonical_chsh_strategy(1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        getattr(importlib.import_module(f"noisygames.{module}"), entry)(strategy, 0.8)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert span in {s[1] for s in tracer.spans}
