@@ -574,10 +574,14 @@ def ms_selftest(strategy: MagicSquareStrategy, rho: float) -> SelfTestReport:
 def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> SelfTestReport:
     """Per-index anticommutation, cross-index commutation, marginal-vs-single
     relation distances, register assignment with distinctness verdict, and
-    per-index qubit extraction for both players.  The value, the relation
-    distances and the register concentration read the value's stacked
-    expansion: a pair marginal's row is a signed sum of its POVM's element
-    rows, and each index runs the CHSH self-test's pair test on its singles."""
+    per-index qubit extraction for both players.  Registers are assigned per
+    player, and each index reports its singles' votes and whether they
+    disagree; the verdict is distinct only when no index is ambiguous, every
+    index has a register on both players and no player puts two indices on
+    one register.  The value, the relation distances and the register
+    concentration read the value's stacked expansion: a pair marginal's row
+    is a signed sum of its POVM's element rows, and each index runs the CHSH
+    self-test's pair test on its singles."""
     if not 0.0 < rho < 1.0:
         raise ValidationError("self-testing is defined for rho in (0, 1)")
     n = strategy.n
@@ -613,43 +617,59 @@ def two_out_of_n_selftest(strategy: TwoOutOfNStrategy, rho: float) -> SelfTestRe
         relations[f"R[{i}{y}|{i}{y},{j}{z}]"] = r
         relations[f"T[{i}{y}|{i}{y},{j}{z}]"] = t
 
-    registers = {}
-    all_concs = {}
+    # each index's register is its four singles' consensus, and each
+    # player's its own two singles'; an index whose singles disagree is
+    # ambiguous
+    registers, votes, ambiguous = {}, {}, {}
+    # per player, index -> (its register, its two singles' locals there)
+    players = {"alice": {}, "bob": {}}
     concentrations = []
     extraction = {}
     for i in range(1, n + 1):
         rows = slice(2 * (i - 1), 2 * i)  # the singles (i, 0) and (i, 1)
         labels = (f"P{i}0", f"P{i}1", f"Q{i}0", f"Q{i}1")
-        all_concs[i], run, extraction[f"alice_{i}"], extraction[f"bob_{i}"] = \
+        concs, run, extraction[f"alice_{i}"], extraction[f"bob_{i}"] = \
             _pair_selftest(a[rows], b[rows], labels)
-        registers[i] = run["register"]
+        registers[i], votes[str(i)], ambiguous[str(i)] = (
+            run["register"], run["registerVotes"], run["registerAmbiguous"])
         concentrations.append(run["concentration"])
+        for player, own in zip(players, (labels[:2], labels[2:])):
+            register = _register_consensus({k: concs[k] for k in own})[0]
+            players[player][i] = (register, [_local_on_register(concs[k], register) for k in own])
 
-    # a collision's contradiction is the largest |a x b| over the Bloch
-    # vectors a, b of the P_iu and P_jv locals on the shared register: half
-    # their commutator norm, as [a.s, b.s] = 2i (a x b).s.  A missing local
-    # (no mass there) stands in as 0, which commutes with everything.
-    assigned = [i for i in registers if registers[i] is not None]
-    colliding = [(i, j) for i, j in itertools.combinations(assigned, 2)
-                 if registers[i] == registers[j]]
+    # indices collide when either player puts them on one register.  The
+    # contradiction is the largest |a x b| over the Bloch vectors a, b of
+    # that player's index-i and index-j locals on the shared register (the
+    # first player's where both collide): half their commutator norm, as
+    # [a.s, b.s] = 2i (a x b).s.  A missing local (no mass there) stands in
+    # as 0, which commutes with everything.
+    pairs = {}
+    for player, held in players.items():
+        placed = [i for i in held if held[i][0] is not None]
+        for i, j in itertools.combinations(placed, 2):
+            if held[i][0] == held[j][0]:
+                pairs.setdefault((i, j), player)
+    colliding = sorted(pairs.items())
 
-    def local(i, u):
-        loc = _local_on_register(all_concs[i][f"P{i}{u}"], registers[i])
+    def local(player, i, u):
+        loc = players[player][i][1][u]
         return np.zeros((2, 2)) if loc is None else loc
 
-    quads = [(i, u, j, v) for i, j in colliding for u in (0, 1) for v in (0, 1)]
-    locals_i = np.reshape([local(i, u) for i, u, _, _ in quads], (-1, 2, 2))
-    locals_j = np.reshape([local(j, v) for _, _, j, v in quads], (-1, 2, 2))
+    quads = [(p, i, u, j, v) for (i, j), p in colliding for u in (0, 1) for v in (0, 1)]
+    locals_i = np.reshape([local(p, i, u) for p, i, u, _, _ in quads], (-1, 2, 2))
+    locals_j = np.reshape([local(p, j, v) for p, _, _, j, v in quads], (-1, 2, 2))
     worst = (_relation_norms(locals_i, locals_j, -1) / 2).reshape(-1, 4).max(axis=1, initial=0.0)
-    collisions = [{"indexA": i, "indexB": j, "register": registers[i], "contradiction": c}
-                  for (i, j), c in zip(colliding, worst.tolist())]
+    collisions = [{"indexA": i, "indexB": j, "register": players[p][i][0], "player": p,
+                   "contradiction": c} for ((i, j), p), c in zip(colliding, worst.tolist())]
+    every_placed = all(r is not None for held in players.values() for r, _ in held.values())
 
     entries = {
         "rho": rho, "winProb": value.win_prob, "epsV": 2 * np.sqrt(2) * rho - value.violation,
         "epsTr": trace_error(strategy), "indexAntiCommutators": anti, "crossCommutators": cross,
         "marginalRelationDistances": relations,
         "registers": {str(i): r for i, r in registers.items()},
-        "distinct": not collisions and None not in registers.values(),
+        "registerVotes": votes, "registerAmbiguous": ambiguous,
+        "distinct": not collisions and every_placed and not any(ambiguous.values()),
         "collisions": collisions, "extractionUnitaries": extraction,
     }
     return _report("two_out_of_n", entries,

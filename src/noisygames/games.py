@@ -377,32 +377,35 @@ def derived_observable(povm: np.ndarray, slot: int) -> np.ndarray:
     return np.tensordot(_MS_SIGNS[:, slot - 1], povm, axes=1)
 
 
-def _commuting_projector_povm(observables: list[np.ndarray]) -> np.ndarray:
-    """POVM from k commuting binary observables: the products of their
-    spectral projectors (I + a_s O_s) / 2, one element per answer tuple a in
-    itertools.product((1, -1), repeat=k) order (ms_outcomes order for k = 3,
-    (+,+), (+,-), (-,+), (-,-) for k = 2)."""
-    d = observables[0].shape[0]
-    elems = []
-    for a in itertools.product((1, -1), repeat=len(observables)):
-        e = functools.reduce(np.matmul, [(np.eye(d) + val * obs) / 2
-                                         for val, obs in zip(a, observables)])
-        elems.append((e + e.conj().T) / 2)
-    return np.stack(elems)
+def _spectral_projectors(observables) -> np.ndarray:
+    """The projectors (I + a O) / 2 of binary observables O, for a = 1 and
+    -1, on a new axis after the observables' own leading axes."""
+    obs = np.asarray(observables)
+    eye = np.eye(obs.shape[-1])
+    return np.stack([(eye + a * obs) / 2 for a in (1, -1)], axis=-3)
+
+
+def _hermitized(mats: np.ndarray) -> np.ndarray:
+    """(M + M*) / 2 of each member of a stack, in place."""
+    mats += mats.conj().swapaxes(-1, -2)
+    mats /= 2
+    return mats
 
 
 def canonical_magic_square_strategy(n: int, register: int = 1) -> MagicSquareStrategy:
     """Table observables on one register; Alice POVMs are joint projectors of
-    the three commuting observables per question, Bob uses transposes."""
+    the three commuting observables per question, Bob uses transposes.
+    Element a of question q is the product of the slots' spectral
+    projectors (I + a_s O_s) / 2 in slot order, hermitized: one stacked
+    product for all questions, then one embedding."""
     table = magic_square_table()
-    povms = {}
-    for q in MS_QUESTIONS:
-        obs = [table[i - 1, j - 1] for (i, j) in ms_question_variables(q)]
-        local = _commuting_projector_povm(obs)
-        povms[q] = np.stack([embed_on_register(e, n, register, m=4) for e in local])
-    bob = {(i, j): embed_on_register(table[i - 1, j - 1].T, n, register, m=4)
-           for i in (1, 2, 3) for j in (1, 2, 3)}
-    return MagicSquareStrategy(n, povms, bob)
+    proj = _spectral_projectors([[table[i - 1, j - 1] for i, j in ms_question_variables(q)]
+                                 for q in MS_QUESTIONS])  # (question, slot, sign, 4, 4)
+    local = (proj[:, 0, :, None, None] @ proj[:, 1, None, :, None]) @ proj[:, 2, None, None, :]
+    povms = embed_on_register(_hermitized(local).reshape(len(MS_QUESTIONS), 8, 4, 4),
+                              n, register, m=4)
+    bob = embed_on_register(table.swapaxes(-1, -2).reshape(-1, 4, 4), n, register, m=4)
+    return MagicSquareStrategy(n, dict(zip(MS_QUESTIONS, povms)), dict(zip(_MS_VARIABLES, bob)))
 
 
 def perturbed_magic_square_strategy(n: int, register: int, theta: float,
@@ -515,7 +518,10 @@ class TwoOutOfNStrategy:
 
     stacks holds each player's read-only stack: the 2n singles, (i, x) at
     row 2(i-1) + x, then element e of the POVM of key k (in _pair_keys
-    order) at row 2n + 4k + e; the dict fields are views of its rows."""
+    order) at row 2n + 4k + e; the dict fields are views of its rows.
+    The second player's pair-POVM stack is checked only when it differs
+    from the first's (the canonical strategy gives both players the same
+    POVMs): an equal stack passes as the first's did."""
 
     n: int
     n_prime: int
@@ -550,8 +556,9 @@ class TwoOutOfNStrategy:
                                          + _lookup(self.bob_pair_povms, keys, pair_labels),
                                          d, pair_labels * 2, 4)):
             elems[divmod(r, k)] = povm
-        for player in elems:
-            _check_operators(player, pair_labels, "povm", POVM_ATOL)
+        _check_operators(elems[0], pair_labels, "povm", POVM_ATOL)
+        if not np.array_equal(elems[1], elems[0]):
+            _check_operators(elems[1], pair_labels, "povm", POVM_ATOL)
         owned.setflags(write=False)
         self.stacks = tuple(owned)
         self.alice_singles, self.bob_singles = (dict(zip(singles, s[:ns])) for s in self.stacks)
@@ -582,14 +589,18 @@ def canonical_two_out_of_n_strategy(n: int, n_prime: int | None = None,
     registers = list(range(1, n + 1)) if registers is None else list(registers)
     if len(registers) != n:
         raise ValidationError("need one register per index")
-    singles = {}
-    for i in range(1, n + 1):
-        reg = registers[i - 1]
-        singles[(i, 0)] = embed_on_register(SIGMA_Z, n_prime, reg)
-        singles[(i, 1)] = embed_on_register(SIGMA_X, n_prime, reg)
-    pair_povms = {(i, y, j, z): _commuting_projector_povm(
-        [embed_on_register(_pair_basis_observable(u), n_prime, registers[k - 1])
-         for k, u in ((i, y), (j, z))]) for i, y, j, z in _pair_keys(n)}
+    # per index: its singles Z and X, then its pair-basis observables
+    local = np.stack([SIGMA_Z, SIGMA_X, _pair_basis_observable(0), _pair_basis_observable(1)])
+    ops = [embed_on_register(local, n_prime, reg) for reg in registers]
+    singles = {(i, x): op[x] for i, op in enumerate(ops, start=1) for x in (0, 1)}
+    # element (a, b) of key (i, y, j, z) is P_i[y, a] P_j[z, b], hermitized,
+    # for index i's spectral projectors P_i[y, a]: one stacked product,
+    # axes (pair, y, z, a, b)
+    proj = _spectral_projectors([op[2:] for op in ops])
+    first, second = np.triu_indices(n, 1)
+    elems = proj[first][:, :, None, :, None] @ proj[second][:, None, :, None, :]
+    d = 2 ** n_prime
+    pair_povms = dict(zip(_pair_keys(n), _hermitized(elems).reshape(-1, 4, d, d)))
     return TwoOutOfNStrategy(n, n_prime, singles, singles, pair_povms, pair_povms)
 
 
@@ -598,19 +609,16 @@ def perturbed_two_out_of_n_strategy(n: int, theta: float,
     """Canonical strategy with everything the second player holds on the
     perturbed index's register conjugated by a y-axis rotation."""
     base = canonical_two_out_of_n_strategy(n)
-    reg = index
     w = _y_rotation(theta)
-    bob_singles = dict(base.bob_singles)
-    for x in (0, 1):
-        bob_singles[(index, x)] = conjugate_on_register(
-            base.bob_singles[(index, x)], w, base.n_prime, reg)
-    bob_pairs = {}
-    for key, povm in base.bob_pair_povms.items():
-        if key[0] == index or key[2] == index:
-            bob_pairs[key] = np.stack([
-                conjugate_on_register(e, w, base.n_prime, reg) for e in povm])
-        else:
-            bob_pairs[key] = povm
+    singles = [(index, x) for x in (0, 1)]
+    keys = [key for key in _pair_keys(n) if index in (key[0], key[2])]
+    # one stacked conjugation: the two singles, then each key's elements
+    moved = conjugate_on_register(
+        np.concatenate([[base.bob_singles[s] for s in singles],
+                        *(base.bob_pair_povms[key] for key in keys)]), w, base.n_prime, index)
+    bob_singles = {**base.bob_singles, **dict(zip(singles, moved[:2]))}
+    bob_pairs = {**base.bob_pair_povms,
+                 **dict(zip(keys, moved[2:].reshape(-1, 4, base.dim, base.dim)))}
     return TwoOutOfNStrategy(n, base.n_prime, base.alice_singles, bob_singles,
                              base.alice_pair_povms, bob_pairs)
 

@@ -12,7 +12,9 @@ register 1 as the most significant base-m^2 digit.
 
 Operator checks: every validator in the package, here and in `games` and
 `states`, runs one stacked check, `_check_operators`, which names the first
-bad member of a stack and the first check it fails.
+bad member of a stack and the first check it fails.  Its spectral-norm and
+PSD bounds accept involutions and projectors by identity, with one stacked
+product, and take eigvalsh for everything else.
 
 Stacked input: `pauli_expand` takes a (k, d, d) stack as well as one d x d
 matrix.  It checks every member with the tolerances used for one matrix and
@@ -74,6 +76,35 @@ def hermitian_deviation(mats: np.ndarray) -> np.ndarray:
 _CHECK_BYTES = 1 << 20
 
 
+def _lower_hermitian(mats: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix numpy.linalg.eigvalsh reads of each member: its
+    lower triangle, mirrored, with the real part of its diagonal."""
+    h = np.tril(mats, -1)
+    h += h.conj().swapaxes(-1, -2)
+    i = np.arange(mats.shape[-1])
+    h[..., i, i] = mats[..., i, i].real
+    return h
+
+
+def _frobenius_sq(mats: np.ndarray) -> np.ndarray:
+    """||M||_F^2 of each member of a complex stack."""
+    flat = np.ascontiguousarray(mats).reshape(mats.shape[:-2] + (-1,)).view(float)
+    return np.einsum("...i,...i->...", flat, flat)
+
+
+def _identity_accepts(herm: np.ndarray, involution: bool, atol: float) -> bool:
+    """Whether every Hermitian member is, closely enough to pass the
+    eigenvalue bound of _check_operators without eigvalsh (see there), an
+    involution (A^2 = I) if `involution`, else a projector (E^2 = E)."""
+    d = herm.shape[-1]
+    target = d if involution else np.trace(herm, axis1=-2, axis2=-1).real
+    if not (np.abs(_frobenius_sq(herm) - target) <= np.sqrt(d) * atol).all():
+        return False
+    residual = herm @ herm
+    residual -= np.eye(d) if involution else herm
+    return bool((_frobenius_sq(residual) <= (atol / 2) ** 2).all())
+
+
 def _check_operators(stack: np.ndarray, labels, bound: str | None = None,
                      atol: float = 0.0) -> np.ndarray:
     """Check a (k, d, d) stack of operators, or with bound "povm" a (k,
@@ -86,7 +117,20 @@ def _check_operators(stack: np.ndarray, labels, bound: str | None = None,
     must sum to I within atol.  Without "povm", a (k, j, d, d) stack holds
     k j members in C order.  An error names the first bad member, labels[i],
     the first check it fails and, for a POVM's element checks, the first
-    element that fails it."""
+    element that fails it.
+
+    The eigenvalue bound is first tried by identity, on the Hermitian matrix
+    H that eigvalsh reads (the lower triangle, mirrored).  A screen in
+    O(d^2) per member asks ||H||_F^2 = d for "norm" (an involution) or
+    ||H||_F^2 = tr H otherwise (a projector), within sqrt(d) atol, which
+    either identity below implies.  One stacked product then confirms
+    ||H^2 - I||_F <= atol/2, so every |lambda^2 - 1| <= atol/2 and |lambda|
+    <= 1 + atol/4, or ||H^2 - H||_F <= atol/2, so every |lambda^2 - lambda|
+    <= atol/2 and lambda >= -atol/2.  The margin of atol/2 to the bound
+    covers rounding in the product, far below it for every dimension the
+    package builds.  If any member of a chunk fails the screen or the
+    product, or atol is 0, the whole chunk takes eigvalsh: this route only
+    ever accepts, so every decision and every message is eigvalsh's."""
     povm = bound == "povm"
     per = 1 if povm else prod(stack.shape[1:-2])  # members per row
     step = max(1, _CHECK_BYTES // max(prod(stack.shape[1:]) * stack.itemsize, 1))
@@ -101,12 +145,16 @@ def _check_operators(stack: np.ndarray, labels, bound: str | None = None,
         # (value, failed, message) per check after finiteness, one entry a matrix
         dev = hermitian_deviation(safe)
         checks = [(dev, dev > HERMITIAN_ATOL, "is not Hermitian (max deviation {:.3e})")]
-        if bound == "norm":
-            norm = np.abs(np.linalg.eigvalsh(safe)).max(axis=-1)
-            checks.append((norm, norm > 1.0 + atol, "has spectral norm {:.6f} > 1"))
-        elif bound:
-            low = np.linalg.eigvalsh(safe)[..., 0]  # ascending: the least
-            checks.append((low, low < -atol, "is not PSD (min eigenvalue {:.3e})"))
+        # an exactly Hermitian matrix is the one eigvalsh reads
+        if bound and not (atol > 0 and _identity_accepts(
+                _lower_hermitian(safe) if dev.any() else safe, bound == "norm", atol)):
+            eigs = np.linalg.eigvalsh(safe)  # ascending
+            if bound == "norm":
+                norm = np.abs(eigs).max(axis=-1)
+                checks.append((norm, norm > 1.0 + atol, "has spectral norm {:.6f} > 1"))
+            else:
+                low = eigs[..., 0]
+                checks.append((low, low < -atol, "is not PSD (min eigenvalue {:.3e})"))
         bad = reduce(np.logical_or, [failed for _, failed, _ in checks])
         if finite is not np.True_:
             bad = bad | ~finite

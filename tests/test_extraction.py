@@ -367,6 +367,31 @@ def test_two_out_of_n_collision_detected():
     assert rep["collisions"] and rep["collisions"][0]["contradiction"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("player, angle", [("alice", 0.3), ("bob", 0.3), ("bob", 0.0)])
+def test_two_out_of_n_registers_are_assigned_per_player(player, angle):
+    # one player's index-2 singles move onto register 1 as index 1's pair
+    # rotated by angle; the other player's stay on register 2.  Pooling both
+    # players' votes ties the scores; per player, index 2 collides with
+    # index 1 on that player's side
+    base = canonical_two_out_of_n_strategy(2)
+    singles = {"alice": dict(base.alice_singles), "bob": dict(base.bob_singles)}
+    c, s = np.cos(angle), np.sin(angle)
+    singles[player][(2, 0)] = embed_on_register(c * SIGMA_Z + s * SIGMA_X, 2, 1)
+    singles[player][(2, 1)] = embed_on_register(c * SIGMA_X - s * SIGMA_Z, 2, 1)
+    rep = two_out_of_n_selftest(TwoOutOfNStrategy(2, 2, singles["alice"], singles["bob"],
+                                                   dict(base.alice_pair_povms),
+                                                   dict(base.bob_pair_povms)), 0.7)
+    prefix, other = ("P", "Q") if player == "alice" else ("Q", "P")
+    assert rep["registerVotes"]["2"] == {f"{prefix}20": 1, f"{prefix}21": 1,
+                                         f"{other}20": 2, f"{other}21": 2}
+    assert rep["registerAmbiguous"] == {"1": False, "2": True}
+    assert not rep["distinct"]
+    (collision,) = rep["collisions"]
+    assert {k: collision[k] for k in ("indexA", "indexB", "register", "player")} == {
+        "indexA": 1, "indexB": 2, "register": 1, "player": player}
+    assert collision["contradiction"] == pytest.approx(np.cos(angle), abs=1e-12)
+
+
 def test_selftest_dispatch():
     assert selftest(canonical_chsh_strategy(1), 0.5)["register"] == 1
     assert selftest(canonical_magic_square_strategy(1), 0.5)["register"] == 1

@@ -17,6 +17,7 @@ from noisygames.games import (
     require_observable,
     require_povm,
 )
+from noisygames import pauli
 from noisygames.pauli import (
     StandardBasis,
     ValidationError,
@@ -189,3 +190,94 @@ def test_every_failure_kind_is_in_the_table():
     assert {entry.split()[0] for entry, _ in CELLS} == {
         "ChshStrategy", "MagicSquareStrategy", "TwoOutOfNStrategy", "require_observable",
         "require_povm", "require_hermitian", "pauli_expand", "StandardBasis", "BipartiteState"}
+
+
+# The eigenvalue bound is tried by identity first (A^2 = I for an
+# observable, E^2 = E for a POVM element or a density), and a chunk that
+# fails it takes eigvalsh.  Each row names an input, whether the identity
+# route accepts it, and the outcome eigvalsh gives; both routes must give
+# that outcome and message.
+
+def _projective_povm():
+    return canonical_magic_square_strategy(1).alice_povms["r1"]
+
+
+def _lowered(povm, low):
+    # move a rank-one piece of element 0, along a unit vector in the range
+    # of another element, onto that element: the sum stays I, and element 0
+    # gets eigenvalue low
+    povm = np.array(povm, dtype=complex)
+    other = 1 + int(np.argmax(np.trace(povm[1:], axis1=1, axis2=2).real))
+    v = np.linalg.eigh(povm[other])[1][:, -1]
+    piece = -low * np.outer(v, v.conj())
+    povm[0] -= piece
+    povm[other] += piece
+    return povm
+
+
+def _nudged(povm, eps):
+    # a Hermitian perturbation of every element that keeps the sum at I
+    povm = np.array(povm, dtype=complex)
+    h = np.diag(np.arange(1.0, 5.0)) + np.ones((4, 4))
+    povm[0] += eps * h
+    povm[1] -= eps * h
+    return povm
+
+
+ROUTES = {
+    "exact projector": (lambda: require_povm(_projective_povm(), 4), True, None),
+    "exact involution": (lambda: require_observable(canonical_chsh_strategy(1).bob[0], 2),
+                         True, None),
+    "projector nudged by 1e-12": (lambda: require_povm(_nudged(_projective_povm(), 1e-12), 4),
+                                  True, None),
+    "projector with eigenvalue -5e-10": (
+        lambda: require_povm(_lowered(_projective_povm(), -5e-10), 4), False, None),
+    "projector with eigenvalue -2e-9": (
+        lambda: require_povm(_lowered(_projective_povm(), -2e-9), 4, "E"), False,
+        "E element 0 is not PSD (min eigenvalue -2.000e-09)"),
+    "non-projective POVM": (lambda: require_povm(np.stack([np.eye(4) / 8] * 8), 4), False, None),
+    "norm-1 bounded observable": (lambda: require_observable(np.diag([1.0, 0.5]), 2),
+                                  False, None),
+    "norm 1 + 1e-8 observable": (lambda: require_observable(np.diag([1.0 + 1e-8, -1.0]), 2, "X"),
+                                 False, "X has spectral norm 1.000000 > 1"),
+    "pure density": (lambda: make_depolarized_epr(1.0, 1), True, None),
+    "mixed density": (lambda: make_depolarized_epr(0.8, 1), False, None),
+}
+
+
+def _outcome(build):
+    try:
+        build()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("row", sorted(ROUTES))
+def test_identity_route_and_eigvalsh_route_agree(row, monkeypatch):
+    build, by_identity, want = ROUTES[row]
+    assert _outcome(build) == want
+    with monkeypatch.context() as m:
+        m.setattr(pauli, "_identity_accepts", lambda *args: False)
+        assert _outcome(build) == want
+    with monkeypatch.context() as m:
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        m.setattr(np.linalg, "eigvalsh", refuse)
+        if by_identity:
+            assert _outcome(build) == want
+        else:
+            with pytest.raises(AssertionError, match="eigvalsh called"):
+                build()
+
+
+def test_canonical_builds_call_no_eigvalsh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    canonical_chsh_strategy(2)
+    canonical_magic_square_strategy(1)
+    canonical_magic_square_strategy(2, register=2)
+    canonical_two_out_of_n_strategy(4)

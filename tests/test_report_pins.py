@@ -7,6 +7,9 @@ Each scalar must match within 1e-10; booleans, registers, votes and labels
 must match exactly.  Extraction unitaries are not compared entry-wise, since
 a degenerate eigenspace may rotate them; the distances they yield are,
 except where nothing fixes the frame they are measured in (UNDETERMINED).
+The 2-out-of-n self-tests' registerVotes, registerAmbiguous, distinct and
+collisions were re-recorded when registers came to be assigned per player;
+every other value in them is as first recorded.
 """
 
 import json

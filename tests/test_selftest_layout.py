@@ -7,7 +7,9 @@ last bits, and so a document's bytes, follow the OpenBLAS kernel (forced
 with OPENBLAS_CORETYPE=Haswell or Nehalem); its skeleton does not.  Each
 case's skeleton digest in DIGESTS was recorded when every self-test still
 had a report class of its own, so it also pins the documents' layout across
-that change.
+that change.  The 2-out-of-n digests were re-recorded when those reports
+gained per-index registerVotes and registerAmbiguous entries and a player
+per collision.
 """
 
 import hashlib
@@ -122,13 +124,13 @@ DIGESTS = {
     "ms-literal-uniform-r1":
         "47279c89b82c5ab2b9543df26eb9e3c4fdecd3b3153717942dfa714f6a09f35d",
     "t2n-canonical-n3":
-        "0370817dd6177d50437a15975cc9321b2be22826261a67e836725ac6eed7b215",
+        "01f0474b29e78bf008070ff60a1f4675e074bec56301c91d77a3517296158858",
     "t2n-canonical-n5":
-        "ab168d9094ec34c38ee9c3bc0bad2b40ee38e5e23635d7e43290c2895e8eafdb",
+        "a4c575b9630d6b73d5869921a40dee08389a532ed451a0da5ec4c16ae8362c72",
     "t2n-perturbed-n3":
-        "0370817dd6177d50437a15975cc9321b2be22826261a67e836725ac6eed7b215",
+        "01f0474b29e78bf008070ff60a1f4675e074bec56301c91d77a3517296158858",
     "t2n-literal-collision":
-        "73ace0f762bd5c3fff6e51211e0717b7ea1d2865b13d6eb06199fcd1ccaa4b4b",
+        "96187c38171b593ee95bee1fa24d21b452d080a9d8c4339ca17bec938ca82a19",
     "general-noise-canonical-n1":
         "c92ab71ee70cc644f3f8d7319cc262c7000991cf776191f3d37172c424fe16a3",
     "general-noise-perturbed-n2":
